@@ -8,6 +8,7 @@ this container; the decoder and the CLI consume it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,14 +64,19 @@ class AssocMatrix:
     def n_roads(self) -> int:
         return len(self.road_ids)
 
+    @cached_property
+    def _row_index(self) -> dict:
+        """Centerline id -> row number, built once per matrix."""
+        return {c: i for i, c in enumerate(self.centerline_ids)}
+
     def row(self, cl_id: int) -> np.ndarray:
         try:
-            return self.probs[self.centerline_ids.index(cl_id)]
-        except ValueError:
+            return self.probs[self._row_index[cl_id]]
+        except KeyError:
             raise LabelError(f"no probability row for centerline {cl_id}") from None
 
     def rows_for(self, cl_ids) -> np.ndarray:
-        index = {c: i for i, c in enumerate(self.centerline_ids)}
+        index = self._row_index
         try:
             sel = [index[c] for c in cl_ids]
         except KeyError as err:

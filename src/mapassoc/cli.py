@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from .baselines import HmmParams, distance_assoc_matrix, hmm_associate, knn_associate
 from .decoder import DecoderConfig, decode_association
 from .errors import ConfigError, GenerationError, MapAssocError, NoFeasiblePathError, ValidationError
-from .io import AssocRecord, load_weights, read_assocs, read_scenes, write_assocs, write_scenes
+from .io import AssocRecord, load_weights, parse_json, read_assocs, read_scenes, write_assocs, write_scenes
 from .mat import ModelConfig, desk_config, init_weights, mat_associate
 from .metrics import MetricConfig, MetricReport, Prediction, association_pr, reachability_pr, report_table
 from .scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
@@ -62,7 +62,7 @@ def _read_json(path: str, where: str) -> dict:
     with open(path, "rb") as fh:
         text = fh.read().decode("utf-8")
     try:
-        doc = json.loads(text)
+        doc = parse_json(text, f"{where} {path}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{where} {path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -134,7 +134,8 @@ def _cmd_associate(args) -> int:
             amat, _ = mat_associate(scene, mcfg, weights, curve_seed=args.curve_seed)
             assoc = amat.argmax_association()
         else:
-            amat = distance_assoc_matrix(scene)
+            # the soft matrix only feeds the decoder and the stored rows
+            amat = distance_assoc_matrix(scene) if args.post or args.store_probs else None
             assoc = knn_associate(scene) if method == "knn" else hmm_associate(scene)
         if args.post:
             assoc = decode_association(scene, amat, dcfg)

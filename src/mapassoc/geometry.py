@@ -488,6 +488,10 @@ def validate_scene(scene: Scene) -> Scene:
         for p in (c.vector.p1, c.vector.p2):
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise ValidationError(f"centerline {c.id} has non-finite point {tuple(p)}")
+    for b in scene.hd.boundaries:
+        for p in b.points:
+            if not (math.isfinite(p.x) and math.isfinite(p.y)):
+                raise ValidationError(f"boundary {b.id} has non-finite point {tuple(p)}")
     cyc = _find_cycle_node(scene.hd.node_ids, scene.hd.successors)
     if cyc is not None:
         raise TopologyError(f"lane graph has a cycle through centerline {cyc}")

@@ -68,9 +68,23 @@ def _write_bytes(dest: Union[str, IO], data: bytes) -> None:
         fh.write(data)
 
 
+def parse_json(text: str, where: str):
+    """`json.loads` without the NaN, Infinity and -Infinity extensions.
+
+    Canonical JSON has no spelling for a non-finite number, so a reader
+    refuses one with a ValidationError naming `where`. Malformed text still
+    raises json.JSONDecodeError for the caller to word.
+    """
+
+    def reject(name):
+        raise ValidationError(f"{where}: non-finite number {name} is not allowed")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def _parse_line(text: str, where: str) -> dict:
     try:
-        doc = json.loads(text)
+        doc = parse_json(text, where)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{where}: malformed JSON at column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
@@ -389,7 +403,7 @@ def load_weights(source: Union[str, IO], cfg=None) -> dict:
     if nl < 0:
         raise IntegrityError("weights container: manifest line missing")
     try:
-        manifest = json.loads(body[:nl].decode("utf-8"))
+        manifest = parse_json(body[:nl].decode("utf-8"), "weights container: manifest")
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"weights container: malformed manifest: {exc}") from exc
     if not isinstance(manifest, dict):

@@ -10,12 +10,30 @@ attends within each path, and scatter-means the copies back:
     v_j = mean over path copies i of out_i   where copy i originates from j
 
 Spatial attention serializes tokens along a space-filling curve, splits the
-serialized sequence into consecutive patches, attends within each patch, and
-inverse-permutes the outputs back to token order.
+serialized sequence into consecutive patches and attends within each patch.
+
+Both ops run one batched kernel instead of a loop over groups:
+
+- Project once. The weights are cast to float64 once per op, and Q/K/V are
+  projected once per unique token (`_project`). RoPE axes that belong to the
+  token itself, the instance axis and the three grid axes, are rotated
+  there too, so a token on 30 paths is projected and rotated once.
+- Bucket by length. Paths of equal length stack into a (B, L) index array,
+  so no group is padded or masked. Spatial patches are equal-length by
+  construction; the short last patch is a batch of one.
+- Chunk. A bucket is cut into blocks of at most _CHUNK_COPIES token copies.
+  Per block the copies of Q/K/V are gathered, the path axis is rotated by
+  each copy's step (the token axes turn by angle 0 there, an exact
+  identity), and `_group_attention` runs one softmax over the
+  (heads, B, L, L) scores.
+- Scatter-mean. Path copies are summed per token with one `np.add.at` per
+  block and divided by the token's copy count. The output projection then
+  runs once per token, on the merged rows.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +54,22 @@ __all__ = [
 
 _SQRT2 = np.sqrt(2.0)
 
+# Token copies per batched kernel step: bounds the (heads, B, L, L) score block
+# and the gathered Q/K/V to a few hundred kilobytes whatever the scene size.
+_CHUNK_COPIES = 512
+
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Gaussian-error linear unit, exact erf form."""
     x = np.asarray(x)
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+    # 0.5 * x * (1 + erf(x / sqrt 2)) in place, so a wide FFN hidden layer
+    # holds one temporary; a 0-d input gives a scalar, which has no buffer
+    out = x / _SQRT2
+    out = erf(out, out=out) if out.ndim else erf(out)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
 
 
 def layer_norm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
@@ -78,17 +107,16 @@ def rope_rotate(x: np.ndarray, positions, axes: int, base: float = 10000.0) -> n
     da = d // axes
     half = da // 2
     freqs = float(base) ** (-2.0 * np.arange(half, dtype=np.float64) / da)
-    x64 = x.astype(np.float64)
-    out = np.empty_like(x64)
-    for a in range(axes):
-        lo = a * da
-        ang = pos[:, a, None] * freqs[None, :]  # (N, half)
-        c, s = np.cos(ang), np.sin(ang)
-        ev = x64[..., lo : lo + da : 2]
-        od = x64[..., lo + 1 : lo + da : 2]
-        out[..., lo : lo + da : 2] = ev * c - od * s
-        out[..., lo + 1 : lo + da : 2] = ev * s + od * c
-    return out.astype(x.dtype)
+    ang = (pos[:, :, None] * freqs).reshape(n, axes * half)  # (N, d/2), axis-major
+    rot = np.empty(ang.shape, dtype=np.complex128)
+    rot.real, rot.imag = np.cos(ang), np.sin(ang)
+    # pair (2i, 2i+1) as the complex number x_2i + j x_2i+1 turns by one
+    # complex multiply: (x_2i cos - x_2i+1 sin) + j (x_2i sin + x_2i+1 cos)
+    x64 = np.asarray(x, dtype=np.float64)
+    if x64.strides[-1] != x64.itemsize:
+        x64 = np.ascontiguousarray(x64)
+    out = (x64.view(np.complex128) * rot).view(np.float64)
+    return out.astype(x.dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -141,36 +169,55 @@ class AttnWeights:
         return np.asarray(self.q_w).shape[0]
 
 
-def _attend(x64: np.ndarray, w: AttnWeights, positions, base: float) -> np.ndarray:
-    """Multi-head self-attention over one group of tokens, all float64.
+def _cast(w: AttnWeights) -> tuple:
+    """The eight projection tensors as float64, cast once per op."""
+    return tuple(
+        np.asarray(getattr(w, f), dtype=np.float64)
+        for f in ("q_w", "q_b", "k_w", "k_b", "v_w", "v_b", "out_w", "out_b")
+    )
 
-    positions is None (no RoPE) or an (n, axes) integer array applied to both
-    queries and keys per head.
+
+def _project(x: np.ndarray, w64: tuple, heads: int, pos: np.ndarray, base: float) -> tuple:
+    """Q, K, V of tokens x as (heads, n, hd) float64; Q and K rotated by pos.
+
+    pos holds the RoPE positions that belong to the token itself, one column
+    per axis, so each token is projected and rotated once however many
+    groups it sits in.
     """
-    n, c = x64.shape
-    if c != w.channels:
-        raise ConfigError(f"token width {c} does not match weights ({w.channels})")
-    if n == 0:
-        return x64.copy()
-    q = x64 @ np.asarray(w.q_w, dtype=np.float64) + np.asarray(w.q_b, dtype=np.float64)
-    k = x64 @ np.asarray(w.k_w, dtype=np.float64) + np.asarray(w.k_b, dtype=np.float64)
-    v = x64 @ np.asarray(w.v_w, dtype=np.float64) + np.asarray(w.v_b, dtype=np.float64)
-    hd = c // w.heads
-    # (heads, n, hd)
-    q = q.reshape(n, w.heads, hd).transpose(1, 0, 2)
-    k = k.reshape(n, w.heads, hd).transpose(1, 0, 2)
-    v = v.reshape(n, w.heads, hd).transpose(1, 0, 2)
-    if positions is not None:
-        axes = np.asarray(positions).shape[-1] if np.asarray(positions).ndim > 1 else 1
-        q = rope_rotate(q, positions, axes, base)
-        k = rope_rotate(k, positions, axes, base)
-    scores = q @ k.transpose(0, 2, 1) / np.sqrt(hd)
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    attn = e / e.sum(axis=-1, keepdims=True)
-    out = attn @ v  # (heads, n, hd)
-    out = out.transpose(1, 0, 2).reshape(n, c)
-    return out @ np.asarray(w.out_w, dtype=np.float64) + np.asarray(w.out_b, dtype=np.float64)
+    n, c = x.shape
+    if c != w64[0].shape[0]:
+        raise ConfigError(f"token width {c} does not match weights ({w64[0].shape[0]})")
+    x64 = np.asarray(x, dtype=np.float64)
+    out = []
+    for i in range(3):
+        y = x64 @ w64[2 * i]
+        y += w64[2 * i + 1]
+        y = y.reshape(n, heads, c // heads).transpose(1, 0, 2)
+        out.append(rope_rotate(y, pos, pos.shape[1], base) if i < 2 else y)
+    return tuple(out)
+
+
+def _group_attention(q, k, v) -> np.ndarray:
+    """Softmax attention within each group, all groups in one batch.
+
+    q, k, v are (heads, B, L, hd): B groups of L tokens, RoPE already applied.
+    Returns the (B * L, heads * hd) merged-head outputs, group-major, before
+    the output projection.
+    """
+    heads, b, length, hd = q.shape
+    attn = q @ k.swapaxes(-1, -2)  # (heads, B, L, L)
+    attn /= np.sqrt(hd)
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    out = attn @ v
+    return out.transpose(1, 2, 0, 3).reshape(b * length, heads * hd)
+
+
+def _out_project(y: np.ndarray, w64: tuple, dtype) -> np.ndarray:
+    out = y @ w64[6]
+    out += w64[7]
+    return out.astype(dtype, copy=False)
 
 
 def path_attention(
@@ -189,27 +236,45 @@ def path_attention(
     """
     x = np.asarray(tokens)
     n = x.shape[0]
-    covered = set()
-    for p in pidx.paths:
-        covered.update(int(i) for i in p)
-    if covered and (min(covered) < 0 or max(covered) >= n):
+    lengths = np.fromiter((len(p) for p in pidx.paths), dtype=np.int64, count=len(pidx.paths))
+    flat = np.fromiter(
+        itertools.chain.from_iterable(pidx.paths), dtype=np.int64, count=int(lengths.sum())
+    )
+    if flat.size and (flat.min() < 0 or flat.max() >= n):
         raise TopologyError(f"path token index out of range for {n} tokens")
-    missing = sorted(set(range(n)) - covered)
-    if missing:
-        raise TopologyError(f"tokens not covered by any path: {missing}")
+    counts = np.bincount(flat, minlength=n)
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        raise TopologyError(f"tokens not covered by any path: {missing.tolist()}")
     inst = np.asarray(positions, dtype=np.int64)
     if inst.shape != (n,):
         raise ConfigError(f"positions shape {inst.shape}, expected ({n},)")
-    x64 = x.astype(np.float64)
-    acc = np.zeros_like(x64)
-    cnt = np.zeros(n, dtype=np.float64)
-    for path in pidx.paths:
-        idx = np.asarray(path, dtype=np.int64)
-        pos = np.stack([np.arange(len(idx), dtype=np.int64), inst[idx]], axis=1)
-        out = _attend(x64[idx], weights, pos, rope_base)
-        np.add.at(acc, idx, out)
-        np.add.at(cnt, idx, 1.0)
-    return (acc / cnt[:, None]).astype(x.dtype)
+    if n == 0:
+        return x.copy()
+    w64 = _cast(weights)
+    token_pos = np.stack([np.zeros(n, dtype=np.int64), inst], axis=1)
+    q, k, v = _project(x, w64, weights.heads, token_pos, rope_base)
+    c = weights.channels
+    acc = np.zeros((n, c), dtype=np.float64)
+    channels = np.arange(c)
+    starts = np.cumsum(lengths) - lengths
+    for length in np.unique(lengths[lengths > 0]):
+        rows = flat[starts[lengths == length, None] + np.arange(length)]
+        # the path axis rotates every copy by its step; the instance axis was
+        # rotated per token in _project, so it turns by 0 here (an identity)
+        steps = np.zeros((length, 2), dtype=np.int64)
+        steps[:, 0] = np.arange(length)
+        per_chunk = max(1, _CHUNK_COPIES // int(length))
+        for i in range(0, rows.shape[0], per_chunk):
+            chunk = rows[i : i + per_chunk]
+            qg = rope_rotate(q[:, chunk], steps, 2, rope_base)
+            kg = rope_rotate(k[:, chunk], steps, 2, rope_base)
+            # one flat index per (copy, channel) keeps np.add.at on its 1-D fast path
+            cells = (chunk.reshape(-1, 1) * c + channels).ravel()
+            np.add.at(acc.reshape(-1), cells, _group_attention(qg, kg, v[:, chunk]).ravel())
+    del q, k, v  # free them before the output projection
+    acc /= counts[:, None]
+    return _out_project(acc, w64, x.dtype)
 
 
 def spatial_attention(
@@ -237,12 +302,21 @@ def spatial_attention(
         raise ConfigError(f"patch_size must be >= 1, got {patch_size}")
     if n == 0:
         return x.copy()
-    ser = sort_tokens(coords, kind, order)
-    x64 = x.astype(np.float64)
-    xs = x64[ser.perm]
-    ps = coords[ser.perm]
-    out_ser = np.empty_like(xs)
-    for start in range(0, n, patch_size):
-        sl = slice(start, min(start + patch_size, n))
-        out_ser[sl] = _attend(xs[sl], weights, ps[sl], rope_base)
-    return out_ser[ser.inv].astype(x.dtype)
+    perm = sort_tokens(coords, kind, order).perm
+    w64 = _cast(weights)
+    out = np.empty_like(x)
+    # whole patches per step; each token sits in exactly one patch, so
+    # projecting step by step still projects every token once
+    step = max(1, _CHUNK_COPIES // patch_size) * patch_size
+    heads, hd = weights.heads, weights.channels // weights.heads
+    for start in range(0, n, step):
+        tok = perm[start : start + step]
+        m = len(tok)
+        q, k, v = _project(x[tok], w64, heads, coords[tok], rope_base)
+        full = m - m % patch_size
+        # whole patches as one batch, the short last patch as a batch of one
+        for lo, hi, size in ((0, full, patch_size), (full, m, m - full)):
+            if hi > lo:
+                groups = (a[:, lo:hi].reshape(heads, -1, size, hd) for a in (q, k, v))
+                out[tok[lo:hi]] = _out_project(_group_attention(*groups), w64, x.dtype)
+    return out

@@ -167,12 +167,13 @@ def resolve_curve_kinds(cfg: ModelConfig, curve_seed: int = 0) -> tuple:
 
 def _ffn(x: np.ndarray, weights: dict, base: str) -> np.ndarray:
     h = layer_norm(x, weights[f"{base}.norm.weight"], weights[f"{base}.norm.bias"])
-    h64 = h.astype(np.float64)
-    h64 = gelu(h64 @ np.asarray(weights[f"{base}.fc1.weight"], dtype=np.float64)
-               + np.asarray(weights[f"{base}.fc1.bias"], dtype=np.float64))
-    h64 = (h64 @ np.asarray(weights[f"{base}.fc2.weight"], dtype=np.float64)
-           + np.asarray(weights[f"{base}.fc2.bias"], dtype=np.float64))
-    return h64.astype(np.float32)
+    # in-place bias adds and gelu keep the (N, 4C) hidden layer to two buffers
+    h64 = h.astype(np.float64) @ np.asarray(weights[f"{base}.fc1.weight"], dtype=np.float64)
+    h64 += np.asarray(weights[f"{base}.fc1.bias"], dtype=np.float64)
+    h64 = gelu(h64)
+    out = h64 @ np.asarray(weights[f"{base}.fc2.weight"], dtype=np.float64)
+    out += np.asarray(weights[f"{base}.fc2.bias"], dtype=np.float64)
+    return out.astype(np.float32)
 
 
 def mat_forward(

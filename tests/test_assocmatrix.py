@@ -21,6 +21,13 @@ def test_valid_matrix_and_accessors():
     np.testing.assert_array_equal(m.rows_for([9, 3]), [[1.0, 0.0], [0.25, 0.75]])
 
 
+def test_row_lookups_accept_numpy_ids():
+    m = amat([[0.25, 0.75], [1.0, 0.0]], cl_ids=(3, 9), road_ids=(2, 5))
+    for _ in range(2):  # the id index is built on first use and then reused
+        np.testing.assert_array_equal(m.row(np.int64(3)), [0.25, 0.75])
+        np.testing.assert_array_equal(m.rows_for(np.array([9, 3])), [[1.0, 0.0], [0.25, 0.75]])
+
+
 def test_ids_must_ascend():
     with pytest.raises(ConfigError, match="centerline ids"):
         amat([[1.0], [1.0]], cl_ids=(2, 1), road_ids=(0,))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from mapassoc.curves import CURVE_KINDS, GridCoord
 from mapassoc.errors import ConfigError, TopologyError
 from mapassoc.geometry import PathIndex
+from mapassoc.mat import attention
 from mapassoc.mat.attention import (
     AttnWeights,
     gelu,
@@ -280,3 +282,86 @@ def test_spatial_attention_validates_inputs():
         spatial_attention(x, np.zeros((3, 2), dtype=np.int64), passthrough_attn(12), 4, "z")
     with pytest.raises(ConfigError):
         spatial_attention(x, np.zeros((3, 3), dtype=np.int64), passthrough_attn(12), 0, "z")
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel: length buckets, chunks and whole patches
+
+
+def test_path_attention_spanning_several_chunks_matches_reference():
+    rng = np.random.default_rng(11)
+    n = 200
+    paths = [tuple(int(i) for i in rng.choice(n, size=5, replace=False)) for _ in range(300)]
+    paths.append(tuple(range(n)))  # covers every token
+    assert 5 * 300 > 2 * attention._CHUNK_COPIES
+    x = rng.standard_normal((n, 24)).astype(np.float32)
+    w = rand_attn(24, 2, rng)
+    inst = rng.integers(0, 7, size=n)
+    got = path_attention(x, make_pidx(*paths), w, inst)
+    want = path_attention_reference(x, paths, w, inst)
+    np.testing.assert_allclose(got, want, atol=1e-8)
+
+
+def test_path_attention_mixed_lengths_and_shared_tokens_matches_reference():
+    # lengths 1..9 in shuffled order, tokens shared between and within paths,
+    # an empty path, and one path longer than a whole chunk
+    rng = np.random.default_rng(12)
+    n = 60
+    paths = [tuple(int(i) for i in rng.integers(0, n, size=int(rng.integers(1, 10)))) for _ in range(80)]
+    paths += [tuple(range(n)), (), tuple(int(i) for i in rng.integers(0, n, size=attention._CHUNK_COPIES + 9))]
+    order = rng.permutation(len(paths))
+    paths = [paths[i] for i in order]
+    x = rng.standard_normal((n, 12)).astype(np.float32)
+    w = rand_attn(12, 1, rng)
+    inst = rng.integers(0, 9, size=n)
+    got = path_attention(x, make_pidx(*paths), w, inst)
+    want = path_attention_reference(x, [p for p in paths if p], w, inst)
+    np.testing.assert_allclose(got, want, atol=1e-8)
+
+
+@pytest.mark.parametrize("channels, heads", [(48, 4), (96, 4)])
+def test_attention_at_desk_widths_matches_reference(channels, heads):
+    rng = np.random.default_rng(13)
+    n = 40
+    paths = [tuple(range(i, min(i + 7, n))) for i in range(0, n, 5)]
+    x = rng.standard_normal((n, channels)).astype(np.float32)
+    # desk-scale weights: unit-variance projections keep the softmax unsaturated
+    w = rand_attn(channels, heads, rng)
+    w = dataclasses.replace(w, **{f: getattr(w, f) / math.sqrt(channels) for f in ("q_w", "k_w", "v_w", "out_w")})
+    inst = rng.integers(0, 5, size=n)
+    got = path_attention(x, make_pidx(*paths), w, inst)
+    want = path_attention_reference(x, paths, w, inst)
+    np.testing.assert_allclose(got, want, atol=1e-6)
+    coords = rng.integers(0, 30, size=(n, 3))
+    got = spatial_attention(x, coords, w, 8, "hilbert", order=6)
+    want = spatial_attention_reference(x, coords_of(coords), w, 8, "hilbert", order=6)
+    np.testing.assert_allclose(got, want, atol=1e-6)
+
+
+@pytest.mark.parametrize("n, patch_size", [(45, 8), (600, 8), (7, 16)])
+def test_spatial_attention_short_last_patch_matches_reference(n, patch_size):
+    # 45 and 600 leave a short last patch (600 also spans two chunks);
+    # 7 < 16 makes the only patch the short one
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((n, 12)).astype(np.float32)
+    coords = rng.integers(-5, 40, size=(n, 3))
+    w = rand_attn(12, 2, rng)
+    got = spatial_attention(x, coords, w, patch_size, "z", order=7)
+    want = spatial_attention_reference(x, coords_of(coords), w, patch_size, "z", order=7)
+    np.testing.assert_allclose(got, want, atol=1e-8)
+
+
+def test_batched_attention_is_bit_deterministic():
+    rng = np.random.default_rng(15)
+    n = 150
+    paths = [tuple(int(i) for i in rng.integers(0, n, size=int(rng.integers(2, 12)))) for _ in range(200)]
+    paths.append(tuple(range(n)))
+    pidx = make_pidx(*paths)
+    x = rng.standard_normal((n, 48)).astype(np.float32)
+    w = rand_attn(48, 4, rng)
+    inst = rng.integers(0, 9, size=n)
+    coords = rng.integers(0, 50, size=(n, 3))
+    first = path_attention(x, pidx, w, inst), spatial_attention(x, coords, w, 8, "hilbert")
+    again = path_attention(x, pidx, w, inst), spatial_attention(x, coords, w, 8, "hilbert")
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes()

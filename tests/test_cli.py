@@ -93,6 +93,21 @@ def test_associate_post_appends_beam_to_method(tmp_path):
     assert rec.assoc.meta["k"] == 5
 
 
+def test_baselines_compute_distance_matrix_only_when_used(tmp_path, monkeypatch):
+    import mapassoc.cli as cli
+
+    scenes = gen_scenes(tmp_path)
+    calls = []
+    real = cli.distance_assoc_matrix
+    monkeypatch.setattr(cli, "distance_assoc_matrix", lambda scene: calls.append(1) or real(scene))
+    for method in ("knn", "hmm"):
+        assert main(["associate", "--method", method, "--scenes", scenes, "--out", str(tmp_path / "p.ndjson")]) == 0
+    assert calls == []
+    for flag in ("--post", "--store-probs"):
+        assert main(["associate", "--method", "knn", flag, "--scenes", scenes, "--out", str(tmp_path / "p.ndjson")]) == 0
+    assert len(calls) == 4  # two scenes per run
+
+
 def test_associate_mat_store_probs(tmp_path):
     scenes = gen_scenes(tmp_path, count=1)
     pred = str(tmp_path / "pred.ndjson")
@@ -224,6 +239,32 @@ def test_malformed_scene_line_exits_2(tmp_path):
         fh.write("{broken\n")
     rc = main(["associate", "--method", "knn", "--scenes", scenes, "--out", str(tmp_path / "p.ndjson")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("method", ["knn", "mat"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
+def test_non_finite_boundary_point_exits_2(tmp_path, capsys, method, literal):
+    # "1e999" parses to inf without a JSON constant, so validate_scene must catch it
+    scenes = gen_scenes(tmp_path, count=1)
+    doc = json.loads(open(scenes).read())
+    doc["hd"]["boundaries"][0]["points"][0][0] = "@@"
+    with open(scenes, "w") as fh:
+        fh.write(json.dumps(doc).replace('"@@"', literal) + "\n")
+    out = tmp_path / "p.ndjson"
+    rc = main(["associate", "--method", method, "--scenes", scenes, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "non-finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_non_finite_config_constant_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"gen": {"hd_extent": [12.0, Infinity]}}')
+    rc = main(["gen", "--config", str(path), "--out", str(tmp_path / "s.ndjson")])
+    assert rc == 2
+    assert "non-finite number Infinity" in capsys.readouterr().err
 
 
 def test_bad_thread_env_exits_2(tmp_path, monkeypatch, capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mapassoc.errors import InvalidGeometryError, TopologyError, ValidationError
 from mapassoc.geometry import (
     Association,
+    Boundary,
     Centerline,
     DirVec,
     HdGraph,
@@ -374,6 +375,15 @@ def test_validate_scene_rejects_nonfinite():
     )
     with pytest.raises(ValidationError, match="finite"):
         validate_scene(scene)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_validate_scene_rejects_nonfinite_boundary(bad):
+    s = tiny_scene()
+    b = Boundary(id=9, points=(Point2(0.0, 0.0), Point2(bad, 1.0)))
+    hd = HdGraph(centerlines=s.hd.centerlines, edges=s.hd.edges, boundaries=(b,))
+    with pytest.raises(ValidationError, match="boundary 9 has non-finite point"):
+        validate_scene(Scene(sd=s.sd, hd=hd, gt=s.gt, meta={}))
 
 
 def test_validate_scene_crop_bounds():

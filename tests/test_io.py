@@ -134,6 +134,34 @@ def test_scenes_ndjson_reports_bad_line_number(tmp_path):
         read_scenes(path)
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_readers_reject_non_finite_constants(tmp_path, grid42, constant):
+    # json.loads accepts these literals; canonical JSON cannot write them back
+    line = dumps_scene(grid42).rstrip("\n")
+    x = json.dumps(scene_to_doc(grid42)["hd"]["boundaries"][0]["points"][0][0])
+    bad_scene = line.replace(f"[{x},", f"[{constant},", 1)
+    assert bad_scene != line
+    path = tmp_path / "scenes.ndjson"
+    path.write_text(line + "\n" + bad_scene + "\n")
+    with pytest.raises(ValidationError, match=f"line 2: non-finite number {constant}"):
+        read_scenes(str(path))
+    rec = AssocRecord(method="knn", scene_ref="s", assoc=knn_associate(grid42))
+    doc = assoc_to_doc(rec)
+    doc["decode_meta"] = {"score": 0.5}
+    bad_assoc = json.dumps(doc).replace("0.5", constant)
+    with pytest.raises(ValidationError, match="non-finite number"):
+        read_assocs(pyio.StringIO(bad_assoc + "\n"))
+
+
+def test_weights_manifest_rejects_non_finite_constant():
+    buf = pyio.BytesIO()
+    save_weights({"a": np.ones(2, dtype=np.float32)}, buf)
+    data = buf.getvalue()
+    assert b'"total_bytes":8' in data
+    with pytest.raises(ValidationError, match="manifest: non-finite number NaN"):
+        load_weights(pyio.BytesIO(data.replace(b'"total_bytes":8', b'"total_bytes":NaN')))
+
+
 def test_scene_file_like_roundtrip(tiny):
     buf = pyio.BytesIO()
     write_scene(tiny, buf)
