@@ -3,9 +3,10 @@
 The nearest-road baseline labels each centerline with the road closest to its
 midpoint. The HMM treats roads as hidden states along each lane path:
 Gaussian emissions on midpoint-to-road distance, transitions favoring staying
-on a road or moving to a connected one. Both share the same vectorized
-distance kernel, and the Gaussian emissions double as a soft association
-matrix for the topology-constrained decoder.
+on a road or moving to a connected one. It decodes by max-product over the
+lane DAG, so the number of lane paths never enters its cost. Both share the
+same vectorized distance kernel, and the Gaussian emissions double as a soft
+association matrix for the topology-constrained decoder.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assocmatrix import AssocMatrix
-from .errors import LabelError, NoFeasiblePathError
-from .geometry import Association, Scene, enumerate_paths
+from .errors import ConfigError, LabelError, NoFeasiblePathError, TopologyError
+from .geometry import Association, Scene, _find_cycle_node
+from .geometry import enumerate_paths  # noqa: F401  kept as a module attribute; bench/tracer.py patches it
 
 __all__ = [
     "HmmParams",
@@ -37,6 +39,14 @@ class HmmParams:
     transition_self: float = 0.7
     transition_adjacent: float = 0.3
     disallow_nonadjacent: bool = True
+
+    def __post_init__(self):
+        if not (math.isfinite(self.emission_sigma) and self.emission_sigma > 0):
+            raise ConfigError(f"emission_sigma must be finite and > 0, got {self.emission_sigma}")
+        if not (math.isfinite(self.transition_self) and self.transition_self > 0):
+            raise ConfigError(f"transition_self must be finite and > 0, got {self.transition_self}")
+        if not (math.isfinite(self.transition_adjacent) and self.transition_adjacent >= 0):
+            raise ConfigError(f"transition_adjacent must be finite and >= 0, got {self.transition_adjacent}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,42 +157,138 @@ def _log_emissions(dist: np.ndarray, sigma: float) -> np.ndarray:
     return -0.5 * (dist / sigma) ** 2 - math.log(sigma * math.sqrt(2.0 * math.pi))
 
 
-def hmm_associate(scene: Scene, params: HmmParams = HmmParams()) -> Association:
-    """Viterbi-decode road labels along every lane path.
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Index of the first element of every run of equal values in `keys`."""
+    if not len(keys):
+        return np.zeros(0, dtype=np.int64)
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
 
-    Tokens shared by several paths take the label from the path with the
-    highest Viterbi score (ties keep the earlier path in enumeration order).
-    A path with no feasible state sequence falls back to nearest-road labels
-    for its tokens; the fallback paths are recorded in the association meta.
+
+def _longest_path_depths(n: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
+    # Jacobi relaxation of depth[v] = 1 + max over preds; on a DAG it settles
+    # after (longest path + 1) sweeps, each one reduceat over the edges.
+    depth = np.zeros(n, dtype=np.int64)
+    if not len(head):
+        return depth
+    order = np.argsort(head, kind="stable")
+    t, h = tail[order], head[order]
+    first = _run_starts(h)
+    heads = h[first]
+    while True:
+        d = np.maximum.reduceat(depth[t], first)
+        d += 1
+        if (d == depth[heads]).all():
+            return depth
+        depth[heads] = d
+
+
+def _levels(keys: np.ndarray, ends: np.ndarray, bounds: list) -> list:
+    """Edges grouped by key node, cut into the depth levels of the node order.
+
+    Nodes are numbered level by level, `bounds[d]:bounds[d + 1]` being level
+    d, and within a level the nodes that occur as keys come first. One
+    (lo, hi, ends, starts) entry per level that has keys: its keys are nodes
+    lo..hi-1, and the edges of node lo + i end at ends[starts[i]:starts[i + 1]]
+    (the last group runs to the end of `ends`).
     """
-    dist, cl_ids, road_ids = _scene_distances(scene)
-    row_of = {c: i for i, c in enumerate(cl_ids)}
-    log_em_all = _log_emissions(dist, params.emission_sigma)
-    log_tr = _log_transition_matrix(scene, params, road_ids)
-    log_prior = np.full(len(road_ids), -math.log(len(road_ids)), dtype=np.float64)
+    order = np.argsort(keys, kind="stable")
+    keys, ends = keys[order], ends[order]
+    first = _run_starts(keys)
+    cut = np.searchsorted(keys, bounds).tolist()
+    group_cut = np.searchsorted(first, cut).tolist()
+    return [
+        (lo, lo + g1 - g0, ends[e0:e1], first[g0:g1] - e0)
+        for lo, e0, e1, g0, g1 in zip(bounds, cut, cut[1:], group_cut, group_cut[1:])
+        if e1 > e0
+    ]
 
-    knn_best = np.argmin(dist, axis=1)
-    pidx = enumerate_paths(scene.hd)
-    labels: dict = {}
-    best_score: dict = {}
-    fallback_paths = []
-    for path_no, path in enumerate(pidx.paths):
-        rows = [row_of[c] for c in path]
-        em = log_em_all[rows]
-        try:
-            states, score = viterbi(em, log_tr, log_prior)
-            path_labels = [int(road_ids[s]) for s in states]
-        except NoFeasiblePathError:
-            path_labels = [int(road_ids[knn_best[r]]) for r in rows]
-            score = -math.inf
-            fallback_paths.append(path_no)
-        for cl, rid in zip(path, path_labels):
-            if cl not in labels or score > best_score[cl]:
-                labels[cl] = rid
-                best_score[cl] = score
+
+def _max_plus(log_tr: np.ndarray):
+    """x -> out[:, s] = max_t x[:, t] + log_tr[t, s], over finite entries only.
+
+    Leaving out the -inf entries is exact: every column keeps its finite
+    diagonal (transition_self > 0), which is never below a dropped entry.
+    """
+    cols, rows = np.nonzero(np.isfinite(log_tr.T))  # sorted by column
+    vals = log_tr[rows, cols]
+    starts = np.searchsorted(cols, np.arange(log_tr.shape[1]))
+    return lambda x: np.maximum.reduceat(x[:, rows] + vals, starts, axis=1)
+
+
+def _max_marginals(em: np.ndarray, log_tr: np.ndarray, log_prior: float, edges: np.ndarray) -> np.ndarray:
+    """M = F + G of `hmm_associate` for an acyclic graph given as (E, 2) row pairs."""
+    n = len(em)
+    depth = _longest_path_depths(n, edges[:, 0], edges[:, 1])
+    # Renumber nodes by depth, nodes with successors first within a level, so
+    # every level of both passes reads and writes one contiguous block.
+    has_succ = np.zeros(n, dtype=bool)
+    has_succ[edges[:, 0]] = True
+    perm = np.lexsort((~has_succ, depth))
+    rank = np.empty(n, dtype=np.int64)
+    rank[perm] = np.arange(n)
+    tail, head = rank[edges[:, 0]], rank[edges[:, 1]]
+    bounds = np.searchsorted(depth[perm], np.arange(int(depth.max(initial=0)) + 2)).tolist()
+    em = em[perm]
+
+    forward = _max_plus(log_tr)
+    f = em.copy()
+    f[: bounds[1]] += log_prior  # the roots
+    for lo, hi, preds, starts in _levels(head, tail, bounds):
+        f[lo:hi] += forward(np.maximum.reduceat(f[preds], starts, axis=0))
+    backward = _max_plus(log_tr.T)
+    g = np.zeros_like(em)
+    eg = em.copy()  # em + g, what a node passes back to its predecessors
+    for lo, hi, succs, starts in reversed(_levels(tail, head, bounds)):
+        g[lo:hi] = backward(np.maximum.reduceat(eg[succs], starts, axis=0))
+        eg[lo:hi] += g[lo:hi]
+
+    m = np.empty_like(em)
+    m[perm] = f + g
+    return m
+
+
+def hmm_associate(scene: Scene, params: HmmParams = HmmParams()) -> Association:
+    """Max-marginal road labels over every lane path, without enumerating paths.
+
+    Roads are hidden states along each root-to-leaf path of the lane DAG. One
+    forward and one backward max-product pass give, for every centerline v
+    and road s, the best log-score M(v, s) of any lane path through v that is
+    in state s at v:
+
+        F(v, s) = em(v, s) + max over preds u, roads t of F(u, t) + tr(t, s)
+                  (prior + em at roots)
+        G(v, s) = max over succs w, roads t of tr(s, t) + em(w, t) + G(w, t)
+                  (0 at leaves)
+        M(v, s) = F(v, s) + G(v, s)
+
+    Each pass walks the longest-path depth levels of the DAG with one batch
+    of numpy ops per level and costs at most O(E * S + V * S^2), however
+    many lane paths there are. v is labelled argmax_s M(v, s); among roads with equal
+    max-marginal the lowest road id wins. That equals labelling v from the
+    best Viterbi path through it, except on exact score ties between
+    different paths. A centerline whose max-marginals are all -inf (no path
+    through it has a feasible state sequence) falls back to its nearest-road
+    label and is listed in meta["fallback_centerlines"] (sorted ids).
+    Raises TopologyError on a lane-graph cycle.
+    """
+    cyc = _find_cycle_node(scene.hd.node_ids, scene.hd.successors)
+    if cyc is not None:
+        raise TopologyError(f"graph has a cycle through node {cyc}")
+    dist, cl_ids, road_ids = _scene_distances(scene)
+    edges = np.searchsorted(cl_ids, np.array(scene.hd.edges, dtype=np.int64).reshape(-1, 2))
+    log_tr = _log_transition_matrix(scene, params, road_ids)
+    # an emission or a path score that overflows to -inf is a zero probability
+    with np.errstate(over="ignore"):
+        em = _log_emissions(dist, params.emission_sigma)
+        m = _max_marginals(em, log_tr, -math.log(len(road_ids)), edges)
+
+    best = np.argmax(m, axis=1)  # first max, columns ascend by road id
+    infeasible = m[np.arange(len(cl_ids)), best] == -math.inf
+    best[infeasible] = np.argmin(dist[infeasible], axis=1)
+    labels = {c: int(road_ids[b]) for c, b in zip(cl_ids, best)}
     meta = {"method": "hmm"}
-    if fallback_paths:
-        meta["fallback_paths"] = fallback_paths
+    if infeasible.any():
+        meta["fallback_centerlines"] = [cl_ids[i] for i in np.flatnonzero(infeasible)]
     return Association(labels=labels, meta=meta)
 
 

@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from .baselines import HmmParams, distance_assoc_matrix, hmm_associate, knn_associate
 from .decoder import DecoderConfig, decode_association
 from .errors import ConfigError, GenerationError, MapAssocError, NoFeasiblePathError, ValidationError
-from .io import AssocRecord, load_weights, parse_json, read_assocs, read_scenes, write_assocs, write_scenes
+from .io import AssocRecord, decode_utf8, load_weights, parse_json, read_assocs, read_scenes, write_assocs, write_scenes
 from .mat import ModelConfig, desk_config, init_weights, mat_associate
 from .metrics import MetricConfig, MetricReport, Prediction, association_pr, reachability_pr, report_table
 from .scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
@@ -60,7 +60,7 @@ def _map(fn, items) -> list:
 
 def _read_json(path: str, where: str) -> dict:
     with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
+        text = decode_utf8(fh.read(), f"{where} {path}")
     try:
         doc = parse_json(text, f"{where} {path}")
     except json.JSONDecodeError as exc:

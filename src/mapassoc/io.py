@@ -57,6 +57,24 @@ def _read_bytes(source: Union[str, IO]) -> bytes:
         return fh.read()
 
 
+def _source_name(source: Union[str, IO]) -> str:
+    if hasattr(source, "read"):
+        return str(getattr(source, "name", "<stream>"))
+    return str(source)
+
+
+def decode_utf8(data: bytes, where: str, error: type = ValidationError) -> str:
+    """`data` as UTF-8 text; raises `error` (a ValidationError) naming `where`."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _read_text(source: Union[str, IO]) -> str:
+    return decode_utf8(_read_bytes(source), _source_name(source))
+
+
 def _write_bytes(dest: Union[str, IO], data: bytes) -> None:
     if hasattr(dest, "write"):
         try:
@@ -165,6 +183,10 @@ def scene_from_doc(doc: dict, where: str = "scene") -> Scene:
     meta = doc.get("meta") or {}
     if not isinstance(meta, dict):
         raise ValidationError(f"{where}: meta must be an object")
+    try:
+        _canonical(meta)  # e.g. 1e999 parses to inf, which has no JSON spelling
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: meta cannot be written as canonical JSON: {exc}") from None
 
     sd_doc = _field(doc, "sd", where)
     if not isinstance(sd_doc, dict):
@@ -244,7 +266,7 @@ def write_scene(scene: Scene, dest: Union[str, IO]) -> None:
 
 def read_scene(source: Union[str, IO]) -> Scene:
     """Read and validate a single-scene file."""
-    text = _read_bytes(source).decode("utf-8")
+    text = _read_text(source)
     return scene_from_doc(_parse_line(text, "scene"), "scene")
 
 
@@ -256,7 +278,7 @@ def write_scenes(scenes, dest: Union[str, IO]) -> None:
 
 def read_scenes(source: Union[str, IO]) -> list:
     """Read every scene from a newline-delimited container, in file order."""
-    text = _read_bytes(source).decode("utf-8")
+    text = _read_text(source)
     scenes = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -352,7 +374,7 @@ def write_assocs(records, dest: Union[str, IO]) -> None:
 
 
 def read_assocs(source: Union[str, IO]) -> list:
-    text = _read_bytes(source).decode("utf-8")
+    text = _read_text(source)
     out = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
@@ -402,9 +424,10 @@ def load_weights(source: Union[str, IO], cfg=None) -> dict:
     nl = body.find(b"\n")
     if nl < 0:
         raise IntegrityError("weights container: manifest line missing")
+    where = f"weights container {_source_name(source)}: manifest"
     try:
-        manifest = parse_json(body[:nl].decode("utf-8"), "weights container: manifest")
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        manifest = parse_json(decode_utf8(body[:nl], where, IntegrityError), where)
+    except json.JSONDecodeError as exc:
         raise IntegrityError(f"weights container: malformed manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise IntegrityError("weights container: manifest must be an object")

@@ -4,8 +4,10 @@ Everything here favors clarity over speed: explicit loops, dense masks,
 exhaustive enumeration, naive recursion. Production code must match these
 references, never the other way around. Nothing in this module imports
 from the production attention, decoding, loss, or metric internals; the
-only package imports are leaf data types and the curve-index primitive
-(whose own tests pin it against hand values).
+package imports are leaf data types, the curve-index primitive (whose own
+tests pin it against hand values), and for the per-path HMM reference the
+HMM's emission and transition builders, path enumeration and `viterbi`
+(pinned against `brute_viterbi`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ import math
 
 import numpy as np
 
+from mapassoc.baselines import _log_emissions, _log_transition_matrix, _scene_distances, viterbi
 from mapassoc.curves import GridCoord, curve_index
+from mapassoc.errors import NoFeasiblePathError
+from mapassoc.geometry import enumerate_paths
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +154,34 @@ def brute_viterbi(log_emissions, log_transitions, log_prior):
             best_score = score
             best_seq = list(seq)
     return best_seq, float(best_score)
+
+
+def hmm_per_path_reference(scene, params):
+    """The HMM baseline decoded one enumerated lane path at a time.
+
+    Viterbi runs on every root-to-leaf path; a centerline takes its label from
+    the highest-scoring path through it (ties keep the earlier path), and a
+    path with no feasible state sequence gives nearest-road labels at score
+    -inf. Returns (labels, sorted ids of centerlines whose every path was
+    infeasible).
+    """
+    dist, cl_ids, road_ids = _scene_distances(scene)
+    row_of = {c: i for i, c in enumerate(cl_ids)}
+    log_em = _log_emissions(dist, params.emission_sigma)
+    log_tr = _log_transition_matrix(scene, params, road_ids)
+    log_prior = np.full(len(road_ids), -math.log(len(road_ids)))
+    labels, best_score = {}, {}
+    for path in enumerate_paths(scene.hd).paths:
+        rows = [row_of[c] for c in path]
+        try:
+            states, score = viterbi(log_em[rows], log_tr, log_prior)
+        except NoFeasiblePathError:
+            states, score = [int(np.argmin(dist[r])) for r in rows], -math.inf
+        for cl, s in zip(path, states):
+            if cl not in labels or score > best_score[cl]:
+                labels[cl] = int(road_ids[s])
+                best_score[cl] = score
+    return labels, sorted(c for c, v in best_score.items() if v == -math.inf)
 
 
 def brute_beam(rows, road_ids, edges):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapassoc.baselines import (
     HmmParams,
@@ -14,12 +16,12 @@ from mapassoc.baselines import (
     knn_associate,
     viterbi,
 )
-from mapassoc.errors import LabelError, NoFeasiblePathError
+from mapassoc.errors import ConfigError, LabelError, NoFeasiblePathError, TopologyError
 from mapassoc.geometry import HdGraph, Point2, Road, Scene, SdGraph, enumerate_paths
 from mapassoc.scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
 
 from conftest import make_centerline
-from oracles import brute_viterbi
+from oracles import brute_viterbi, hmm_per_path_reference
 
 
 def road(rid, y, x0=0.0, x1=10.0):
@@ -190,6 +192,104 @@ def test_hmm_lenient_mode_allows_any_move():
     )
     assoc = hmm_associate(Scene(sd=sd, hd=hd), HmmParams(disallow_nonadjacent=False))
     assert assoc.labels == {0: 0, 1: 2}
+
+
+@given(
+    st.sampled_from(["grid", "radial", "random-planar"]),
+    st.integers(min_value=0, max_value=10_000),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=10_000)),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_hmm_matches_per_path_viterbi_reference(layout, seed, perturb_seed, lenient):
+    scene = generate_scene(GenConfig(layout=layout, seed=seed))
+    if perturb_seed is not None:
+        scene = perturb_scene(scene, PerturbConfig(
+            gps_shift=2.0, dropout_rate=0.1, jitter_sigma=0.3, oversegment_rate=0.1, seed=perturb_seed,
+        ))
+    params = HmmParams(disallow_nonadjacent=not lenient)
+    labels, fallback = hmm_per_path_reference(scene, params)
+    assoc = hmm_associate(scene, params)
+    assert assoc.labels == labels
+    assert assoc.meta.get("fallback_centerlines", []) == fallback == []
+
+
+def test_hmm_partial_fallback_matches_reference():
+    # sigma 1e-154 overflows the emission of every centerline more than about
+    # 1.3 m from a road to -inf; a path through such a centerline is
+    # infeasible, a centerline on at least one feasible path keeps its label
+    params = HmmParams(emission_sigma=1e-154)
+    for seed in range(6):
+        scene = perturb_scene(generate_scene(GenConfig(seed=seed)), PerturbConfig(gps_shift=1.0, seed=seed))
+        with np.errstate(over="ignore"):
+            labels, fallback = hmm_per_path_reference(scene, params)
+        assoc = hmm_associate(scene, params)
+        assert assoc.labels == labels
+        assert assoc.meta.get("fallback_centerlines", []) == fallback
+
+
+def test_hmm_every_emission_infeasible_falls_back_to_knn(tiny):
+    # every centerline sits 0.5 m off every road, and (0.5 / 1e-200)^2
+    # overflows, so no state sequence anywhere is feasible
+    assoc = hmm_associate(tiny, HmmParams(emission_sigma=1e-200))
+    assert assoc.labels == knn_associate(tiny).labels
+    assert assoc.meta == {"method": "hmm", "fallback_centerlines": [0, 1, 2, 3, 4, 5]}
+
+
+def test_hmm_decodes_scene_with_more_paths_than_enumeration_allows():
+    scene = perturb_scene(
+        generate_scene(GenConfig(layout="grid", grid_rows=8, grid_cols=8,
+                                 sd_extent=(160.0, 160.0), hd_extent=(150.0, 150.0))),
+        PerturbConfig(gps_shift=1.0, dropout_rate=0.05, seed=0),
+    )
+    with pytest.raises(TopologyError, match="root-to-leaf paths"):
+        enumerate_paths(scene.hd)
+    assoc = hmm_associate(scene)
+    assert assoc.labels == scene.gt.labels
+    assert assoc.meta == {"method": "hmm"}
+
+
+def test_hmm_lane_graph_cycle_raises():
+    sd = SdGraph(roads=(road(0, 0.0),), edges=())
+    hd = HdGraph(
+        centerlines=(
+            make_centerline(3, (0.0, 1.0), (4.0, 1.0)),
+            make_centerline(5, (4.0, 1.0), (8.0, 1.0)),
+            make_centerline(7, (8.0, 1.0), (9.0, 1.0)),
+        ),
+        edges=((3, 5), (5, 7), (7, 5)),
+    )
+    with pytest.raises(TopologyError, match="graph has a cycle through node 5"):
+        hmm_associate(Scene(sd=sd, hd=hd))
+
+
+def test_hmm_empty_lane_graph():
+    sd = SdGraph(roads=(road(0, 0.0),), edges=())
+    assoc = hmm_associate(Scene(sd=sd, hd=HdGraph(centerlines=(), edges=())))
+    assert assoc.labels == {}
+    assert assoc.meta == {"method": "hmm"}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("emission_sigma", 0.0),
+    ("emission_sigma", -1.0),
+    ("emission_sigma", math.inf),
+    ("emission_sigma", math.nan),
+    ("transition_self", 0.0),
+    ("transition_self", -0.5),
+    ("transition_self", math.inf),
+    ("transition_adjacent", -0.1),
+    ("transition_adjacent", math.inf),
+    ("transition_adjacent", math.nan),
+])
+def test_hmm_params_reject_invalid_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        HmmParams(**{field: value})
+
+
+def test_hmm_params_accept_zero_adjacent_weight(tiny):
+    # only self-transitions remain: every path keeps one road
+    assert hmm_associate(tiny, HmmParams(transition_adjacent=0.0)).labels == tiny.gt.labels
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,20 @@ def test_report_merges_multiple_evals(tmp_path, capsys):
     assert len(rows) == 1 + 2 * 11
 
 
+def test_hmm_on_grid_with_more_lane_paths_than_enumeration_allows(tmp_path):
+    # an 8x8 grid has more than 4096 lane paths; the HMM never enumerates them
+    cfg = {
+        "gen": {"layout": "grid", "grid_rows": 8, "grid_cols": 8, "sd_extent": [160, 160], "hd_extent": [150, 150]},
+        "perturb": {"gps_shift": 1.0, "dropout_rate": 0.05, "seed": 0},
+    }
+    scenes = gen_scenes(tmp_path, cfg=cfg, count=1, seed=0)
+    pred = str(tmp_path / "pred.ndjson")
+    assert main(["associate", "--method", "hmm", "--scenes", scenes, "--out", pred]) == 0
+    (rec,) = read_assocs(pred)
+    assert rec.method == "hmm"
+    assert set(rec.assoc.labels) == set(read_scenes(scenes)[0].hd.node_ids)
+
+
 # ---------------------------------------------------------------------------
 # determinism across worker counts
 
@@ -257,6 +271,29 @@ def test_non_finite_boundary_point_exits_2(tmp_path, capsys, method, literal):
     assert "non-finite" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["knn", "hmm"])
+def test_non_utf8_scene_file_exits_2(tmp_path, capsys, method):
+    scenes = gen_scenes(tmp_path, count=1)
+    with open(scenes, "rb") as fh:
+        data = fh.read()
+    with open(scenes, "wb") as fh:
+        fh.write(b"\xff\xfe" + data)
+    out = tmp_path / "p.ndjson"
+    rc = main(["associate", "--method", method, "--scenes", scenes, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"{scenes}: not UTF-8 text" in err
+    assert not out.exists()
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"gen": {"layout": "\xff"}}')
+    rc = main(["gen", "--config", str(path), "--out", str(tmp_path / "s.ndjson")])
+    assert rc == 2
+    assert f"config {path}: not UTF-8 text" in capsys.readouterr().err
 
 
 def test_non_finite_config_constant_exits_2(tmp_path, capsys):

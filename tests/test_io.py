@@ -162,6 +162,37 @@ def test_weights_manifest_rejects_non_finite_constant():
         load_weights(pyio.BytesIO(data.replace(b'"total_bytes":8', b'"total_bytes":NaN')))
 
 
+def test_meta_number_overflowing_to_infinity_is_rejected(tmp_path, tiny):
+    # 1e999 is a valid JSON number that parses to inf; canonical JSON cannot
+    # write it back, so the reader refuses it instead of write_scenes crashing
+    doc = scene_to_doc(tiny)
+    doc["meta"]["note"] = "@@"
+    path = tmp_path / "scenes.ndjson"
+    path.write_text(dumps_scene(tiny) + json.dumps(doc).replace('"@@"', "1e999") + "\n")
+    with pytest.raises(ValidationError, match="line 2: meta cannot be written as canonical JSON"):
+        read_scenes(str(path))
+    with pytest.raises(ValidationError, match="meta"):
+        scene_from_doc(json.loads(json.dumps(doc).replace('"@@"', "1e999")))
+
+
+@pytest.mark.parametrize("reader", [read_scenes, read_scene, read_assocs])
+def test_readers_reject_non_utf8_bytes_naming_the_file(tmp_path, tiny, reader):
+    path = tmp_path / "bad.ndjson"
+    path.write_bytes(b"\xff\xfe" + dumps_scene(tiny).encode("utf-8"))
+    with pytest.raises(ValidationError, match=f"{path}: not UTF-8 text"):
+        reader(str(path))
+    with pytest.raises(ValidationError, match="<stream>: not UTF-8 text"):
+        reader(pyio.BytesIO(path.read_bytes()))
+
+
+def test_weights_manifest_rejects_non_utf8_bytes():
+    buf = pyio.BytesIO()
+    save_weights({"a": np.ones(2, dtype=np.float32)}, buf)
+    data = buf.getvalue().replace(b'"tensors"', b'"\xff\xfensors"')
+    with pytest.raises(IntegrityError, match="manifest: not UTF-8 text"):
+        load_weights(pyio.BytesIO(data))
+
+
 def test_scene_file_like_roundtrip(tiny):
     buf = pyio.BytesIO()
     write_scene(tiny, buf)

@@ -9,7 +9,7 @@ import pytest
 
 from mapassoc.baselines import knn_associate
 from mapassoc.errors import ConfigError, CoverageError, InvalidGeometryError
-from mapassoc.geometry import Association, HdGraph, Scene
+from mapassoc.geometry import Association, HdGraph, Scene, enumerate_paths
 from mapassoc.metrics import (
     DEFAULT_THRESHOLDS,
     MetricConfig,
@@ -173,6 +173,23 @@ def test_association_self_evaluation_is_exactly_one(tiny, grid42):
         assert rep.ap == rep.ar == rep.af1 == 1.0
         assert int(rep.counts[:, :, 1].sum()) == 0
         assert int(rep.counts[:, :, 2].sum()) == 0
+
+
+def test_scene_graph_is_enumerated_once_when_prediction_reuses_it(tiny, monkeypatch):
+    import mapassoc.metrics as metrics
+
+    calls = []
+
+    def counting(graph, *args, **kwargs):
+        calls.append(graph)
+        return enumerate_paths(graph, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "enumerate_paths", counting)
+    assert association_pr([tiny.gt], [tiny]).af1 == 1.0
+    assert len(calls) == 1 and calls[0] is tiny.hd
+    own_hd = HdGraph(centerlines=tiny.hd.centerlines, edges=tiny.hd.edges)
+    assert association_pr([Prediction(assoc=tiny.gt, hd=own_hd)], [tiny]).af1 == 1.0
+    assert len(calls) == 3 and calls[1] is tiny.hd and calls[2] is own_hd
 
 
 def test_association_hand_walked_two_path_fixture(tiny):
