@@ -215,7 +215,10 @@ def _cmd_report(args) -> int:
         for key in ("name", "metric", "report"):
             if key not in doc:
                 raise ValidationError(f"report {path}: missing field {key!r}")
-        rep = MetricReport.from_json(doc["report"])
+        try:
+            rep = MetricReport.from_json(doc["report"])
+        except (ConfigError, ValidationError) as exc:
+            raise ValidationError(f"report {path}: field 'report': {exc}") from exc
         name = str(doc["name"])
         reports[name] = rep
         prec, rec, f1 = rep.precision, rep.recall, rep.f1

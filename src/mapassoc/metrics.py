@@ -14,6 +14,15 @@ in turn; reachability uses the symmetric Chamfer distance against a single
 meter tolerance (its counts repeat across the threshold axis so both reports
 share one shape).
 
+No result is computed twice and no candidate is scored once its verdict is
+settled. A ground-truth path's verdict is an OR over its candidates, so
+scoring stops as soon as every threshold is TP. When the prediction reuses
+the scene's own HD graph, the ground-truth path itself is scored first:
+against itself its reachability Chamfer distance is exactly 0, so that
+verdict is all TP without computing it. Association keeps, per scene, the
+label sequence of each predicted and each ground-truth path and the overlap
+ratio of each distinct pair of sequences.
+
 Counts are bucketed by ground-truth path length. Per threshold, precision and
 recall are averaged over buckets that saw at least one ground-truth path, and
 the 50:95 aggregates are means over thresholds, with F1 the harmonic mean of
@@ -28,7 +37,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, CoverageError, InvalidGeometryError
+from .errors import ConfigError, CoverageError, InvalidGeometryError, ValidationError
 from .geometry import Association, HdGraph, Scene, enumerate_paths
 
 __all__ = [
@@ -47,6 +56,8 @@ DEFAULT_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 DEFAULT_BUCKETS = tuple(
     (float(5 * i), float(5 * (i + 1)) if i < 14 else math.inf) for i in range(15)
 )
+# float64 cells per block of the endpoint distance prefilter (2 MB)
+_PREFILTER_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -72,8 +83,11 @@ class MetricConfig:
         for (lo, hi), (lo2, _) in zip(buckets, buckets[1:]):
             if hi != lo2 or lo >= hi:
                 raise ConfigError("length buckets must be contiguous and increasing")
-        if self.point_match_tau <= 0 or self.chamfer_tau <= 0:
-            raise ConfigError("tolerances must be positive")
+        for name in ("point_match_tau", "chamfer_tau"):
+            tau = getattr(self, name)
+            # `nan <= 0` is False, so test the accepted range, not its complement
+            if not (math.isfinite(tau) and tau > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {tau}")
 
     def bucket_of(self, length: float) -> int:
         for i, (lo, hi) in enumerate(self.length_buckets):
@@ -183,15 +197,38 @@ class MetricReport:
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "MetricReport":
-        buckets = tuple(
-            (lo, math.inf if hi is None else hi) for lo, hi in doc["buckets"]
-        )
+    def from_json(cls, doc) -> "MetricReport":
+        """Inverse of to_json; a malformed document raises ValidationError."""
+        if not isinstance(doc, dict):
+            raise ValidationError(f"expected an object, got {type(doc).__name__}")
+        for key in ("thresholds", "buckets", "counts"):
+            if key not in doc:
+                raise ValidationError(f"missing field {key!r}")
+        ths = doc["thresholds"]
+        if not isinstance(ths, list) or not all(map(_is_number, ths)):
+            raise ValidationError("field 'thresholds' must be a list of numbers")
+        buckets = doc["buckets"]
+        if not isinstance(buckets, list) or not all(
+            isinstance(b, list) and len(b) == 2 and _is_number(b[0])
+            and (b[1] is None or _is_number(b[1]))
+            for b in buckets
+        ):
+            raise ValidationError("field 'buckets' must be a list of [low, high or null] pairs")
+        try:
+            counts = np.asarray(doc["counts"])
+        except ValueError:
+            counts = None  # ragged nesting
+        if counts is None or (counts.size and counts.dtype.kind != "i"):
+            raise ValidationError("field 'counts' must be a nested list of integers")
         return cls(
-            thresholds=tuple(doc["thresholds"]),
-            buckets=buckets,
-            counts=np.asarray(doc["counts"], dtype=np.int64),
+            thresholds=tuple(ths),
+            buckets=tuple((lo, math.inf if hi is None else hi) for lo, hi in buckets),
+            counts=counts,
         )
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +318,22 @@ def _path_ends(hd: HdGraph, path) -> tuple:
 def _match_points(gt_points, pred_points, tau: float) -> dict:
     """Greedy one-to-one matching of unique endpoints, nearest pairs first."""
     pairs = []
-    for gp in gt_points:
-        for pp in pred_points:
-            d = math.hypot(gp[0] - pp[0], gp[1] - pp[1])
-            if d <= tau:
-                pairs.append((d, gp, pp))
+    if gt_points and pred_points:
+        g = np.asarray(gt_points, dtype=np.float64)
+        p = np.asarray(pred_points, dtype=np.float64)
+        # np.hypot and math.hypot may differ in the last ulp, so numpy only
+        # shortlists pairs, with slack; math.hypot decides and sorts them
+        slack = tau * (1.0 + 1e-9)
+        rows = max(1, _PREFILTER_CELLS // len(p))
+        for lo in range(0, len(g), rows):
+            blk = g[lo:lo + rows]
+            near = np.hypot(blk[:, None, 0] - p[None, :, 0], blk[:, None, 1] - p[None, :, 1]) <= slack
+            ii, jj = np.nonzero(near)
+            for i, j in zip((ii + lo).tolist(), jj.tolist()):
+                gp, pp = gt_points[i], pred_points[j]
+                d = math.hypot(gp[0] - pp[0], gp[1] - pp[1])
+                if d <= tau:
+                    pairs.append((d, gp, pp))
     pairs.sort()
     used_g, used_p = set(), set()
     match = {}
@@ -339,9 +387,14 @@ def _scene_counts(pred, scene: Scene, cfg: MetricConfig, scorer) -> np.ndarray:
         if not candidates:
             counts[:, b, 2] += 1  # FN at every threshold
             continue
+        if pred_hd is scene.hd:
+            # stable sort: the gt path itself, when a candidate, goes first
+            candidates = sorted(candidates, key=lambda pp: pp != gt_path)
         verdicts = np.zeros(n_th, dtype=bool)
         for pp in candidates:
             verdicts |= scorer(pp, pred_hd, gt_path)
+            if verdicts.all():
+                break  # the verdict is an OR over candidates: settled
         counts[verdicts, b, 0] += 1
         counts[~verdicts, b, 1] += 1
     return counts
@@ -370,11 +423,19 @@ def association_pr(preds, scenes, cfg: MetricConfig = MetricConfig()) -> MetricR
 
     def factory(pred, scene):
         assoc = _as_prediction(pred).assoc
+        # per scene, so scenes scored on separate threads share nothing
+        pred_seqs, gt_seqs, ratios = {}, {}, {}
 
         def scorer(pred_path, pred_hd, gt_path):
-            p_seq = label_sequence(pred_path, assoc, pred_hd)
-            g_seq = label_sequence(gt_path, scene.gt, scene.hd)
-            ratio = overlap_ratio(p_seq, g_seq)
+            p_seq = pred_seqs.get(pred_path)
+            if p_seq is None:
+                p_seq = pred_seqs[pred_path] = label_sequence(pred_path, assoc, pred_hd)
+            g_seq = gt_seqs.get(gt_path)
+            if g_seq is None:
+                g_seq = gt_seqs[gt_path] = label_sequence(gt_path, scene.gt, scene.hd)
+            ratio = ratios.get((p_seq, g_seq))
+            if ratio is None:
+                ratio = ratios[p_seq, g_seq] = overlap_ratio(p_seq, g_seq)
             return ratio >= ths
 
         return scorer
@@ -394,6 +455,9 @@ def reachability_pr(preds, scenes, cfg: MetricConfig = MetricConfig()) -> Metric
 
     def factory(pred, scene):
         def scorer(pred_path, pred_hd, gt_path):
+            if pred_hd is scene.hd and pred_path == gt_path:
+                # the same points on both sides: Chamfer distance exactly 0
+                return np.ones(n_th, dtype=bool)
             d = chamfer_distance(
                 _path_points(pred_hd, pred_path), _path_points(scene.hd, gt_path)
             )

@@ -5,9 +5,11 @@ exhaustive enumeration, naive recursion. Production code must match these
 references, never the other way around. Nothing in this module imports
 from the production attention, decoding, loss, or metric internals; the
 package imports are leaf data types, the curve-index primitive (whose own
-tests pin it against hand values), and for the per-path HMM reference the
+tests pin it against hand values), for the per-path HMM reference the
 HMM's emission and transition builders, path enumeration and `viterbi`
-(pinned against `brute_viterbi`).
+(pinned against `brute_viterbi`), and for the per-pair metric reference the
+public pair scorers `label_sequence`, `overlap_ratio` and `chamfer_distance`
+(pinned against `lcs_overlap` and `chamfer_brute`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from mapassoc.baselines import _log_emissions, _log_transition_matrix, _scene_di
 from mapassoc.curves import GridCoord, curve_index
 from mapassoc.errors import NoFeasiblePathError
 from mapassoc.geometry import enumerate_paths
+from mapassoc.metrics import chamfer_distance, label_sequence, overlap_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +290,76 @@ def chamfer_brute(points_a, points_b) -> float:
         return acc / len(src)
 
     return 0.5 * (one_way(points_a, points_b) + one_way(points_b, points_a))
+
+
+def scene_counts_reference(metric, assoc, scene, cfg, pred_hd=None) -> np.ndarray:
+    """Per-scene TP/FP/FN counts with every candidate pair scored.
+
+    The metric walk without caches or early exit: all endpoint pairs are
+    measured with `math.hypot` and matched greedily, nearest first; each
+    ground-truth path ORs the verdicts of every predicted path between its
+    matched endpoints, recomputing both label sequences (association) or
+    both point lists (reachability) for every pair. `metric` is
+    "association" or "reachability"; `pred_hd` defaults to the scene graph.
+    """
+    pred_hd = scene.hd if pred_hd is None else pred_hd
+    ths = np.asarray(cfg.thresholds)
+
+    def ends(hd, path):
+        first, last = hd.by_id[path[0]].vector, hd.by_id[path[-1]].vector
+        return (first.p1.x, first.p1.y), (last.p2.x, last.p2.y)
+
+    def points(hd, path):
+        pts = []
+        for cid in path:
+            v = hd.by_id[cid].vector
+            pts.extend([(v.p1.x, v.p1.y), (v.p2.x, v.p2.y)])
+        return pts
+
+    def score(pred_path, gt_path):
+        if metric == "association":
+            p_seq = label_sequence(pred_path, assoc, pred_hd)
+            g_seq = label_sequence(gt_path, scene.gt, scene.hd)
+            return overlap_ratio(p_seq, g_seq) >= ths
+        d = chamfer_distance(points(pred_hd, pred_path), points(scene.hd, gt_path))
+        return np.full(len(ths), d <= cfg.chamfer_tau)
+
+    gt_paths = enumerate_paths(scene.hd).paths
+    pred_paths = enumerate_paths(pred_hd).paths
+    gt_points = sorted({p for path in gt_paths for p in ends(scene.hd, path)})
+    pred_points = sorted({p for path in pred_paths for p in ends(pred_hd, path)})
+    pairs = []
+    for gp in gt_points:
+        for pp in pred_points:
+            d = math.hypot(gp[0] - pp[0], gp[1] - pp[1])
+            if d <= cfg.point_match_tau:
+                pairs.append((d, gp, pp))
+    pairs.sort()
+    match, used_p = {}, set()
+    for _, gp, pp in pairs:
+        if gp not in match and pp not in used_p:
+            match[gp] = pp
+            used_p.add(pp)
+    by_ends = {}
+    for path in pred_paths:
+        by_ends.setdefault(ends(pred_hd, path), []).append(path)
+
+    counts = np.zeros((len(ths), len(cfg.length_buckets), 3), dtype=np.int64)
+    for gt_path in gt_paths:
+        s, e = ends(scene.hd, gt_path)
+        b = cfg.bucket_of(sum(scene.hd.by_id[c].vector.length for c in gt_path))
+        candidates = []
+        if s in match and e in match:
+            candidates = by_ends.get((match[s], match[e]), [])
+        if not candidates:
+            counts[:, b, 2] += 1
+            continue
+        verdicts = np.zeros(len(ths), dtype=bool)
+        for pp in candidates:
+            verdicts |= score(pp, gt_path)
+        counts[verdicts, b, 0] += 1
+        counts[~verdicts, b, 1] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -376,3 +376,33 @@ def test_report_missing_field_exits_2(tmp_path, capsys):
     rc = main(["report", "--reports", str(bad), "--csv", str(tmp_path / "out.csv")])
     assert rc == 2
     assert "missing field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--tau", "--chamfer-tau"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_eval_non_finite_tolerance_exits_2(tmp_path, capsys, flag, value):
+    scenes = gen_scenes(tmp_path, count=1)
+    pred = str(tmp_path / "pred.ndjson")
+    main(["associate", "--method", "knn", "--scenes", scenes, "--out", pred])
+    capsys.readouterr()
+    rc = main(["eval", "--metric", "reachability", "--pred", pred, "--scenes", scenes,
+               flag, value, "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, field", [
+    ({}, "'thresholds'"),
+    ({"thresholds": [0.5], "buckets": [[0.0, None]], "counts": "abc"}, "'counts'"),
+    ([], "object"),
+    ({"thresholds": [0.5], "buckets": [[0.0]], "counts": [[[1, 0, 0]]]}, "'buckets'"),
+    ({"thresholds": ["0.5"], "buckets": [[0.0, None]], "counts": [[[1, 0, 0]]]}, "'thresholds'"),
+    ({"thresholds": [0.5], "buckets": [[0.0, None]], "counts": [[[1, 0]]]}, "counts shape"),
+])
+def test_report_malformed_body_exits_2(tmp_path, capsys, body, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"name": "x", "metric": "association", "report": body}))
+    rc = main(["report", "--reports", str(bad), "--csv", str(tmp_path / "out.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and field in err

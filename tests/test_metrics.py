@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mapassoc.metrics as metrics
 from mapassoc.baselines import knn_associate
 from mapassoc.errors import ConfigError, CoverageError, InvalidGeometryError
 from mapassoc.geometry import Association, HdGraph, Scene, enumerate_paths
@@ -25,7 +28,7 @@ from mapassoc.metrics import (
 from mapassoc.scenegen import GenConfig, PerturbConfig, generate_scene, perturb_scene
 
 from conftest import make_centerline
-from oracles import chamfer_brute, lcs_overlap
+from oracles import chamfer_brute, lcs_overlap, scene_counts_reference
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +161,11 @@ def test_metric_config_validation():
         MetricConfig(point_match_tau=0.0)
     with pytest.raises(ConfigError):
         MetricConfig(chamfer_tau=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="point_match_tau"):
+            MetricConfig(point_match_tau=bad)
+        with pytest.raises(ConfigError, match="chamfer_tau"):
+            MetricConfig(chamfer_tau=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +184,6 @@ def test_association_self_evaluation_is_exactly_one(tiny, grid42):
 
 
 def test_scene_graph_is_enumerated_once_when_prediction_reuses_it(tiny, monkeypatch):
-    import mapassoc.metrics as metrics
-
     calls = []
 
     def counting(graph, *args, **kwargs):
@@ -327,6 +333,106 @@ def test_reachability_verdict_follows_chamfer_oracle(tiny):
     for tau, want_tp in ((d + 0.05, 2), (d - 0.05, 1)):
         rep = reachability_pr([pred], [tiny], MetricConfig(chamfer_tau=tau))
         assert int(rep.counts[0, :, 0].sum()) == want_tp
+
+
+# ---------------------------------------------------------------------------
+# endpoint matching, caches and early exit
+
+
+def test_match_points_tau_is_inclusive():
+    tau = 1.5
+    gt = [(0.0, 0.0)]
+    assert metrics._match_points(gt, [(tau, 0.0)], tau) == {(0.0, 0.0): (tau, 0.0)}
+    beyond = float(np.nextafter(tau, math.inf))
+    assert metrics._match_points(gt, [(beyond, 0.0)], tau) == {}
+    # off-axis, math.hypot alone decides: on common libms np.hypot rounds
+    # this pair one ulp above math.hypot, which the prefilter's slack absorbs
+    pp = (0.6974505017823072, 1.175273396590148)
+    d = math.hypot(*pp)
+    assert metrics._match_points(gt, [pp], d) == {(0.0, 0.0): pp}
+    assert metrics._match_points(gt, [pp], float(np.nextafter(d, 0.0))) == {}
+
+
+def test_match_points_pairs_nearest_first_across_prefilter_blocks(monkeypatch):
+    # one prefilter row per block; both gt points are nearest to the same
+    # pred point, the closer one wins it and the other takes the runner-up
+    monkeypatch.setattr(metrics, "_PREFILTER_CELLS", 1)
+    gt = [(0.0, 0.0), (1.0, 0.0)]
+    pred = [(0.2, 0.0), (0.9, 0.0), (5.0, 0.0)]
+    assert metrics._match_points(gt, pred, 1.0) == {(1.0, 0.0): (0.9, 0.0), (0.0, 0.0): (0.2, 0.0)}
+
+
+def corrupted(gt: Association, road_ids, rate: float, rng) -> Association:
+    return Association(labels={
+        c: int(rng.choice(road_ids)) if rng.random() < rate else r for c, r in gt.labels.items()
+    })
+
+
+# full-crop grids put several lane paths between one pair of endpoints,
+# so a gt path meets several candidates
+FULL_CROP = (75.0, 75.0)
+
+
+@given(
+    st.sampled_from(["grid", "radial", "random-planar"]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10_000),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=10_000)),
+    st.sampled_from(["gt", "knn", "random", "corrupted"]),
+    st.sampled_from([None, 0.4, 1.2]),
+    st.sampled_from([(1.5, 1.0), (3.0, 0.3)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_counts_match_per_pair_reference(layout, full_crop, seed, perturb_seed, labels, shift, taus):
+    extent = {"hd_extent": FULL_CROP, "grid_rows": 3, "grid_cols": 3} if full_crop else {}
+    scene = generate_scene(GenConfig(layout=layout, seed=seed, **extent))
+    if perturb_seed is not None:
+        scene = perturb_scene(scene, PerturbConfig(
+            gps_shift=2.0, dropout_rate=0.1, jitter_sigma=0.3, oversegment_rate=0.1, seed=perturb_seed,
+        ))
+    rng = np.random.default_rng(seed)
+    road_ids = [r.id for r in scene.sd.roads]
+    assoc = {
+        "gt": lambda: scene.gt,
+        "knn": lambda: knn_associate(scene),
+        "random": lambda: corrupted(scene.gt, road_ids, 1.0, rng),
+        "corrupted": lambda: corrupted(scene.gt, road_ids, 0.2, rng),
+    }[labels]()
+    # a separately built, shifted graph takes the general path; the CLI
+    # always scores on the scene's own graph
+    pred_hd = None if shift is None else shifted_hd(scene.hd, shift)
+    cfg = MetricConfig(point_match_tau=taus[0], chamfer_tau=taus[1])
+    for metric, score in (("association", association_pr), ("reachability", reachability_pr)):
+        got = score([Prediction(assoc=assoc, hd=pred_hd)], [scene], cfg)
+        want = scene_counts_reference(metric, assoc, scene, cfg, pred_hd)
+        np.testing.assert_array_equal(got.counts, want)
+
+
+def test_own_graph_scores_each_path_once_per_side(monkeypatch):
+    seq_calls, chamfer_calls = [], []
+
+    def counting_label_sequence(path, assoc, hd):
+        seq_calls.append((tuple(path), id(assoc)))
+        return label_sequence(path, assoc, hd)
+
+    def counting_chamfer(a, b):
+        chamfer_calls.append(1)
+        return chamfer_distance(a, b)
+
+    monkeypatch.setattr(metrics, "label_sequence", counting_label_sequence)
+    monkeypatch.setattr(metrics, "chamfer_distance", counting_chamfer)
+    scene = perturb_scene(
+        generate_scene(GenConfig(grid_rows=3, grid_cols=3, hd_extent=FULL_CROP, seed=0)),
+        PerturbConfig(gps_shift=1.0, dropout_rate=0.05, seed=0),
+    )
+    pred = knn_associate(scene)
+    want = scene_counts_reference("association", pred, scene, MetricConfig())
+    np.testing.assert_array_equal(association_pr([pred], [scene]).counts, want)
+    # each (path, association) pair once: at most one sequence per path and side
+    assert seq_calls and len(seq_calls) == len(set(seq_calls))
+    assert len(seq_calls) <= 2 * len(enumerate_paths(scene.hd).paths)
+    reachability_pr([pred], [scene])
+    assert chamfer_calls == []
 
 
 # ---------------------------------------------------------------------------
