@@ -11,9 +11,10 @@ a whole benchmark run is four shell lines:
 
 Exit codes: 0 success, 2 validation/configuration error, 3 infeasible
 computation (generation retries exhausted, no feasible decode), 1 anything
-else.  MAPASSOC_THREADS caps per-scene worker parallelism (default: all
-cores); outputs are order-preserving and bit-identical across thread
-counts.
+else.  Per-scene work runs on forked worker processes: MAPASSOC_THREADS
+caps their number (default: all usable CPUs, and never more than those),
+and the run is serial where the platform has no fork.  Outputs are
+order-preserving and bit-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import csv
 import dataclasses
 import json
 import os
+import pickle
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .baselines import HmmParams, distance_assoc_matrix, hmm_associate, knn_associate
 from .decoder import DecoderConfig, decode_association
@@ -48,14 +49,96 @@ def _threads() -> int:
     return n
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _run_share(fn, share) -> list:
+    """(ok, value) per item of `share`, stopping after the first that raises.
+
+    Later items of the same share have higher indices, so they cannot hold
+    the lowest failing index.
+    """
+    out = []
+    for x in share:
+        try:
+            out.append((True, fn(x)))
+        except Exception as exc:
+            out.append((False, exc))
+            break
+    return out
+
+
 def _map(fn, items) -> list:
-    """Order-preserving map over items, parallel when MAPASSOC_THREADS allows."""
+    """Order-preserving map over items on forked worker processes.
+
+    With n workers, worker w takes items w, w+n, w+2n, ... and the calling
+    process is worker 0. Children inherit `fn` and `items` through the fork,
+    so only results are pickled, one list per child through a pipe. If any
+    item raises, the exception of the lowest failing index is re-raised:
+    the error a serial run gives, whatever the worker count.
+    """
     items = list(items)
-    n = min(_threads(), len(items))
-    if n <= 1:
+    n = min(_threads(), _usable_cpus(), len(items))
+    if n <= 1 or not hasattr(os, "fork"):
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
+    children = []  # (worker, pid, read end of its result pipe)
+    try:
+        for w in range(1, n):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wr)
+                raise
+            if pid == 0:  # child: never returns into the caller's stack
+                code = 1
+                try:
+                    os.close(r)
+                    for _, _, fd in children:
+                        os.close(fd)
+                    with os.fdopen(wr, "wb") as fh:
+                        pickle.dump(_run_share(fn, items[w::n]), fh, protocol=pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wr)
+            children.append((w, pid, r))
+        shares = {0: _run_share(fn, items[0::n])}
+        lost = []
+        while children:
+            w, pid, r = children.pop(0)
+            try:
+                with os.fdopen(r, "rb") as fh:
+                    data = fh.read()
+            finally:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status != 0 or not data:
+                lost.append(f"worker {w} (pid {pid}) ended with status {status} before sending its results")
+            else:
+                shares[w] = pickle.loads(data)
+    finally:
+        for _, pid, r in children:  # left only when the parent itself raised
+            os.close(r)
+            os.waitpid(pid, 0)
+    if lost:
+        raise ChildProcessError("; ".join(lost))
+    out = [None] * len(items)
+    failed = None
+    for w, share in shares.items():
+        for k, (ok, value) in enumerate(share):
+            i = w + k * n
+            if ok:
+                out[i] = value
+            elif failed is None or i < failed[0]:
+                failed = (i, value)
+    if failed is not None:
+        raise failed[1]
+    return out
 
 
 def _read_json(path: str, where: str) -> dict:
@@ -208,7 +291,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    reports = {}
+    reports = []
     rows = []
     for path in args.reports:
         doc = _read_json(path, "report")
@@ -220,7 +303,7 @@ def _cmd_report(args) -> int:
         except (ConfigError, ValidationError) as exc:
             raise ValidationError(f"report {path}: field 'report': {exc}") from exc
         name = str(doc["name"])
-        reports[name] = rep
+        reports.append((name, rep))
         prec, rec, f1 = rep.precision, rep.recall, rep.f1
         for j, th in enumerate(rep.thresholds):
             rows.append([name, doc["metric"], f"{th:g}", f"{prec[j]:.6f}", f"{rec[j]:.6f}", f"{f1[j]:.6f}"])

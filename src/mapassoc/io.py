@@ -120,6 +120,26 @@ def _point(value, where: str) -> Point2:
     return Point2(float(value[0]), float(value[1]))
 
 
+_JSON_NUMBERS = frozenset((int, float))
+
+
+def _points(values: list, owner: str) -> tuple:
+    """The points of one polyline; an error names `owner` and the point's index.
+
+    A JSON [x, y] pair of plain numbers passes a quick exact-type check;
+    anything else (a tuple, a numpy float, a bool, a bad value) goes through
+    `_point`, so the accepted inputs and the messages are `_point`'s. The
+    error location is built only on that path.
+    """
+    out = []
+    for j, p in enumerate(values):
+        if type(p) is list and len(p) == 2 and type(p[0]) in _JSON_NUMBERS and type(p[1]) in _JSON_NUMBERS:
+            out.append(Point2(float(p[0]), float(p[1])))
+        else:
+            out.append(_point(p, f"{owner} point {j}"))
+    return tuple(out)
+
+
 def _ident(obj, where: str) -> int:
     v = obj.get("id") if isinstance(obj, dict) else None
     if not isinstance(v, int) or isinstance(v, bool):
@@ -197,14 +217,7 @@ def scene_from_doc(doc: dict, where: str = "scene") -> Scene:
         pts = _field(r, "points", f"{where}.sd.roads[{i}] (road {rid})")
         if not isinstance(pts, list):
             raise ValidationError(f"{where}.sd: road {rid}: points must be a list")
-        roads.append(
-            Road(
-                id=rid,
-                points=tuple(
-                    _point(p, f"{where}.sd: road {rid} point {j}") for j, p in enumerate(pts)
-                ),
-            )
-        )
+        roads.append(Road(id=rid, points=_points(pts, f"{where}.sd: road {rid}")))
     sd = SdGraph(roads=tuple(roads), edges=_edges(_field(sd_doc, "edges", f"{where}.sd"), f"{where}.sd.edges"))
 
     hd_doc = _field(doc, "hd", where)
@@ -222,14 +235,7 @@ def scene_from_doc(doc: dict, where: str = "scene") -> Scene:
         pts = _field(b, "points", f"{where}.hd: boundary {bid}")
         if not isinstance(pts, list):
             raise ValidationError(f"{where}.hd: boundary {bid}: points must be a list")
-        bounds.append(
-            Boundary(
-                id=bid,
-                points=tuple(
-                    _point(p, f"{where}.hd: boundary {bid} point {j}") for j, p in enumerate(pts)
-                ),
-            )
-        )
+        bounds.append(Boundary(id=bid, points=_points(pts, f"{where}.hd: boundary {bid}")))
     hd = HdGraph(
         centerlines=tuple(cls),
         edges=_edges(_field(hd_doc, "edges", f"{where}.hd"), f"{where}.hd.edges"),

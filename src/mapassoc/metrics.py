@@ -423,7 +423,7 @@ def association_pr(preds, scenes, cfg: MetricConfig = MetricConfig()) -> MetricR
 
     def factory(pred, scene):
         assoc = _as_prediction(pred).assoc
-        # per scene, so scenes scored on separate threads share nothing
+        # per scene, so no cache outlives its scene or is shared between scenes
         pred_seqs, gt_seqs, ratios = {}, {}, {}
 
         def scorer(pred_path, pred_hd, gt_path):
@@ -468,8 +468,11 @@ def reachability_pr(preds, scenes, cfg: MetricConfig = MetricConfig()) -> Metric
     return _accumulate(preds, scenes, cfg, factory)
 
 
-def report_table(reports: dict) -> str:
+def report_table(reports) -> str:
     """Aligned text table, one row per named report.
+
+    `reports` is a dict from name to report or a sequence of (name, report)
+    pairs; pairs keep one row each, in order, even when names repeat.
 
     Columns follow the standard layout: F1 at 0.5 / 0.75 / 0.95, then the
     aggregated precision, recall, and F1 over all thresholds. Values print as
@@ -477,7 +480,7 @@ def report_table(reports: dict) -> str:
     """
     cols = ["A-F1^50", "A-F1^75", "A-F1^95", "A-P^50:95", "A-R^50:95", "A-F1^50:95"]
     rows = []
-    for name, rep in reports.items():
+    for name, rep in reports.items() if isinstance(reports, dict) else reports:
         cells = []
         for th in (0.5, 0.75, 0.95):
             if th in rep.thresholds:

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 
 import pytest
 
+from mapassoc import cli
 from mapassoc.cli import main
+from mapassoc.errors import ValidationError
 from mapassoc.io import read_assocs, read_scenes
 from mapassoc.metrics import MetricReport
 
@@ -94,8 +97,8 @@ def test_associate_post_appends_beam_to_method(tmp_path):
 
 
 def test_baselines_compute_distance_matrix_only_when_used(tmp_path, monkeypatch):
-    import mapassoc.cli as cli
-
+    # a forked worker's calls would not reach this process's list
+    monkeypatch.setenv("MAPASSOC_THREADS", "1")
     scenes = gen_scenes(tmp_path)
     calls = []
     real = cli.distance_assoc_matrix
@@ -189,6 +192,28 @@ def test_report_merges_multiple_evals(tmp_path, capsys):
     assert len(rows) == 1 + 2 * 11
 
 
+def test_report_prints_one_row_per_report_even_when_names_repeat(tmp_path, capsys):
+    scenes = gen_scenes(tmp_path, cfg=NOISY_CFG)
+    docs = []
+    for method, metric in (("knn", "association"), ("hmm", "reachability")):
+        pred = str(tmp_path / f"{method}.ndjson")
+        assert main(["associate", "--method", method, "--scenes", scenes, "--out", pred]) == 0
+        path = tmp_path / f"{method}.json"
+        assert main(["eval", "--metric", metric, "--pred", pred, "--scenes", scenes,
+                     "--name", "m", "--report", str(path)]) == 0
+        docs.append(path)
+    capsys.readouterr()
+    summary = str(tmp_path / "m.csv")
+    assert main(["report", "--reports", *map(str, docs), "--csv", summary]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    # argument order, last column A-F1^50:95, as in the CSV
+    af1 = [f"{100.0 * MetricReport.from_json(json.loads(p.read_text())['report']).af1:.1f}" for p in docs]
+    assert [(r[0], r[-1]) for r in rows] == [("m", af1[0]), ("m", af1[1])]
+    with open(summary, newline="") as fh:
+        metrics = [row[1] for row in list(csv.reader(fh))[1:] if row[2] == "50:95"]
+    assert metrics == ["association", "reachability"]
+
+
 def test_hmm_on_grid_with_more_lane_paths_than_enumeration_allows(tmp_path):
     # an 8x8 grid has more than 4096 lane paths; the HMM never enumerates them
     cfg = {
@@ -208,17 +233,156 @@ def test_hmm_on_grid_with_more_lane_paths_than_enumeration_allows(tmp_path):
 
 
 def test_outputs_bit_identical_across_thread_counts(tmp_path, monkeypatch):
+    runs = {
+        "scenes": None,
+        "hmm": ["associate", "--method", "hmm", "--post"],
+        "knn": ["associate", "--method", "knn"],
+        "mat": ["associate", "--method", "mat", "--post", "--store-probs"],
+    }
     blobs = {}
-    for threads in ("1", "8"):
+    for threads in ("1", "2", "8"):
         monkeypatch.setenv("MAPASSOC_THREADS", threads)
-        scenes = str(tmp_path / f"scenes{threads}.ndjson")
-        pred = str(tmp_path / f"pred{threads}.ndjson")
-        cfg = write_cfg(tmp_path, NOISY_CFG, name=f"cfg{threads}.json")
+        d = tmp_path / threads
+        d.mkdir()
+        scenes = str(d / "scenes")
+        cfg = write_cfg(d, NOISY_CFG)
         assert main(["gen", "--config", cfg, "--count", "4", "--seed", "0", "--out", scenes]) == 0
-        assert main(["associate", "--method", "hmm", "--post", "--scenes", scenes, "--out", pred]) == 0
-        blobs[threads] = ((tmp_path / f"scenes{threads}.ndjson").read_bytes(),
-                          (tmp_path / f"pred{threads}.ndjson").read_bytes())
-    assert blobs["1"] == blobs["8"]
+        for name, argv in runs.items():
+            if argv:
+                assert main([*argv, "--scenes", scenes, "--out", str(d / name)]) == 0
+        for metric, pred in (("association", "hmm"), ("reachability", "mat")):
+            assert main(["eval", "--metric", metric, "--pred", str(d / pred), "--scenes", scenes,
+                         "--report", str(d / metric)]) == 0
+        blobs[threads] = {name: (d / name).read_bytes() for name in (*runs, "association", "reachability")}
+    assert blobs["1"] == blobs["2"] == blobs["8"]
+
+
+# ---------------------------------------------------------------------------
+# the forked per-scene map
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+
+
+def usable_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def spy_on_fork(monkeypatch, limit: int = 4) -> list:
+    """Pids of the children forked from this process; refuses more than `limit`."""
+    forked, real = [], os.fork
+
+    def fork():
+        if len(forked) >= limit:
+            raise AssertionError(f"more than {limit} forks")
+        pid = real()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
+def assert_reaped(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_map_keeps_item_order(monkeypatch, n):
+    monkeypatch.setenv("MAPASSOC_THREADS", str(n))
+    usable_cpus(monkeypatch, 3)
+    forked = spy_on_fork(monkeypatch)
+    out = cli._map(lambda x: (x * x, os.getpid()), range(10))
+    assert [v for v, _ in out] == [x * x for x in range(10)]
+    # worker w runs items w, w + n, ...; the calling process is worker 0
+    pids = [p for _, p in out]
+    assert [pids[i % n] for i in range(10)] == pids
+    assert pids[:n] == [os.getpid(), *forked]
+    assert len(forked) == n - 1
+    assert_reaped(forked)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("bad", [(4, 5, 7), (3, 4, 8)])
+def test_map_reraises_the_lowest_failing_index(monkeypatch, n, bad):
+    # across n and bad, the lowest failing item runs in the caller and in a child
+    monkeypatch.setenv("MAPASSOC_THREADS", str(n))
+    usable_cpus(monkeypatch, 3)
+
+    def fn(x):
+        if x in bad:
+            raise ValidationError(f"item {x} is bad")
+        return x
+
+    with pytest.raises(ValidationError) as info:
+        cli._map(fn, range(10))
+    assert str(info.value) == f"item {bad[0]} is bad"
+
+
+@needs_fork
+def test_map_names_a_worker_that_dies_without_results(monkeypatch):
+    monkeypatch.setenv("MAPASSOC_THREADS", "2")
+    usable_cpus(monkeypatch, 2)
+    forked = spy_on_fork(monkeypatch)
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() != parent:
+            os._exit(3)
+        return x
+
+    with pytest.raises(ChildProcessError, match=r"^worker 1 \(pid \d+\) ended with status 3 before sending"):
+        cli._map(fn, range(4))
+    assert len(forked) == 1
+    assert_reaped(forked)
+
+
+@needs_fork
+def test_map_reaps_children_when_the_caller_share_is_interrupted(monkeypatch):
+    class Stop(BaseException):
+        pass
+
+    monkeypatch.setenv("MAPASSOC_THREADS", "3")
+    usable_cpus(monkeypatch, 3)
+    forked = spy_on_fork(monkeypatch)
+    parent = os.getpid()
+
+    def fn(x):
+        if os.getpid() == parent:
+            raise Stop
+        return x
+
+    with pytest.raises(Stop):
+        cli._map(fn, range(6))
+    assert len(forked) == 2
+    assert_reaped(forked)
+
+
+@needs_fork
+def test_map_forks_at_most_usable_cpus_minus_one(monkeypatch):
+    monkeypatch.setenv("MAPASSOC_THREADS", "100000")
+    usable_cpus(monkeypatch, 2)
+    forked = spy_on_fork(monkeypatch)
+    assert cli._map(lambda x: x + 1, range(50)) == list(range(1, 51))
+    assert len(forked) == 1
+    assert cli._map(lambda x: x + 1, range(1)) == [1]
+    assert len(forked) == 1
+    # without an affinity API the CPU count caps the workers
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._map(lambda x: x + 1, range(50)) == list(range(1, 51))
+    assert len(forked) == 3
+    assert_reaped(forked)
+
+
+def test_map_runs_serially_without_fork(monkeypatch):
+    monkeypatch.setenv("MAPASSOC_THREADS", "4")
+    usable_cpus(monkeypatch, 4)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert cli._map(lambda x: (x, os.getpid()), range(5)) == [(x, os.getpid()) for x in range(5)]
 
 
 # ---------------------------------------------------------------------------

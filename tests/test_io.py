@@ -93,6 +93,26 @@ def test_scene_doc_bad_point_is_reported(tiny):
         scene_from_doc(doc)
 
 
+@pytest.mark.parametrize("graph,key,label", [("sd", "roads", "road"), ("hd", "boundaries", "boundary")])
+@pytest.mark.parametrize("bad", [[1.0], [True, 0.0], [0.0, None], "xy", [np.float32(1.0), 0.0]])
+def test_scene_doc_bad_polyline_point_message(grid42, graph, key, label, bad):
+    doc = json.loads(dumps_scene(grid42))
+    owner = doc[graph][key][1]
+    owner["points"][1] = bad
+    with pytest.raises(ValidationError) as info:
+        scene_from_doc(doc, "line 7")
+    assert str(info.value) == f"line 7.{graph}: {label} {owner['id']} point 1: expected [x, y], got {bad!r}"
+
+
+@pytest.mark.parametrize("graph,key", [("sd", "roads"), ("hd", "boundaries")])
+def test_scene_doc_accepts_tuple_and_numpy_float_points(grid42, graph, key):
+    doc = json.loads(dumps_scene(grid42))
+    points = doc[graph][key][0]["points"]
+    points[0] = tuple(points[0])
+    points[1] = [np.float64(points[1][0]), int(points[1][1]) if points[1][1].is_integer() else points[1][1]]
+    assert scene_from_doc(doc) == grid42
+
+
 def test_scene_doc_gt_must_reference_centerlines(tiny):
     doc = json.loads(dumps_scene(tiny))
     doc["gt"]["777"] = 0
