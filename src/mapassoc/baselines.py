@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assocmatrix import AssocMatrix
-from .errors import ConfigError, LabelError, NoFeasiblePathError, TopologyError
-from .geometry import Association, Scene, _find_cycle_node
+from .errors import ConfigError, LabelError, NoFeasiblePathError
+from .geometry import Association, Scene
 from .geometry import enumerate_paths  # noqa: F401  kept as a module attribute; bench/tracer.py patches it
 
 __all__ = [
@@ -67,8 +67,7 @@ def _polyline_dist_matrix(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
 
 def _scene_distances(scene: Scene) -> tuple[np.ndarray, tuple, tuple]:
     """(n_centerlines, n_roads) midpoint distances, plus sorted id orders."""
-    cls = sorted(scene.hd.centerlines, key=lambda c: c.id)
-    roads = sorted(scene.sd.roads, key=lambda r: r.id)
+    cls, roads = scene.hd.centerlines, scene.sd.roads  # both sorted by id
     if not roads:
         raise LabelError("scene has no roads to associate against")
     mids = np.array([[c.vector.midpoint.x, c.vector.midpoint.y] for c in cls], dtype=np.float64)
@@ -164,24 +163,6 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
 
 
-def _longest_path_depths(n: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
-    # Jacobi relaxation of depth[v] = 1 + max over preds; on a DAG it settles
-    # after (longest path + 1) sweeps, each one reduceat over the edges.
-    depth = np.zeros(n, dtype=np.int64)
-    if not len(head):
-        return depth
-    order = np.argsort(head, kind="stable")
-    t, h = tail[order], head[order]
-    first = _run_starts(h)
-    heads = h[first]
-    while True:
-        d = np.maximum.reduceat(depth[t], first)
-        d += 1
-        if (d == depth[heads]).all():
-            return depth
-        depth[heads] = d
-
-
 def _levels(keys: np.ndarray, ends: np.ndarray, bounds: list) -> list:
     """Edges grouped by key node, cut into the depth levels of the node order.
 
@@ -215,10 +196,10 @@ def _max_plus(log_tr: np.ndarray):
     return lambda x: np.maximum.reduceat(x[:, rows] + vals, starts, axis=1)
 
 
-def _max_marginals(em: np.ndarray, log_tr: np.ndarray, log_prior: float, edges: np.ndarray) -> np.ndarray:
-    """M = F + G of `hmm_associate` for an acyclic graph given as (E, 2) row pairs."""
+def _max_marginals(em: np.ndarray, log_tr: np.ndarray, log_prior: float, edges: np.ndarray,
+                   depth: np.ndarray) -> np.ndarray:
+    """M = F + G of `hmm_associate` for a DAG given as (E, 2) row pairs and row depths."""
     n = len(em)
-    depth = _longest_path_depths(n, edges[:, 0], edges[:, 1])
     # Renumber nodes by depth, nodes with successors first within a level, so
     # every level of both passes reads and writes one contiguous block.
     has_succ = np.zeros(n, dtype=bool)
@@ -271,16 +252,14 @@ def hmm_associate(scene: Scene, params: HmmParams = HmmParams()) -> Association:
     label and is listed in meta["fallback_centerlines"] (sorted ids).
     Raises TopologyError on a lane-graph cycle.
     """
-    cyc = _find_cycle_node(scene.hd.node_ids, scene.hd.successors)
-    if cyc is not None:
-        raise TopologyError(f"graph has a cycle through node {cyc}")
+    depth = np.array(scene.hd.depths, dtype=np.int64)  # raises on a cycle
     dist, cl_ids, road_ids = _scene_distances(scene)
     edges = np.searchsorted(cl_ids, np.array(scene.hd.edges, dtype=np.int64).reshape(-1, 2))
     log_tr = _log_transition_matrix(scene, params, road_ids)
     # an emission or a path score that overflows to -inf is a zero probability
     with np.errstate(over="ignore"):
         em = _log_emissions(dist, params.emission_sigma)
-        m = _max_marginals(em, log_tr, -math.log(len(road_ids)), edges)
+        m = _max_marginals(em, log_tr, -math.log(len(road_ids)), edges, depth)
 
     best = np.argmax(m, axis=1)  # first max, columns ascend by road id
     infeasible = m[np.arange(len(cl_ids)), best] == -math.inf

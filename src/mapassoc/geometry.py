@@ -8,7 +8,9 @@ Coordinates are meters in an ego-centered frame; angles are radians in
 
 All containers are frozen dataclasses and safe to share across workers.
 Derived data (vectors of a polyline, adjacency maps) is computed once and
-cached on the instance.
+cached on the instance. Each road and lane graph owns its DAG facts: one
+Kahn peel gives its longest-path `depths` and finds cycles, and `paths` is
+its PathIndex, counted before it is enumerated and built once per graph.
 
 Public types
 ------------
@@ -64,7 +66,7 @@ __all__ = [
 # previous piece so chains stay gap-free and total length is preserved.
 MIN_SEGMENT = 1e-6
 
-# Hard cap on enumerated root-to-leaf paths before aborting.
+# Most root-to-leaf paths a graph may have; checked before any is built.
 MAX_PATHS = 4096
 
 
@@ -165,93 +167,167 @@ class Boundary:
         return tuple(DirVec.from_points(a, b) for a, b in zip(self.points, self.points[1:]))
 
 
-def _check_edges(edges, ids: set, what: str) -> tuple[tuple[int, int], ...]:
-    out = []
-    for e in edges:
-        a, b = int(e[0]), int(e[1])
-        if a == b:
-            raise TopologyError(f"{what} self-loop edge on id {a}")
-        for node in (a, b):
-            if node not in ids:
-                raise TopologyError(f"{what} edge ({a}, {b}) references missing id {node}")
-        out.append((a, b))
-    return tuple(out)
+class _Dag:
+    """Canonical form and DAG facts shared by SdGraph and HdGraph.
+
+    A subclass is a frozen dataclass with an `edges` field. `_ELEMENTS` lists
+    its fields of id-keyed elements with the noun its messages use, the
+    graph's nodes first; `_LAYER` names the graph in messages. Construction
+    sorts every element field by id and the edges, drops duplicate edges and
+    rejects duplicate ids, self-loops and edges to missing nodes, so equal
+    graphs compare equal regardless of construction order. The DAG facts are
+    computed on first use and cached on the instance.
+    """
+
+    def __post_init__(self):
+        for name, what in self._ELEMENTS:
+            elements = tuple(sorted(getattr(self, name), key=lambda e: e.id))
+            object.__setattr__(self, name, elements)
+            if len({e.id for e in elements}) != len(elements):
+                raise ValidationError(f"duplicate {what} ids")
+        name, what = self._ELEMENTS[0]
+        ids = {n.id for n in getattr(self, name)}
+        edges = set()
+        for e in self.edges:
+            a, b = int(e[0]), int(e[1])
+            if a == b:
+                raise TopologyError(f"{what} self-loop edge on id {a}")
+            for node in (a, b):
+                if node not in ids:
+                    raise TopologyError(f"{what} edge ({a}, {b}) references missing id {node}")
+            edges.add((a, b))
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
+
+    @cached_property
+    def by_id(self) -> dict:
+        return {n.id: n for n in getattr(self, self._ELEMENTS[0][0])}
+
+    @cached_property
+    def node_ids(self) -> tuple[int, ...]:
+        return tuple(self.by_id)
+
+    @cached_property
+    def successors(self) -> dict:
+        """Successor ids of every node, ascending (the edges are sorted)."""
+        succ = {i: [] for i in self.node_ids}
+        for a, b in self.edges:
+            succ[a].append(b)
+        return {i: tuple(s) for i, s in succ.items()}
+
+    @cached_property
+    def _peel(self) -> tuple[tuple[int, ...], Union[int, None]]:
+        # One Kahn peel: longest-path depths, and the lowest node on a cycle
+        # (None on a DAG). `order` is a FIFO queue that grows while it is
+        # walked, so it visits nodes level by level and the predecessor that
+        # frees a node is one of its deepest.
+        succ = self.successors
+        indeg = dict.fromkeys(self.node_ids, 0)
+        for _, b in self.edges:
+            indeg[b] += 1
+        depth = dict.fromkeys(self.node_ids, 0)
+        order = [i for i, d in indeg.items() if d == 0]
+        for i in order:
+            for j in succ[i]:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    depth[j] = depth[i] + 1
+                    order.append(j)
+        if len(order) == len(indeg):
+            return tuple(depth.values()), None
+        # every node left has a predecessor left, so a cycle remains; name the
+        # lowest node that reaches itself, not one merely downstream of a cycle
+        rest = set(indeg).difference(order)
+
+        def on_cycle(v):
+            seen, stack = set(), [v]
+            while stack:
+                for w in succ[stack.pop()]:
+                    if w == v:
+                        return True
+                    if w in rest and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            return False
+
+        return (), next(v for v in sorted(rest) if on_cycle(v))
+
+    @property
+    def depths(self) -> tuple[int, ...]:
+        """Longest-path depth of every node, in `node_ids` order.
+
+        Roots (in-degree 0) have depth 0, any other node 1 + the largest
+        depth among its predecessors. Raises TopologyError on a cycle,
+        naming the lowest node on one.
+        """
+        depths, cyc = self._peel
+        if cyc is not None:
+            raise TopologyError(f"graph has a cycle through node {cyc}")
+        return depths
+
+    @cached_property
+    def paths(self) -> PathIndex:
+        """All root-to-leaf paths, lexicographically ordered (see enumerate_paths).
+
+        The paths and path tokens are counted in one pass over the nodes,
+        deepest first, before any path is built; more than MAX_PATHS paths
+        raises TopologyError naming both counts.
+        """
+        succ = self.successors
+        depth = dict(zip(self.node_ids, self.depths))
+        count, tokens = {}, {}  # paths from a node to a leaf, and their nodes
+        for v in sorted(depth, key=depth.__getitem__, reverse=True):
+            count[v] = sum(count[w] for w in succ[v]) or 1
+            tokens[v] = count[v] + sum(tokens[w] for w in succ[v])
+        roots = [v for v, d in depth.items() if d == 0]
+        n_paths = sum(count[r] for r in roots)
+        if n_paths > MAX_PATHS:
+            raise TopologyError(
+                f"{self._LAYER} graph has {n_paths} root-to-leaf paths "
+                f"({sum(tokens[r] for r in roots)} path tokens), more than {MAX_PATHS}"
+            )
+        paths: list[tuple[int, ...]] = []
+        # Iterative DFS; visiting successors in ascending id order emits leaves
+        # in lexicographic path order.
+        for root in roots:
+            trail, stack = [root], [iter(succ[root])]
+            while stack:
+                nxt = next(stack[-1], None)
+                if nxt is None:
+                    if not succ[trail[-1]]:
+                        paths.append(tuple(trail))
+                    stack.pop()
+                    trail.pop()
+                else:
+                    trail.append(nxt)
+                    stack.append(iter(succ[nxt]))
+        return PathIndex(paths=tuple(paths), dup_map=tuple(n for p in paths for n in p))
 
 
 @dataclass(frozen=True)
-class SdGraph:
-    """Road graph: roads plus directed road-to-road connectivity edges.
-
-    Stored in canonical order (roads by id, edges sorted and deduplicated)
-    so equal graphs compare equal regardless of construction order.
-    """
+class SdGraph(_Dag):
+    """Road graph: roads plus directed road-to-road connectivity edges."""
 
     roads: tuple[Road, ...]
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "roads", tuple(sorted(self.roads, key=lambda r: r.id)))
-        ids = [r.id for r in self.roads]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate road ids")
-        edges = _check_edges(self.edges, set(ids), "road")
-        object.__setattr__(self, "edges", tuple(sorted(set(edges))))
-
-    @cached_property
-    def by_id(self) -> dict:
-        return {r.id: r for r in self.roads}
-
-    @cached_property
-    def node_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(r.id for r in self.roads))
-
-    @cached_property
-    def successors(self) -> dict:
-        succ = {i: [] for i in self.node_ids}
-        for a, b in self.edges:
-            succ[a].append(b)
-        return {i: tuple(sorted(set(s))) for i, s in succ.items()}
+    _ELEMENTS = (("roads", "road"),)
+    _LAYER = "road"
 
 
 @dataclass(frozen=True)
-class HdGraph:
+class HdGraph(_Dag):
     """Lane graph: centerline vectors, lane connectivity, boundary polylines.
 
-    Stored in canonical order (elements by id, edges sorted and
-    deduplicated) so equal graphs compare equal regardless of
-    construction order.
+    The centerlines are the nodes; boundaries are sorted and id-checked but
+    take no part in the DAG.
     """
 
     centerlines: tuple[Centerline, ...]
     edges: tuple[tuple[int, int], ...]
     boundaries: tuple[Boundary, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "centerlines", tuple(sorted(self.centerlines, key=lambda c: c.id)))
-        object.__setattr__(self, "boundaries", tuple(sorted(self.boundaries, key=lambda b: b.id)))
-        ids = [c.id for c in self.centerlines]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate centerline ids")
-        bids = [b.id for b in self.boundaries]
-        if len(set(bids)) != len(bids):
-            raise ValidationError("duplicate boundary ids")
-        edges = _check_edges(self.edges, set(ids), "centerline")
-        object.__setattr__(self, "edges", tuple(sorted(set(edges))))
-
-    @cached_property
-    def by_id(self) -> dict:
-        return {c.id: c for c in self.centerlines}
-
-    @cached_property
-    def node_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(c.id for c in self.centerlines))
-
-    @cached_property
-    def successors(self) -> dict:
-        succ = {i: [] for i in self.node_ids}
-        for a, b in self.edges:
-            succ[a].append(b)
-        return {i: tuple(sorted(set(s))) for i, s in succ.items()}
+    _ELEMENTS = (("centerlines", "centerline"), ("boundaries", "boundary"))
+    _LAYER = "lane"
 
 
 @dataclass(frozen=True)
@@ -357,80 +433,17 @@ def vectorize_polyline(points: Sequence[Point2], spacing: float) -> list[DirVec]
 # path enumeration
 
 
-def _graph_view(graph) -> tuple[tuple[int, ...], dict]:
-    if isinstance(graph, (SdGraph, HdGraph)):
-        return graph.node_ids, graph.successors
-    raise TypeError(f"expected SdGraph or HdGraph, got {type(graph).__name__}")
-
-
-def _find_cycle_node(node_ids, successors) -> Union[int, None]:
-    # Kahn peel; any node left with nonzero in-degree sits on a cycle.
-    indeg = {i: 0 for i in node_ids}
-    for i in node_ids:
-        for j in successors[i]:
-            indeg[j] += 1
-    queue = [i for i in node_ids if indeg[i] == 0]
-    seen = 0
-    while queue:
-        i = queue.pop()
-        seen += 1
-        for j in successors[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                queue.append(j)
-    if seen == len(node_ids):
-        return None
-    return min(i for i in node_ids if indeg[i] > 0)
-
-
-def enumerate_paths(graph, max_paths: int = MAX_PATHS) -> PathIndex:
+def enumerate_paths(graph) -> PathIndex:
     """All maximal root-to-leaf paths of a DAG, lexicographically ordered.
 
     Roots are nodes with in-degree 0, leaves nodes with out-degree 0;
     isolated nodes yield singleton paths, so every node appears on at least
-    one path. Raises TopologyError on a cycle (naming one node on it) or when
-    the path count would exceed `max_paths`.
+    one path. Returns the graph's cached `paths`, so each graph is
+    enumerated once. Raises TopologyError on a cycle (naming the lowest node
+    on one) or, before any path is built, when the graph has more than
+    MAX_PATHS paths.
     """
-    node_ids, successors = _graph_view(graph)
-    if not node_ids:
-        return PathIndex(paths=(), dup_map=())
-    cyc = _find_cycle_node(node_ids, successors)
-    if cyc is not None:
-        raise TopologyError(f"graph has a cycle through node {cyc}")
-    indeg = {i: 0 for i in node_ids}
-    for i in node_ids:
-        for j in successors[i]:
-            indeg[j] += 1
-    roots = [i for i in node_ids if indeg[i] == 0]
-
-    paths: list[tuple[int, ...]] = []
-    # Iterative DFS; visiting successors in ascending id order emits leaves in
-    # lexicographic path order.
-    for root in roots:
-        stack = [(root, iter(successors[root]))]
-        trail = [root]
-        if not successors[root]:
-            paths.append((root,))
-            if len(paths) > max_paths:
-                raise TopologyError(f"more than {max_paths} root-to-leaf paths")
-            continue
-        while stack:
-            node, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                stack.pop()
-                trail.pop()
-                continue
-            trail.append(nxt)
-            if successors[nxt]:
-                stack.append((nxt, iter(successors[nxt])))
-            else:
-                paths.append(tuple(trail))
-                if len(paths) > max_paths:
-                    raise TopologyError(f"more than {max_paths} root-to-leaf paths")
-                trail.pop()
-    dup = tuple(n for p in paths for n in p)
-    return PathIndex(paths=tuple(paths), dup_map=dup)
+    return graph.paths
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +505,7 @@ def validate_scene(scene: Scene) -> Scene:
         for p in b.points:
             if not (math.isfinite(p.x) and math.isfinite(p.y)):
                 raise ValidationError(f"boundary {b.id} has non-finite point {tuple(p)}")
-    cyc = _find_cycle_node(scene.hd.node_ids, scene.hd.successors)
+    cyc = scene.hd._peel[1]
     if cyc is not None:
         raise TopologyError(f"lane graph has a cycle through centerline {cyc}")
     if scene.gt is not None:

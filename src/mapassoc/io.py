@@ -162,6 +162,32 @@ def _edges(value, where: str) -> tuple:
     return tuple(out)
 
 
+def _labels(doc: dict, where: str) -> dict:
+    """A `{centerline id: road id}` map from its JSON object form."""
+    labels = {}
+    for k, v in doc.items():
+        try:
+            cl = int(k)
+        except ValueError:
+            raise ValidationError(f"{where}: non-integer centerline key {k!r}") from None
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValidationError(f"{where}: centerline {k}: road id must be an integer")
+        labels[cl] = v
+    return labels
+
+
+def _read_lines(source: Union[str, IO], from_doc) -> list:
+    """`from_doc(doc, where)` for every non-blank line of a newline-delimited container."""
+    text = _read_text(source)
+    out = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        where = f"line {lineno}"
+        out.append(from_doc(_parse_line(line, where), where))
+    return out
+
+
 def _field(doc: dict, key: str, where: str):
     if key not in doc:
         raise ValidationError(f"{where}: missing required field {key!r}")
@@ -247,16 +273,7 @@ def scene_from_doc(doc: dict, where: str = "scene") -> Scene:
     if gt_doc is not None:
         if not isinstance(gt_doc, dict):
             raise ValidationError(f"{where}: gt must be an object or null")
-        labels = {}
-        for k, v in gt_doc.items():
-            try:
-                cl = int(k)
-            except ValueError:
-                raise ValidationError(f"{where}.gt: non-integer centerline key {k!r}") from None
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError(f"{where}.gt: centerline {k}: road id must be an integer")
-            labels[cl] = v
-        gt = Association(labels=labels)
+        gt = Association(labels=_labels(gt_doc, f"{where}.gt"))
 
     return validate_scene(Scene(sd=sd, hd=hd, gt=gt, meta=meta))
 
@@ -284,14 +301,7 @@ def write_scenes(scenes, dest: Union[str, IO]) -> None:
 
 def read_scenes(source: Union[str, IO]) -> list:
     """Read every scene from a newline-delimited container, in file order."""
-    text = _read_text(source)
-    scenes = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        where = f"line {lineno}"
-        scenes.append(scene_from_doc(_parse_line(line, where), where))
-    return scenes
+    return _read_lines(source, scene_from_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +351,7 @@ def assoc_from_doc(doc: dict, where: str = "assoc") -> AssocRecord:
     labels_doc = _field(doc, "labels", where)
     if not isinstance(labels_doc, dict):
         raise ValidationError(f"{where}: labels must be an object")
-    labels = {}
-    for k, v in labels_doc.items():
-        try:
-            cl = int(k)
-        except ValueError:
-            raise ValidationError(f"{where}.labels: non-integer centerline key {k!r}") from None
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValidationError(f"{where}.labels: centerline {k}: road id must be an integer")
-        labels[cl] = v
+    labels = _labels(labels_doc, f"{where}.labels")
     meta = doc.get("decode_meta") or {}
     if not isinstance(meta, dict):
         raise ValidationError(f"{where}: decode_meta must be an object")
@@ -380,14 +382,8 @@ def write_assocs(records, dest: Union[str, IO]) -> None:
 
 
 def read_assocs(source: Union[str, IO]) -> list:
-    text = _read_text(source)
-    out = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        where = f"line {lineno}"
-        out.append(assoc_from_doc(_parse_line(line, where), where))
-    return out
+    """Read every association record from a newline-delimited container, in file order."""
+    return _read_lines(source, assoc_from_doc)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,8 @@ def build_tokens(scene: Scene) -> TokenSet:
     inst_pos = []
     road_span = {}
     cl_slot = {}
-    for road in sorted(scene.sd.roads, key=lambda r: r.id):
+    # the graphs hold their elements sorted by id
+    for road in scene.sd.roads:
         start = len(vectors)
         for i, v in enumerate(road.vectors):
             vectors.append(v)
@@ -97,14 +98,14 @@ def build_tokens(scene: Scene) -> TokenSet:
             parent.append(road.id)
             inst_pos.append(i)
         road_span[road.id] = (start, len(vectors))
-    for cl in sorted(scene.hd.centerlines, key=lambda c: c.id):
+    for cl in scene.hd.centerlines:
         cl_slot[cl.id] = len(vectors)
         vectors.append(cl.vector)
         kind.append(KIND_CENTERLINE)
         parent.append(cl.id)
         inst_pos.append(0)
     boundary_chains = []
-    for b in sorted(scene.hd.boundaries, key=lambda b: b.id):
+    for b in scene.hd.boundaries:
         start = len(vectors)
         for i, v in enumerate(b.vectors):
             vectors.append(v)

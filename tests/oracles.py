@@ -27,6 +27,32 @@ from mapassoc.metrics import chamfer_distance, label_sequence, overlap_ratio
 
 
 # ---------------------------------------------------------------------------
+# graphs
+
+
+def longest_path_depths(n: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Longest-path depth of nodes 0..n-1 over the edges tail[i] -> head[i].
+
+    Jacobi relaxation of depth[v] = 1 + max over preds (0 at roots); on a DAG
+    it settles after (longest path + 1) sweeps, each one reduceat over the
+    edges grouped by head.
+    """
+    depth = np.zeros(n, dtype=np.int64)
+    if not len(head):
+        return depth
+    order = np.argsort(head, kind="stable")
+    t, h = tail[order], head[order]
+    first = np.flatnonzero(np.concatenate(([True], h[1:] != h[:-1])))
+    heads = h[first]
+    while True:
+        d = np.maximum.reduceat(depth[t], first)
+        d += 1
+        if (d == depth[heads]).all():
+            return depth
+        depth[heads] = d
+
+
+# ---------------------------------------------------------------------------
 # rotary embedding and attention
 
 

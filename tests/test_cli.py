@@ -424,7 +424,8 @@ def test_malformed_scene_line_exits_2(tmp_path):
 def test_non_finite_boundary_point_exits_2(tmp_path, capsys, method, literal):
     # "1e999" parses to inf without a JSON constant, so validate_scene must catch it
     scenes = gen_scenes(tmp_path, count=1)
-    doc = json.loads(open(scenes).read())
+    with open(scenes) as fh:
+        doc = json.loads(fh.read())
     doc["hd"]["boundaries"][0]["points"][0][0] = "@@"
     with open(scenes, "w") as fh:
         fh.write(json.dumps(doc).replace('"@@"', literal) + "\n")

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mapassoc import geometry
 from mapassoc.errors import InvalidGeometryError, TopologyError, ValidationError
 from mapassoc.geometry import (
     Association,
@@ -30,7 +32,10 @@ from mapassoc.geometry import (
     vectorize_polyline,
 )
 
+from mapassoc.scenegen import GenConfig, PerturbConfig, generate_scene, perturb_scene
+
 from conftest import make_centerline, tiny_scene
+from oracles import longest_path_depths
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +262,101 @@ def test_enumerate_path_cap():
         prev_tail = tail
         nid += 4
     g = HdGraph(centerlines=tuple(cls), edges=tuple(edges))
-    with pytest.raises(TopologyError):
+    # each path passes 3 nodes of each of the 13 diamonds
+    msg = r"lane graph has 8192 root-to-leaf paths \(319488 path tokens\), more than 4096"
+    with pytest.raises(TopologyError, match=msg):
         enumerate_paths(g)
-    # raising the cap admits the same graph
-    assert len(enumerate_paths(g, max_paths=10000).paths) == 2 ** 13
 
 
 def test_path_index_total_tokens():
     pidx = enumerate_paths(chain_graph(1, 2, 3))
     assert pidx.total_tokens == 3
+
+
+@st.composite
+def dags(draw):
+    """A random DAG on permuted ids: edges run forward in a hidden order."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    ids = draw(st.lists(st.integers(min_value=-40, max_value=40), min_size=n, max_size=n, unique=True))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=18)) if pairs else []
+    isolated = draw(st.lists(st.integers(min_value=41, max_value=60), max_size=3, unique=True))
+    cls = [make_centerline(i, (float(i), 0.0), (float(i) + 1.0, 0.0)) for i in ids + isolated]
+    edges = [(ids[i], ids[j]) for i, j in chosen]
+    return HdGraph(centerlines=tuple(cls), edges=tuple(edges))
+
+
+def reference_depths(graph) -> tuple:
+    row = {i: k for k, i in enumerate(graph.node_ids)}
+    tail = np.array([row[a] for a, _ in graph.edges], dtype=np.int64)
+    head = np.array([row[b] for _, b in graph.edges], dtype=np.int64)
+    return tuple(longest_path_depths(len(row), tail, head).tolist())
+
+
+@given(dags())
+@settings(max_examples=200, deadline=None)
+def test_depths_match_relaxation_reference(g):
+    assert g.depths == reference_depths(g)
+
+
+@given(
+    st.sampled_from(["grid", "radial", "random-planar"]),
+    st.integers(min_value=0, max_value=50),
+    st.floats(min_value=0.0, max_value=0.3),
+)
+@settings(max_examples=25, deadline=None)
+def test_depths_match_reference_on_generated_scenes(layout, seed, dropout):
+    scene = perturb_scene(generate_scene(GenConfig(layout=layout, seed=seed)),
+                          PerturbConfig(dropout_rate=dropout, seed=seed))
+    assert scene.hd.depths == reference_depths(scene.hd)
+
+
+def test_cycle_names_lowest_node_on_one():
+    # 5 <-> 6 and 8 <-> 9 are cycles; 0 feeds one, 1 and 2 hang below them
+    ids = (0, 1, 2, 5, 6, 8, 9)
+    cls = tuple(make_centerline(i, (float(i), 0.0), (float(i) + 1.0, 0.0)) for i in ids)
+    g = HdGraph(centerlines=cls, edges=((0, 5), (5, 6), (6, 5), (6, 1), (1, 2), (9, 8), (8, 9), (8, 2)))
+    with pytest.raises(TopologyError, match=r"graph has a cycle through node 5$"):
+        g.depths
+    with pytest.raises(TopologyError, match=r"graph has a cycle through node 5$"):
+        enumerate_paths(g)
+    s = tiny_scene()
+    with pytest.raises(TopologyError, match=r"lane graph has a cycle through centerline 5$"):
+        validate_scene(Scene(sd=s.sd, hd=g, meta={}))
+
+
+def fresh(g):
+    return HdGraph(centerlines=g.centerlines, edges=g.edges, boundaries=g.boundaries)
+
+
+@given(dags())
+@settings(max_examples=100, deadline=None)
+def test_path_guard_counts_before_enumerating(g):
+    pidx = enumerate_paths(g)
+    assert enumerate_paths(g) is pidx
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "MAX_PATHS", 0)
+        if not pidx.paths:
+            assert enumerate_paths(fresh(g)) == pidx
+            return
+        msg = f"lane graph has {len(pidx.paths)} root-to-leaf paths ({len(pidx.dup_map)} path tokens), more than 0"
+        with pytest.raises(TopologyError, match=re.escape(msg)):
+            enumerate_paths(fresh(g))
+
+
+def test_road_graph_guard_names_the_road_graph(monkeypatch):
+    monkeypatch.setattr(geometry, "MAX_PATHS", 0)
+    g = SdGraph(roads=(Road(id=1, points=(Point2(0, 0), Point2(1, 0))),), edges=())
+    with pytest.raises(TopologyError, match=r"^road graph has 1 root-to-leaf paths \(1 path tokens\)"):
+        enumerate_paths(g)
+
+
+def test_cached_paths_leave_equality_alone():
+    g = chain_graph(1, 2, 3)
+    enumerate_paths(g)
+    g.depths
+    assert g == chain_graph(1, 2, 3)
+    assert hash(g) == hash(chain_graph(1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +408,15 @@ def test_graphs_canonicalize_order():
 
 def test_graph_rejects_duplicate_ids():
     r = Road(id=1, points=(Point2(0, 0), Point2(1, 0)))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="duplicate road ids"):
         SdGraph(roads=(r, r), edges=())
+    c = make_centerline(1, (0, 0), (1, 0))
+    b = Boundary(id=1, points=(Point2(0, 0), Point2(1, 0)))
+    # centerlines are checked before boundaries
+    with pytest.raises(ValidationError, match="duplicate centerline ids"):
+        HdGraph(centerlines=(c, c), edges=(), boundaries=(b, b))
+    with pytest.raises(ValidationError, match="duplicate boundary ids"):
+        HdGraph(centerlines=(c,), edges=(), boundaries=(b, b))
 
 
 def test_graph_rejects_dangling_edge():

@@ -255,6 +255,22 @@ def test_assoc_doc_rejects_malformed_labels(grid42):
         assoc_from_doc(doc)
 
 
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [({"ten": 0}, "non-integer centerline key 'ten'"), ({"0": True}, "centerline 0: road id must be an integer")],
+)
+def test_gt_and_assoc_labels_report_the_same_faults(tmp_path, tiny, labels, message):
+    scene_doc = dict(scene_to_doc(tiny), gt=labels)
+    assoc_doc = dict(assoc_to_doc(AssocRecord(method="knn", scene_ref="x", assoc=knn_associate(tiny))), labels=labels)
+    for doc, reader, field in ((scene_doc, read_scenes, "gt"), (assoc_doc, read_assocs, "labels")):
+        path = tmp_path / f"{field}.ndjson"
+        path.write_text("\n" + json.dumps(doc) + "\n", encoding="utf-8")  # the blank line 1 is skipped
+        with pytest.raises(ValidationError) as exc:
+            reader(str(path))
+        assert str(exc.value) == f"line 2.{field}: {message}"
+
+
 # ---------------------------------------------------------------------------
 # weights container
 
@@ -289,7 +305,8 @@ def test_weights_reject_non_float32():
 def test_weights_truncated_blob_fails_integrity(tmp_path):
     path = str(tmp_path / "w.mapw")
     save_weights({"a": np.ones(8, dtype=np.float32)}, path)
-    data = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     with pytest.raises(IntegrityError):
         load_weights(pyio.BytesIO(data[:-4]))
 
@@ -304,7 +321,8 @@ def test_weights_shape_tamper_reports_config_mismatch(tmp_path):
     w = init_weights(cfg, seed=0)
     path = str(tmp_path / "w.mapw")
     save_weights(w, path)
-    data = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     head_end = data.index(b"\n", len(WEIGHTS_MAGIC)) + 1
     manifest = json.loads(data[len(WEIGHTS_MAGIC):head_end])
     # grow one declared dimension so the manifest disagrees with the config
