@@ -75,13 +75,16 @@ class AssocMatrix:
         except KeyError:
             raise LabelError(f"no probability row for centerline {cl_id}") from None
 
-    def rows_for(self, cl_ids) -> np.ndarray:
+    def row_indices(self, cl_ids) -> list:
+        """Row numbers of the given centerline ids, in their order."""
         index = self._row_index
         try:
-            sel = [index[c] for c in cl_ids]
+            return [index[c] for c in cl_ids]
         except KeyError as err:
             raise LabelError(f"no probability row for centerline {err.args[0]}") from None
-        return self.probs[sel]
+
+    def rows_for(self, cl_ids) -> np.ndarray:
+        return self.probs[self.row_indices(cl_ids)]
 
     def argmax_association(self) -> Association:
         """Row-wise argmax labels; ties resolve to the lowest road id."""

@@ -13,6 +13,12 @@ and flags the position, so the result is always total.
 
 Tie-breaks, in order: higher score, lexicographically smaller label sequence,
 smaller left span index.
+
+`beam_decode` does the work that does not depend on the path once per call:
+the logs, each row's argmax and max, and the sorted predecessor and successor
+tables of the road graph. `decode_association` therefore calls it once per
+scene, passing every lane path as row indices through `paths=`; each path
+then runs the search on plain tuples.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from .geometry import Association, Scene, enumerate_paths
 
 __all__ = [
     "DecoderConfig",
-    "Hypothesis",
     "DecodeResult",
     "init_token",
     "beam_decode",
@@ -49,15 +54,6 @@ class DecoderConfig:
             raise ConfigError(f"beam width must be >= 1, got {self.k}")
         if self.max_len is not None and self.max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    """A partial decode: labels for the token interval span=[left, right]."""
-
-    labels: tuple
-    score: float
-    span: tuple
 
 
 @dataclass(frozen=True)
@@ -88,29 +84,13 @@ def init_token(probs: AssocMatrix, path) -> tuple:
     return t, int(probs.road_ids[j])
 
 
-def beam_decode(
-    rows: np.ndarray,
-    road_ids,
-    sd_edges,
-    cfg: DecoderConfig = DecoderConfig(),
-) -> DecodeResult:
-    """Decode one lane path's (T, K) probability rows into road labels.
+def _road_tables(road_ids: list, sd_edges) -> tuple:
+    """Predecessor and successor tables: road id -> ((id, column), ...).
 
-    `sd_edges` is the directed road connectivity; an extension to the left
-    prepends a predecessor of the current first label, to the right appends a
-    successor of the current last label. Tokens outside the beam-grown span
-    (only possible under a max_len cap) are filled by unconstrained argmax and
-    flagged.
+    Each entry is sorted by id and includes the road itself; edges that touch
+    an id outside `road_ids` are ignored, and a repeated id takes its last
+    column.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
-        raise ConfigError(f"expected a (T, K) matrix with T, K >= 1, got {rows.shape}")
-    road_ids = [int(r) for r in road_ids]
-    if len(road_ids) != rows.shape[1]:
-        raise ConfigError(f"{len(road_ids)} road ids for {rows.shape[1]} columns")
-    t_steps = rows.shape[0]
-    with np.errstate(divide="ignore"):
-        logs = np.log(rows)
     known = set(road_ids)
     succ = {r: {r} for r in road_ids}
     pred = {r: {r} for r in road_ids}
@@ -120,63 +100,115 @@ def beam_decode(
             succ[a].add(b)
             pred[b].add(a)
     col = {r: j for j, r in enumerate(road_ids)}
+    return tuple(
+        {r: tuple((w, col[w]) for w in sorted(ws)) for r, ws in adj.items()} for adj in (pred, succ)
+    )
 
-    t0, j0 = _init_on_rows(rows)
-    target = t_steps if cfg.max_len is None else min(cfg.max_len, t_steps)
-    # beam entries: (Hypothesis, fallback position tuple)
-    seed = Hypothesis(labels=(road_ids[j0],), score=float(logs[t0, j0]), span=(t0, t0))
-    beam = [(seed, ())]
-    while (beam[0][0].span[1] - beam[0][0].span[0] + 1) < target:
+
+def beam_decode(
+    rows: np.ndarray,
+    road_ids,
+    sd_edges,
+    cfg: DecoderConfig = DecoderConfig(),
+    *,
+    paths=None,
+) -> Union[DecodeResult, list]:
+    """Decode (T, K) probability rows into road labels.
+
+    Without `paths`, the rows are one lane path in order and the result is
+    one DecodeResult. With `paths`, a sequence of row-index sequences into
+    `rows`, every path is decoded and the results come back as a list in
+    the same order; the setup is shared, the results are those of decoding
+    each path's rows on their own.
+
+    `sd_edges` is the directed road connectivity; an extension to the left
+    prepends a predecessor of the current first label, to the right appends a
+    successor of the current last label. Tokens outside the beam-grown span
+    (only possible under a max_len cap) are filled by unconstrained argmax and
+    flagged. Raises ConfigError on a malformed shape or a cell that is not a
+    finite probability >= 0.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    single = paths is None
+    if single:
+        paths = (range(rows.shape[0]),) if rows.ndim == 2 else ()
+    if rows.ndim != 2 or (len(paths) and min(rows.shape) < 1):
+        raise ConfigError(f"expected a (T, K) matrix with T, K >= 1, got {rows.shape}")
+    road_ids = [int(r) for r in road_ids]
+    if len(road_ids) != rows.shape[1]:
+        raise ConfigError(f"{len(road_ids)} road ids for {rows.shape[1]} columns")
+    bad = ~(np.isfinite(rows) & (rows >= 0.0))
+    if bad.any():
+        i, j = (int(v) for v in np.argwhere(bad)[0])
+        raise ConfigError(f"row {i} column {j} holds {float(rows[i, j])}, not a finite probability >= 0")
+    if not len(paths):
+        return []
+    with np.errstate(divide="ignore"):
+        logs = np.log(rows).tolist()
+    best_col = rows.argmax(axis=1).tolist()
+    best_val = rows.max(axis=1).tolist()
+    pred, succ = _road_tables(road_ids, sd_edges)
+    results = [
+        _search(path, logs, best_col, best_val, road_ids, pred, succ, cfg.k, cfg.max_len) for path in paths
+    ]
+    return results[0] if single else results
+
+
+def _search(path, logs, best_col, best_val, road_ids, pred, succ, k, max_len) -> DecodeResult:
+    """The beam search over one path's rows; see the module docstring."""
+    if not len(path):
+        raise LabelError("empty lane path")
+    if min(path) < 0 or max(path) >= len(logs):
+        raise ConfigError(f"path row indices must lie in [0, {len(logs)}), got {list(path)}")
+    lrows = [logs[i] for i in path]
+    cols = [best_col[i] for i in path]
+    vals = [best_val[i] for i in path]
+    t_steps = len(path)
+    last = t_steps - 1
+    t0 = vals.index(max(vals))
+    j0 = cols[t0]
+    # A hypothesis is (-score, labels, left, rank, right, fallback positions):
+    # the native tuple sort orders by score, labels and left, and the unique
+    # insertion rank keeps tied candidates in insertion order.
+    beam = [(-lrows[t0][j0], (road_ids[j0],), t0, 0, t0, ())]
+    target = t_steps if max_len is None else min(max_len, t_steps)
+    neg_inf = -math.inf
+    for _ in range(target - 1):
         cands = []
-        for h, fb in beam:
-            left, right = h.span
+        add = cands.append
+        n = 0
+        for neg, labels, left, _, right, fb in beam:
+            score = -neg
             if left > 0:
                 t = left - 1
-                for w in sorted(pred[h.labels[0]]):
-                    s = h.score + logs[t, col[w]]
-                    if s != -math.inf:
-                        cands.append((Hypothesis((w,) + h.labels, s, (t, right)), fb))
-            if right < t_steps - 1:
+                lrow = lrows[t]
+                for w, c in pred[labels[0]]:
+                    s = score + lrow[c]
+                    if s != neg_inf:
+                        add((-s, (w,) + labels, t, n, right, fb))
+                        n += 1
+            if right < last:
                 t = right + 1
-                for w in sorted(succ[h.labels[-1]]):
-                    s = h.score + logs[t, col[w]]
-                    if s != -math.inf:
-                        cands.append((Hypothesis(h.labels + (w,), s, (left, t)), fb))
+                lrow = lrows[t]
+                for w, c in succ[labels[-1]]:
+                    s = score + lrow[c]
+                    if s != neg_inf:
+                        add((-s, labels + (w,), left, n, t, fb))
+                        n += 1
         if not cands:
             # dead end: take the unconstrained argmax for the next token
-            for h, fb in beam:
-                left, right = h.span
-                if right < t_steps - 1:
-                    t = right + 1
-                    j = int(np.argmax(rows[t]))
-                    cands.append(
-                        (
-                            Hypothesis(
-                                h.labels + (road_ids[j],),
-                                h.score + float(logs[t, j]),
-                                (left, t),
-                            ),
-                            fb + (t,),
-                        )
-                    )
+            for neg, labels, left, _, right, fb in beam:
+                t = right + 1 if right < last else left - 1
+                j = cols[t]
+                s = -neg + lrows[t][j]
+                if right < last:
+                    add((-s, labels + (road_ids[j],), left, len(cands), t, fb + (t,)))
                 else:
-                    t = left - 1
-                    j = int(np.argmax(rows[t]))
-                    cands.append(
-                        (
-                            Hypothesis(
-                                (road_ids[j],) + h.labels,
-                                h.score + float(logs[t, j]),
-                                (t, right),
-                            ),
-                            fb + (t,),
-                        )
-                    )
-        cands.sort(key=lambda e: (-e[0].score, e[0].labels, e[0].span[0]))
-        beam = cands[: cfg.k]
-    best, fb = beam[0]
-    labels, score = best.labels, best.score
-    left, right = best.span
+                    add((-s, (road_ids[j],) + labels, t, len(cands), right, fb + (t,)))
+        cands.sort()
+        beam = cands[:k]
+    neg, labels, left, _, right, fb = beam[0]
+    score = -neg
     if right - left + 1 < t_steps:
         # max_len cap: fill the uncovered flanks by per-token argmax
         full = []
@@ -184,9 +216,9 @@ def beam_decode(
             if left <= t <= right:
                 full.append(labels[t - left])
             else:
-                j = int(np.argmax(rows[t]))
+                j = cols[t]
                 full.append(road_ids[j])
-                score += float(logs[t, j])
+                score += lrows[t][j]
                 fb = fb + (t,)
         labels = tuple(full)
     return DecodeResult(
@@ -206,14 +238,17 @@ def decode_association(
 
     A centerline on several paths takes its label from the highest-scoring
     path; ties go to the earlier path in enumeration order. Paths that needed
-    an argmax fallback are listed in the association's meta.
+    an argmax fallback are listed in the association's meta. All paths are
+    decoded by one `beam_decode` call, as row indices into `amat.probs`.
     """
+    paths = enumerate_paths(scene.hd).paths
+    results = beam_decode(
+        amat.probs, amat.road_ids, scene.sd.edges, cfg, paths=[amat.row_indices(p) for p in paths]
+    )
     labels = {}
     best_score = {}
     fallback_paths = []
-    for pi, path in enumerate(enumerate_paths(scene.hd).paths):
-        rows = amat.rows_for(path)
-        res = beam_decode(rows, amat.road_ids, scene.sd.edges, cfg)
+    for pi, (path, res) in enumerate(zip(paths, results)):
         if res.fallback:
             fallback_paths.append(pi)
         for cl, rid in zip(path, res.labels):

@@ -261,7 +261,7 @@ class _Dag:
         """
         depths, cyc = self._peel
         if cyc is not None:
-            raise TopologyError(f"graph has a cycle through node {cyc}")
+            raise TopologyError(f"{self._LAYER} graph has a cycle through node {cyc}")
         return depths
 
     @cached_property

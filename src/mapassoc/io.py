@@ -36,6 +36,7 @@ from .geometry import (
     Road,
     Scene,
     SdGraph,
+    full_angle,
     validate_scene,
 )
 
@@ -254,7 +255,7 @@ def scene_from_doc(doc: dict, where: str = "scene") -> Scene:
         cid = _ident(c, f"{where}.hd.centerlines[{i}]")
         p1 = _point(_field(c, "p1", f"{where}.hd: centerline {cid}"), f"{where}.hd: centerline {cid} p1")
         p2 = _point(_field(c, "p2", f"{where}.hd: centerline {cid}"), f"{where}.hd: centerline {cid} p2")
-        cls.append(Centerline(id=cid, vector=DirVec.from_points(p1, p2)))
+        cls.append(Centerline(id=cid, vector=DirVec(p1, p2, full_angle(p2.x - p1.x, p2.y - p1.y))))
     bounds = []
     for i, b in enumerate(hd_doc.get("boundaries") or ()):
         bid = _ident(b, f"{where}.hd.boundaries[{i}]")

@@ -7,22 +7,26 @@ from the production attention, decoding, loss, or metric internals; the
 package imports are leaf data types, the curve-index primitive (whose own
 tests pin it against hand values), for the per-path HMM reference the
 HMM's emission and transition builders, path enumeration and `viterbi`
-(pinned against `brute_viterbi`), and for the per-pair metric reference the
+(pinned against `brute_viterbi`), for the per-pair metric reference the
 public pair scorers `label_sequence`, `overlap_ratio` and `chamfer_distance`
-(pinned against `lcs_overlap` and `chamfer_brute`).
+(pinned against `lcs_overlap` and `chamfer_brute`), and for the per-path beam
+reference the decoder's config and result types.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from mapassoc.assocmatrix import AssocMatrix
 from mapassoc.baselines import _log_emissions, _log_transition_matrix, _scene_distances, viterbi
 from mapassoc.curves import GridCoord, curve_index
-from mapassoc.errors import NoFeasiblePathError
-from mapassoc.geometry import enumerate_paths
+from mapassoc.decoder import DecodeResult, DecoderConfig
+from mapassoc.errors import ConfigError, NoFeasiblePathError
+from mapassoc.geometry import Association, Scene, enumerate_paths
 from mapassoc.metrics import chamfer_distance, label_sequence, overlap_ratio
 
 
@@ -253,6 +257,165 @@ def brute_beam(rows, road_ids, edges):
             best_score = score
             best_seq = labels
     return best_seq, best_score
+
+
+def _init_on_rows_reference(rows: np.ndarray) -> tuple:
+    """Globally best (token, column); ties take the lowest token then column."""
+    row_best = rows.max(axis=1)
+    t = int(np.argmax(row_best))
+    j = int(np.argmax(rows[t]))
+    return t, j
+
+
+@dataclass(frozen=True)
+class Hypothesis:
+    """A partial decode: labels for the token interval span=[left, right]."""
+
+    labels: tuple
+    score: float
+    span: tuple
+
+
+def beam_decode_reference(
+    rows: np.ndarray,
+    road_ids,
+    sd_edges,
+    cfg: DecoderConfig = DecoderConfig(),
+) -> DecodeResult:
+    """The beam decoder as it ran one path per call, before its per-scene setup.
+
+    Decode one lane path's (T, K) probability rows into road labels.
+
+    `sd_edges` is the directed road connectivity; an extension to the left
+    prepends a predecessor of the current first label, to the right appends a
+    successor of the current last label. Tokens outside the beam-grown span
+    (only possible under a max_len cap) are filled by unconstrained argmax and
+    flagged.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
+        raise ConfigError(f"expected a (T, K) matrix with T, K >= 1, got {rows.shape}")
+    road_ids = [int(r) for r in road_ids]
+    if len(road_ids) != rows.shape[1]:
+        raise ConfigError(f"{len(road_ids)} road ids for {rows.shape[1]} columns")
+    t_steps = rows.shape[0]
+    with np.errstate(divide="ignore"):
+        logs = np.log(rows)
+    known = set(road_ids)
+    succ = {r: {r} for r in road_ids}
+    pred = {r: {r} for r in road_ids}
+    for a, b in sd_edges:
+        a, b = int(a), int(b)
+        if a in known and b in known:
+            succ[a].add(b)
+            pred[b].add(a)
+    col = {r: j for j, r in enumerate(road_ids)}
+
+    t0, j0 = _init_on_rows_reference(rows)
+    target = t_steps if cfg.max_len is None else min(cfg.max_len, t_steps)
+    # beam entries: (Hypothesis, fallback position tuple)
+    seed = Hypothesis(labels=(road_ids[j0],), score=float(logs[t0, j0]), span=(t0, t0))
+    beam = [(seed, ())]
+    while (beam[0][0].span[1] - beam[0][0].span[0] + 1) < target:
+        cands = []
+        for h, fb in beam:
+            left, right = h.span
+            if left > 0:
+                t = left - 1
+                for w in sorted(pred[h.labels[0]]):
+                    s = h.score + logs[t, col[w]]
+                    if s != -math.inf:
+                        cands.append((Hypothesis((w,) + h.labels, s, (t, right)), fb))
+            if right < t_steps - 1:
+                t = right + 1
+                for w in sorted(succ[h.labels[-1]]):
+                    s = h.score + logs[t, col[w]]
+                    if s != -math.inf:
+                        cands.append((Hypothesis(h.labels + (w,), s, (left, t)), fb))
+        if not cands:
+            # dead end: take the unconstrained argmax for the next token
+            for h, fb in beam:
+                left, right = h.span
+                if right < t_steps - 1:
+                    t = right + 1
+                    j = int(np.argmax(rows[t]))
+                    cands.append(
+                        (
+                            Hypothesis(
+                                h.labels + (road_ids[j],),
+                                h.score + float(logs[t, j]),
+                                (left, t),
+                            ),
+                            fb + (t,),
+                        )
+                    )
+                else:
+                    t = left - 1
+                    j = int(np.argmax(rows[t]))
+                    cands.append(
+                        (
+                            Hypothesis(
+                                (road_ids[j],) + h.labels,
+                                h.score + float(logs[t, j]),
+                                (t, right),
+                            ),
+                            fb + (t,),
+                        )
+                    )
+        cands.sort(key=lambda e: (-e[0].score, e[0].labels, e[0].span[0]))
+        beam = cands[: cfg.k]
+    best, fb = beam[0]
+    labels, score = best.labels, best.score
+    left, right = best.span
+    if right - left + 1 < t_steps:
+        # max_len cap: fill the uncovered flanks by per-token argmax
+        full = []
+        for t in range(t_steps):
+            if left <= t <= right:
+                full.append(labels[t - left])
+            else:
+                j = int(np.argmax(rows[t]))
+                full.append(road_ids[j])
+                score += float(logs[t, j])
+                fb = fb + (t,)
+        labels = tuple(full)
+    return DecodeResult(
+        labels=labels,
+        score=float(score),
+        fallback=bool(fb),
+        fallback_positions=tuple(sorted(fb)),
+    )
+
+
+def decode_association_reference(
+    scene: Scene,
+    amat: AssocMatrix,
+    cfg: DecoderConfig = DecoderConfig(),
+) -> Association:
+    """`decode_association` calling `beam_decode_reference` once per lane path.
+
+    Beam-decode every lane path of a scene into one total Association.
+
+    A centerline on several paths takes its label from the highest-scoring
+    path; ties go to the earlier path in enumeration order. Paths that needed
+    an argmax fallback are listed in the association's meta.
+    """
+    labels = {}
+    best_score = {}
+    fallback_paths = []
+    for pi, path in enumerate(enumerate_paths(scene.hd).paths):
+        rows = amat.rows_for(path)
+        res = beam_decode_reference(rows, amat.road_ids, scene.sd.edges, cfg)
+        if res.fallback:
+            fallback_paths.append(pi)
+        for cl, rid in zip(path, res.labels):
+            if cl not in labels or res.score > best_score[cl]:
+                labels[cl] = int(rid)
+                best_score[cl] = res.score
+    meta = {"method": "beam", "k": cfg.k}
+    if fallback_paths:
+        meta["fallback_paths"] = fallback_paths
+    return Association(labels=labels, meta=meta)
 
 
 # ---------------------------------------------------------------------------

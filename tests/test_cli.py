@@ -438,6 +438,27 @@ def test_non_finite_boundary_point_exits_2(tmp_path, capsys, method, literal):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("method, code", [("knn", 0), ("hmm", 0), ("mat", 2)])
+def test_two_way_road_pair(tmp_path, capsys, method, code):
+    # the baselines accept a road cycle; mat enumerates road paths, so it
+    # must name the road graph, not fail with a traceback
+    scenes = gen_scenes(tmp_path, count=1)
+    with open(scenes) as fh:
+        doc = json.loads(fh.read())
+    a, b = (r["id"] for r in doc["sd"]["roads"][:2])
+    doc["sd"]["edges"] += [[a, b], [b, a]]
+    with open(scenes, "w") as fh:
+        fh.write(json.dumps(doc) + "\n")
+    out = tmp_path / "p.ndjson"
+    rc = main(["associate", "--method", method, "--scenes", scenes, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert "Traceback" not in err
+    if code:
+        assert f"road graph has a cycle through node {min(a, b)}" in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["knn", "hmm"])
 def test_non_utf8_scene_file_exits_2(tmp_path, capsys, method):
     scenes = gen_scenes(tmp_path, count=1)

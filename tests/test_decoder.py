@@ -1,20 +1,26 @@
-"""Topology-constrained beam search, pinned against exhaustive enumeration."""
+"""Topology-constrained beam search, pinned against exhaustive enumeration
+and against the per-path decoder it replaced."""
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mapassoc.assocmatrix import AssocMatrix
 from mapassoc.baselines import distance_assoc_matrix
 from mapassoc.decoder import DecoderConfig, beam_decode, decode_association, init_token
 from mapassoc.errors import ConfigError, LabelError
 from mapassoc.geometry import HdGraph, Point2, Road, Scene, SdGraph
+from mapassoc.mat import desk_config, init_weights, mat_associate
+from mapassoc.scenegen import GenConfig, PerturbConfig, generate_scene, perturb_scene
 
 from conftest import make_centerline
-from oracles import brute_beam
+from oracles import beam_decode_reference, brute_beam, decode_association_reference
 
 
 def amat_of(rows, cl_ids, road_ids):
@@ -123,10 +129,32 @@ def test_beam_validates_inputs():
         beam_decode(np.zeros(3), [0], ())
     with pytest.raises(ConfigError, match="road ids"):
         beam_decode(np.ones((2, 2)) * 0.5, [0], ())
+    with pytest.raises(LabelError, match="empty lane path"):
+        beam_decode(np.ones((2, 2)) * 0.5, [0, 1], (), paths=[[0], []])
+    for path in ([1, -1], [0, 2]):
+        with pytest.raises(ConfigError, match=r"row indices must lie in \[0, 2\)"):
+            beam_decode(np.ones((2, 2)) * 0.5, [0, 1], (), paths=[path])
+    assert beam_decode(np.zeros((0, 0)), [], (), paths=[]) == []
     with pytest.raises(ConfigError):
         DecoderConfig(k=0)
     with pytest.raises(ConfigError):
         DecoderConfig(max_len=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-9])
+def test_beam_rejects_cells_that_are_not_probabilities(bad):
+    rows = np.full((3, 4), 0.25)
+    rows[1, 2] = bad
+    rows[2, 0] = math.nan  # a later bad cell is not the one named
+    with pytest.raises(ConfigError, match=f"row 1 column 2 holds {bad}, not a finite probability"):
+        beam_decode(rows, range(4), ())
+    with pytest.raises(ConfigError, match="row 1 column 2"):
+        beam_decode(rows, range(4), (), paths=[[0]])
+
+
+def test_beam_accepts_negative_zero():
+    rows = np.array([[-0.0, 1.0], [1.0, 0.0]])
+    assert beam_decode(rows, [0, 1], ()) == beam_decode_reference(rows, [0, 1], ())
 
 
 def random_instance(rng):
@@ -176,6 +204,99 @@ def test_beam_score_monotone_in_width_on_fixed_instances():
             res = beam_decode(rows, road_ids, edges, DecoderConfig(k=width))
             assert res.score >= prev - 1e-12
             prev = res.score
+
+
+# ---------------------------------------------------------------------------
+# the per-scene kernel against the per-path reference
+
+
+@st.composite
+def decode_instances(draw):
+    """Rows, road ids, edges, a config and lane paths as row indices."""
+    k = draw(st.sampled_from([1, 2, 5, 100_000]))
+    saturating = k == 100_000  # no pruning, so keep the beam small
+    n_cols = draw(st.integers(1, 3 if saturating else 4))
+    max_t = 4 if saturating else 7
+    n_rows = draw(st.integers(1, max_t + 1))
+    # few distinct cell values make score ties, and with them the label and
+    # span tie-breaks, common; 0.0 cells are dead ends
+    cells = st.sampled_from(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)) + [0.0])
+    rows = []
+    for _ in range(n_rows):
+        kind = draw(st.sampled_from(["cells", "constant", "zero"]))
+        if kind == "cells":
+            rows.append(draw(st.lists(cells, min_size=n_cols, max_size=n_cols)))
+        else:
+            rows.append([draw(cells) if kind == "constant" else 0.0] * n_cols)
+    rows = np.array(rows, dtype=np.float64)
+    if n_cols > 1 and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, n_cols - 1), min_size=2, max_size=2, unique=True))
+        rows[:, b] = rows[:, a]  # duplicated column
+    if draw(st.booleans()):
+        rows = rows.astype(np.float32)  # what AssocMatrix holds
+    # unsorted and repeated ids; edges may name ids with no column
+    road_ids = draw(st.lists(st.integers(0, 5), min_size=n_cols, max_size=n_cols))
+    ends = st.sampled_from(road_ids + [6, 7])
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=12))
+    paths = draw(
+        st.lists(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=max_t), min_size=1, max_size=3)
+    )
+    longest = max(len(p) for p in paths)
+    max_len = draw(st.one_of(st.none(), st.integers(1, longest)))
+    return rows, road_ids, edges, DecoderConfig(k=k, max_len=max_len), paths
+
+
+def bits(res):
+    return struct.pack("<d", res.score)
+
+
+@given(decode_instances())
+@example((  # -inf ties after a dead end: the label tie-break decides
+    np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.25, 1.0, 0.5], [0.0, 0.0, 0.0]]),
+    [1, 1, 0], [(0, 0), (1, 0)], DecoderConfig(k=2), [[0, 1, 2, 3, 4]],
+))
+@example((  # k = 1 prunes the best sequence (1, 1, 1), which k = 2 keeps
+    np.array([[0.5, 1.0], [0.75, 0.5], [0.5, 1.0]]), [0, 1], [(1, 0)], DecoderConfig(k=1), [[0, 1, 2]],
+))
+@settings(max_examples=500, deadline=None)
+def test_beam_equals_per_path_reference(instance):
+    rows, road_ids, edges, cfg, paths = instance
+    got = beam_decode(rows, road_ids, edges, cfg, paths=paths)
+    want = [beam_decode_reference(rows[p], road_ids, edges, cfg) for p in paths]
+    assert got == want
+    assert [bits(r) for r in got] == [bits(r) for r in want]
+    one = beam_decode(rows[paths[0]], road_ids, edges, cfg)
+    assert one == want[0] and bits(one) == bits(want[0])
+
+
+LAYOUTS = ("grid", "radial", "random-planar")
+
+
+@pytest.fixture(scope="module")
+def generated_scenes():
+    scenes = []
+    for i in range(6):
+        scene = generate_scene(GenConfig(layout=LAYOUTS[i % 3], seed=i))
+        noise = PerturbConfig(gps_shift=2.0, dropout_rate=0.1, jitter_sigma=0.3, oversegment_rate=0.1, seed=i)
+        scenes.append(perturb_scene(scene, noise))
+    return scenes
+
+
+@pytest.mark.parametrize("source", ["distance", "mat"])
+@pytest.mark.parametrize("k", [1, 5])
+def test_decode_association_equals_per_path_reference(generated_scenes, source, k):
+    mcfg = desk_config()
+    weights = init_weights(mcfg, seed=0)
+    cfg = DecoderConfig(k=k)
+    for scene in generated_scenes:
+        if source == "distance":
+            amat = distance_assoc_matrix(scene)
+        else:
+            amat, _ = mat_associate(scene, mcfg, weights)
+        got = decode_association(scene, amat, cfg)
+        want = decode_association_reference(scene, amat, cfg)
+        assert got.labels == want.labels
+        assert got.meta == want.meta
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 
 from mapassoc.assocmatrix import AssocMatrix
 from mapassoc.baselines import distance_assoc_matrix, knn_associate
-from mapassoc.errors import ConfigError, IntegrityError, TopologyError, ValidationError
+from mapassoc.errors import ConfigError, IntegrityError, InvalidGeometryError, TopologyError, ValidationError
+from mapassoc.geometry import Point2
 from mapassoc.io import (
     ASSOC_VERSION,
     SCENE_VERSION,
@@ -111,6 +112,19 @@ def test_scene_doc_accepts_tuple_and_numpy_float_points(grid42, graph, key):
     points[0] = tuple(points[0])
     points[1] = [np.float64(points[1][0]), int(points[1][1]) if points[1][1].is_integer() else points[1][1]]
     assert scene_from_doc(doc) == grid42
+
+
+def test_scene_doc_centerline_vectors(grid42):
+    doc = json.loads(dumps_scene(grid42))
+    c = doc["hd"]["centerlines"][1]
+    c["p1"], c["p2"] = tuple(c["p1"]), [np.float64(v) for v in c["p2"]]
+    scene = scene_from_doc(doc)
+    assert scene == grid42
+    assert all(type(v.vector.p1) is Point2 and type(v.vector.p2) is Point2 for v in scene.hd.centerlines)
+    c["p2"] = list(c["p1"])
+    with pytest.raises(InvalidGeometryError) as info:
+        scene_from_doc(doc)
+    assert str(info.value) == f"degenerate vector at {Point2(*map(float, c['p1']))}"
 
 
 def test_scene_doc_gt_must_reference_centerlines(tiny):
