@@ -10,7 +10,9 @@ All containers are frozen dataclasses and safe to share across workers.
 Derived data (vectors of a polyline, adjacency maps) is computed once and
 cached on the instance. Each road and lane graph owns its DAG facts: one
 Kahn peel gives its longest-path `depths` and finds cycles, and `paths` is
-its PathIndex, counted before it is enumerated and built once per graph.
+its PathIndex, counted before it is enumerated and built once per graph. A
+reader that has checked a whole scene in bulk builds its objects with
+`_trusted`, which skips the constructor checks.
 
 Public types
 ------------
@@ -27,9 +29,12 @@ point_to_road_distance : Euclidean point-to-polyline distance
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence, Union
+from itertools import chain, repeat
+from operator import setitem
+from typing import NamedTuple, Sequence, Union
 
 from .errors import (
     CoverageError,
@@ -58,6 +63,7 @@ __all__ = [
     "point_to_polyline_distance",
     "point_to_road_distance",
     "validate_scene",
+    "crop_extents",
     "MAX_PATHS",
     "MIN_SEGMENT",
 ]
@@ -165,6 +171,24 @@ class Boundary:
     @cached_property
     def vectors(self) -> tuple[DirVec, ...]:
         return tuple(DirVec.from_points(a, b) for a, b in zip(self.points, self.points[1:]))
+
+
+def _trusted(cls, *columns) -> list:
+    """`cls` instances from one column of values per field, unchecked.
+
+    The frozen dataclass `__init__`/`__post_init__` does not run, so nothing
+    is checked, converted or sorted: the caller must already have checked
+    every invariant the constructor enforces and pass canonical values
+    (`Point2` points, element tuples sorted by id, sorted unique edges). The
+    instances are indistinguishable from constructed ones; pickle restores
+    a dataclass the same way. Each field is set for every instance in one
+    C-level pass.
+    """
+    objs = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    attrs = list(map(vars, objs))
+    for name, column in zip(cls.__dataclass_fields__, columns):
+        list(map(setitem, attrs, repeat(name), column))
+    return objs
 
 
 class _Dag:
@@ -478,33 +502,83 @@ def point_to_road_distance(p: Point2, road: Road) -> float:
 # whole-scene validation
 
 
-def _check_crop(points: Iterable[Point2], half: Sequence[float], what: str):
-    ex, ey = float(half[0]), float(half[1])
-    eps = 1e-6
-    for p in points:
-        if abs(p[0]) > ex + eps or abs(p[1]) > ey + eps:
-            raise ValidationError(f"{what} point {tuple(p)} outside crop extents ({ex}, {ey})")
+# Slack on the declared crop extents, for points written at the boundary.
+CROP_SLACK = 1e-6
+
+
+def crop_extents(meta: dict) -> tuple:
+    """The (sd, hd) crop half-extents `meta` declares, each (ex, ey) floats or None.
+
+    `meta["crop"]`, when present, must be an object; its optional "sd" and
+    "hd" entries must be [x, y] pairs of finite, non-negative numbers (not
+    bools). Anything else raises ValidationError naming the field.
+    """
+    if "crop" not in meta:
+        return None, None
+    crop = meta["crop"]
+    if not isinstance(crop, dict):
+        raise ValidationError(f"meta.crop: expected an object, got {crop!r}")
+    out = []
+    for key in ("sd", "hd"):
+        half = crop.get(key)
+        if key in crop and not (
+            isinstance(half, (list, tuple))
+            and len(half) == 2
+            and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= sys.float_info.max
+                for v in half
+            )
+        ):
+            raise ValidationError(f"meta.crop.{key}: expected [x, y] extents, got {half!r}")
+        out.append(None if half is None else (float(half[0]), float(half[1])))
+    return tuple(out)
+
+
+def _coords_within(coords: list, half=None) -> bool:
+    """Whether every coordinate is finite and, given half-extents, inside the crop.
+
+    `coords` is flat, [x0, y0, x1, y1, ...]; `half` is (ex, ey) or None, and a
+    point is inside when |x| <= ex + CROP_SLACK and |y| <= ey + CROP_SLACK.
+    Both checks are reductions over the whole list. A sum that overflows
+    reads as a failure, so a True answer is exact and a False one may need a
+    per-point look to name the culprit.
+    """
+    if not coords:
+        return True
+    if not math.isfinite(sum(coords)):
+        return False
+    if half is None:
+        return True
+    xs, ys = coords[0::2], coords[1::2]
+    ex, ey = half[0] + CROP_SLACK, half[1] + CROP_SLACK
+    return -ex <= min(xs) and max(xs) <= ex and -ey <= min(ys) and max(ys) <= ey
+
+
+def _check_points(what: str, owners: Sequence, half=None) -> None:
+    """Raise at the first point of `owners`, (id, points) pairs, that fails `_coords_within`."""
+    if _coords_within(list(chain.from_iterable(chain.from_iterable(pts for _, pts in owners))), half):
+        return
+    for ident, pts in owners:
+        for p in pts:
+            if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+                raise ValidationError(f"{what} {ident} has non-finite point {tuple(p)}")
+            if half is not None and not _coords_within([p[0], p[1]], half):
+                raise ValidationError(f"{what} {ident} point {tuple(p)} outside crop extents ({half[0]}, {half[1]})")
 
 
 def validate_scene(scene: Scene) -> Scene:
     """Check every structural invariant; return the scene unchanged.
 
     Graph-local invariants (unique ids, edge references, chaining) are already
-    enforced by the constructors; this adds the DAG requirement on the lane
-    graph, gt coverage, finiteness, and the declared crop extents in meta.
+    enforced by the constructors; this adds, in this order, finiteness, the
+    DAG requirement on the lane graph, gt coverage, and the crop extents
+    declared in meta (see crop_extents).
     """
-    for road in scene.sd.roads:
-        for p in road.points:
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                raise ValidationError(f"road {road.id} has non-finite point {tuple(p)}")
-    for c in scene.hd.centerlines:
-        for p in (c.vector.p1, c.vector.p2):
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                raise ValidationError(f"centerline {c.id} has non-finite point {tuple(p)}")
-    for b in scene.hd.boundaries:
-        for p in b.points:
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                raise ValidationError(f"boundary {b.id} has non-finite point {tuple(p)}")
+    roads = [(r.id, r.points) for r in scene.sd.roads]
+    cls = [(c.id, (c.vector.p1, c.vector.p2)) for c in scene.hd.centerlines]
+    bounds = [(b.id, b.points) for b in scene.hd.boundaries]
+    for what, owners in (("road", roads), ("centerline", cls), ("boundary", bounds)):
+        _check_points(what, owners)
     cyc = scene.hd._peel[1]
     if cyc is not None:
         raise TopologyError(f"lane graph has a cycle through centerline {cyc}")
@@ -518,14 +592,10 @@ def validate_scene(scene: Scene) -> Scene:
                 raise ValidationError(f"gt references missing centerline {cl_id}")
             if road_id not in road_ids:
                 raise ValidationError(f"gt maps centerline {cl_id} to missing road {road_id}")
-    crop = scene.meta.get("crop")
-    if crop:
-        if "sd" in crop:
-            for road in scene.sd.roads:
-                _check_crop(road.points, crop["sd"], f"road {road.id}")
-        if "hd" in crop:
-            for c in scene.hd.centerlines:
-                _check_crop((c.vector.p1, c.vector.p2), crop["hd"], f"centerline {c.id}")
-            for b in scene.hd.boundaries:
-                _check_crop(b.points, crop["hd"], f"boundary {b.id}")
+    sd_half, hd_half = crop_extents(scene.meta)
+    if sd_half is not None:
+        _check_points("road", roads, sd_half)
+    if hd_half is not None:
+        _check_points("centerline", cls, hd_half)
+        _check_points("boundary", bounds, hd_half)
     return scene

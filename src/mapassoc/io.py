@@ -14,18 +14,31 @@ byte offset), then a single contiguous float32 little-endian blob.
 Readers reject rather than repair: any malformed field raises before a
 partially constructed value can escape, and the error names the offending
 element or tensor.
+
+The scene reader checks each element class of a document in one batch:
+exact-type checks over the whole list of roads, centerlines, boundaries and
+edges, reductions over the flattened coordinates for finiteness and the
+crop extents, and one pairwise pass for repeated points. When every check
+passes it builds each object once, unchecked. Only when a batch check fails
+does it re-read the document element by element, through the checking
+constructors and `validate_scene`, to raise the first fault in document
+order with a message that names it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate, chain
+from math import atan2, pi
+from operator import eq, ge, itemgetter, sub
 from typing import IO, Union
 
 import numpy as np
 
 from .assocmatrix import AssocMatrix
-from .errors import ConfigError, IntegrityError, ValidationError
+from .errors import ConfigError, IntegrityError, InvalidGeometryError, ValidationError
 from .geometry import (
     Association,
     Boundary,
@@ -36,6 +49,9 @@ from .geometry import (
     Road,
     Scene,
     SdGraph,
+    _coords_within,
+    _trusted,
+    crop_extents,
     full_angle,
     validate_scene,
 )
@@ -121,24 +137,9 @@ def _point(value, where: str) -> Point2:
     return Point2(float(value[0]), float(value[1]))
 
 
-_JSON_NUMBERS = frozenset((int, float))
-
-
 def _points(values: list, owner: str) -> tuple:
-    """The points of one polyline; an error names `owner` and the point's index.
-
-    A JSON [x, y] pair of plain numbers passes a quick exact-type check;
-    anything else (a tuple, a numpy float, a bool, a bad value) goes through
-    `_point`, so the accepted inputs and the messages are `_point`'s. The
-    error location is built only on that path.
-    """
-    out = []
-    for j, p in enumerate(values):
-        if type(p) is list and len(p) == 2 and type(p[0]) in _JSON_NUMBERS and type(p[1]) in _JSON_NUMBERS:
-            out.append(Point2(float(p[0]), float(p[1])))
-        else:
-            out.append(_point(p, f"{owner} point {j}"))
-    return tuple(out)
+    """The points of one polyline; an error names `owner` and the point's index."""
+    return tuple(_point(p, f"{owner} point {j}") for j, p in enumerate(values))
 
 
 def _ident(obj, where: str) -> int:
@@ -223,7 +224,14 @@ def scene_to_doc(scene: Scene) -> dict:
 
 
 def scene_from_doc(doc: dict, where: str = "scene") -> Scene:
-    """Rebuild and fully validate a Scene from its document form."""
+    """Rebuild and fully validate a Scene from its document form.
+
+    The elements are checked in batches (see the module docstring); a
+    document that fails any batch check is re-read element by element, which
+    raises the first fault in document order or, for an input the batches
+    are stricter about (an int or numpy coordinate, a tuple point), returns
+    the same scene.
+    """
     version = _field(doc, "version", where)
     if version != SCENE_VERSION:
         raise ValidationError(f"{where}: unsupported scene file version {version!r}")
@@ -234,7 +242,149 @@ def scene_from_doc(doc: dict, where: str = "scene") -> Scene:
         _canonical(meta)  # e.g. 1e999 parses to inf, which has no JSON spelling
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: meta cannot be written as canonical JSON: {exc}") from None
+    try:
+        sd_half, hd_half = crop_extents(meta)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+    scene = _scene_in_batches(doc, meta, sd_half, hd_half)
+    return scene if scene is not None else _scene_per_element(doc, meta, where)
 
+
+_ID = itemgetter("id")
+_DICT, _LIST, _INT, _FLOAT, _STR, _TWO = {dict}, {list}, {int}, {float}, {str}, {2}
+_point2 = partial(tuple.__new__, Point2)  # Point2 from a checked [x, y] list
+
+
+def _records(elements, *keys):
+    """The id column and the `keys` columns of a list of JSON objects, or None.
+
+    The columns are in id order. None unless every element is an object
+    with an int id and every key, and the ids are unique.
+    """
+    if type(elements) is not list or not set(map(type, elements)) <= _DICT:
+        return None
+    try:
+        ids = list(map(_ID, elements))
+        if not set(map(type, ids)) <= _INT:
+            return None
+        if any(map(ge, ids, ids[1:])):  # not strictly ascending
+            elements = sorted(elements, key=_ID)
+            ids.sort()
+            if any(map(eq, ids, ids[1:])):
+                return None
+        return (ids, *(list(map(itemgetter(k), elements)) for k in keys))
+    except KeyError:
+        return None
+
+
+def _coords(points: list):
+    """The flat coordinates of a list of [x, y] float lists, or None."""
+    if not set(map(type, points)) <= _LIST or not set(map(len, points)) <= _TWO:
+        return None
+    coords = list(chain.from_iterable(points))
+    return coords if set(map(type, coords)) <= _FLOAT else None
+
+
+def _polylines(elements, half):
+    """The ids and `Point2` tuples of {"id", "points"} objects, in id order, or None.
+
+    None unless every polyline has at least 2 finite [x, y] float points
+    inside the crop half-extents `half` and no point repeats its predecessor.
+    """
+    rec = _records(elements, "points")
+    if rec is None:
+        return None
+    ids, lines = rec
+    if not set(map(type, lines)) <= _LIST or (lines and min(map(len, lines)) < 2):
+        return None
+    pts = list(chain.from_iterable(lines))
+    coords = _coords(pts)
+    if coords is None or not _coords_within(coords, half):
+        return None
+    ends = list(accumulate(map(len, lines)))
+    same = list(map(eq, pts, pts[1:]))
+    for end in ends[:-1]:
+        same[end - 1] = False  # the first point of the next polyline
+    if True in same:
+        return None
+    points = tuple(map(_point2, pts))
+    return ids, list(map(points.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+
+
+def _centerlines(elements, half):
+    """The ids and `DirVec`s of {"id", "p1", "p2"} objects, in id order, or None.
+
+    None unless every endpoint is a finite [x, y] float pair inside the crop
+    half-extents `half` and no centerline has zero length.
+    """
+    rec = _records(elements, "p1", "p2")
+    if rec is None:
+        return None
+    ids, p1s, p2s = rec
+    coords = _coords(p1s + p2s)
+    if coords is None or any(map(eq, p1s, p2s)) or not _coords_within(coords, half):
+        return None
+    n = len(coords) // 2  # p1 coordinates, then p2 coordinates
+    dxs = list(map(sub, coords[n::2], coords[0:n:2]))
+    dys = list(map(sub, coords[n + 1::2], coords[1:n:2]))
+    thetas = list(map(atan2, dys, dxs))
+    if pi in thetas:  # full_angle's wrap of +pi to -pi
+        thetas = list(map(full_angle, dxs, dys))
+    return ids, _trusted(DirVec, list(map(_point2, p1s)), list(map(_point2, p2s)), thetas)
+
+
+def _edge_pairs(edges, ids: set):
+    """Sorted unique (a, b) pairs of an edge list, or None.
+
+    None unless every edge is an [a, b] list of two distinct ids in `ids`.
+    """
+    if type(edges) is not list or not set(map(type, edges)) <= _LIST or not set(map(len, edges)) <= _TWO:
+        return None
+    ends = list(chain.from_iterable(edges))
+    if not set(map(type, ends)) <= _INT or not ids.issuperset(ends) or any(map(eq, ends[0::2], ends[1::2])):
+        return None
+    if any(map(ge, edges, edges[1:])):  # not strictly ascending, as a canonical document's are
+        return tuple(sorted(set(map(tuple, edges))))
+    return tuple(map(tuple, edges))
+
+
+def _scene_in_batches(doc: dict, meta: dict, sd_half, hd_half):
+    """The scene of `doc`, built unchecked, or None when a batch check fails."""
+    sd_doc, hd_doc = doc.get("sd"), doc.get("hd")
+    if type(sd_doc) is not dict or type(hd_doc) is not dict:
+        return None
+    roads = _polylines(sd_doc.get("roads"), sd_half)
+    cls = _centerlines(hd_doc.get("centerlines"), hd_half)
+    bounds = _polylines(hd_doc.get("boundaries") or [], hd_half)
+    if roads is None or cls is None or bounds is None:
+        return None
+    road_ids, cl_ids = set(roads[0]), set(cls[0])
+    sd_edges = _edge_pairs(sd_doc.get("edges"), road_ids)
+    hd_edges = _edge_pairs(hd_doc.get("edges"), cl_ids)
+    if sd_edges is None or hd_edges is None:
+        return None
+    gt = doc.get("gt")
+    if gt is not None:
+        if type(gt) is not dict or not set(map(type, gt)) <= _STR or not set(map(type, gt.values())) <= _INT:
+            return None
+        try:
+            labels = dict(zip(map(int, gt), gt.values()))
+        except ValueError:
+            return None
+        if labels.keys() != cl_ids or not road_ids.issuperset(labels.values()):
+            return None
+        gt = Association(labels=labels)
+    [sd] = _trusted(SdGraph, [tuple(_trusted(Road, *roads))], [sd_edges])
+    [hd] = _trusted(
+        HdGraph, [tuple(_trusted(Centerline, *cls))], [hd_edges], [tuple(_trusted(Boundary, *bounds))]
+    )
+    if hd._peel[1] is not None:  # a lane cycle
+        return None
+    return Scene(sd=sd, hd=hd, gt=gt, meta=meta)
+
+
+def _scene_per_element(doc: dict, meta: dict, where: str) -> Scene:
+    """The scene of `doc` through the checking constructors, element by element."""
     sd_doc = _field(doc, "sd", where)
     if not isinstance(sd_doc, dict):
         raise ValidationError(f"{where}: sd must be an object")
@@ -255,7 +405,11 @@ def scene_from_doc(doc: dict, where: str = "scene") -> Scene:
         cid = _ident(c, f"{where}.hd.centerlines[{i}]")
         p1 = _point(_field(c, "p1", f"{where}.hd: centerline {cid}"), f"{where}.hd: centerline {cid} p1")
         p2 = _point(_field(c, "p2", f"{where}.hd: centerline {cid}"), f"{where}.hd: centerline {cid} p2")
-        cls.append(Centerline(id=cid, vector=DirVec(p1, p2, full_angle(p2.x - p1.x, p2.y - p1.y))))
+        try:
+            vector = DirVec(p1, p2, full_angle(p2.x - p1.x, p2.y - p1.y))
+        except InvalidGeometryError as exc:
+            raise InvalidGeometryError(f"{where}.hd: centerline {cid}: {exc}") from None
+        cls.append(Centerline(id=cid, vector=vector))
     bounds = []
     for i, b in enumerate(hd_doc.get("boundaries") or ()):
         bid = _ident(b, f"{where}.hd.boundaries[{i}]")

@@ -9,14 +9,17 @@ tests pin it against hand values), for the per-path HMM reference the
 HMM's emission and transition builders, path enumeration and `viterbi`
 (pinned against `brute_viterbi`), for the per-pair metric reference the
 public pair scorers `label_sequence`, `overlap_ratio` and `chamfer_distance`
-(pinned against `lcs_overlap` and `chamfer_brute`), and for the per-path beam
-reference the decoder's config and result types.
+(pinned against `lcs_overlap` and `chamfer_brute`), for the per-path beam
+reference the decoder's config and result types, and for the element-by-
+element scene reader the checking geometry constructors.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +28,27 @@ from mapassoc.assocmatrix import AssocMatrix
 from mapassoc.baselines import _log_emissions, _log_transition_matrix, _scene_distances, viterbi
 from mapassoc.curves import GridCoord, curve_index
 from mapassoc.decoder import DecodeResult, DecoderConfig
-from mapassoc.errors import ConfigError, NoFeasiblePathError
-from mapassoc.geometry import Association, Scene, enumerate_paths
+from mapassoc.errors import (
+    ConfigError,
+    CoverageError,
+    InvalidGeometryError,
+    NoFeasiblePathError,
+    TopologyError,
+    ValidationError,
+)
+from mapassoc.geometry import (
+    Association,
+    Boundary,
+    Centerline,
+    DirVec,
+    HdGraph,
+    Point2,
+    Road,
+    Scene,
+    SdGraph,
+    enumerate_paths,
+    full_angle,
+)
 from mapassoc.metrics import chamfer_distance, label_sequence, overlap_ratio
 
 
@@ -563,3 +585,202 @@ def morton_ref(x: int, y: int, r: int, bits: int = 16) -> int:
         out |= ((y >> i) & 1) << (3 * i + 1)
         out |= ((r >> i) & 1) << (3 * i + 2)
     return out
+
+
+# ---------------------------------------------------------------------------
+# scene reader
+
+
+def _field_reference(doc: dict, key: str, where: str):
+    if key not in doc:
+        raise ValidationError(f"{where}: missing required field {key!r}")
+    return doc[key]
+
+
+def _point_reference(value, where: str) -> Point2:
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    ):
+        raise ValidationError(f"{where}: expected [x, y], got {value!r}")
+    return Point2(float(value[0]), float(value[1]))
+
+
+def _ident_reference(obj, where: str) -> int:
+    v = obj.get("id") if isinstance(obj, dict) else None
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ValidationError(f"{where}: missing or non-integer id")
+    return v
+
+
+def _edges_reference(value, where: str) -> tuple:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: expected a list of [a, b] pairs")
+    out = []
+    for i, e in enumerate(value):
+        if (
+            not isinstance(e, (list, tuple))
+            or len(e) != 2
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in e)
+        ):
+            raise ValidationError(f"{where}[{i}]: expected an [a, b] id pair, got {e!r}")
+        out.append((e[0], e[1]))
+    return tuple(out)
+
+
+def _labels_reference(doc: dict, where: str) -> dict:
+    labels = {}
+    for k, v in doc.items():
+        try:
+            cl = int(k)
+        except ValueError:
+            raise ValidationError(f"{where}: non-integer centerline key {k!r}") from None
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValidationError(f"{where}: centerline {k}: road id must be an integer")
+        labels[cl] = v
+    return labels
+
+
+def _crop_reference(meta: dict) -> dict:
+    """The crop half-extents of meta, {"sd": (ex, ey), ...}; ValidationError naming a bad field."""
+    if "crop" not in meta:
+        return {}
+    crop = meta["crop"]
+    if not isinstance(crop, dict):
+        raise ValidationError(f"meta.crop: expected an object, got {crop!r}")
+    out = {}
+    for key in ("sd", "hd"):
+        if key not in crop:
+            continue
+        half = crop[key]
+        ok = isinstance(half, (list, tuple)) and len(half) == 2
+        for v in half if ok else ():
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
+            ok = ok and number and 0 <= v <= sys.float_info.max  # finite, and no int too big for a float
+        if not ok:
+            raise ValidationError(f"meta.crop.{key}: expected [x, y] extents, got {half!r}")
+        out[key] = (float(half[0]), float(half[1]))
+    return out
+
+
+def _check_crop_reference(points, half, what: str):
+    ex, ey = half
+    eps = 1e-6
+    for p in points:
+        if abs(p[0]) > ex + eps or abs(p[1]) > ey + eps:
+            raise ValidationError(f"{what} point {tuple(p)} outside crop extents ({ex}, {ey})")
+
+
+def validate_scene_reference(scene: Scene) -> Scene:
+    """Whole-scene checks one point at a time: finiteness, lane cycle, gt, crop."""
+    for road in scene.sd.roads:
+        for p in road.points:
+            if not (math.isfinite(p.x) and math.isfinite(p.y)):
+                raise ValidationError(f"road {road.id} has non-finite point {tuple(p)}")
+    for c in scene.hd.centerlines:
+        for p in (c.vector.p1, c.vector.p2):
+            if not (math.isfinite(p.x) and math.isfinite(p.y)):
+                raise ValidationError(f"centerline {c.id} has non-finite point {tuple(p)}")
+    for b in scene.hd.boundaries:
+        for p in b.points:
+            if not (math.isfinite(p.x) and math.isfinite(p.y)):
+                raise ValidationError(f"boundary {b.id} has non-finite point {tuple(p)}")
+    cyc = scene.hd._peel[1]
+    if cyc is not None:
+        raise TopologyError(f"lane graph has a cycle through centerline {cyc}")
+    if scene.gt is not None:
+        road_ids = {r.id for r in scene.sd.roads}
+        cl_ids = {c.id for c in scene.hd.centerlines}
+        for c in scene.hd.centerlines:
+            if c.id not in scene.gt.labels:
+                raise CoverageError(f"gt does not cover centerline {c.id}")
+        for cl_id, road_id in scene.gt.labels.items():
+            if cl_id not in cl_ids:
+                raise ValidationError(f"gt references missing centerline {cl_id}")
+            if road_id not in road_ids:
+                raise ValidationError(f"gt maps centerline {cl_id} to missing road {road_id}")
+    crop = _crop_reference(scene.meta)
+    if "sd" in crop:
+        for road in scene.sd.roads:
+            _check_crop_reference(road.points, crop["sd"], f"road {road.id}")
+    if "hd" in crop:
+        for c in scene.hd.centerlines:
+            _check_crop_reference((c.vector.p1, c.vector.p2), crop["hd"], f"centerline {c.id}")
+        for b in scene.hd.boundaries:
+            _check_crop_reference(b.points, crop["hd"], f"boundary {b.id}")
+    return scene
+
+
+def scene_from_doc_reference(doc: dict, where: str = "scene") -> Scene:
+    """The scene reader one element at a time, through the checking constructors.
+
+    Every element, point and edge is checked in document order, so the first
+    fault raises with a message naming it. Two faults differ from a plain
+    element walk: a malformed `meta.crop` raises a ValidationError naming the
+    field, and a zero-length centerline names the line and its id.
+    """
+    version = _field_reference(doc, "version", where)
+    if version != "1":
+        raise ValidationError(f"{where}: unsupported scene file version {version!r}")
+    meta = doc.get("meta") or {}
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{where}: meta must be an object")
+    try:
+        json.dumps(meta, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: meta cannot be written as canonical JSON: {exc}") from None
+    try:
+        _crop_reference(meta)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+    sd_doc = _field_reference(doc, "sd", where)
+    if not isinstance(sd_doc, dict):
+        raise ValidationError(f"{where}: sd must be an object")
+    roads = []
+    for i, r in enumerate(_field_reference(sd_doc, "roads", f"{where}.sd")):
+        rid = _ident_reference(r, f"{where}.sd.roads[{i}]")
+        pts = _field_reference(r, "points", f"{where}.sd.roads[{i}] (road {rid})")
+        if not isinstance(pts, list):
+            raise ValidationError(f"{where}.sd: road {rid}: points must be a list")
+        owner = f"{where}.sd: road {rid}"
+        points = tuple(_point_reference(p, f"{owner} point {j}") for j, p in enumerate(pts))
+        roads.append(Road(id=rid, points=points))
+    sd_edges = _edges_reference(_field_reference(sd_doc, "edges", f"{where}.sd"), f"{where}.sd.edges")
+    sd = SdGraph(roads=tuple(roads), edges=sd_edges)
+
+    hd_doc = _field_reference(doc, "hd", where)
+    if not isinstance(hd_doc, dict):
+        raise ValidationError(f"{where}: hd must be an object")
+    cls = []
+    for i, c in enumerate(_field_reference(hd_doc, "centerlines", f"{where}.hd")):
+        cid = _ident_reference(c, f"{where}.hd.centerlines[{i}]")
+        owner = f"{where}.hd: centerline {cid}"
+        p1 = _point_reference(_field_reference(c, "p1", owner), f"{owner} p1")
+        p2 = _point_reference(_field_reference(c, "p2", owner), f"{owner} p2")
+        try:
+            vector = DirVec(p1, p2, full_angle(p2.x - p1.x, p2.y - p1.y))
+        except InvalidGeometryError as exc:
+            raise InvalidGeometryError(f"{owner}: {exc}") from None
+        cls.append(Centerline(id=cid, vector=vector))
+    bounds = []
+    for i, b in enumerate(hd_doc.get("boundaries") or ()):
+        bid = _ident_reference(b, f"{where}.hd.boundaries[{i}]")
+        owner = f"{where}.hd: boundary {bid}"
+        pts = _field_reference(b, "points", owner)
+        if not isinstance(pts, list):
+            raise ValidationError(f"{owner}: points must be a list")
+        points = tuple(_point_reference(p, f"{owner} point {j}") for j, p in enumerate(pts))
+        bounds.append(Boundary(id=bid, points=points))
+    hd_edges = _edges_reference(_field_reference(hd_doc, "edges", f"{where}.hd"), f"{where}.hd.edges")
+    hd = HdGraph(centerlines=tuple(cls), edges=hd_edges, boundaries=tuple(bounds))
+
+    gt_doc = doc.get("gt")
+    gt = None
+    if gt_doc is not None:
+        if not isinstance(gt_doc, dict):
+            raise ValidationError(f"{where}: gt must be an object or null")
+        gt = Association(labels=_labels_reference(gt_doc, f"{where}.gt"))
+
+    return validate_scene_reference(Scene(sd=sd, hd=hd, gt=gt, meta=meta))

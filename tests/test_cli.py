@@ -11,6 +11,7 @@ import pytest
 from mapassoc import cli
 from mapassoc.cli import main
 from mapassoc.errors import ValidationError
+from mapassoc.geometry import Point2
 from mapassoc.io import read_assocs, read_scenes
 from mapassoc.metrics import MetricReport
 
@@ -436,6 +437,45 @@ def test_non_finite_boundary_point_exits_2(tmp_path, capsys, method, literal):
     assert "non-finite" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "crop, message",
+    [
+        ({"hd": "ab"}, "line 1: meta.crop.hd: expected [x, y] extents, got 'ab'"),
+        ({"hd": [1]}, "line 1: meta.crop.hd: expected [x, y] extents, got [1]"),
+        (5, "line 1: meta.crop: expected an object, got 5"),
+        ("ab", "line 1: meta.crop: expected an object, got 'ab'"),
+        ({"sd": [True, 2]}, "line 1: meta.crop.sd: expected [x, y] extents, got [True, 2]"),
+        ({"sd": [-1.0, 2.0]}, "line 1: meta.crop.sd: expected [x, y] extents, got [-1.0, 2.0]"),
+    ],
+)
+def test_malformed_crop_exits_2_naming_the_field(tmp_path, capsys, crop, message):
+    scenes = gen_scenes(tmp_path, count=1)
+    with open(scenes) as fh:
+        doc = json.loads(fh.read())
+    doc["meta"]["crop"] = crop
+    with open(scenes, "w") as fh:
+        fh.write(json.dumps(doc) + "\n")
+    rc = main(["associate", "--method", "knn", "--scenes", scenes, "--out", str(tmp_path / "p.ndjson")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_zero_length_centerline_error_names_line_and_centerline(tmp_path, capsys):
+    scenes = gen_scenes(tmp_path, count=1)
+    with open(scenes) as fh:
+        doc = json.loads(fh.read())
+    c = doc["hd"]["centerlines"][1]
+    c["p2"] = list(c["p1"])
+    with open(scenes, "w") as fh:
+        fh.write(json.dumps(doc) + "\n")
+    rc = main(["associate", "--method", "knn", "--scenes", scenes, "--out", str(tmp_path / "p.ndjson")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"line 1.hd: centerline {c['id']}: degenerate vector at {Point2(*c['p1'])}" in err
 
 
 @pytest.mark.parametrize("method, code", [("knn", 0), ("hmm", 0), ("mat", 2)])

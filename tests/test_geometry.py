@@ -491,6 +491,23 @@ def test_validate_scene_crop_bounds():
         validate_scene(Scene(sd=s.sd, hd=s.hd, gt=s.gt, meta=meta))
 
 
+@pytest.mark.parametrize(
+    "crop, message",
+    [
+        ("ab", "meta.crop: expected an object, got 'ab'"),
+        ({"hd": [1]}, "meta.crop.hd: expected [x, y] extents, got [1]"),
+        ({"sd": [True, 2]}, "meta.crop.sd: expected [x, y] extents, got [True, 2]"),
+        ({"sd": [5.0, math.inf]}, "meta.crop.sd: expected [x, y] extents, got [5.0, inf]"),
+        ({"hd": (1.0, math.nan)}, "meta.crop.hd: expected [x, y] extents, got (1.0, nan)"),
+    ],
+)
+def test_validate_scene_names_a_malformed_crop(crop, message):
+    s = tiny_scene()
+    with pytest.raises(ValidationError) as info:
+        validate_scene(Scene(sd=s.sd, hd=s.hd, gt=s.gt, meta={"crop": crop}))
+    assert str(info.value) == message
+
+
 def test_association_covers():
     s = tiny_scene()
     assert s.gt.covers(s.hd)

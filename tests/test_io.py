@@ -124,7 +124,7 @@ def test_scene_doc_centerline_vectors(grid42):
     c["p2"] = list(c["p1"])
     with pytest.raises(InvalidGeometryError) as info:
         scene_from_doc(doc)
-    assert str(info.value) == f"degenerate vector at {Point2(*map(float, c['p1']))}"
+    assert str(info.value) == f"scene.hd: centerline {c['id']}: degenerate vector at {Point2(*map(float, c['p1']))}"
 
 
 def test_scene_doc_gt_must_reference_centerlines(tiny):
