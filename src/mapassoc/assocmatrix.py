@@ -2,7 +2,8 @@
 
 Rows are centerlines (ascending id), columns candidate roads (ascending id).
 Both the transformer head and the distance-based soft association produce
-this container; the decoder and the CLI consume it.
+this container through one row softmax (`AssocMatrix.from_logits`); the
+decoder and the CLI consume it.
 """
 
 from __future__ import annotations
@@ -55,6 +56,13 @@ class AssocMatrix:
             worst = float(np.abs(sums - 1.0).max())
             if worst > ROW_SUM_TOL:
                 raise ConfigError(f"row sums deviate from 1 by {worst:.3e}")
+
+    @classmethod
+    def from_logits(cls, logits: np.ndarray, centerline_ids, road_ids) -> "AssocMatrix":
+        """Row softmax of (L, K) float64 logits, computed in float64 and stored as float32."""
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        e /= e.sum(axis=1, keepdims=True)
+        return cls(probs=e.astype(np.float32), centerline_ids=centerline_ids, road_ids=road_ids)
 
     @property
     def n_centerlines(self) -> int:

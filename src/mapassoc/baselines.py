@@ -278,8 +278,4 @@ def distance_assoc_matrix(scene: Scene, sigma: float = HmmParams.emission_sigma)
     post-process.
     """
     dist, cl_ids, road_ids = _scene_distances(scene)
-    logits = _log_emissions(dist, sigma)
-    logits -= logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
-    p /= p.sum(axis=1, keepdims=True)
-    return AssocMatrix(probs=p.astype(np.float32), centerline_ids=cl_ids, road_ids=road_ids)
+    return AssocMatrix.from_logits(_log_emissions(dist, sigma), cl_ids, road_ids)

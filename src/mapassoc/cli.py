@@ -215,13 +215,15 @@ def _cmd_associate(args) -> int:
         i, scene = pair
         if method == "mat":
             amat, _ = mat_associate(scene, mcfg, weights, curve_seed=args.curve_seed)
-            assoc = amat.argmax_association()
         else:
             # the soft matrix only feeds the decoder and the stored rows
             amat = distance_assoc_matrix(scene) if args.post or args.store_probs else None
-            assoc = knn_associate(scene) if method == "knn" else hmm_associate(scene)
         if args.post:
             assoc = decode_association(scene, amat, dcfg)
+        elif method == "mat":
+            assoc = amat.argmax_association()
+        else:
+            assoc = knn_associate(scene) if method == "knn" else hmm_associate(scene)
         return AssocRecord(
             method=(method + "+beam") if args.post else method,
             scene_ref=str(scene.meta.get("scene_id", f"scene-{i}")),

@@ -70,16 +70,8 @@ class SerializationOrder:
 
 
 def grid_encode(v: DirVec, g: float = DEFAULT_GRID_G, R: int = DEFAULT_GRID_R) -> GridCoord:
-    """Quantize one vector to its grid cell."""
-    if g <= 0.0:
-        raise RangeError(f"cell size must be positive, got {g}")
-    if R < 1:
-        raise RangeError(f"sector count must be >= 1, got {R}")
-    x = math.floor((v.p1.x + v.p2.x) / (2.0 * g))
-    y = math.floor((v.p1.y + v.p2.y) / (2.0 * g))
-    theta_norm = v.theta % _TWO_PI
-    r = min(int(theta_norm // (_TWO_PI / R)), R - 1)
-    return GridCoord(x, y, r)
+    """Quantize one vector to its grid cell (`grid_encode_batch` of one)."""
+    return GridCoord(*grid_encode_batch([v], g, R)[0].tolist())
 
 
 def grid_encode_batch(

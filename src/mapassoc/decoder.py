@@ -66,12 +66,13 @@ class DecodeResult:
     fallback_positions: tuple = ()
 
 
-def _init_on_rows(rows: np.ndarray) -> tuple:
-    """Globally best (token, column); ties take the lowest token then column."""
-    row_best = rows.max(axis=1)
-    t = int(np.argmax(row_best))
-    j = int(np.argmax(rows[t]))
-    return t, j
+def _best_cell(vals: list, cols: list) -> tuple:
+    """Globally best (token, column) from each row's max and first argmax.
+
+    Ties take the lowest token, then (through argmax) the lowest column.
+    """
+    t = vals.index(max(vals))
+    return t, cols[t]
 
 
 def init_token(probs: AssocMatrix, path) -> tuple:
@@ -80,8 +81,8 @@ def init_token(probs: AssocMatrix, path) -> tuple:
     if not path:
         raise LabelError("empty lane path")
     rows = probs.rows_for(path)
-    t, j = _init_on_rows(rows)
-    return t, int(probs.road_ids[j])
+    t, j = _best_cell(rows.max(axis=1).tolist(), rows.argmax(axis=1).tolist())
+    return t, probs.road_ids[j]
 
 
 def _road_tables(road_ids: list, sd_edges) -> tuple:
@@ -165,8 +166,7 @@ def _search(path, logs, best_col, best_val, road_ids, pred, succ, k, max_len) ->
     vals = [best_val[i] for i in path]
     t_steps = len(path)
     last = t_steps - 1
-    t0 = vals.index(max(vals))
-    j0 = cols[t0]
+    t0, j0 = _best_cell(vals, cols)
     # A hypothesis is (-score, labels, left, rank, right, fallback positions):
     # the native tuple sort orders by score, labels and left, and the unique
     # insertion rank keeps tied candidates in insertion order.

@@ -17,12 +17,13 @@ element or tensor.
 
 The scene reader checks each element class of a document in one batch:
 exact-type checks over the whole list of roads, centerlines, boundaries and
-edges, reductions over the flattened coordinates for finiteness and the
+edges, a check that ids and edges are in canonical (strictly ascending)
+order, reductions over the flattened coordinates for finiteness and the
 crop extents, and one pairwise pass for repeated points. When every check
-passes it builds each object once, unchecked. Only when a batch check fails
-does it re-read the document element by element, through the checking
-constructors and `validate_scene`, to raise the first fault in document
-order with a message that names it.
+passes it builds each object once, unchecked. Any other document is re-read
+element by element, through the checking constructors and
+`validate_scene`: they put elements and edges into canonical order, or
+raise the first fault in document order with a message that names it.
 """
 
 from __future__ import annotations
@@ -196,6 +197,14 @@ def _field(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _list_field(doc: dict, key: str, where: str, optional: bool = False) -> list:
+    """The element list `doc[key]`; an optional one may be missing or falsy (no elements)."""
+    value = (doc.get(key) or []) if optional else _field(doc, key, where)
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: {key} must be a list")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # scenes
 
@@ -229,8 +238,8 @@ def scene_from_doc(doc: dict, where: str = "scene") -> Scene:
     The elements are checked in batches (see the module docstring); a
     document that fails any batch check is re-read element by element, which
     raises the first fault in document order or, for an input the batches
-    are stricter about (an int or numpy coordinate, a tuple point), returns
-    the same scene.
+    are stricter about (elements or edges out of canonical order, an int or
+    numpy coordinate, a tuple point), returns the same scene.
     """
     version = _field(doc, "version", where)
     if version != SCENE_VERSION:
@@ -258,20 +267,16 @@ _point2 = partial(tuple.__new__, Point2)  # Point2 from a checked [x, y] list
 def _records(elements, *keys):
     """The id column and the `keys` columns of a list of JSON objects, or None.
 
-    The columns are in id order. None unless every element is an object
-    with an int id and every key, and the ids are unique.
+    None unless every element is an object with an int id and every key, and
+    the ids are strictly ascending, as a canonical document's are; the graph
+    constructors put any other order right on the per-element path.
     """
     if type(elements) is not list or not set(map(type, elements)) <= _DICT:
         return None
     try:
         ids = list(map(_ID, elements))
-        if not set(map(type, ids)) <= _INT:
+        if not set(map(type, ids)) <= _INT or any(map(ge, ids, ids[1:])):
             return None
-        if any(map(ge, ids, ids[1:])):  # not strictly ascending
-            elements = sorted(elements, key=_ID)
-            ids.sort()
-            if any(map(eq, ids, ids[1:])):
-                return None
         return (ids, *(list(map(itemgetter(k), elements)) for k in keys))
     except KeyError:
         return None
@@ -334,17 +339,21 @@ def _centerlines(elements, half):
 
 
 def _edge_pairs(edges, ids: set):
-    """Sorted unique (a, b) pairs of an edge list, or None.
+    """The (a, b) pairs of an edge list, or None.
 
-    None unless every edge is an [a, b] list of two distinct ids in `ids`.
+    None unless every edge is an [a, b] list of two distinct ids in `ids` and
+    the edges are strictly ascending, as a canonical document's are.
     """
     if type(edges) is not list or not set(map(type, edges)) <= _LIST or not set(map(len, edges)) <= _TWO:
         return None
     ends = list(chain.from_iterable(edges))
-    if not set(map(type, ends)) <= _INT or not ids.issuperset(ends) or any(map(eq, ends[0::2], ends[1::2])):
+    if (
+        not set(map(type, ends)) <= _INT
+        or not ids.issuperset(ends)
+        or any(map(eq, ends[0::2], ends[1::2]))
+        or any(map(ge, edges, edges[1:]))
+    ):
         return None
-    if any(map(ge, edges, edges[1:])):  # not strictly ascending, as a canonical document's are
-        return tuple(sorted(set(map(tuple, edges))))
     return tuple(map(tuple, edges))
 
 
@@ -389,7 +398,7 @@ def _scene_per_element(doc: dict, meta: dict, where: str) -> Scene:
     if not isinstance(sd_doc, dict):
         raise ValidationError(f"{where}: sd must be an object")
     roads = []
-    for i, r in enumerate(_field(sd_doc, "roads", f"{where}.sd")):
+    for i, r in enumerate(_list_field(sd_doc, "roads", f"{where}.sd")):
         rid = _ident(r, f"{where}.sd.roads[{i}]")
         pts = _field(r, "points", f"{where}.sd.roads[{i}] (road {rid})")
         if not isinstance(pts, list):
@@ -401,7 +410,7 @@ def _scene_per_element(doc: dict, meta: dict, where: str) -> Scene:
     if not isinstance(hd_doc, dict):
         raise ValidationError(f"{where}: hd must be an object")
     cls = []
-    for i, c in enumerate(_field(hd_doc, "centerlines", f"{where}.hd")):
+    for i, c in enumerate(_list_field(hd_doc, "centerlines", f"{where}.hd")):
         cid = _ident(c, f"{where}.hd.centerlines[{i}]")
         p1 = _point(_field(c, "p1", f"{where}.hd: centerline {cid}"), f"{where}.hd: centerline {cid} p1")
         p2 = _point(_field(c, "p2", f"{where}.hd: centerline {cid}"), f"{where}.hd: centerline {cid} p2")
@@ -411,7 +420,7 @@ def _scene_per_element(doc: dict, meta: dict, where: str) -> Scene:
             raise InvalidGeometryError(f"{where}.hd: centerline {cid}: {exc}") from None
         cls.append(Centerline(id=cid, vector=vector))
     bounds = []
-    for i, b in enumerate(hd_doc.get("boundaries") or ()):
+    for i, b in enumerate(_list_field(hd_doc, "boundaries", f"{where}.hd", optional=True)):
         bid = _ident(b, f"{where}.hd.boundaries[{i}]")
         pts = _field(b, "points", f"{where}.hd: boundary {bid}")
         if not isinstance(pts, list):
@@ -570,9 +579,10 @@ def load_weights(source: Union[str, IO], cfg=None) -> dict:
     """Read a weights container; validate against cfg when one is given.
 
     Raises IntegrityError for a damaged container (bad magic, malformed
-    manifest, tensors that do not tile the blob, truncation) and, via
-    validate_weights, ConfigError listing every name/shape discrepancy
-    against the model configuration.
+    manifest, tensors that do not tile the blob, truncation) and, with a
+    config, ConfigError listing every discrepancy `mat.weights` finds: the
+    declared names and shapes are checked before the offsets are trusted,
+    the loaded tensors by validate_weights.
     """
     data = _read_bytes(source)
     if not data.startswith(WEIGHTS_MAGIC):
@@ -597,32 +607,7 @@ def load_weights(source: Union[str, IO], cfg=None) -> dict:
     if len(blob) < total:
         raise IntegrityError(f"weights container: blob truncated: expected {total} bytes, got {len(blob)}")
 
-    if cfg is not None:
-        # check declared names and shapes against the model configuration
-        # before trusting manifest offsets, so an edited shape reports as a
-        # config mismatch naming the tensor rather than a broken tiling
-        from .mat.weights import weight_spec
-
-        spec = dict(weight_spec(cfg))
-        declared = {
-            t.get("name"): tuple(t.get("shape") or ())
-            for t in tensors
-            if isinstance(t, dict) and isinstance(t.get("name"), str)
-        }
-        problems = []
-        for name, shape in spec.items():
-            if name not in declared:
-                problems.append(f"missing tensor {name!r}")
-            elif declared[name] != shape:
-                problems.append(f"tensor {name!r}: shape {list(declared[name])}, expected {list(shape)}")
-        for name in declared:
-            if name not in spec:
-                problems.append(f"unexpected tensor {name!r}")
-        if problems:
-            raise ConfigError("weights do not match the model configuration: " + "; ".join(problems))
-
-    weights = {}
-    expect_offset = 0
+    shapes = {}
     for i, t in enumerate(tensors):
         if not isinstance(t, dict):
             raise IntegrityError(f"weights container: tensor entry {i} must be an object")
@@ -632,10 +617,22 @@ def load_weights(source: Union[str, IO], cfg=None) -> dict:
             raise IntegrityError(f"weights container: tensor entry {i}: missing name or shape")
         if t.get("dtype") != "<f4":
             raise IntegrityError(f"tensor {name!r}: unsupported dtype {t.get('dtype')!r}")
-        if name in weights:
+        if name in shapes:
             raise IntegrityError(f"tensor {name!r}: duplicated in manifest")
         if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
             raise IntegrityError(f"tensor {name!r}: invalid shape {shape!r}")
+        shapes[name] = tuple(shape)
+    if cfg is not None:
+        # check declared names and shapes against the model configuration
+        # before trusting manifest offsets, so an edited shape reports as a
+        # config mismatch naming the tensor rather than a broken tiling
+        from .mat.weights import raise_problems, spec_problems, validate_weights
+
+        raise_problems(spec_problems(shapes, cfg))
+
+    weights = {}
+    expect_offset = 0
+    for t, (name, shape) in zip(tensors, shapes.items()):
         size = 4 * int(np.prod(shape, dtype=np.int64))
         # tensors must tile the blob exactly; an edited shape breaks the tiling
         if t.get("offset") != expect_offset:
@@ -651,7 +648,5 @@ def load_weights(source: Union[str, IO], cfg=None) -> dict:
         raise IntegrityError(f"weights container: tensors cover {expect_offset} bytes, manifest says {total}")
 
     if cfg is not None:
-        from .mat.weights import validate_weights
-
         validate_weights(weights, cfg)
     return weights

@@ -55,10 +55,12 @@ class StageSpec:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Full architecture plus the head/loss hyperparameters.
+    """Architecture, token serialization and the association head's pooling.
 
     `curve` is one of the four serialization curves or "random", in which case
-    the forward pass draws one kind per block from a seeded stream.
+    the forward pass draws one kind per block from a seeded stream. The
+    config holds no loss weights: `compute_loss` takes `alpha` and `beta` as
+    arguments.
     """
 
     stages: tuple = (StageSpec(1, 48, 4), StageSpec(1, 96, 4))
@@ -70,8 +72,6 @@ class ModelConfig:
     pooling: str = "avg"
     grid_g: float = DEFAULT_GRID_G
     grid_R: int = DEFAULT_GRID_R
-    alpha: float = 1.0
-    beta: float = 0.01
 
     def __post_init__(self):
         stages = tuple(

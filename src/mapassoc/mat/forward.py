@@ -206,26 +206,14 @@ def mat_forward(
         for blk in range(stage.blocks):
             base = f"stage{s}.block{blk}"
             for attn in cfg.attention_order:
+                prefix = f"{base}.sa" if attn == "spatial" else f"{base}.pa"
+                h = layer_norm(x, weights[f"{prefix}.norm.weight"], weights[f"{prefix}.norm.bias"])
+                aw = AttnWeights.from_dict(weights, prefix, stage.heads)
                 if attn == "spatial":
-                    h = layer_norm(
-                        x,
-                        weights[f"{base}.sa.norm.weight"],
-                        weights[f"{base}.sa.norm.bias"],
-                    )
-                    aw = AttnWeights.from_dict(weights, f"{base}.sa", stage.heads)
-                    x = x + spatial_attention(
-                        h, coords, aw, cfg.patch_size, kinds[bi], rope_base=cfg.rope_base
-                    )
+                    h = spatial_attention(h, coords, aw, cfg.patch_size, kinds[bi], rope_base=cfg.rope_base)
                 else:
-                    h = layer_norm(
-                        x,
-                        weights[f"{base}.pa.norm.weight"],
-                        weights[f"{base}.pa.norm.bias"],
-                    )
-                    aw = AttnWeights.from_dict(weights, f"{base}.pa", stage.heads)
-                    x = x + path_attention(
-                        h, tokens.pidx, aw, tokens.inst_pos, rope_base=cfg.rope_base
-                    )
+                    h = path_attention(h, tokens.pidx, aw, tokens.inst_pos, rope_base=cfg.rope_base)
+                x = x + h
             x = x + _ffn(x, weights, f"{base}.ffn")
             bi += 1
     return ForwardResult(
@@ -273,18 +261,10 @@ def association_probs(
         if rows.shape[0] == 0:
             raise LabelError(f"road {rid} has no tokens to pool")
         pooled[j] = rows.mean(axis=0) if pooling == "avg" else rows.max(axis=0)
-    d = cl.shape[1]
-    logits = cl @ pooled.T / np.sqrt(d)
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    probs = e / e.sum(axis=1, keepdims=True)
+    logits = cl @ pooled.T / np.sqrt(cl.shape[1])
     if centerline_ids is None:
         centerline_ids = range(cl.shape[0])
-    return AssocMatrix(
-        probs=probs.astype(np.float32),
-        centerline_ids=tuple(int(c) for c in centerline_ids),
-        road_ids=tuple(road_ids),
-    )
+    return AssocMatrix.from_logits(logits, centerline_ids, road_ids)
 
 
 def mat_associate(

@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import ConfigError
 from .config import ModelConfig
 
-__all__ = ["EMBED_IN", "weight_spec", "init_weights", "validate_weights"]
+__all__ = ["EMBED_IN", "weight_spec", "init_weights", "spec_problems", "raise_problems", "validate_weights"]
 
 # input feature width: [p1x, p1y, p2x, p2y, theta]
 EMBED_IN = 5
@@ -83,31 +83,44 @@ def init_weights(cfg: ModelConfig, seed: int = 0) -> dict:
     return out
 
 
+def spec_problems(shapes: dict, cfg: ModelConfig) -> list:
+    """Name and shape problems of a {name: shape tuple} map against weight_spec(cfg).
+
+    One line per missing tensor or wrong shape, in spec order, then one per
+    unexpected name, sorted.
+    """
+    spec = weight_spec(cfg)
+    expected = dict(spec)
+    problems = []
+    for name, shape in spec:
+        if name not in shapes:
+            problems.append(f"missing tensor {name} {shape}")
+        elif shapes[name] != shape:
+            problems.append(f"{name}: shape {shapes[name]}, expected {shape}")
+    problems += [f"unexpected tensor {name}" for name in sorted(shapes) if name not in expected]
+    return problems
+
+
+def raise_problems(problems: list) -> None:
+    """Raise one ConfigError listing every problem, when there is any."""
+    if problems:
+        raise ConfigError("weights do not match the model config:\n  " + "\n  ".join(problems))
+
+
 def validate_weights(weights: dict, cfg: ModelConfig) -> dict:
     """Check names, shapes, dtypes, and finiteness; report every discrepancy.
 
     Returns the mapping unchanged on success; raises one ConfigError listing
     all problems otherwise, so a bad checkpoint surfaces in a single pass.
     """
-    spec = weight_spec(cfg)
-    expected = dict(spec)
-    problems = []
-    for name, shape in spec:
+    problems = spec_problems({name: np.shape(t) for name, t in weights.items()}, cfg)
+    for name, _ in weight_spec(cfg):
         if name not in weights:
-            problems.append(f"missing tensor {name} {shape}")
             continue
         t = np.asarray(weights[name])
-        if tuple(t.shape) != shape:
-            problems.append(f"{name}: shape {tuple(t.shape)}, expected {shape}")
         if t.dtype != np.float32:
             problems.append(f"{name}: dtype {t.dtype}, expected float32")
         elif not np.isfinite(t).all():
             problems.append(f"{name}: non-finite values")
-    for name in sorted(weights):
-        if name not in expected:
-            problems.append(f"unexpected tensor {name}")
-    if problems:
-        raise ConfigError(
-            "weights do not match the model config:\n  " + "\n  ".join(problems)
-        )
+    raise_problems(problems)
     return weights

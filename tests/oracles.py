@@ -281,7 +281,7 @@ def brute_beam(rows, road_ids, edges):
     return best_seq, best_score
 
 
-def _init_on_rows_reference(rows: np.ndarray) -> tuple:
+def init_on_rows_reference(rows: np.ndarray) -> tuple:
     """Globally best (token, column); ties take the lowest token then column."""
     row_best = rows.max(axis=1)
     t = int(np.argmax(row_best))
@@ -333,7 +333,7 @@ def beam_decode_reference(
             pred[b].add(a)
     col = {r: j for j, r in enumerate(road_ids)}
 
-    t0, j0 = _init_on_rows_reference(rows)
+    t0, j0 = init_on_rows_reference(rows)
     target = t_steps if cfg.max_len is None else min(cfg.max_len, t_steps)
     # beam entries: (Hypothesis, fallback position tuple)
     seed = Hypothesis(labels=(road_ids[j0],), score=float(logs[t0, j0]), span=(t0, t0))
@@ -587,6 +587,15 @@ def morton_ref(x: int, y: int, r: int, bits: int = 16) -> int:
     return out
 
 
+def grid_encode_reference(v, g: float, R: int) -> GridCoord:
+    """One vector's grid cell in scalar Python float arithmetic."""
+    x = math.floor((v.p1.x + v.p2.x) / (2.0 * g))
+    y = math.floor((v.p1.y + v.p2.y) / (2.0 * g))
+    theta_norm = v.theta % (2.0 * math.pi)
+    r = min(int(theta_norm // (2.0 * math.pi / R)), R - 1)
+    return GridCoord(x, y, r)
+
+
 # ---------------------------------------------------------------------------
 # scene reader
 
@@ -595,6 +604,12 @@ def _field_reference(doc: dict, key: str, where: str):
     if key not in doc:
         raise ValidationError(f"{where}: missing required field {key!r}")
     return doc[key]
+
+
+def _elements_reference(value, key: str, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: {key} must be a list")
+    return value
 
 
 def _point_reference(value, where: str) -> Point2:
@@ -716,9 +731,11 @@ def scene_from_doc_reference(doc: dict, where: str = "scene") -> Scene:
     """The scene reader one element at a time, through the checking constructors.
 
     Every element, point and edge is checked in document order, so the first
-    fault raises with a message naming it. Two faults differ from a plain
+    fault raises with a message naming it. Three faults differ from a plain
     element walk: a malformed `meta.crop` raises a ValidationError naming the
-    field, and a zero-length centerline names the line and its id.
+    field, a zero-length centerline names the line and its id, and a roads,
+    centerlines or truthy boundaries value that is not a list raises a
+    ValidationError naming the field.
     """
     version = _field_reference(doc, "version", where)
     if version != "1":
@@ -739,7 +756,8 @@ def scene_from_doc_reference(doc: dict, where: str = "scene") -> Scene:
     if not isinstance(sd_doc, dict):
         raise ValidationError(f"{where}: sd must be an object")
     roads = []
-    for i, r in enumerate(_field_reference(sd_doc, "roads", f"{where}.sd")):
+    road_docs = _elements_reference(_field_reference(sd_doc, "roads", f"{where}.sd"), "roads", f"{where}.sd")
+    for i, r in enumerate(road_docs):
         rid = _ident_reference(r, f"{where}.sd.roads[{i}]")
         pts = _field_reference(r, "points", f"{where}.sd.roads[{i}] (road {rid})")
         if not isinstance(pts, list):
@@ -754,7 +772,8 @@ def scene_from_doc_reference(doc: dict, where: str = "scene") -> Scene:
     if not isinstance(hd_doc, dict):
         raise ValidationError(f"{where}: hd must be an object")
     cls = []
-    for i, c in enumerate(_field_reference(hd_doc, "centerlines", f"{where}.hd")):
+    cl_docs = _elements_reference(_field_reference(hd_doc, "centerlines", f"{where}.hd"), "centerlines", f"{where}.hd")
+    for i, c in enumerate(cl_docs):
         cid = _ident_reference(c, f"{where}.hd.centerlines[{i}]")
         owner = f"{where}.hd: centerline {cid}"
         p1 = _point_reference(_field_reference(c, "p1", owner), f"{owner} p1")
@@ -765,7 +784,7 @@ def scene_from_doc_reference(doc: dict, where: str = "scene") -> Scene:
             raise InvalidGeometryError(f"{owner}: {exc}") from None
         cls.append(Centerline(id=cid, vector=vector))
     bounds = []
-    for i, b in enumerate(hd_doc.get("boundaries") or ()):
+    for i, b in enumerate(_elements_reference(hd_doc.get("boundaries") or [], "boundaries", f"{where}.hd")):
         bid = _ident_reference(b, f"{where}.hd.boundaries[{i}]")
         owner = f"{where}.hd: boundary {bid}"
         pts = _field_reference(b, "points", owner)

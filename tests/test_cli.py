@@ -9,6 +9,7 @@ import os
 import pytest
 
 from mapassoc import cli
+from mapassoc.assocmatrix import AssocMatrix
 from mapassoc.cli import main
 from mapassoc.errors import ValidationError
 from mapassoc.geometry import Point2
@@ -112,6 +113,22 @@ def test_baselines_compute_distance_matrix_only_when_used(tmp_path, monkeypatch)
     assert len(calls) == 4  # two scenes per run
 
 
+def test_post_computes_only_the_decoded_labels(tmp_path, monkeypatch):
+    monkeypatch.setenv("MAPASSOC_THREADS", "1")
+    scenes = gen_scenes(tmp_path)
+
+    def unused(*args):
+        raise AssertionError("labels computed and then overwritten by the decoder")
+
+    monkeypatch.setattr(cli, "knn_associate", unused)
+    monkeypatch.setattr(cli, "hmm_associate", unused)
+    monkeypatch.setattr(AssocMatrix, "argmax_association", unused)
+    for method in ("knn", "hmm", "mat"):
+        pred = str(tmp_path / f"{method}.ndjson")
+        assert main(["associate", "--method", method, "--post", "--scenes", scenes, "--out", pred]) == 0
+        assert [r.method for r in read_assocs(pred)] == [f"{method}+beam"] * 2
+
+
 def test_associate_mat_store_probs(tmp_path):
     scenes = gen_scenes(tmp_path, count=1)
     pred = str(tmp_path / "pred.ndjson")
@@ -138,6 +155,19 @@ def test_associate_mat_rejects_unknown_model_config_field(tmp_path, capsys):
     ])
     assert rc == 2
     assert "unknown fields: bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+def test_model_config_has_no_loss_weights(tmp_path, capsys, field):
+    # compute_loss takes alpha and beta; a model config that sets them is refused, not ignored
+    scenes = gen_scenes(tmp_path, count=1)
+    mc = write_cfg(tmp_path, {field: 1.0}, name="mc.json")
+    rc = main([
+        "associate", "--method", "mat", "--model-config", mc,
+        "--scenes", scenes, "--out", str(tmp_path / "pred.ndjson"),
+    ])
+    assert rc == 2
+    assert f"unknown fields: {field}" in capsys.readouterr().err
 
 
 def test_eval_custom_thresholds(tmp_path):
@@ -462,6 +492,32 @@ def test_malformed_crop_exits_2_naming_the_field(tmp_path, capsys, crop, message
     assert rc == 2
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "graph, key, value, message",
+    [
+        ("sd", "roads", 5, "line 1.sd: roads must be a list"),
+        ("hd", "centerlines", None, "line 1.hd: centerlines must be a list"),
+        ("hd", "boundaries", 5, "line 1.hd: boundaries must be a list"),
+        ("hd", "boundaries", None, None),  # a falsy boundaries value means no boundaries
+    ],
+)
+def test_non_list_element_list_exits_2_naming_the_field(tmp_path, capsys, graph, key, value, message):
+    scenes = gen_scenes(tmp_path, count=1)
+    with open(scenes) as fh:
+        doc = json.loads(fh.read())
+    doc[graph][key] = value
+    with open(scenes, "w") as fh:
+        fh.write(json.dumps(doc) + "\n")
+    rc = main(["associate", "--method", "knn", "--scenes", scenes, "--out", str(tmp_path / "p.ndjson")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if message is None:
+        assert rc == 0 and read_scenes(scenes)[0].hd.boundaries == ()
+    else:
+        assert rc == 2
+        assert f"error: {message}" in err
 
 
 def test_zero_length_centerline_error_names_line_and_centerline(tmp_path, capsys):

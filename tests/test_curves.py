@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mapassoc.curves import (
@@ -21,7 +21,7 @@ from mapassoc.curves import (
 from mapassoc.errors import RangeError
 from mapassoc.geometry import DirVec, Point2
 
-from oracles import morton_ref
+from oracles import grid_encode_reference, morton_ref
 
 
 def vec(p1, p2) -> DirVec:
@@ -81,6 +81,27 @@ def test_grid_encode_batch_matches_scalar():
     for row, v in zip(batch, vecs):
         c = grid_encode(v, g=0.1, R=16)
         assert tuple(row) == (c.x, c.y, c.r)
+
+
+@st.composite
+def encodable_vectors(draw):
+    """A vector with finite endpoints; one in four heads along -x, with theta exactly -pi or pi."""
+    coord = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+    p1 = Point2(draw(coord), draw(coord))
+    if draw(st.integers(0, 3)):
+        p2 = Point2(draw(coord), draw(coord))
+        assume(p2 != p1)
+        return DirVec.from_points(p1, p2)
+    return DirVec(p1, Point2(p1.x - 1.0, p1.y), draw(st.sampled_from([-math.pi, math.pi])))
+
+
+@given(st.lists(encodable_vectors(), min_size=1, max_size=20), st.sampled_from([(0.1, 16), (0.5, 7), (2.0, 1)]))
+@settings(max_examples=200, deadline=None)
+def test_grid_encode_matches_scalar_reference(vecs, setting):
+    g, R = setting
+    want = [grid_encode_reference(v, g, R) for v in vecs]
+    assert [grid_encode(v, g=g, R=R) for v in vecs] == want
+    assert [GridCoord(*row) for row in grid_encode_batch(vecs, g=g, R=R).tolist()] == want
 
 
 # ---------------------------------------------------------------------------

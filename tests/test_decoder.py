@@ -20,7 +20,7 @@ from mapassoc.mat import desk_config, init_weights, mat_associate
 from mapassoc.scenegen import GenConfig, PerturbConfig, generate_scene, perturb_scene
 
 from conftest import make_centerline
-from oracles import beam_decode_reference, brute_beam, decode_association_reference
+from oracles import beam_decode_reference, brute_beam, decode_association_reference, init_on_rows_reference
 
 
 def amat_of(rows, cl_ids, road_ids):
@@ -58,6 +58,37 @@ def test_init_token_validates():
         init_token(amat, [])
     with pytest.raises(LabelError, match="no probability row"):
         init_token(amat, [7])
+
+
+@st.composite
+def tied_matrices(draw):
+    """An AssocMatrix whose rows repeat cell values or are constant, and a lane path over it."""
+    n_cols = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 6))
+    weights = []
+    for _ in range(n_rows):
+        if draw(st.booleans()):
+            weights.append([1] * n_cols)  # a constant row
+        else:
+            row = draw(st.lists(st.integers(0, 2), min_size=n_cols, max_size=n_cols))
+            weights.append(row if any(row) else [1] * n_cols)
+    rows = np.asarray(weights, dtype=np.float64)
+    rows /= rows.sum(axis=1, keepdims=True)
+    amat = amat_of(rows, tuple(range(10, 10 + n_rows)), tuple(range(3, 3 + 2 * n_cols, 2)))
+    path = draw(st.permutations(amat.centerline_ids))[: draw(st.integers(1, n_rows))]
+    return amat, path
+
+
+@given(tied_matrices())
+@settings(max_examples=200, deadline=None)
+def test_init_token_is_the_seed_beam_decode_starts_from(case):
+    amat, path = case
+    t, rid = init_token(amat, path)
+    assert (t, amat.road_ids.index(rid)) == init_on_rows_reference(amat.rows_for(path))
+    # with max_len 1 the beam never grows: every position but the seed is an argmax fallback
+    (res,) = beam_decode(amat.probs, amat.road_ids, (), DecoderConfig(max_len=1), paths=[amat.row_indices(path)])
+    (seed,) = set(range(len(path))) - set(res.fallback_positions)
+    assert (seed, res.labels[seed]) == (t, rid)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from mapassoc.io import (
     write_scenes,
 )
 from mapassoc.mat.config import desk_config
-from mapassoc.mat.weights import init_weights
+from mapassoc.mat.weights import init_weights, validate_weights
 from mapassoc.scenegen import GenConfig, generate_scene
 
 GOLDEN_BYTES = 6406
@@ -352,6 +352,48 @@ def test_weights_shape_tamper_reports_config_mismatch(tmp_path):
     # without the config the mismatch surfaces as a broken tiling instead
     with pytest.raises(IntegrityError):
         load_weights(pyio.BytesIO(tampered))
+
+
+@pytest.mark.parametrize(
+    "fault, line",
+    [
+        ("missing", "missing tensor stage1.block0.pa.q.bias (96,)"),
+        ("extra", "unexpected tensor stage9.extra.weight"),
+        ("wrong shape", "embed.fc2.weight: shape (49, 48), expected (48, 48)"),
+    ],
+)
+def test_weights_problems_read_the_same_loaded_or_in_memory(fault, line):
+    cfg = desk_config()
+    w = init_weights(cfg, seed=0)
+    if fault == "missing":
+        del w["stage1.block0.pa.q.bias"]
+    elif fault == "extra":
+        w["stage9.extra.weight"] = np.zeros((2, 2), dtype=np.float32)
+    else:
+        w["embed.fc2.weight"] = np.zeros((49, 48), dtype=np.float32)
+    with pytest.raises(ConfigError) as direct:
+        validate_weights(w, cfg)
+    buf = pyio.BytesIO()
+    save_weights(w, buf)
+    buf.seek(0)
+    with pytest.raises(ConfigError) as loaded:
+        load_weights(buf, cfg)
+    assert str(loaded.value) == str(direct.value)
+    assert str(direct.value).splitlines() == ["weights do not match the model config:", f"  {line}"]
+
+
+@pytest.mark.parametrize("with_config", [False, True])
+def test_weights_non_list_shape_is_an_integrity_error(with_config):
+    cfg = desk_config()
+    buf = pyio.BytesIO()
+    save_weights(init_weights(cfg, seed=0), buf)
+    data = buf.getvalue()
+    head_end = data.index(b"\n", len(WEIGHTS_MAGIC)) + 1
+    manifest = json.loads(data[len(WEIGHTS_MAGIC):head_end])
+    manifest["tensors"][0]["shape"] = 5
+    tampered = WEIGHTS_MAGIC + json.dumps(manifest).encode() + b"\n" + data[head_end:]
+    with pytest.raises(IntegrityError, match="tensor entry 0: missing name or shape"):
+        load_weights(pyio.BytesIO(tampered), cfg if with_config else None)
 
 
 def test_weights_file_like_roundtrip():

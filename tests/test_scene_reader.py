@@ -63,9 +63,12 @@ def _nodes(value, path=()):
 
 
 def _set(doc, path, value):
-    for key in path[:-1]:
-        doc = doc[key]
-    doc[path[-1]] = value
+    *head, last = path
+    parent = _get(doc, head)
+    if isinstance(parent, tuple):  # a point `tuple_pair` made: rebuild it around the value
+        _set(doc, head, tuple(value if i == last else v for i, v in enumerate(parent)))
+    else:
+        parent[last] = value
 
 
 def _get(doc, path):
@@ -351,9 +354,6 @@ def _no_element_walk(*args):
 def test_reader_objects_behave_like_constructed_ones(monkeypatch, layout, seed, noisy):
     built = _scene(layout, seed, noisy)
     doc = scene_to_doc(built)
-    for key in ("centerlines", "boundaries"):
-        random.Random(seed).shuffle(doc["hd"][key])  # the batch path sorts by id too
-    random.Random(seed).shuffle(doc["sd"]["roads"])
     monkeypatch.setattr(mio, "_scene_per_element", _no_element_walk)
     read = scene_from_doc(json.loads(json.dumps(doc)))
     assert read_scene(pyio.StringIO(dumps_scene(built))) == read == built
@@ -389,3 +389,24 @@ def test_reader_objects_behave_like_constructed_ones(monkeypatch, layout, seed, 
     for obj, field in frozen:
         with pytest.raises(FrozenInstanceError):
             setattr(obj, field, None)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("order", ["shuffled elements", "unsorted edges", "repeated edges"])
+def test_out_of_order_documents_read_as_the_canonical_scene(layout, noisy, order):
+    built = _scene(layout, 0, noisy)
+    doc = scene_to_doc(built)
+    rng = random.Random(7)
+    if order == "shuffled elements":
+        for graph, key in (("sd", "roads"), ("hd", "centerlines"), ("hd", "boundaries")):
+            rng.shuffle(doc[graph][key])
+    else:
+        for graph in ("sd", "hd"):
+            edges = doc[graph]["edges"]
+            if order == "repeated edges":
+                edges += edges[: len(edges) // 2 + 1]
+            rng.shuffle(edges)
+    read = scene_from_doc(json.loads(json.dumps(doc)))
+    assert read == built
+    assert dumps_scene(read) == dumps_scene(built)
