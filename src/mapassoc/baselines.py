@@ -18,6 +18,7 @@ import numpy as np
 
 from .assocmatrix import AssocMatrix
 from .errors import ConfigError, LabelError, NoFeasiblePathError
+from .fields import check_fields
 from .geometry import Association, Scene
 from .geometry import enumerate_paths  # noqa: F401  kept as a module attribute; bench/tracer.py patches it
 
@@ -41,6 +42,7 @@ class HmmParams:
     disallow_nonadjacent: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         if not (math.isfinite(self.emission_sigma) and self.emission_sigma > 0):
             raise ConfigError(f"emission_sigma must be finite and > 0, got {self.emission_sigma}")
         if not (math.isfinite(self.transition_self) and self.transition_self > 0):

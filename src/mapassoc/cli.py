@@ -150,19 +150,32 @@ def _read_json(path: str, where: str) -> dict:
         raise ValidationError(f"{where} {path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{where} {path}: expected a JSON object")
+    try:
+        json.dumps(doc, allow_nan=False)  # 1e999 parses to inf, which no config or report may hold
+    except ValueError:
+        raise ValidationError(f"{where} {path}: a number is out of the float range, such as 1e999") from None
     return doc
 
 
 def _config_from(cls, doc, where: str):
-    """Build a config dataclass from a JSON object, rejecting unknown keys."""
+    """Build a config dataclass from a JSON object; an unknown key or a misfit value names `where`."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where}: expected an object")
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(doc) - names)
     if unknown:
         raise ConfigError(f"{where}: unknown fields: {', '.join(unknown)}")
-    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
-    return cls(**kwargs)
+    try:
+        return cls(**doc)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _non_negative(text: str) -> int:
+    """An argparse type for seeds and counts."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate scenes (generate + perturb + optional augment)")
     gen.add_argument("--config", help="JSON with optional gen/perturb/augment sections")
-    gen.add_argument("--count", type=int, default=1, help="number of scenes")
-    gen.add_argument("--seed", type=int, default=None, help="base seed; scene i uses seed+i")
+    gen.add_argument("--count", type=_non_negative, default=1, help="number of scenes")
+    gen.add_argument("--seed", type=_non_negative, default=None, help="base seed; scene i uses seed+i")
     gen.add_argument("--out", required=True, help="output scene container")
     gen.set_defaults(fn=_cmd_gen)
 
@@ -341,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     assoc.add_argument("--post", action="store_true", help="beam-decode the probability matrix")
     assoc.add_argument("--weights", help="weights container for --method mat")
     assoc.add_argument("--model-config", help="JSON model configuration for --method mat")
-    assoc.add_argument("--init-seed", type=int, default=0, help="random init seed when no weights given")
-    assoc.add_argument("--curve-seed", type=int, default=0, help="seed for random curve scheduling")
+    assoc.add_argument("--init-seed", type=_non_negative, default=0, help="random init seed when no weights given")
+    assoc.add_argument("--curve-seed", type=_non_negative, default=0, help="seed for random curve scheduling")
     assoc.add_argument("--beam-k", type=int, default=5, help="beam width for --post")
     assoc.add_argument("--store-probs", action="store_true", help="keep full probability rows in the output")
     assoc.add_argument("--scenes", required=True, help="input scene container")

@@ -31,6 +31,7 @@ import numpy as np
 
 from .assocmatrix import AssocMatrix
 from .errors import ConfigError, LabelError
+from .fields import check_fields
 from .geometry import Association, Scene, enumerate_paths
 
 __all__ = [
@@ -50,6 +51,7 @@ class DecoderConfig:
     max_len: Union[int, None] = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.k < 1:
             raise ConfigError(f"beam width must be >= 1, got {self.k}")
         if self.max_len is not None and self.max_len < 1:

@@ -42,6 +42,7 @@ from .errors import (
     TopologyError,
     ValidationError,
 )
+from .fields import fits
 
 __all__ = [
     "Point2",
@@ -324,7 +325,7 @@ class _Dag:
                 else:
                     trail.append(nxt)
                     stack.append(iter(succ[nxt]))
-        return PathIndex(paths=tuple(paths), dup_map=tuple(n for p in paths for n in p))
+        return PathIndex(paths=tuple(paths))
 
 
 @dataclass(frozen=True)
@@ -384,19 +385,18 @@ class Scene:
 
 @dataclass(frozen=True)
 class PathIndex:
-    """Root-to-leaf paths of a DAG plus the flattened duplication map.
-
-    `paths` holds ordered node-id sequences in lexicographic order.
-    `dup_map[k]` is the originating node id of the k-th path token when all
-    paths are concatenated, which is what token duplication consumes.
-    """
+    """Root-to-leaf paths of a DAG; `paths` holds node-id sequences in lexicographic order."""
 
     paths: tuple[tuple[int, ...], ...]
-    dup_map: tuple[int, ...]
+
+    @cached_property
+    def dup_map(self) -> tuple[int, ...]:
+        """The originating node id of each path token, all paths concatenated."""
+        return tuple(n for p in self.paths for n in p)
 
     @property
     def total_tokens(self) -> int:
-        return len(self.dup_map)
+        return sum(map(len, self.paths))
 
 
 # ---------------------------------------------------------------------------
@@ -521,14 +521,7 @@ def crop_extents(meta: dict) -> tuple:
     out = []
     for key in ("sd", "hd"):
         half = crop.get(key)
-        if key in crop and not (
-            isinstance(half, (list, tuple))
-            and len(half) == 2
-            and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= sys.float_info.max
-                for v in half
-            )
-        ):
+        if key in crop and not (fits(half, tuple[float, float]) and all(0 <= v <= sys.float_info.max for v in half)):
             raise ValidationError(f"meta.crop.{key}: expected [x, y] extents, got {half!r}")
         out.append(None if half is None else (float(half[0]), float(half[1])))
     return tuple(out)

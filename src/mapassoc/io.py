@@ -40,6 +40,7 @@ import numpy as np
 
 from .assocmatrix import AssocMatrix
 from .errors import ConfigError, IntegrityError, InvalidGeometryError, ValidationError
+from .fields import fits
 from .geometry import (
     Association,
     Boundary,
@@ -129,11 +130,7 @@ def _parse_line(text: str, where: str) -> dict:
 
 
 def _point(value, where: str) -> Point2:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
+    if not fits(value, tuple[float, float]):
         raise ValidationError(f"{where}: expected [x, y], got {value!r}")
     return Point2(float(value[0]), float(value[1]))
 
@@ -145,7 +142,7 @@ def _points(values: list, owner: str) -> tuple:
 
 def _ident(obj, where: str) -> int:
     v = obj.get("id") if isinstance(obj, dict) else None
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not fits(v, int):
         raise ValidationError(f"{where}: missing or non-integer id")
     return v
 
@@ -155,11 +152,7 @@ def _edges(value, where: str) -> tuple:
         raise ValidationError(f"{where}: expected a list of [a, b] pairs")
     out = []
     for i, e in enumerate(value):
-        if (
-            not isinstance(e, (list, tuple))
-            or len(e) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in e)
-        ):
+        if not fits(e, tuple[int, int]):
             raise ValidationError(f"{where}[{i}]: expected an [a, b] id pair, got {e!r}")
         out.append((e[0], e[1]))
     return tuple(out)
@@ -173,7 +166,7 @@ def _labels(doc: dict, where: str) -> dict:
             cl = int(k)
         except ValueError:
             raise ValidationError(f"{where}: non-integer centerline key {k!r}") from None
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not fits(v, int):
             raise ValidationError(f"{where}: centerline {k}: road id must be an integer")
         labels[cl] = v
     return labels
@@ -600,7 +593,7 @@ def load_weights(source: Union[str, IO], cfg=None) -> dict:
         raise IntegrityError("weights container: manifest must be an object")
     tensors = manifest.get("tensors")
     total = manifest.get("total_bytes")
-    if not isinstance(tensors, list) or not isinstance(total, int) or isinstance(total, bool):
+    if not isinstance(tensors, list) or not fits(total, int):
         raise IntegrityError("weights container: manifest needs tensors list and total_bytes")
 
     blob = body[nl + 1:]
@@ -619,7 +612,7 @@ def load_weights(source: Union[str, IO], cfg=None) -> dict:
             raise IntegrityError(f"tensor {name!r}: unsupported dtype {t.get('dtype')!r}")
         if name in shapes:
             raise IntegrityError(f"tensor {name!r}: duplicated in manifest")
-        if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
+        if not fits(shape, tuple[int, ...]) or min(shape, default=0) < 0:
             raise IntegrityError(f"tensor {name!r}: invalid shape {shape!r}")
         shapes[name] = tuple(shape)
     if cfg is not None:

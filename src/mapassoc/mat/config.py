@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from ..curves import CURVE_KINDS, DEFAULT_GRID_G, DEFAULT_GRID_R
 from ..errors import ConfigError
+from ..fields import check_fields
 
 __all__ = ["StageSpec", "ModelConfig", "desk_config", "full_config", "FULL_VARIANTS"]
 
@@ -36,9 +37,10 @@ class StageSpec:
     heads: int
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("blocks", "channels", "heads"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if v < 1:
                 raise ConfigError(f"stage {name} must be a positive integer, got {v!r}")
         if self.channels % self.heads != 0:
             raise ConfigError(
@@ -63,10 +65,10 @@ class ModelConfig:
     arguments.
     """
 
-    stages: tuple = (StageSpec(1, 48, 4), StageSpec(1, 96, 4))
+    stages: tuple[StageSpec, ...] = (StageSpec(1, 48, 4), StageSpec(1, 96, 4))
     patch_size: int = 1024
     curve: str = "hilbert"
-    attention_order: tuple = ("spatial", "path")
+    attention_order: tuple[str, str] = ("spatial", "path")
     mlp_ratio: int = 4
     rope_base: float = 10000.0
     pooling: str = "avg"
@@ -74,12 +76,8 @@ class ModelConfig:
     grid_R: int = DEFAULT_GRID_R
 
     def __post_init__(self):
-        stages = tuple(
-            s if isinstance(s, StageSpec) else StageSpec(*s) for s in self.stages
-        )
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "attention_order", tuple(self.attention_order))
-        if not stages:
+        check_fields(self)
+        if not self.stages:
             raise ConfigError("at least one stage required")
         if self.patch_size < 1:
             raise ConfigError(f"patch_size must be >= 1, got {self.patch_size}")

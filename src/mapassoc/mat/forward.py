@@ -124,9 +124,7 @@ def build_tokens(scene: Scene) -> TokenSet:
     for lp in enumerate_paths(scene.hd).paths:
         paths.append(tuple(cl_slot[cid] for cid in lp))
     paths.extend(boundary_chains)
-    pidx = PathIndex(
-        paths=tuple(paths), dup_map=tuple(t for p in paths for t in p)
-    )
+    pidx = PathIndex(paths=tuple(paths))
     return TokenSet(
         vectors=tuple(vectors),
         kind=np.asarray(kind, dtype=np.int8),

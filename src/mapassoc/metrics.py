@@ -33,11 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import ConfigError, CoverageError, InvalidGeometryError, ValidationError
+from .fields import check_fields, fits
 from .geometry import Association, HdGraph, Scene, enumerate_paths
 
 __all__ = [
@@ -64,16 +65,14 @@ _PREFILTER_CELLS = 1 << 18
 class MetricConfig:
     """Thresholds, length buckets, and the two geometric tolerances."""
 
-    thresholds: tuple = DEFAULT_THRESHOLDS
-    length_buckets: tuple = DEFAULT_BUCKETS
+    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
+    length_buckets: tuple[tuple[float, float], ...] = DEFAULT_BUCKETS
     point_match_tau: float = 1.5
     chamfer_tau: float = 1.0
 
     def __post_init__(self):
-        ths = tuple(float(t) for t in self.thresholds)
-        object.__setattr__(self, "thresholds", ths)
-        buckets = tuple((float(lo), float(hi)) for lo, hi in self.length_buckets)
-        object.__setattr__(self, "length_buckets", buckets)
+        check_fields(self)
+        ths, buckets = self.thresholds, self.length_buckets
         if not ths or any(not 0.0 < t <= 1.0 for t in ths):
             raise ConfigError("thresholds must lie in (0, 1]")
         if any(a >= b for a, b in zip(ths, ths[1:])):
@@ -205,14 +204,10 @@ class MetricReport:
             if key not in doc:
                 raise ValidationError(f"missing field {key!r}")
         ths = doc["thresholds"]
-        if not isinstance(ths, list) or not all(map(_is_number, ths)):
+        if not fits(ths, tuple[float, ...]):
             raise ValidationError("field 'thresholds' must be a list of numbers")
         buckets = doc["buckets"]
-        if not isinstance(buckets, list) or not all(
-            isinstance(b, list) and len(b) == 2 and _is_number(b[0])
-            and (b[1] is None or _is_number(b[1]))
-            for b in buckets
-        ):
+        if not fits(buckets, tuple[tuple[float, Optional[float]], ...]):
             raise ValidationError("field 'buckets' must be a list of [low, high or null] pairs")
         try:
             counts = np.asarray(doc["counts"])
@@ -225,10 +220,6 @@ class MetricReport:
             buckets=tuple((lo, math.inf if hi is None else hi) for lo, hi in buckets),
             counts=counts,
         )
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ConfigError, GenerationError
+from .fields import check_fields
 from .geometry import (
     Association,
     Boundary,
@@ -61,9 +62,9 @@ class GenConfig:
     """Scene generation settings. Extents are (x, y) half-widths in meters."""
 
     layout: str = "grid"
-    sd_extent: tuple = (75.0, 75.0)
-    hd_extent: tuple = (15.0, 30.0)
-    lanes_per_road: tuple = (1, 3)
+    sd_extent: tuple[float, float] = (75.0, 75.0)
+    hd_extent: tuple[float, float] = (15.0, 30.0)
+    lanes_per_road: tuple[int, int] = (1, 3)
     lane_offset: float = 3.0
     vector_spacing_sd: float = 10.0
     vector_spacing_hd: float = 3.0
@@ -79,6 +80,7 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.layout not in ("grid", "radial", "random-planar"):
             raise ConfigError(f"unknown layout {self.layout!r}")
         lo, hi = self.lanes_per_road
@@ -89,6 +91,8 @@ class GenConfig:
                 raise ConfigError(f"{name} must be positive")
         if min(self.sd_extent) <= 0 or min(self.hd_extent) <= 0:
             raise ConfigError("extents must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -96,43 +100,47 @@ class PerturbConfig:
     """Mapping-noise model. ``gps_shift`` is a fixed (dx, dy) offset or a
     Gaussian sigma in meters when given as a single number."""
 
-    gps_shift: Union[tuple, float] = (0.0, 0.0)
+    gps_shift: Union[tuple[float, float], float] = (0.0, 0.0)
     dropout_rate: float = 0.0
     jitter_sigma: float = 0.0
     oversegment_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("dropout_rate", "oversegment_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if self.jitter_sigma < 0:
-            raise ConfigError("jitter_sigma must be >= 0")
+        for name in ("jitter_sigma", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
 class AugConfig:
     """Training-time augmentation settings, applied jointly to SD and HD."""
 
-    rotate_range_deg: tuple = (-1.0, 1.0)
+    rotate_range_deg: tuple[float, float] = (-1.0, 1.0)
     rotate_p: float = 0.5
-    scale_range: tuple = (0.9, 1.1)
+    scale_range: tuple[float, float] = (0.9, 1.1)
     flip_p: float = 0.5
     jitter_sigma: float = 0.005
     jitter_clip: float = 0.02
-    grid_sample: Union[tuple, None] = (0.1, 0.1, math.pi / 16)
+    grid_sample: Optional[tuple[float, float, float]] = (0.1, 0.1, math.pi / 16)
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("rotate_p", "flip_p"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if self.jitter_sigma < 0 or self.jitter_clip < 0:
-            raise ConfigError("jitter settings must be >= 0")
-        if self.grid_sample is not None and len(self.grid_sample) != 3:
-            raise ConfigError("grid_sample needs (x, y, theta) cell sizes or None")
+        for name in ("jitter_sigma", "jitter_clip", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.grid_sample is not None and min(self.grid_sample) <= 0:
+            raise ConfigError(f"grid_sample cell sizes must be > 0, got {self.grid_sample}")
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +524,8 @@ def perturb_scene(scene: Scene, cfg: PerturbConfig) -> Scene:
     into two chained halves, both inheriting the gt label). The SD layer is
     untouched. A zeroed config returns the scene unchanged.
     """
-    zero_shift = (
-        cfg.gps_shift == 0.0
-        if isinstance(cfg.gps_shift, (int, float))
-        else tuple(cfg.gps_shift) == (0.0, 0.0)
-    )
     if (
-        zero_shift
+        not np.any(cfg.gps_shift)
         and cfg.dropout_rate == 0.0
         and cfg.jitter_sigma == 0.0
         and cfg.oversegment_rate == 0.0

@@ -120,7 +120,7 @@ def test_03_attention_matches_dense_oracle_100_seeds_each():
         x = rng.standard_normal((n, c)).astype(np.float32)
         w = rand_attn(c, heads, rng)
         paths = random_paths(rng, n)
-        pidx = PathIndex(paths=paths, dup_map=tuple(i for p in paths for i in p))
+        pidx = PathIndex(paths=paths)
         inst = rng.integers(0, 9, size=n)
         got = path_attention(x, pidx, w, inst)
         want = path_attention_reference(x, list(paths), w, inst)

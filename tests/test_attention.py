@@ -31,7 +31,7 @@ from oracles import (
 
 
 def make_pidx(*paths):
-    return PathIndex(paths=tuple(tuple(p) for p in paths), dup_map=tuple(i for p in paths for i in p))
+    return PathIndex(paths=tuple(tuple(p) for p in paths))
 
 
 # ---------------------------------------------------------------------------
