@@ -145,15 +145,11 @@ def _read_json(path: str, where: str) -> dict:
     with open(path, "rb") as fh:
         text = decode_utf8(fh.read(), f"{where} {path}")
     try:
-        doc = parse_json(text, f"{where} {path}")
+        doc = parse_json(text, f"{where} {path}", finite=True)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{where} {path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{where} {path}: expected a JSON object")
-    try:
-        json.dumps(doc, allow_nan=False)  # 1e999 parses to inf, which no config or report may hold
-    except ValueError:
-        raise ValidationError(f"{where} {path}: a number is out of the float range, such as 1e999") from None
     return doc
 
 

@@ -1,11 +1,10 @@
 """What a config field or a JSON value may hold: its annotation says.
 
 Config dataclasses call `check_fields` first in `__post_init__`; readers test
-JSON values with `fits`. `int` is an int, not a bool. `float` also takes an
-int, kept as given, and a numpy float (isinstance). `tuple[X, Y]` and
-`tuple[X, ...]` take a list or tuple of items that fit and give a tuple; a
-dataclass may be given as a list of its fields. `Optional` and `Union` take
-the first member that fits.
+JSON values with `fits`. `int` is an int, not a bool; `float` also takes an
+int, kept as given, and a numpy float. `tuple[X, Y]` and `tuple[X, ...]` take
+a list or tuple of items that fit and give a tuple, a dataclass may be a list
+of its fields, and `Optional` and `Union` take the first member that fits.
 """
 
 from __future__ import annotations
@@ -22,26 +21,27 @@ __all__ = ["conform", "fits", "check_fields"]
 
 def conform(value, hint):
     """`value` in the form `hint` describes; raises TypeError when it does not fit."""
-    if isinstance(hint, type) and not dataclasses.is_dataclass(hint):
-        if isinstance(value, bool) == (hint is bool) and isinstance(value, (int, float) if hint is float else hint):
-            return value
-    elif dataclasses.is_dataclass(hint):
-        if isinstance(value, hint):
-            return value
-        if isinstance(value, (list, tuple)):
-            return hint(*value)  # a wrong arity raises TypeError
-    elif get_origin(hint) is Union:
+    origin = get_origin(hint)  # first: before 3.11, isinstance(tuple[int], type) holds
+    if origin is Union:
         for member in get_args(hint):
             try:
                 return conform(value, member)
             except TypeError:
                 pass
-    elif get_origin(hint) is tuple and isinstance(value, (list, tuple)):
-        args = get_args(hint)
-        if len(args) == 2 and args[1] is ...:
-            return tuple(conform(v, args[0]) for v in value)
-        if len(value) == len(args):
-            return tuple(map(conform, value, args))
+    elif origin is tuple:
+        if isinstance(value, (list, tuple)):
+            args = get_args(hint)
+            if len(args) == 2 and args[1] is ...:
+                return tuple(conform(v, args[0]) for v in value)
+            if len(value) == len(args):
+                return tuple(map(conform, value, args))
+    elif dataclasses.is_dataclass(hint):
+        if isinstance(value, hint):
+            return value
+        if isinstance(value, (list, tuple)):
+            return hint(*value)  # a wrong arity raises TypeError
+    elif isinstance(value, bool) == (hint is bool) and isinstance(value, (int, float) if hint is float else hint):
+        return value
     raise TypeError(f"expected {_name(hint)}, got {value!r}")
 
 
@@ -56,7 +56,7 @@ def fits(value, hint) -> bool:
 
 def _name(hint) -> str:
     """`hint` as written in source, e.g. `tuple[StageSpec, ...]`."""
-    return hint.__name__ if isinstance(hint, type) else re.sub(r"\w+\.", "", str(hint))
+    return hint.__name__ if get_origin(hint) is None and isinstance(hint, type) else re.sub(r"\w+\.", "", str(hint))
 
 
 @lru_cache(maxsize=None)

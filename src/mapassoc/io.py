@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain
-from math import atan2, pi
+from math import atan2, isfinite, pi
 from operator import eq, ge, itemgetter, sub
 from typing import IO, Union
 
@@ -105,18 +105,22 @@ def _write_bytes(dest: Union[str, IO], data: bytes) -> None:
         fh.write(data)
 
 
-def parse_json(text: str, where: str):
+def parse_json(text: str, where: str, finite: bool = False):
     """`json.loads` without the NaN, Infinity and -Infinity extensions.
 
     Canonical JSON has no spelling for a non-finite number, so a reader
-    refuses one with a ValidationError naming `where`. Malformed text still
-    raises json.JSONDecodeError for the caller to word.
+    refuses one with a ValidationError naming `where`; with `finite`, also a
+    number that overflows a float, such as 1e999 (the scene reader leaves that
+    to its per-element checks). Malformed text still raises JSONDecodeError.
     """
 
     def reject(name):
         raise ValidationError(f"{where}: non-finite number {name} is not allowed")
 
-    return json.loads(text, parse_constant=reject)
+    def finite_float(literal):
+        return float(literal) if isfinite(float(literal)) else reject(literal)
+
+    return json.loads(text, parse_constant=reject, parse_float=finite_float if finite else None)
 
 
 def _parse_line(text: str, where: str) -> dict:
@@ -166,7 +170,7 @@ def _labels(doc: dict, where: str) -> dict:
             cl = int(k)
         except ValueError:
             raise ValidationError(f"{where}: non-integer centerline key {k!r}") from None
-        if not fits(v, int):
+        if type(v) is not int and not fits(v, int):  # exact type first: this runs per label per record
             raise ValidationError(f"{where}: centerline {k}: road id must be an integer")
         labels[cl] = v
     return labels

@@ -72,7 +72,10 @@ class MetricConfig:
 
     def __post_init__(self):
         check_fields(self)
-        ths, buckets = self.thresholds, self.length_buckets
+        ths = tuple(map(float, self.thresholds))  # a report writes 1.0, not 1
+        object.__setattr__(self, "thresholds", ths)
+        buckets = tuple((float(lo), float(hi)) for lo, hi in self.length_buckets)
+        object.__setattr__(self, "length_buckets", buckets)
         if not ths or any(not 0.0 < t <= 1.0 for t in ths):
             raise ConfigError("thresholds must lie in (0, 1]")
         if any(a >= b for a, b in zip(ths, ths[1:])):

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import tempfile
+import types
 from pathlib import Path
 from typing import Optional, Union
 from unittest import mock
@@ -29,6 +30,7 @@ from mapassoc.cli import main
 from mapassoc.errors import ConfigError
 from mapassoc.fields import check_fields, conform, fits
 from mapassoc.mat import ModelConfig, StageSpec
+from mapassoc.metrics import DEFAULT_THRESHOLDS, MetricConfig
 from mapassoc.scenegen import AugConfig, GenConfig, PerturbConfig
 
 # ---------------------------------------------------------------------------
@@ -91,6 +93,33 @@ def test_check_fields_stores_tuples_and_names_the_field():
         ModelConfig(stages=[[1, "48", 4]])
     with pytest.raises(ConfigError, match=r"^sd_extent: expected tuple\[float, float\], got 5$"):
         GenConfig(sd_extent=5)
+
+
+def test_tuple_hints_fit_where_an_alias_passes_for_a_type():
+    # Before Python 3.11, isinstance(tuple[float, float], type) is True; the
+    # stand-in below answers that way on every version.
+    def isinstance_310(obj, cls):
+        return (cls is type and type(obj) is types.GenericAlias) or isinstance(obj, cls)
+
+    with mock.patch("mapassoc.fields.isinstance", isinstance_310, create=True):
+        assert conform([1.5, 2], tuple[float, float]) == (1.5, 2)
+        assert conform([[1, 48, 4]], tuple[StageSpec, ...]) == (StageSpec(1, 48, 4),)
+        with pytest.raises(TypeError, match=r"^expected tuple\[int, int\], got 5$"):
+            conform(5, tuple[int, int])
+        assert MetricConfig().thresholds == DEFAULT_THRESHOLDS and GenConfig().sd_extent == (75.0, 75.0)
+
+
+def test_metric_config_keeps_thresholds_and_buckets_as_floats():
+    cfg = MetricConfig(thresholds=(1,), length_buckets=((0, 5), (5, math.inf)))
+    assert cfg.thresholds == (1.0,) and type(cfg.thresholds[0]) is float
+    assert all(type(v) is float for b in cfg.length_buckets for v in b)
+
+
+def test_config_documents_refuse_a_number_out_of_the_float_range(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"perturb": {"jitter_sigma": 1e999}}')
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "s.ndjson")]) == 2
+    assert "non-finite number 1e999 is not allowed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("make", [
