@@ -15,22 +15,50 @@ else.  Per-scene work runs on forked worker processes: MAPASSOC_THREADS
 caps their number (default: all usable CPUs, and never more than those),
 and the run is serial where the platform has no fork.  Outputs are
 order-preserving and bit-identical across worker counts.
+
+`associate` and `eval` split the scene container into lines in the calling
+process; each scene is parsed by the worker that runs it.  Workers claim the
+scene with the longest line left, the calling process the shortest, until
+the two ends meet.  Faults are found as a serial run meets them: first the
+command's own inputs (flags, config files, weights, the scene container's
+text, the association file and its record count), then each scene in file
+order (its parse, its `scene_ref` pairing, its work).  Whatever the worker
+count, the error raised is the first one in that order.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import dataclasses
+import functools
 import json
+import mmap
 import os
 import pickle
+import signal
+import struct
 import sys
+
+import numpy as np
 
 from .baselines import HmmParams, distance_assoc_matrix, hmm_associate, knn_associate
 from .decoder import DecoderConfig, decode_association
 from .errors import ConfigError, GenerationError, MapAssocError, NoFeasiblePathError, ValidationError
-from .io import AssocRecord, decode_utf8, load_weights, parse_json, read_assocs, read_scenes, write_assocs, write_scenes
+from .io import (
+    AssocRecord,
+    decode_utf8,
+    load_weights,
+    loads_scene,
+    numbered_lines,
+    parse_json,
+    read_assocs,
+    write_assocs,
+    write_scenes,
+)
+from .io import read_scenes  # noqa: F401  kept as a module attribute; bench/tracer.py patches it
 from .mat import ModelConfig, desk_config, init_weights, mat_associate
 from .metrics import MetricConfig, MetricReport, Prediction, association_pr, reachability_pr, report_table
 from .scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
@@ -56,86 +84,160 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_share(fn, share) -> list:
-    """(ok, value) per item of `share`, stopping after the first that raises.
+@functools.lru_cache(maxsize=None)
+def _openblas():
+    """The (get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        names = sorted(os.listdir(libs))
+    except OSError:  # not a wheel install
+        return None
+    for name in names:
+        if name.startswith("libscipy_openblas"):
+            try:
+                lib = ctypes.CDLL(os.path.join(libs, name))
+                get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
-    Later items of the same share have higher indices, so they cannot hold
-    the lowest failing index.
-    """
-    out = []
-    for x in share:
-        try:
-            out.append((True, fn(x)))
-        except Exception as exc:
-            out.append((False, exc))
-            break
-    return out
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread, so forked workers do not share CPUs with it."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
 
 
-def _map(fn, items) -> list:
+# The claim state forked workers share: the next rank from the top, the end of
+# the unclaimed ranks, and the lowest failing item index (len(items) until one fails).
+_CLAIMS = struct.Struct("qqq")
+
+
+def _map(fn, items, costs=None) -> list:
     """Order-preserving map over items on forked worker processes.
 
-    With n workers, worker w takes items w, w+n, w+2n, ... and the calling
-    process is worker 0. Children inherit `fn` and `items` through the fork,
-    so only results are pickled, one list per child through a pipe. If any
-    item raises, the exception of the lowest failing index is re-raised:
-    the error a serial run gives, whatever the worker count.
+    Items are ranked by `costs`, largest first (in index order without
+    costs), and claimed one at a time. With n workers, the n - 1 forked
+    children start on the n - 1 top-ranked items and then each claims the
+    top-ranked item left; the calling process claims from the bottom, so it
+    runs the smallest items, until the two ends meet. Children inherit `fn`
+    and `items` through the fork, so only results are pickled, one list per
+    child through a pipe. If any item raises, the exception of the lowest
+    failing index is re-raised: the error a serial run gives, whatever the
+    worker count. A claimed item above the lowest failure recorded so far is
+    skipped. If the calling process itself raises (say, on an interrupt),
+    its children are killed and reaped before the exception propagates.
     """
     items = list(items)
     n = min(_threads(), _usable_cpus(), len(items))
     if n <= 1 or not hasattr(os, "fork"):
         return [fn(x) for x in items]
+    rank = list(range(len(items)))
+    if costs is not None:
+        rank.sort(key=costs.__getitem__, reverse=True)  # stable: equal costs keep index order
+    state = mmap.mmap(-1, _CLAIMS.size)
+    _CLAIMS.pack_into(state, 0, n - 1, len(items), len(items))
+    token_r, token_w = os.pipe()  # holds one byte while no process holds the claim state
+    os.write(token_w, b"\0")
+
+    @contextlib.contextmanager
+    def claim_state():
+        os.read(token_r, 1)
+        try:
+            yield _CLAIMS.unpack_from(state)
+        finally:
+            os.write(token_w, b"\0")
+
+    def run(top: bool, position=None) -> list:
+        """(index, ok, value) of each item this process claims, from the top or the bottom."""
+        done = []
+        while True:
+            with claim_state() as (front, back, low):
+                if position is None:
+                    if front >= back:
+                        return done
+                    if top:
+                        position, front = front, front + 1
+                    else:
+                        position = back = back - 1
+                    _CLAIMS.pack_into(state, 0, front, back, low)
+            i, position = rank[position], None
+            if i > low:
+                continue
+            try:
+                done.append((i, True, fn(items[i])))
+            except Exception as exc:
+                with claim_state() as (front, back, low):
+                    _CLAIMS.pack_into(state, 0, front, back, min(low, i))
+                done.append((i, False, exc))
+
     children = []  # (worker, pid, read end of its result pipe)
     try:
-        for w in range(1, n):
-            r, wr = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(wr)
-                raise
-            if pid == 0:  # child: never returns into the caller's stack
-                code = 1
+        with _one_blas_thread():
+            for w in range(1, n):
+                r, wr = os.pipe()
                 try:
+                    pid = os.fork()
+                except OSError:
                     os.close(r)
-                    for _, _, fd in children:
-                        os.close(fd)
-                    with os.fdopen(wr, "wb") as fh:
-                        pickle.dump(_run_share(fn, items[w::n]), fh, protocol=pickle.HIGHEST_PROTOCOL)
-                    code = 0
+                    os.close(wr)
+                    raise
+                if pid == 0:  # child: never returns into the caller's stack
+                    code = 1
+                    try:
+                        os.close(r)
+                        for _, _, fd in children:
+                            os.close(fd)
+                        with os.fdopen(wr, "wb") as fh:
+                            pickle.dump(run(True, w - 1), fh, protocol=pickle.HIGHEST_PROTOCOL)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(wr)
+                children.append((w, pid, r))
+            done = run(False)
+            lost = []
+            while children:
+                w, pid, r = children.pop(0)
+                try:
+                    with os.fdopen(r, "rb") as fh:
+                        data = fh.read()
                 finally:
-                    os._exit(code)
-            os.close(wr)
-            children.append((w, pid, r))
-        shares = {0: _run_share(fn, items[0::n])}
-        lost = []
-        while children:
-            w, pid, r = children.pop(0)
-            try:
-                with os.fdopen(r, "rb") as fh:
-                    data = fh.read()
-            finally:
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if status != 0 or not data:
-                lost.append(f"worker {w} (pid {pid}) ended with status {status} before sending its results")
-            else:
-                shares[w] = pickle.loads(data)
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if status != 0 or not data:
+                    lost.append(f"worker {w} (pid {pid}) ended with status {status} before sending its results")
+                else:
+                    done += pickle.loads(data)
     finally:
-        for _, pid, r in children:  # left only when the parent itself raised
+        for _, pid, r in children:  # left only when the caller raised, so their results are unwanted
+            os.kill(pid, signal.SIGKILL)
             os.close(r)
             os.waitpid(pid, 0)
+        os.close(token_r)
+        os.close(token_w)
+        state.close()
     if lost:
         raise ChildProcessError("; ".join(lost))
     out = [None] * len(items)
     failed = None
-    for w, share in shares.items():
-        for k, (ok, value) in enumerate(share):
-            i = w + k * n
-            if ok:
-                out[i] = value
-            elif failed is None or i < failed[0]:
-                failed = (i, value)
+    for i, ok, value in done:
+        if ok:
+            out[i] = value
+        elif failed is None or i < failed[0]:
+            failed = (i, value)
     if failed is not None:
         raise failed[1]
     return out
@@ -204,8 +306,13 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _scene_items(path: str) -> tuple:
+    """`(index, where, line)` per scene of a container, and each line's length as its cost."""
+    items = [(i, where, line) for i, (where, line) in enumerate(numbered_lines(path))]
+    return items, [len(line) for _, _, line in items]
+
+
 def _cmd_associate(args) -> int:
-    scenes = read_scenes(args.scenes)
     method = args.method
     mcfg = None
     weights = None
@@ -219,9 +326,11 @@ def _cmd_associate(args) -> int:
         else:
             weights = init_weights(mcfg, seed=args.init_seed)
     dcfg = DecoderConfig(k=args.beam_k)
+    items, costs = _scene_items(args.scenes)
 
-    def one(pair) -> AssocRecord:
-        i, scene = pair
+    def one(item) -> AssocRecord:
+        i, where, line = item
+        scene = loads_scene(line, where)
         if method == "mat":
             amat, _ = mat_associate(scene, mcfg, weights, curve_seed=args.curve_seed)
         else:
@@ -240,26 +349,10 @@ def _cmd_associate(args) -> int:
             probs=amat if args.store_probs else None,
         )
 
-    records = _map(one, enumerate(scenes))
+    records = _map(one, items, costs)
     write_assocs(records, args.out)
     print(f"wrote {len(records)} association records to {args.out}")
     return 0
-
-
-def _pair_predictions(records, scenes, pred_path: str, scenes_path: str) -> list:
-    if len(records) != len(scenes):
-        raise ValidationError(
-            f"{pred_path} has {len(records)} records but {scenes_path} has {len(scenes)} scenes"
-        )
-    preds = []
-    for i, (rec, scene) in enumerate(zip(records, scenes)):
-        sid = scene.meta.get("scene_id")
-        if sid is not None and rec.scene_ref != str(sid):
-            raise ValidationError(
-                f"record {i} references scene {rec.scene_ref!r} but scene {i} is {str(sid)!r}"
-            )
-        preds.append(Prediction(assoc=rec.assoc))
-    return preds
 
 
 def _sum_reports(per_scene) -> MetricReport:
@@ -271,11 +364,6 @@ def _sum_reports(per_scene) -> MetricReport:
 
 
 def _cmd_eval(args) -> int:
-    scenes = read_scenes(args.scenes)
-    if not scenes:
-        raise ValidationError(f"{args.scenes}: no scenes in container")
-    records = read_assocs(args.pred)
-    preds = _pair_predictions(records, scenes, args.pred, args.scenes)
     kwargs = {"point_match_tau": args.tau, "chamfer_tau": args.chamfer_tau}
     if args.thresholds:
         try:
@@ -284,14 +372,30 @@ def _cmd_eval(args) -> int:
             raise ConfigError(f"--thresholds must be comma-separated numbers, got {args.thresholds!r}") from None
     cfg = MetricConfig(**kwargs)
     score = association_pr if args.metric == "association" else reachability_pr
-    per_scene = _map(lambda pair: score([pair[0]], [pair[1]], cfg), zip(preds, scenes))
-    report = _sum_reports(per_scene)
+    items, costs = _scene_items(args.scenes)
+    if not items:
+        raise ValidationError(f"{args.scenes}: no scenes in container")
+    records = read_assocs(args.pred)
+    if len(records) != len(items):
+        raise ValidationError(f"{args.pred} has {len(records)} records but {args.scenes} has {len(items)} scenes")
+
+    def one(item) -> MetricReport:
+        i, where, line = item
+        scene = loads_scene(line, where)
+        sid = scene.meta.get("scene_id")
+        if sid is not None and records[i].scene_ref != str(sid):
+            raise ValidationError(
+                f"record {i} references scene {records[i].scene_ref!r} but scene {i} is {str(sid)!r}"
+            )
+        return score([Prediction(assoc=records[i].assoc)], [scene], cfg)
+
+    report = _sum_reports(_map(one, items, costs))
 
     name = args.name or (records[0].method if records else "pred")
     doc = {
         "name": name,
         "metric": args.metric,
-        "scenes": len(scenes),
+        "scenes": len(items),
         "report": report.to_json(),
     }
     with open(args.report, "w", encoding="utf-8") as fh:

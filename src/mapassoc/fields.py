@@ -2,15 +2,17 @@
 
 Config dataclasses call `check_fields` first in `__post_init__`; readers test
 JSON values with `fits`. `int` is an int, not a bool; `float` also takes an
-int, kept as given, and a numpy float. `tuple[X, Y]` and `tuple[X, ...]` take
-a list or tuple of items that fit and give a tuple, a dataclass may be a list
-of its fields, and `Optional` and `Union` take the first member that fits.
+int no larger than a float can hold, kept as given, and a numpy float.
+`tuple[X, Y]` and `tuple[X, ...]` take a list or tuple of items that fit and
+give a tuple, a dataclass may be a list of its fields, and `Optional` and
+`Union` take the first member that fits.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
+import sys
 from functools import lru_cache
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -41,7 +43,8 @@ def conform(value, hint):
         if isinstance(value, (list, tuple)):
             return hint(*value)  # a wrong arity raises TypeError
     elif isinstance(value, bool) == (hint is bool) and isinstance(value, (int, float) if hint is float else hint):
-        return value
+        if hint is not float or isinstance(value, float) or abs(value) <= sys.float_info.max:
+            return value
     raise TypeError(f"expected {_name(hint)}, got {value!r}")
 
 

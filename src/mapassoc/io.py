@@ -111,7 +111,9 @@ def parse_json(text: str, where: str, finite: bool = False):
     Canonical JSON has no spelling for a non-finite number, so a reader
     refuses one with a ValidationError naming `where`; with `finite`, also a
     number that overflows a float, such as 1e999 (the scene reader leaves that
-    to its per-element checks). Malformed text still raises JSONDecodeError.
+    to its per-element checks). So is an int literal longer than Python's
+    digit limit (4300 digits by default). Malformed text still raises
+    JSONDecodeError.
     """
 
     def reject(name):
@@ -120,7 +122,12 @@ def parse_json(text: str, where: str, finite: bool = False):
     def finite_float(literal):
         return float(literal) if isfinite(float(literal)) else reject(literal)
 
-    return json.loads(text, parse_constant=reject, parse_float=finite_float if finite else None)
+    try:
+        return json.loads(text, parse_constant=reject, parse_float=finite_float if finite else None)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an int literal past Python's digit limit; drop its advice to raise the limit
+        raise ValidationError(f"{where}: {str(exc).partition(';')[0]}") from None
 
 
 def _parse_line(text: str, where: str) -> dict:
@@ -176,16 +183,13 @@ def _labels(doc: dict, where: str) -> dict:
     return labels
 
 
-def _read_lines(source: Union[str, IO], from_doc) -> list:
-    """`from_doc(doc, where)` for every non-blank line of a newline-delimited container."""
+def numbered_lines(source: Union[str, IO]) -> list:
+    """`(where, line)` for every non-blank line of a newline-delimited container.
+
+    `where` is "line N", N counting from 1 over all lines, blank ones included.
+    """
     text = _read_text(source)
-    out = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        where = f"line {lineno}"
-        out.append(from_doc(_parse_line(line, where), where))
-    return out
+    return [(f"line {n}", line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
 
 
 def _field(doc: dict, key: str, where: str):
@@ -448,10 +452,14 @@ def write_scene(scene: Scene, dest: Union[str, IO]) -> None:
     _write_bytes(dest, dumps_scene(scene).encode("utf-8"))
 
 
+def loads_scene(text: str, where: str = "scene") -> Scene:
+    """Parse and validate one scene document; inverse of dumps_scene."""
+    return scene_from_doc(_parse_line(text, where), where)
+
+
 def read_scene(source: Union[str, IO]) -> Scene:
     """Read and validate a single-scene file."""
-    text = _read_text(source)
-    return scene_from_doc(_parse_line(text, "scene"), "scene")
+    return loads_scene(_read_text(source))
 
 
 def write_scenes(scenes, dest: Union[str, IO]) -> None:
@@ -462,7 +470,7 @@ def write_scenes(scenes, dest: Union[str, IO]) -> None:
 
 def read_scenes(source: Union[str, IO]) -> list:
     """Read every scene from a newline-delimited container, in file order."""
-    return _read_lines(source, scene_from_doc)
+    return [loads_scene(line, where) for where, line in numbered_lines(source)]
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +552,7 @@ def write_assocs(records, dest: Union[str, IO]) -> None:
 
 def read_assocs(source: Union[str, IO]) -> list:
     """Read every association record from a newline-delimited container, in file order."""
-    return _read_lines(source, assoc_from_doc)
+    return [assoc_from_doc(_parse_line(line, where), where) for where, line in numbered_lines(source)]
 
 
 # ---------------------------------------------------------------------------

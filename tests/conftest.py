@@ -1,6 +1,8 @@
-"""Shared fixtures: hand-built scenes and attention weight helpers."""
+"""Shared fixtures: hand-built scenes, attention weight helpers, and a guard against leftover child processes."""
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -89,3 +91,16 @@ def passthrough_attn(channels: int, heads: int = 1) -> AttnWeights:
         out_w=eye.copy(), out_b=zero.copy(),
         heads=heads,
     )
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, finished or not."""
+    yield
+    if not hasattr(os, "waitpid"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind{f' (pid {pid}, reaped now)' if pid else ''}")

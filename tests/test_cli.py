@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import json
 import os
+import select
+from pathlib import Path
 
 import pytest
 
@@ -320,19 +322,101 @@ def assert_reaped(pids) -> None:
             os.waitpid(pid, os.WNOHANG)
 
 
+def run_log(path):
+    """fn(x) for `_map` that appends x to `path` and returns (x * x, pid); `read` lists the (pid, x) runs."""
+
+    def fn(x):
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{os.getpid()} {x}\n".encode())
+        finally:
+            os.close(fd)
+        return x * x, os.getpid()
+
+    def read():
+        return [tuple(map(int, line.split())) for line in path.read_text().splitlines()] if path.exists() else []
+
+    return fn, read
+
+
 @needs_fork
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_map_keeps_item_order(monkeypatch, n):
+def test_map_keeps_item_order(monkeypatch, tmp_path, n):
     monkeypatch.setenv("MAPASSOC_THREADS", str(n))
     usable_cpus(monkeypatch, 3)
+    forked = spy_on_fork(monkeypatch, limit=2 * (n - 1))
+    for k, costs in enumerate([None, [3, 9, 1, 1, 7, 0, 5, 2, 8, 4]]):
+        fn, runs = run_log(tmp_path / f"runs{k}")
+        out = cli._map(fn, range(10), costs)
+        assert [v for v, _ in out] == [x * x for x in range(10)]
+        # each item runs exactly once; every child runs at least its first item
+        assert sorted(x for _, x in runs()) == list(range(10))
+        assert set(forked[k * (n - 1):]) <= {p for _, p in out} <= {os.getpid(), *forked}
+    assert len(forked) == 2 * (n - 1)
+    assert_reaped(forked)
+
+
+@needs_fork
+def test_map_runs_each_item_once_with_more_workers_than_cpus(monkeypatch, tmp_path):
+    # four workers on however few CPUs contend for the claim state; a lost
+    # update would run an item twice or not at all
+    monkeypatch.setenv("MAPASSOC_THREADS", "4")
+    usable_cpus(monkeypatch, 4)
     forked = spy_on_fork(monkeypatch)
-    out = cli._map(lambda x: (x * x, os.getpid()), range(10))
-    assert [v for v, _ in out] == [x * x for x in range(10)]
-    # worker w runs items w, w + n, ...; the calling process is worker 0
-    pids = [p for _, p in out]
-    assert [pids[i % n] for i in range(10)] == pids
-    assert pids[:n] == [os.getpid(), *forked]
-    assert len(forked) == n - 1
+    fn, runs = run_log(tmp_path / "runs")
+    out = cli._map(fn, range(400), [i % 7 for i in range(400)])
+    assert [v for v, _ in out] == [x * x for x in range(400)]
+    assert sorted(x for _, x in runs()) == list(range(400))
+    assert len(forked) == 3
+    assert_reaped(forked)
+
+
+class Handoff:
+    """A one-way signal between two items of a `_map`, possibly in different processes."""
+
+    def __init__(self):
+        self.r, self.w = os.pipe()
+
+    def give(self):
+        os.write(self.w, b"x")
+
+    def take(self, timeout=10.0):
+        if not select.select([self.r], [], [], timeout)[0]:
+            raise AssertionError("the other item never ran")
+        os.read(self.r, 1)
+
+    def close(self):
+        os.close(self.r)
+        os.close(self.w)
+
+
+@needs_fork
+@pytest.mark.parametrize("costs, first_child, first_caller", [([1, 4, 2, 3], 1, 0), (None, 0, 3)])
+def test_map_hands_the_largest_item_to_a_child_and_the_smallest_to_the_caller(
+    monkeypatch, tmp_path, costs, first_child, first_caller
+):
+    monkeypatch.setenv("MAPASSOC_THREADS", "2")
+    usable_cpus(monkeypatch, 2)
+    forked = spy_on_fork(monkeypatch)
+    log, runs = run_log(tmp_path / "runs")
+    started = Handoff()
+
+    def fn(x):
+        log(x)
+        # the child's first item waits for the caller's first, so neither end
+        # can run ahead and claim the other end's item
+        if x == first_child:
+            started.take()
+        elif x == first_caller:
+            started.give()
+        return x
+
+    try:
+        assert cli._map(fn, range(4), costs) == [0, 1, 2, 3]
+    finally:
+        started.close()
+    assert [x for pid, x in runs() if pid == forked[0]][0] == first_child
+    assert [x for pid, x in runs() if pid == os.getpid()][0] == first_caller
     assert_reaped(forked)
 
 
@@ -372,7 +456,62 @@ def test_map_names_a_worker_that_dies_without_results(monkeypatch):
 
 
 @needs_fork
-def test_map_reaps_children_when_the_caller_share_is_interrupted(monkeypatch):
+@pytest.mark.parametrize("n", [2, 3])
+def test_map_reraises_the_lowest_failing_index_when_a_higher_one_fails_first(monkeypatch, n):
+    monkeypatch.setenv("MAPASSOC_THREADS", str(n))
+    usable_cpus(monkeypatch, 3)
+    failed = Handoff()
+
+    def fn(x):
+        if x == 8:
+            failed.give()
+            raise ValidationError("item 8 is bad")
+        if x == 2:
+            failed.take()
+            raise ValidationError("item 2 is bad")
+        return x
+
+    try:
+        # the largest items (the highest indices here) are claimed first
+        with pytest.raises(ValidationError, match="^item 2 is bad$"):
+            cli._map(fn, range(10), list(range(10)))
+    finally:
+        failed.close()
+
+
+@needs_fork
+def test_map_skips_items_above_a_recorded_failure(monkeypatch, tmp_path):
+    monkeypatch.setenv("MAPASSOC_THREADS", "2")
+    usable_cpus(monkeypatch, 2)
+    forked = spy_on_fork(monkeypatch)
+    log, runs = run_log(tmp_path / "runs")
+    caller_started, child_done = Handoff(), Handoff()
+
+    def fn(x):
+        log(x)
+        if x == 1:  # the child's first item: it fails once the caller holds item 2
+            caller_started.take()
+            raise ValidationError("item 1 is bad")
+        if x == 2:  # the caller's first item
+            caller_started.give()
+            child_done.take()
+        if x == 0:  # below the failure, so the child still runs it
+            child_done.give()
+        return x
+
+    try:
+        # ranked 1, 4, 3, 0, 2: the child takes 1 and then claims 4, 3 and 0
+        with pytest.raises(ValidationError, match="^item 1 is bad$"):
+            cli._map(fn, range(5), [1, 4, 0, 2, 3])
+    finally:
+        caller_started.close()
+        child_done.close()
+    assert sorted(runs()) == sorted([(forked[0], 1), (forked[0], 0), (os.getpid(), 2)])
+    assert_reaped(forked)
+
+
+@needs_fork
+def test_map_reaps_children_when_the_caller_share_is_interrupted(monkeypatch, tmp_path):
     class Stop(BaseException):
         pass
 
@@ -380,16 +519,25 @@ def test_map_reaps_children_when_the_caller_share_is_interrupted(monkeypatch):
     usable_cpus(monkeypatch, 3)
     forked = spy_on_fork(monkeypatch)
     parent = os.getpid()
+    never = Handoff()
+    log, runs = run_log(tmp_path / "runs")
 
     def fn(x):
         if os.getpid() == parent:
             raise Stop
-        return x
+        try:
+            never.take()  # each child waits in its first item until it is stopped
+        finally:
+            log(x)
 
-    with pytest.raises(Stop):
-        cli._map(fn, range(6))
+    try:
+        with pytest.raises(Stop):
+            cli._map(fn, range(6))
+    finally:
+        never.close()
     assert len(forked) == 2
     assert_reaped(forked)
+    assert runs() == []  # the children were stopped, not waited for
 
 
 @needs_fork
@@ -406,6 +554,27 @@ def test_map_forks_at_most_usable_cpus_minus_one(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert cli._map(lambda x: x + 1, range(50)) == list(range(1, 51))
     assert len(forked) == 3
+    assert_reaped(forked)
+
+
+@needs_fork
+def test_map_pins_blas_to_one_thread_while_it_forks(monkeypatch):
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("numpy here bundles no scipy-openblas with scipy_openblas_{get,set}_num_threads64_")
+    get, set_ = blas
+    monkeypatch.setenv("MAPASSOC_THREADS", "2")
+    usable_cpus(monkeypatch, 2)
+    forked = spy_on_fork(monkeypatch)
+    old = get()
+    set_(2)
+    try:
+        out = cli._map(lambda x: (get(), os.getpid()), range(4))
+        assert get() == 2  # the caller's count is back
+    finally:
+        set_(old)
+    assert forked[0] in {pid for _, pid in out}
+    assert {threads for threads, _ in out} == {1}
     assert_reaped(forked)
 
 
@@ -632,6 +801,60 @@ def test_eval_scene_ref_mismatch_exits_2(tmp_path, capsys):
                "--report", str(tmp_path / "r.json")])
     assert rc == 2
     assert "grid-3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_associate_reports_its_own_inputs_before_any_scene(tmp_path, capsys, monkeypatch, threads):
+    # two faults: a malformed model config and a malformed scene line
+    monkeypatch.setenv("MAPASSOC_THREADS", threads)
+    scenes = gen_scenes(tmp_path, count=2)
+    with open(scenes, "a") as fh:
+        fh.write("{broken\n")
+    mcfg = write_cfg(tmp_path, {"patch_size": "8"}, name="model.json")
+    rc = main(["associate", "--method", "mat", "--model-config", mcfg, "--scenes", scenes,
+               "--out", str(tmp_path / "p.ndjson")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: model config: patch_size: expected int, got '8'\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_eval_reports_scene_faults_in_file_order(tmp_path, capsys, monkeypatch, threads):
+    # two faults: record 1 names another scene, and line 3 is malformed
+    monkeypatch.setenv("MAPASSOC_THREADS", threads)
+    scenes = gen_scenes(tmp_path, count=3, seed=3)
+    pred = str(tmp_path / "pred.ndjson")
+    assert main(["associate", "--method", "knn", "--scenes", scenes, "--out", pred]) == 0
+    lines = Path(scenes).read_text().splitlines(keepends=True)
+    lines[1] = lines[1].replace('"scene_id":"grid-4"', '"scene_id":"other"')
+    lines[2] = "{broken\n"
+    with open(scenes, "w") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    rc = main(["eval", "--metric", "association", "--pred", pred, "--scenes", scenes,
+               "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: record 1 references scene 'grid-4' but scene 1 is 'other'\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_overlong_int_literal_exits_2_naming_where(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("MAPASSOC_THREADS", threads)
+    big = "1" + "0" * 5000
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"gen": {"seed": %s}}' % big)
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "s.ndjson")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg}: ") and "digits" in err
+    scenes = gen_scenes(tmp_path, count=2)
+    lines = Path(scenes).read_text().splitlines(keepends=True)
+    doc = json.loads(lines[1])
+    lines[1] = json.dumps(dict(doc, meta=dict(doc["meta"], scene_id="@@"))).replace('"@@"', big) + "\n"
+    with open(scenes, "w") as fh:
+        fh.writelines(lines)
+    rc = main(["associate", "--method", "knn", "--scenes", scenes, "--out", str(tmp_path / "p.ndjson")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: line 2: ") and "digits" in err
 
 
 def test_eval_bad_thresholds_exits_2(tmp_path, capsys):

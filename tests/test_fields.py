@@ -76,6 +76,8 @@ def test_conform_accepts(value, hint, want):
     ([1, 48], StageSpec),
     (5, StageSpec),
     ("a", Union[tuple[float, float], float]),
+    pytest.param(10**400, float, id="int-above-float-max"),
+    pytest.param(-10**400, float, id="int-below-float-min"),
 ])
 def test_conform_rejects(value, hint):
     with pytest.raises(TypeError):
@@ -120,6 +122,13 @@ def test_config_documents_refuse_a_number_out_of_the_float_range(tmp_path, capsy
     cfg.write_text('{"perturb": {"jitter_sigma": 1e999}}')
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "s.ndjson")]) == 2
     assert "non-finite number 1e999 is not allowed" in capsys.readouterr().err
+
+
+def test_config_documents_refuse_an_int_out_of_the_float_range(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"perturb": {"jitter_sigma": 1%s}}' % ("0" * 400))
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "s.ndjson")]) == 2
+    assert "error: perturb config: jitter_sigma: expected float, got 1000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("make", [
