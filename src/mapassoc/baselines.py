@@ -43,12 +43,13 @@ class HmmParams:
 
     def __post_init__(self):
         check_fields(self)
-        if not (math.isfinite(self.emission_sigma) and self.emission_sigma > 0):
-            raise ConfigError(f"emission_sigma must be finite and > 0, got {self.emission_sigma}")
-        if not (math.isfinite(self.transition_self) and self.transition_self > 0):
-            raise ConfigError(f"transition_self must be finite and > 0, got {self.transition_self}")
-        if not (math.isfinite(self.transition_adjacent) and self.transition_adjacent >= 0):
-            raise ConfigError(f"transition_adjacent must be finite and >= 0, got {self.transition_adjacent}")
+        # check_fields has refused NaN and infinities
+        if self.emission_sigma <= 0:
+            raise ConfigError(f"emission_sigma must be > 0, got {self.emission_sigma}")
+        if self.transition_self <= 0:
+            raise ConfigError(f"transition_self must be > 0, got {self.transition_self}")
+        if self.transition_adjacent < 0:
+            raise ConfigError(f"transition_adjacent must be >= 0, got {self.transition_adjacent}")
 
 
 # ---------------------------------------------------------------------------

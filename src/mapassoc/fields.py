@@ -6,11 +6,17 @@ int no larger than a float can hold, kept as given, and a numpy float.
 `tuple[X, Y]` and `tuple[X, ...]` take a list or tuple of items that fit and
 give a tuple, a dataclass may be a list of its fields, and `Optional` and
 `Union` take the first member that fits.
+
+`check_fields` also owns the rule that a config float is finite: a NaN or an
+infinity in a float field, tuple members included, raises a ConfigError that
+names the field, unless the field is declared with `metadata=MAY_BE_INFINITE`
+(the open upper bound of `MetricConfig.length_buckets`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 import sys
 from functools import lru_cache
@@ -18,7 +24,9 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 
-__all__ = ["conform", "fits", "check_fields"]
+__all__ = ["conform", "fits", "check_fields", "MAY_BE_INFINITE"]
+
+MAY_BE_INFINITE = {"may_be_infinite": True}
 
 
 def conform(value, hint):
@@ -65,12 +73,24 @@ def _name(hint) -> str:
 @lru_cache(maxsize=None)
 def _field_hints(cls) -> tuple:
     hints = get_type_hints(cls)
-    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
+    return tuple(
+        (f.name, hints[f.name], f.metadata.get("may_be_infinite", False))
+        for f in dataclasses.fields(cls)
+    )
+
+
+def _non_finite(value):
+    """The first float in a conformed `value` that is NaN or infinite, else None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else value
+    if isinstance(value, tuple):
+        return next((bad for bad in map(_non_finite, value) if bad is not None), None)
+    return None
 
 
 def check_fields(obj) -> None:
     """Conform each field of the dataclass `obj` in place; ConfigError names a misfit."""
-    for name, hint in _field_hints(type(obj)):
+    for name, hint, may_be_infinite in _field_hints(type(obj)):
         value = getattr(obj, name)
         try:
             fitted = conform(value, hint)
@@ -78,5 +98,8 @@ def check_fields(obj) -> None:
             raise ConfigError(f"{name}: expected {_name(hint)}, got {value!r}") from None
         except ConfigError as exc:  # from a nested dataclass, such as a StageSpec
             raise ConfigError(f"{name}: {exc}") from None
+        bad = None if may_be_infinite else _non_finite(fitted)
+        if bad is not None:
+            raise ConfigError(f"{name}: must be finite, got {bad!r}")
         if fitted is not value:
             object.__setattr__(obj, name, fitted)

@@ -354,6 +354,11 @@ class HdGraph(_Dag):
     _ELEMENTS = (("centerlines", "centerline"), ("boundaries", "boundary"))
     _LAYER = "lane"
 
+    @cached_property
+    def lengths(self) -> dict:
+        """Vector length of every centerline, by id, computed once per graph."""
+        return {c.id: c.vector.length for c in self.centerlines}
+
 
 @dataclass(frozen=True)
 class Association:

@@ -21,7 +21,12 @@ the scene's own HD graph, the ground-truth path itself is scored first:
 against itself its reachability Chamfer distance is exactly 0, so that
 verdict is all TP without computing it. Association keeps, per scene, the
 label sequence of each predicted and each ground-truth path and the overlap
-ratio of each distinct pair of sequences.
+ratio of each distinct pair of sequences. Label sequences and bucket lengths
+read each centerline's length from its graph's `HdGraph.lengths` table, so a
+length is computed once per graph, not once per path through it. Two equal
+label sequences, the common case, skip the alignment DP: their only
+full-length alignment is the diagonal, summed in the DP's order, so the ratio
+has the same bits.
 
 Counts are bucketed by ground-truth path length. Per threshold, precision and
 recall are averaged over buckets that saw at least one ground-truth path, and
@@ -32,13 +37,13 @@ the aggregated precision and recall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import ConfigError, CoverageError, InvalidGeometryError, ValidationError
-from .fields import check_fields, fits
+from .fields import MAY_BE_INFINITE, check_fields, fits
 from .geometry import Association, HdGraph, Scene, enumerate_paths
 
 __all__ = [
@@ -66,7 +71,7 @@ class MetricConfig:
     """Thresholds, length buckets, and the two geometric tolerances."""
 
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
-    length_buckets: tuple[tuple[float, float], ...] = DEFAULT_BUCKETS
+    length_buckets: tuple[tuple[float, float], ...] = field(default=DEFAULT_BUCKETS, metadata=MAY_BE_INFINITE)
     point_match_tau: float = 1.5
     chamfer_tau: float = 1.0
 
@@ -87,9 +92,8 @@ class MetricConfig:
                 raise ConfigError("length buckets must be contiguous and increasing")
         for name in ("point_match_tau", "chamfer_tau"):
             tau = getattr(self, name)
-            # `nan <= 0` is False, so test the accepted range, not its complement
-            if not (math.isfinite(tau) and tau > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {tau}")
+            if tau <= 0:  # check_fields has refused NaN and infinities
+                raise ConfigError(f"{name} must be positive, got {tau}")
 
     def bucket_of(self, length: float) -> int:
         for i, (lo, hi) in enumerate(self.length_buckets):
@@ -235,22 +239,23 @@ def label_sequence(path, assoc: Association, hd: HdGraph) -> tuple:
     Returns (labels, lengths); consecutive equal road labels merge into one
     entry whose length is the summed vector length of the run.
     """
+    label_of, length_of = assoc.labels, hd.lengths
     labels = []
     lengths = []
     for cid in path:
         try:
-            rid = assoc[cid]
+            rid = label_of[cid]
         except KeyError:
             raise CoverageError(f"association does not cover centerline {cid}") from None
         try:
-            vec = hd.by_id[cid].vector
+            length = length_of[cid]
         except KeyError:
             raise CoverageError(f"lane graph has no centerline {cid}") from None
         if labels and labels[-1] == rid:
-            lengths[-1] += vec.length
+            lengths[-1] += length
         else:
             labels.append(rid)
-            lengths.append(vec.length)
+            lengths.append(length)
     return tuple(labels), tuple(lengths)
 
 
@@ -266,6 +271,14 @@ def overlap_ratio(pred, gt) -> float:
     total = float(sum(gv))
     if total <= 0.0:
         raise InvalidGeometryError("ground-truth path has zero length")
+    if pl == gl:
+        # Equal sequences align only along the diagonal at full length, and
+        # the DP below sums that diagonal left to right from 0.0; this loop
+        # gives the same bits (sum() may compensate, so it is not used).
+        s = 0.0
+        for a, b in zip(pv, gv):
+            s += min(a, b)
+        return min(s / total, 1.0)
     np_, ng = len(pl), len(gl)
     # dp[i][j]: best (aligned count, aligned min-length sum) for pred[:i], gt[:j]
     dp = [[(0, 0.0)] * (ng + 1) for _ in range(np_ + 1)]
@@ -371,10 +384,10 @@ def _scene_counts(pred, scene: Scene, cfg: MetricConfig, scorer) -> np.ndarray:
 
     n_th, n_b = len(cfg.thresholds), len(cfg.length_buckets)
     counts = np.zeros((n_th, n_b, 3), dtype=np.int64)
+    gt_lengths = scene.hd.lengths
     for gt_path in gt_paths:
         s, e = _path_ends(scene.hd, gt_path)
-        length = sum(scene.hd.by_id[c].vector.length for c in gt_path)
-        b = cfg.bucket_of(length)
+        b = cfg.bucket_of(sum(gt_lengths[c] for c in gt_path))
         candidates = []
         if s in match and e in match:
             candidates = by_ends.get((match[s], match[e]), [])

@@ -91,6 +91,8 @@ class GenConfig:
                 raise ConfigError(f"{name} must be positive")
         if min(self.sd_extent) <= 0 or min(self.hd_extent) <= 0:
             raise ConfigError("extents must be positive")
+        if self.junction_radius < 0:
+            raise ConfigError(f"junction_radius must be >= 0, got {self.junction_radius}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

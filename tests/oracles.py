@@ -493,6 +493,27 @@ def lcs_overlap(pred_labels, pred_lens, gt_labels, gt_lens) -> float:
     return min(best[1] / total, 1.0)
 
 
+def overlap_dp_reference(pred, gt) -> float:
+    """`overlap_ratio` as it was before its equal-sequence shortcut: the LCS DP for every pair."""
+    pl, pv = list(pred[0]), list(pred[1])
+    gl, gv = list(gt[0]), list(gt[1])
+    total = float(sum(gv))
+    if total <= 0.0:
+        raise InvalidGeometryError("ground-truth path has zero length")
+    np_, ng = len(pl), len(gl)
+    # dp[i][j]: best (aligned count, aligned min-length sum) for pred[:i], gt[:j]
+    dp = [[(0, 0.0)] * (ng + 1) for _ in range(np_ + 1)]
+    for i in range(1, np_ + 1):
+        for j in range(1, ng + 1):
+            best = max(dp[i - 1][j], dp[i][j - 1])
+            if pl[i - 1] == gl[j - 1]:
+                c, s = dp[i - 1][j - 1]
+                cand = (c + 1, s + min(pv[i - 1], gv[j - 1]))
+                best = max(best, cand)
+            dp[i][j] = best
+    return min(dp[np_][ng][1] / total, 1.0)
+
+
 def chamfer_brute(points_a, points_b) -> float:
     def one_way(src, dst):
         acc = 0.0

@@ -886,6 +886,7 @@ def test_report_missing_field_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--tau", "--chamfer-tau"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_eval_non_finite_tolerance_exits_2(tmp_path, capsys, flag, value):
+    field = {"--tau": "point_match_tau", "--chamfer-tau": "chamfer_tau"}[flag]
     scenes = gen_scenes(tmp_path, count=1)
     pred = str(tmp_path / "pred.ndjson")
     main(["associate", "--method", "knn", "--scenes", scenes, "--out", pred])
@@ -893,7 +894,7 @@ def test_eval_non_finite_tolerance_exits_2(tmp_path, capsys, flag, value):
     rc = main(["eval", "--metric", "reachability", "--pred", pred, "--scenes", scenes,
                flag, value, "--report", str(tmp_path / "r.json")])
     assert rc == 2
-    assert "must be finite and positive" in capsys.readouterr().err
+    assert f"error: {field}: must be finite, got {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body, field", [

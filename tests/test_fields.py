@@ -143,6 +143,28 @@ def test_range_checks_follow_the_type_check(make):
         make()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: AugConfig(jitter_sigma=math.inf), "jitter_sigma: must be finite, got inf"),
+    (lambda: AugConfig(scale_range=(1.0, math.inf)), "scale_range: must be finite, got inf"),
+    (lambda: GenConfig(junction_radius=-math.inf), "junction_radius: must be finite, got -inf"),
+    (lambda: GenConfig(junction_radius=-1), "junction_radius must be >= 0, got -1"),
+    (lambda: PerturbConfig(gps_shift=math.nan), "gps_shift: must be finite, got nan"),
+    (lambda: PerturbConfig(gps_shift=(0.0, -math.inf)), "gps_shift: must be finite, got -inf"),
+    (lambda: AugConfig(grid_sample=(0.1, math.inf, 0.1)), "grid_sample: must be finite, got inf"),
+    (lambda: ModelConfig(rope_base=math.inf), "rope_base: must be finite, got inf"),
+])
+def test_config_floats_must_be_finite(make, message):
+    with pytest.raises(ConfigError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_only_a_field_declared_so_may_be_infinite():
+    assert MetricConfig().length_buckets[-1][1] == math.inf
+    with pytest.raises(ConfigError, match=r"^thresholds: must be finite, got nan$"):
+        MetricConfig(thresholds=(0.5, math.nan))
+
+
 @pytest.mark.parametrize("flag", [
     ["gen", "--seed", "-1"],
     ["gen", "--count", "-3"],

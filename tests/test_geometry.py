@@ -359,6 +359,15 @@ def test_cached_paths_leave_equality_alone():
     assert hash(g) == hash(chain_graph(1, 2, 3))
 
 
+def test_lengths_table_holds_each_centerline_length_once():
+    hd = generate_scene(GenConfig(grid_rows=4, grid_cols=4, hd_extent=(75.0, 75.0), seed=0)).hd
+    lengths = hd.lengths
+    assert list(lengths) == [c.id for c in hd.centerlines]
+    for c in hd.centerlines:
+        assert lengths[c.id] == c.vector.length and type(lengths[c.id]) is float
+    assert hd.lengths is lengths
+
+
 # ---------------------------------------------------------------------------
 # distances
 

@@ -6,13 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mapassoc.metrics as metrics
 from mapassoc.baselines import knn_associate
 from mapassoc.errors import ConfigError, CoverageError, InvalidGeometryError
-from mapassoc.geometry import Association, HdGraph, Scene, enumerate_paths
+from mapassoc.geometry import Association, DirVec, HdGraph, Scene, enumerate_paths
 from mapassoc.metrics import (
     DEFAULT_THRESHOLDS,
     MetricConfig,
@@ -28,7 +28,7 @@ from mapassoc.metrics import (
 from mapassoc.scenegen import GenConfig, PerturbConfig, generate_scene, perturb_scene
 
 from conftest import make_centerline
-from oracles import chamfer_brute, lcs_overlap, scene_counts_reference
+from oracles import chamfer_brute, lcs_overlap, overlap_dp_reference, scene_counts_reference
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +103,31 @@ def test_overlap_matches_exhaustive_alignment():
         got = overlap_ratio((pl, pv), (gl, gv))
         want = lcs_overlap(pl, pv, gl, gv)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+@st.composite
+def sequence_pairs(draw):
+    """(pred, gt) label sequences over three labels, equal half the time.
+
+    Lengths span 1e-3..1e4, where the order of a float sum changes its bits.
+    """
+    labels = st.lists(st.integers(0, 2), min_size=1, max_size=7)
+    gl = draw(labels)
+    pl = gl if draw(st.booleans()) else draw(labels)
+    lengths = st.floats(min_value=1e-3, max_value=1e4)
+    pv = draw(st.lists(lengths, min_size=len(pl), max_size=len(pl)))
+    gv = draw(st.lists(lengths, min_size=len(gl), max_size=len(gl)))
+    return (tuple(pl), tuple(pv)), (tuple(gl), tuple(gv))
+
+
+@given(sequence_pairs())
+# equal sequences with a non-adjacent repeat; (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+@example((((0, 1, 0), (0.1, 0.2, 0.3)), ((0, 1, 0), (1.0, 1.0, 1.0))))
+@example((((2, 0, 2, 0), (1e4, 1e-3, 1e-3, 3.3)), ((2, 0, 2, 0), (1e-3, 1e4, 7.1, 1e4))))
+@settings(max_examples=300, deadline=None)
+def test_overlap_is_bit_equal_to_the_dp(pair):
+    pred, gt = pair
+    assert overlap_ratio(pred, gt) == overlap_dp_reference(pred, gt)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +458,25 @@ def test_own_graph_scores_each_path_once_per_side(monkeypatch):
     assert len(seq_calls) <= 2 * len(enumerate_paths(scene.hd).paths)
     reachability_pr([pred], [scene])
     assert chamfer_calls == []
+
+
+def test_association_computes_each_centerline_length_once_per_graph(monkeypatch):
+    scene = generate_scene(GenConfig(grid_rows=4, grid_cols=4, hd_extent=FULL_CROP, seed=0))
+    own_hd = HdGraph(centerlines=scene.hd.centerlines, edges=scene.hd.edges)
+    calls = []
+    length = DirVec.length.fget
+
+    def counting(vec):
+        calls.append(vec)
+        return length(vec)
+
+    monkeypatch.setattr(DirVec, "length", property(counting))
+    n = len(scene.hd.centerlines)
+    assert association_pr([scene.gt], [scene]).af1 == 1.0
+    assert len(calls) == n == len(set(map(id, calls)))
+    # a prediction on its own graph object computes that graph's lengths once more
+    assert association_pr([Prediction(assoc=scene.gt, hd=own_hd)], [scene]).af1 == 1.0
+    assert len(calls) == 2 * n
 
 
 # ---------------------------------------------------------------------------
