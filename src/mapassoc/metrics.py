@@ -24,9 +24,11 @@ label sequence of each predicted and each ground-truth path and the overlap
 ratio of each distinct pair of sequences. Label sequences and bucket lengths
 read each centerline's length from its graph's `HdGraph.lengths` table, so a
 length is computed once per graph, not once per path through it. Two equal
-label sequences, the common case, skip the alignment DP: their only
-full-length alignment is the diagonal, summed in the DP's order, so the ratio
-has the same bits.
+label sequences skip the alignment DP: their only full-length alignment is
+the diagonal, summed in the DP's order, so the ratio has the same bits. On
+the benchmark's hmm labels 99% of the distinct pairs scored on the scene
+ladder are equal, 97% on the fleet of small scenes and 82-84% under heavy
+noise.
 
 Counts are bucketed by ground-truth path length. Per threshold, precision and
 recall are averaged over buckets that saw at least one ground-truth path, and
