@@ -19,11 +19,14 @@ order-preserving and bit-identical across worker counts.
 `associate` and `eval` split the scene container into lines in the calling
 process; each scene is parsed by the worker that runs it.  Workers claim the
 scene with the longest line left, the calling process the shortest, until
-the two ends meet.  Faults are found as a serial run meets them: first the
-command's own inputs (flags, config files, weights, the scene container's
-text, the association file and its record count), then each scene in file
-order (its parse, its `scene_ref` pairing, its work).  Whatever the worker
-count, the error raised is the first one in that order.
+the two ends meet.  `gen` hands out scene indices in order the same way; its
+worker generates, perturbs and augments a scene and returns the scene's
+canonical line, so the calling process only joins the lines in index order.
+Faults are found as a serial run meets them: first the command's own inputs
+(flags, config files, weights, the scene container's text, the association
+file and its record count), then each scene in file order (its parse, its
+`scene_ref` pairing, its work; for `gen`, generation through serialization).
+Whatever the worker count, the error raised is the first one in that order.
 """
 
 from __future__ import annotations
@@ -50,15 +53,16 @@ from .errors import ConfigError, GenerationError, MapAssocError, NoFeasiblePathE
 from .io import (
     AssocRecord,
     decode_utf8,
+    dumps_scene,
     load_weights,
     loads_scene,
     numbered_lines,
     parse_json,
     read_assocs,
     write_assocs,
-    write_scenes,
+    write_lines,
 )
-from .io import read_scenes  # noqa: F401  kept as a module attribute; bench/tracer.py patches it
+from .io import read_scenes, write_scenes  # noqa: F401  kept as module attributes; bench/tracer.py patches them
 from .mat import ModelConfig, desk_config, init_weights, mat_associate
 from .metrics import MetricConfig, MetricReport, Prediction, association_pr, reachability_pr, report_table
 from .scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
@@ -292,17 +296,17 @@ def _cmd_gen(args) -> int:
     acfg = _config_from(AugConfig, augment_doc, "augment config") if augment_doc is not None else None
     base = args.seed if args.seed is not None else gen_cfg.seed
 
-    def one(i: int):
+    def one(i: int) -> str:
         scene = generate_scene(dataclasses.replace(gen_cfg, seed=base + i))
         if pcfg is not None:
             scene = perturb_scene(scene, dataclasses.replace(pcfg, seed=pcfg.seed + i))
         if acfg is not None:
             scene = augment_scene(scene, dataclasses.replace(acfg, seed=acfg.seed + i))
-        return scene
+        return dumps_scene(scene)
 
-    scenes = _map(one, range(args.count))
-    write_scenes(scenes, args.out)
-    print(f"wrote {len(scenes)} scenes to {args.out}")
+    lines = _map(one, range(args.count))
+    write_lines(lines, args.out)
+    print(f"wrote {len(lines)} scenes to {args.out}")
     return 0
 
 

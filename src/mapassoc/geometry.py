@@ -31,9 +31,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
-from operator import setitem
+from operator import eq, setitem
 from typing import NamedTuple, Sequence, Union
 
 from .errors import (
@@ -104,8 +104,10 @@ class DirVec:
 
     @classmethod
     def from_points(cls, p1: Point2, p2: Point2) -> "DirVec":
-        p1 = Point2(*p1)
-        p2 = Point2(*p2)
+        if type(p1) is not Point2:
+            p1 = Point2(*p1)
+        if type(p2) is not Point2:
+            p2 = Point2(*p2)
         return cls(p1, p2, full_angle(p2.x - p1.x, p2.y - p1.y))
 
     @property
@@ -122,12 +124,14 @@ class DirVec:
 
 
 def _check_polyline(points: Sequence[Point2], what: str, ident) -> tuple[Point2, ...]:
-    pts = tuple(Point2(*p) for p in points)
+    pts = tuple(points)
+    if not set(map(type, pts)) <= {Point2}:
+        pts = tuple(Point2(*p) for p in pts)
     if len(pts) < 2:
         raise InvalidGeometryError(f"{what} {ident}: needs at least 2 points")
-    for a, b in zip(pts, pts[1:]):
-        if a == b:
-            raise InvalidGeometryError(f"{what} {ident}: repeated point {a}")
+    if True in map(eq, pts, pts[1:]):
+        a = next(a for a, b in zip(pts, pts[1:]) if a == b)
+        raise InvalidGeometryError(f"{what} {ident}: repeated point {a}")
     return pts
 
 
@@ -172,6 +176,9 @@ class Boundary:
     @cached_property
     def vectors(self) -> tuple[DirVec, ...]:
         return tuple(DirVec.from_points(a, b) for a, b in zip(self.points, self.points[1:]))
+
+
+_point2 = partial(tuple.__new__, Point2)  # Point2 from a checked [x, y] pair, unconverted
 
 
 def _trusted(cls, *columns) -> list:

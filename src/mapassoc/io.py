@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, chain
 from math import atan2, isfinite, pi
 from operator import eq, ge, itemgetter, sub
@@ -52,6 +51,7 @@ from .geometry import (
     Scene,
     SdGraph,
     _coords_within,
+    _point2,
     _trusted,
     crop_extents,
     full_angle,
@@ -262,7 +262,6 @@ def scene_from_doc(doc: dict, where: str = "scene") -> Scene:
 
 _ID = itemgetter("id")
 _DICT, _LIST, _INT, _FLOAT, _STR, _TWO = {dict}, {list}, {int}, {float}, {str}, {2}
-_point2 = partial(tuple.__new__, Point2)  # Point2 from a checked [x, y] list
 
 
 def _records(elements, *keys):
@@ -462,10 +461,15 @@ def read_scene(source: Union[str, IO]) -> Scene:
     return loads_scene(_read_text(source))
 
 
+def write_lines(lines, dest: Union[str, IO]) -> None:
+    """Write a newline-delimited container from canonical document lines, each
+    ending in a newline (`dumps_scene` gives them for scenes)."""
+    _write_bytes(dest, "".join(lines).encode("utf-8"))
+
+
 def write_scenes(scenes, dest: Union[str, IO]) -> None:
     """Write scenes as a newline-delimited container, one document per line."""
-    data = "".join(dumps_scene(s) for s in scenes)
-    _write_bytes(dest, data.encode("utf-8"))
+    write_lines(map(dumps_scene, scenes), dest)
 
 
 def read_scenes(source: Union[str, IO]) -> list:
@@ -546,8 +550,7 @@ def assoc_from_doc(doc: dict, where: str = "assoc") -> AssocRecord:
 
 def write_assocs(records, dest: Union[str, IO]) -> None:
     """Write association records as a newline-delimited container."""
-    data = "".join(_canonical(assoc_to_doc(r)) for r in records)
-    _write_bytes(dest, data.encode("utf-8"))
+    write_lines((_canonical(assoc_to_doc(r)) for r in records), dest)
 
 
 def read_assocs(source: Union[str, IO]) -> list:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain, compress
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -41,6 +42,8 @@ from .geometry import (
     Road,
     Scene,
     SdGraph,
+    _point2,
+    full_angle,
     point_to_segment_distance,
     sample_polyline,
 )
@@ -91,8 +94,9 @@ class GenConfig:
                 raise ConfigError(f"{name} must be positive")
         if min(self.sd_extent) <= 0 or min(self.hd_extent) <= 0:
             raise ConfigError("extents must be positive")
-        if self.junction_radius < 0:
-            raise ConfigError(f"junction_radius must be >= 0, got {self.junction_radius}")
+        for name in ("junction_radius", "boundary_margin", "carriageway_sep", "road_clearance"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -404,15 +408,12 @@ def _generate_once(cfg: GenConfig, attempt: int) -> Scene:
             off = cfg.lane_offset * (k - (n_lanes - 1) / 2.0)
             ls, le = _offset_line(start, end, normal, off)
             pts = sample_polyline([ls, le], cfg.vector_spacing_hd)
-            vectors = [DirVec.from_points(a, b) for a, b in zip(pts, pts[1:])]
-            kept = [
-                (i, v)
-                for i, v in enumerate(vectors)
-                if _inside(v.p1, cfg.hd_extent) and _inside(v.p2, cfg.hd_extent)
-            ]
+            # vector i joins samples i and i + 1; only those inside the crop are built
+            inside = [_inside(p, cfg.hd_extent) for p in pts]
+            kept = [i for i in range(len(pts) - 1) if inside[i] and inside[i + 1]]
             ids = []
-            for i, v in kept:
-                centerlines.append(Centerline(id=next_cl, vector=v))
+            for i in kept:
+                centerlines.append(Centerline(id=next_cl, vector=DirVec.from_points(pts[i], pts[i + 1])))
                 gt_labels[next_cl] = rid
                 ids.append((i, next_cl))
                 next_cl += 1
@@ -420,7 +421,7 @@ def _generate_once(cfg: GenConfig, attempt: int) -> Scene:
                 if i2 == i1 + 1:
                     hd_edges.append((c1, c2))
             reaches_start = bool(ids) and ids[0][0] == 0
-            reaches_end = bool(ids) and ids[-1][0] == len(vectors) - 1
+            reaches_end = bool(ids) and ids[-1][0] == len(pts) - 2
             lane_ends[(rid, k)] = (
                 ids[0][1] if ids else None,
                 ids[-1][1] if ids else None,
@@ -503,17 +504,46 @@ def _generate_once(cfg: GenConfig, attempt: int) -> Scene:
 
 
 # ---------------------------------------------------------------------------
-# perturbation
+# perturbation and augmentation: every point of a scene moves in one array pass
 
 
-def _observed_crop(hd: HdGraph, base) -> list:
+def _xy(polylines) -> np.ndarray:
+    """The (n, 2) coordinates of every point of `polylines`, in order."""
+    n = sum(map(len, polylines))
+    return np.fromiter(chain.from_iterable(chain.from_iterable(polylines)), float, 2 * n).reshape(n, 2)
+
+
+def _ends(centerlines) -> np.ndarray:
+    """One [p1x, p1y, p2x, p2y] row per centerline."""
+    return _xy([(c.vector.p1, c.vector.p2) for c in centerlines]).reshape(-1, 4)
+
+
+def _vectors(ends: np.ndarray) -> list:
+    """A DirVec per [p1x, p1y, p2x, p2y] row, its heading from `full_angle`
+    per vector, as `DirVec.from_points` gives it."""
+    dxs, dys = (ends[:, 2:] - ends[:, :2]).T.tolist()
+    p1s = map(_point2, ends[:, :2].tolist())
+    p2s = map(_point2, ends[:, 2:].tolist())
+    return list(map(DirVec, p1s, p2s, map(full_angle, dxs, dys)))
+
+
+def _polylines(cls, elements, xy: np.ndarray) -> tuple:
+    """`cls` (Road or Boundary) per element, with its points taken in turn from the rows of `xy`."""
+    pts = list(map(_point2, xy.tolist()))
+    out, start = [], 0
+    for e in elements:
+        end = start + len(e.points)
+        out.append(cls(e.id, tuple(pts[start:end])))
+        start = end
+    return tuple(out)
+
+
+def _crop(base, xy: np.ndarray) -> list:
+    """The (x, y) half-extents `base`, grown to cover every row of `xy` and rounded up to the millimeter."""
     ex, ey = float(base[0]), float(base[1])
-    for c in hd.centerlines:
-        for p in (c.vector.p1, c.vector.p2):
-            ex, ey = max(ex, abs(p.x)), max(ey, abs(p.y))
-    for b in hd.boundaries:
-        for p in b.points:
-            ex, ey = max(ex, abs(p.x)), max(ey, abs(p.y))
+    if len(xy):
+        mx, my = np.abs(xy).max(axis=0).tolist()
+        ex, ey = max(ex, mx), max(ey, my)
     return [math.ceil(ex * 1000) / 1000, math.ceil(ey * 1000) / 1000]
 
 
@@ -525,6 +555,9 @@ def perturb_scene(scene: Scene, cfg: PerturbConfig) -> Scene:
     centerlines, and over-segmentation (a centerline splits at its midpoint
     into two chained halves, both inheriting the gt label). The SD layer is
     untouched. A zeroed config returns the scene unchanged.
+
+    Endpoints move as one [p1x, p1y, p2x, p2y] row per centerline; the jitter
+    is one (n, 4) draw, the stream of n draws of 4.
     """
     if (
         not np.any(cfg.gps_shift)
@@ -546,56 +579,55 @@ def perturb_scene(scene: Scene, cfg: PerturbConfig) -> Scene:
     else:
         shift = (float(cfg.gps_shift[0]), float(cfg.gps_shift[1]))
 
-    def shifted(p: Point2) -> Point2:
-        return Point2(p.x + shift[0], p.y + shift[1])
-
     cls = list(scene.hd.centerlines)
+    ids = [c.id for c in cls]
+    ends = _ends(cls)
     edges = list(scene.hd.edges)
-    bounds = list(scene.hd.boundaries)
+    bounds = scene.hd.boundaries
+    bxy = _xy([b.points for b in bounds])
     labels = dict(scene.gt.labels) if scene.gt is not None else None
 
-    if shift != (0.0, 0.0):
-        cls = [
-            Centerline(c.id, DirVec.from_points(shifted(c.vector.p1), shifted(c.vector.p2)))
-            for c in cls
-        ]
-        bounds = [Boundary(b.id, tuple(shifted(p) for p in b.points)) for b in bounds]
+    moved = shift != (0.0, 0.0)  # every centerline needs a new vector
+    if moved:
+        ends = ends + (*shift, *shift)
+        bxy = bxy + shift
+        bounds = _polylines(Boundary, bounds, bxy)
 
     if cfg.dropout_rate > 0:
-        mask = drop_rng.random(len(cls)) < cfg.dropout_rate
-        dropped = {c.id for c, m in zip(cls, mask) if m}
-        cls = [c for c in cls if c.id not in dropped]
+        keep = ~(drop_rng.random(len(ids)) < cfg.dropout_rate)
+        dropped = set(compress(ids, ~keep))
+        cls, ids, ends = list(compress(cls, keep)), list(compress(ids, keep)), ends[keep]
         edges = [(a, b) for a, b in edges if a not in dropped and b not in dropped]
         if labels is not None:
             labels = {i: r for i, r in labels.items() if i not in dropped}
 
     if cfg.jitter_sigma > 0:
-        noisy = []
-        for c in cls:
-            d = jit_rng.normal(0.0, cfg.jitter_sigma, size=4)
-            p1 = Point2(c.vector.p1.x + d[0], c.vector.p1.y + d[1])
-            p2 = Point2(c.vector.p2.x + d[2], c.vector.p2.y + d[3])
-            noisy.append(Centerline(c.id, DirVec.from_points(p1, p2)))
-        cls = noisy
+        ends = ends + jit_rng.normal(0.0, cfg.jitter_sigma, size=ends.shape)
+        moved = True
 
-    if cfg.oversegment_rate > 0 and cls:
-        mask = over_rng.random(len(cls)) < cfg.oversegment_rate
-        next_id = max(c.id for c in cls) + 1
-        out = []
-        for c, m in zip(cls, mask):
-            if not m:
-                out.append(c)
-                continue
-            mid = c.vector.midpoint
-            first = Centerline(c.id, DirVec.from_points(c.vector.p1, mid))
-            second = Centerline(next_id, DirVec.from_points(mid, c.vector.p2))
-            out.extend([first, second])
-            edges = [(second.id, b) if a == c.id else (a, b) for a, b in edges]
-            edges.append((c.id, second.id))
-            if labels is not None:
-                labels[second.id] = labels[c.id]
-            next_id += 1
-        cls = out
+    split = np.zeros(len(ids), dtype=bool)
+    if cfg.oversegment_rate > 0 and ids:
+        split = over_rng.random(len(ids)) < cfg.oversegment_rate
+    whole = ~split
+    if moved:
+        cls = list(map(Centerline, compress(ids, whole), _vectors(ends[whole])))
+    else:
+        cls = list(compress(cls, whole))
+    if split.any():
+        # each split centerline keeps its id for its first half; the second
+        # half takes the next new id, in centerline order, and its out-edges
+        cut = ends[split]
+        mid = (cut[:, :2] + cut[:, 2:]) / 2.0
+        firsts = list(compress(ids, split))
+        seconds = range(max(ids) + 1, max(ids) + 1 + len(firsts))
+        cls += map(Centerline, firsts, _vectors(np.hstack((cut[:, :2], mid))))
+        cls += map(Centerline, seconds, _vectors(np.hstack((mid, cut[:, 2:]))))
+        second_of = dict(zip(firsts, seconds))
+        edges = [(second_of.get(a, a), b) for a, b in edges]
+        edges += second_of.items()
+        if labels is not None:
+            for first, second in second_of.items():
+                labels[second] = labels[first]
 
     hd = HdGraph(centerlines=tuple(cls), edges=tuple(sorted(set(edges))), boundaries=tuple(bounds))
     meta = dict(scene.meta)
@@ -608,14 +640,10 @@ def perturb_scene(scene: Scene, cfg: PerturbConfig) -> Scene:
     }
     crop = dict(meta.get("crop", {}))
     if "hd" in crop:
-        crop["hd"] = _observed_crop(hd, crop["hd"])
+        crop["hd"] = _crop(crop["hd"], np.concatenate((_ends(hd.centerlines).reshape(-1, 2), bxy)))
         meta["crop"] = crop
     gt = Association(labels=labels) if labels is not None else None
     return Scene(sd=scene.sd, hd=hd, gt=gt, meta=meta)
-
-
-# ---------------------------------------------------------------------------
-# augmentation
 
 
 def augment_scene(scene: Scene, cfg: AugConfig) -> Scene:
@@ -626,6 +654,10 @@ def augment_scene(scene: Scene, cfg: AugConfig) -> Scene:
     of centerline vectors sharing an (x, y, theta) cell (lowest id wins;
     ``grid_sample=None`` disables the step). Headings are recomputed from
     transformed endpoints.
+
+    Every point of the scene moves in one array pass, in the order road
+    points, centerline endpoints (p1, p2), boundary points; the jitter is one
+    (n, 2) draw, the stream of one draw of 2 per point in that order.
     """
     ss = np.random.SeedSequence(cfg.seed)
     rot_rng, scale_rng, flip_rng, jit_rng = (np.random.default_rng(s) for s in ss.spawn(4))
@@ -643,55 +675,52 @@ def augment_scene(scene: Scene, cfg: AugConfig) -> Scene:
     if identity and cfg.jitter_sigma == 0.0 and cfg.grid_sample is None:
         return scene
 
-    def xform(p: Point2) -> Point2:
-        if identity:
-            return p
-        x = (p.x * ca - p.y * sa) * scale * fx
-        y = (p.x * sa + p.y * ca) * scale
-        return Point2(x, y)
-
-    def jittered(p: Point2) -> Point2:
-        d = np.clip(jit_rng.normal(0.0, cfg.jitter_sigma, size=2),
-                    -cfg.jitter_clip, cfg.jitter_clip)
-        return Point2(p.x + float(d[0]), p.y + float(d[1]))
-
-    use_jitter = cfg.jitter_sigma > 0
-
-    def points(seq):
-        out = [xform(p) for p in seq]
-        if use_jitter:
-            out = [jittered(p) for p in out]
-        return tuple(out)
-
-    roads = tuple(Road(r.id, points(r.points)) for r in scene.sd.roads)
-    cls = []
-    for c in scene.hd.centerlines:
-        p1, p2 = points((c.vector.p1, c.vector.p2))
-        cls.append(Centerline(c.id, DirVec.from_points(p1, p2)))
-    bounds = tuple(Boundary(b.id, points(b.points)) for b in scene.hd.boundaries)
+    roads, cls, bounds = scene.sd.roads, scene.hd.centerlines, scene.hd.boundaries
+    sd_xy = _xy([r.points for r in roads])
+    ends = _ends(cls)
+    bxy = _xy([b.points for b in bounds])
+    moved = not identity or cfg.jitter_sigma > 0
+    if moved:
+        xy = np.concatenate((sd_xy, ends.reshape(-1, 2), bxy))
+        if not identity:
+            x, y = xy[:, 0], xy[:, 1]
+            xy = np.stack(((x * ca - y * sa) * scale * fx, (x * sa + y * ca) * scale), axis=1)
+        if cfg.jitter_sigma > 0:
+            xy = xy + np.clip(jit_rng.normal(0.0, cfg.jitter_sigma, size=xy.shape),
+                              -cfg.jitter_clip, cfg.jitter_clip)
+        n_sd, n_hd = len(sd_xy), len(sd_xy) + 2 * len(cls)
+        sd_xy, ends, bxy = xy[:n_sd], xy[n_sd:n_hd].reshape(-1, 4), xy[n_hd:]
+        roads = _polylines(Road, roads, sd_xy)
+        bounds = _polylines(Boundary, bounds, bxy)
+        vectors = _vectors(ends)
+    else:
+        vectors = [c.vector for c in cls]
+    ids = [c.id for c in cls]
     edges = list(scene.hd.edges)
     labels = dict(scene.gt.labels) if scene.gt is not None else None
 
-    if cfg.grid_sample is not None and cls:
+    keep = np.ones(len(ids), dtype=bool)
+    if cfg.grid_sample is not None and ids:
         gx, gy, gtheta = (float(v) for v in cfg.grid_sample)
+        mid = (ends[:, :2] + ends[:, 2:]) / 2.0
+        cells = zip(
+            np.floor(mid[:, 0] / gx).tolist(),
+            np.floor(mid[:, 1] / gy).tolist(),
+            [math.floor((v.theta % _TWO_PI) / gtheta) for v in vectors],
+        )
         seen: dict = {}
-        for c in sorted(cls, key=lambda c: c.id):
-            m = c.vector.midpoint
-            cell = (
-                math.floor(m.x / gx),
-                math.floor(m.y / gy),
-                math.floor((c.vector.theta % _TWO_PI) / gtheta),
-            )
-            seen.setdefault(cell, c.id)
-        keep = set(seen.values())
-        dropped = {c.id for c in cls if c.id not in keep}
-        if dropped:
-            cls = [c for c in cls if c.id in keep]
+        for cid, cell in zip(ids, cells):  # graph elements come in id order
+            seen.setdefault(cell, cid)
+        if len(seen) < len(ids):
+            winners = set(seen.values())
+            keep = np.array([cid in winners for cid in ids], dtype=bool)
+            dropped = set(ids) - winners
             edges = [(a, b) for a, b in edges if a not in dropped and b not in dropped]
             if labels is not None:
                 labels = {i: r for i, r in labels.items() if i not in dropped}
 
-    hd = HdGraph(centerlines=tuple(cls), edges=tuple(sorted(set(edges))), boundaries=bounds)
+    cls = tuple(map(Centerline, compress(ids, keep), compress(vectors, keep)))
+    hd = HdGraph(centerlines=cls, edges=tuple(sorted(set(edges))), boundaries=bounds)
     sd = SdGraph(roads=roads, edges=scene.sd.edges)
     meta = dict(scene.meta)
     meta["augment"] = {
@@ -703,13 +732,9 @@ def augment_scene(scene: Scene, cfg: AugConfig) -> Scene:
     }
     crop = dict(meta.get("crop", {}))
     if "sd" in crop:
-        ex, ey = crop["sd"]
-        for r in roads:
-            for p in r.points:
-                ex, ey = max(ex, abs(p.x)), max(ey, abs(p.y))
-        crop["sd"] = [math.ceil(ex * 1000) / 1000, math.ceil(ey * 1000) / 1000]
+        crop["sd"] = _crop(crop["sd"], sd_xy)
     if "hd" in crop:
-        crop["hd"] = _observed_crop(hd, crop["hd"])
+        crop["hd"] = _crop(crop["hd"], np.concatenate((ends[keep].reshape(-1, 2), bxy)))
     meta["crop"] = crop
     gt = Association(labels=labels) if labels is not None else None
     return Scene(sd=sd, hd=hd, gt=gt, meta=meta)

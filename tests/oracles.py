@@ -10,8 +10,10 @@ HMM's emission and transition builders, path enumeration and `viterbi`
 (pinned against `brute_viterbi`), for the per-pair metric reference the
 public pair scorers `label_sequence`, `overlap_ratio` and `chamfer_distance`
 (pinned against `lcs_overlap` and `chamfer_brute`), for the per-path beam
-reference the decoder's config and result types, and for the element-by-
-element scene reader the checking geometry constructors.
+reference the decoder's config and result types, for the element-by-
+element scene reader the checking geometry constructors, and for the
+per-point perturbation and augmentation the geometry constructors and the
+configs' fields.
 """
 
 from __future__ import annotations
@@ -824,3 +826,204 @@ def scene_from_doc_reference(doc: dict, where: str = "scene") -> Scene:
         gt = Association(labels=_labels_reference(gt_doc, f"{where}.gt"))
 
     return validate_scene_reference(Scene(sd=sd, hd=hd, gt=gt, meta=meta))
+
+
+# ---------------------------------------------------------------------------
+# per-point perturbation and augmentation
+
+
+def _observed_crop_reference(hd: HdGraph, base) -> list:
+    ex, ey = float(base[0]), float(base[1])
+    for c in hd.centerlines:
+        for p in (c.vector.p1, c.vector.p2):
+            ex, ey = max(ex, abs(p.x)), max(ey, abs(p.y))
+    for b in hd.boundaries:
+        for p in b.points:
+            ex, ey = max(ex, abs(p.x)), max(ey, abs(p.y))
+    return [math.ceil(ex * 1000) / 1000, math.ceil(ey * 1000) / 1000]
+
+
+def perturb_reference(scene: Scene, cfg) -> Scene:
+    """`scenegen.perturb_scene` one point and one centerline at a time.
+
+    Same streams and draws as the production op (one spawned child per
+    step); the endpoint jitter draws 4 normals per centerline and each split
+    rescans the edge list.
+    """
+    if (
+        not np.any(cfg.gps_shift)
+        and cfg.dropout_rate == 0.0
+        and cfg.jitter_sigma == 0.0
+        and cfg.oversegment_rate == 0.0
+    ):
+        return scene
+    ss = np.random.SeedSequence(cfg.seed)
+    shift_rng, drop_rng, jit_rng, over_rng = (np.random.default_rng(s) for s in ss.spawn(4))
+
+    if isinstance(cfg.gps_shift, (int, float)):
+        sigma = float(cfg.gps_shift)
+        shift = (
+            tuple(float(v) for v in shift_rng.normal(0.0, sigma, size=2))
+            if sigma > 0
+            else (0.0, 0.0)
+        )
+    else:
+        shift = (float(cfg.gps_shift[0]), float(cfg.gps_shift[1]))
+
+    def shifted(p: Point2) -> Point2:
+        return Point2(p.x + shift[0], p.y + shift[1])
+
+    cls = list(scene.hd.centerlines)
+    edges = list(scene.hd.edges)
+    bounds = list(scene.hd.boundaries)
+    labels = dict(scene.gt.labels) if scene.gt is not None else None
+
+    if shift != (0.0, 0.0):
+        cls = [
+            Centerline(c.id, DirVec.from_points(shifted(c.vector.p1), shifted(c.vector.p2)))
+            for c in cls
+        ]
+        bounds = [Boundary(b.id, tuple(shifted(p) for p in b.points)) for b in bounds]
+
+    if cfg.dropout_rate > 0:
+        mask = drop_rng.random(len(cls)) < cfg.dropout_rate
+        dropped = {c.id for c, m in zip(cls, mask) if m}
+        cls = [c for c in cls if c.id not in dropped]
+        edges = [(a, b) for a, b in edges if a not in dropped and b not in dropped]
+        if labels is not None:
+            labels = {i: r for i, r in labels.items() if i not in dropped}
+
+    if cfg.jitter_sigma > 0:
+        noisy = []
+        for c in cls:
+            d = jit_rng.normal(0.0, cfg.jitter_sigma, size=4)
+            p1 = Point2(c.vector.p1.x + d[0], c.vector.p1.y + d[1])
+            p2 = Point2(c.vector.p2.x + d[2], c.vector.p2.y + d[3])
+            noisy.append(Centerline(c.id, DirVec.from_points(p1, p2)))
+        cls = noisy
+
+    if cfg.oversegment_rate > 0 and cls:
+        mask = over_rng.random(len(cls)) < cfg.oversegment_rate
+        next_id = max(c.id for c in cls) + 1
+        out = []
+        for c, m in zip(cls, mask):
+            if not m:
+                out.append(c)
+                continue
+            mid = c.vector.midpoint
+            first = Centerline(c.id, DirVec.from_points(c.vector.p1, mid))
+            second = Centerline(next_id, DirVec.from_points(mid, c.vector.p2))
+            out.extend([first, second])
+            edges = [(second.id, b) if a == c.id else (a, b) for a, b in edges]
+            edges.append((c.id, second.id))
+            if labels is not None:
+                labels[second.id] = labels[c.id]
+            next_id += 1
+        cls = out
+
+    hd = HdGraph(centerlines=tuple(cls), edges=tuple(sorted(set(edges))), boundaries=tuple(bounds))
+    meta = dict(scene.meta)
+    meta["perturb"] = {
+        "gps_shift": [shift[0], shift[1]],
+        "dropout_rate": cfg.dropout_rate,
+        "jitter_sigma": cfg.jitter_sigma,
+        "oversegment_rate": cfg.oversegment_rate,
+        "seed": cfg.seed,
+    }
+    crop = dict(meta.get("crop", {}))
+    if "hd" in crop:
+        crop["hd"] = _observed_crop_reference(hd, crop["hd"])
+        meta["crop"] = crop
+    gt = Association(labels=labels) if labels is not None else None
+    return Scene(sd=scene.sd, hd=hd, gt=gt, meta=meta)
+
+
+def augment_reference(scene: Scene, cfg) -> Scene:
+    """`scenegen.augment_scene` one point at a time: each point is transformed,
+    then jittered with its own `normal(size=2)` draw and `np.clip`."""
+    ss = np.random.SeedSequence(cfg.seed)
+    rot_rng, scale_rng, flip_rng, jit_rng = (np.random.default_rng(s) for s in ss.spawn(4))
+
+    angle = 0.0
+    if cfg.rotate_p > 0 and rot_rng.random() < cfg.rotate_p:
+        angle = math.radians(rot_rng.uniform(*cfg.rotate_range_deg))
+    lo, hi = cfg.scale_range
+    scale = float(lo) if lo == hi else float(scale_rng.uniform(lo, hi))
+    flip = cfg.flip_p > 0 and flip_rng.random() < cfg.flip_p
+
+    ca, sa = math.cos(angle), math.sin(angle)
+    fx = -1.0 if flip else 1.0
+    identity = angle == 0.0 and scale == 1.0 and not flip
+    if identity and cfg.jitter_sigma == 0.0 and cfg.grid_sample is None:
+        return scene
+
+    def xform(p: Point2) -> Point2:
+        if identity:
+            return p
+        x = (p.x * ca - p.y * sa) * scale * fx
+        y = (p.x * sa + p.y * ca) * scale
+        return Point2(x, y)
+
+    def jittered(p: Point2) -> Point2:
+        d = np.clip(jit_rng.normal(0.0, cfg.jitter_sigma, size=2),
+                    -cfg.jitter_clip, cfg.jitter_clip)
+        return Point2(p.x + float(d[0]), p.y + float(d[1]))
+
+    use_jitter = cfg.jitter_sigma > 0
+
+    def points(seq):
+        out = [xform(p) for p in seq]
+        if use_jitter:
+            out = [jittered(p) for p in out]
+        return tuple(out)
+
+    roads = tuple(Road(r.id, points(r.points)) for r in scene.sd.roads)
+    cls = []
+    for c in scene.hd.centerlines:
+        p1, p2 = points((c.vector.p1, c.vector.p2))
+        cls.append(Centerline(c.id, DirVec.from_points(p1, p2)))
+    bounds = tuple(Boundary(b.id, points(b.points)) for b in scene.hd.boundaries)
+    edges = list(scene.hd.edges)
+    labels = dict(scene.gt.labels) if scene.gt is not None else None
+
+    if cfg.grid_sample is not None and cls:
+        gx, gy, gtheta = (float(v) for v in cfg.grid_sample)
+        seen: dict = {}
+        for c in sorted(cls, key=lambda c: c.id):
+            m = c.vector.midpoint
+            cell = (
+                math.floor(m.x / gx),
+                math.floor(m.y / gy),
+                math.floor((c.vector.theta % (2.0 * math.pi)) / gtheta),
+            )
+            seen.setdefault(cell, c.id)
+        keep = set(seen.values())
+        dropped = {c.id for c in cls if c.id not in keep}
+        if dropped:
+            cls = [c for c in cls if c.id in keep]
+            edges = [(a, b) for a, b in edges if a not in dropped and b not in dropped]
+            if labels is not None:
+                labels = {i: r for i, r in labels.items() if i not in dropped}
+
+    hd = HdGraph(centerlines=tuple(cls), edges=tuple(sorted(set(edges))), boundaries=bounds)
+    sd = SdGraph(roads=roads, edges=scene.sd.edges)
+    meta = dict(scene.meta)
+    meta["augment"] = {
+        "angle_rad": angle,
+        "scale": scale,
+        "flip": bool(flip),
+        "jitter_sigma": cfg.jitter_sigma,
+        "seed": cfg.seed,
+    }
+    crop = dict(meta.get("crop", {}))
+    if "sd" in crop:
+        ex, ey = crop["sd"]
+        for r in roads:
+            for p in r.points:
+                ex, ey = max(ex, abs(p.x)), max(ey, abs(p.y))
+        crop["sd"] = [math.ceil(ex * 1000) / 1000, math.ceil(ey * 1000) / 1000]
+    if "hd" in crop:
+        crop["hd"] = _observed_crop_reference(hd, crop["hd"])
+    meta["crop"] = crop
+    gt = Association(labels=labels) if labels is not None else None
+    return Scene(sd=sd, hd=hd, gt=gt, meta=meta)

@@ -15,13 +15,21 @@ from mapassoc.assocmatrix import AssocMatrix
 from mapassoc.cli import main
 from mapassoc.errors import ValidationError
 from mapassoc.geometry import Point2
-from mapassoc.io import read_assocs, read_scenes
+from mapassoc.io import dumps_scene, read_assocs, read_scenes
 from mapassoc.metrics import MetricReport
+from mapassoc.scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
 
 SMALL_CFG = {"gen": {"lanes_per_road": [1, 1], "hd_extent": [12.0, 24.0]}}
 NOISY_CFG = {
     "gen": {"lanes_per_road": [1, 1], "hd_extent": [12.0, 24.0]},
     "perturb": {"gps_shift": 1.0, "dropout_rate": 0.1, "seed": 5},
+}
+# every perturbation and augmentation step on
+FULL_NOISE_CFG = {
+    "gen": {"layout": "random-planar", "hd_extent": [40.0, 40.0]},
+    "perturb": {"gps_shift": 1.0, "dropout_rate": 0.1, "jitter_sigma": 0.2, "oversegment_rate": 0.2, "seed": 5},
+    "augment": {"rotate_p": 1.0, "flip_p": 0.5, "scale_range": [0.9, 1.1], "jitter_sigma": 0.01,
+                "jitter_clip": 0.015, "grid_sample": [2.0, 2.0, 0.4], "seed": 3},
 }
 
 
@@ -288,6 +296,27 @@ def test_outputs_bit_identical_across_thread_counts(tmp_path, monkeypatch):
                          "--report", str(d / metric)]) == 0
         blobs[threads] = {name: (d / name).read_bytes() for name in (*runs, "association", "reachability")}
     assert blobs["1"] == blobs["2"] == blobs["8"]
+
+
+def test_gen_bytes_identical_across_thread_counts(tmp_path, monkeypatch):
+    blobs = {}
+    for threads in ("1", "2", "8"):
+        monkeypatch.setenv("MAPASSOC_THREADS", threads)
+        d = tmp_path / threads
+        d.mkdir()
+        blobs[threads] = Path(gen_scenes(d, cfg=FULL_NOISE_CFG, count=5, seed=0)).read_bytes()
+    assert blobs["1"] == blobs["2"] == blobs["8"]
+    # scene i: generator seed --seed + i, perturb and augment seeds their config seed + i
+    cfg = {k: {f: tuple(v) if isinstance(v, list) else v for f, v in doc.items()} for k, doc in FULL_NOISE_CFG.items()}
+    want = "".join(
+        dumps_scene(augment_scene(
+            perturb_scene(generate_scene(GenConfig(**{**cfg["gen"], "seed": i})),
+                          PerturbConfig(**{**cfg["perturb"], "seed": 5 + i})),
+            AugConfig(**{**cfg["augment"], "seed": 3 + i}),
+        ))
+        for i in range(5)
+    )
+    assert blobs["1"] == want.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +630,19 @@ def test_unknown_gen_field_exits_2(tmp_path, capsys):
     rc = main(["gen", "--config", cfg, "--out", str(tmp_path / "s.ndjson")])
     assert rc == 2
     assert "unknown fields: nope" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, layout", [
+    ("boundary_margin", "grid"),
+    ("carriageway_sep", "radial"),
+    ("road_clearance", "random-planar"),
+])
+def test_negative_distance_exits_2_naming_the_field(tmp_path, capsys, field, layout):
+    cfg = write_cfg(tmp_path, {"gen": {"layout": layout, field: -9.0}})
+    rc = main(["gen", "--config", cfg, "--out", str(tmp_path / "s.ndjson")])
+    assert rc == 2
+    assert f"{field} must be >= 0, got -9.0" in capsys.readouterr().err
+    assert not (tmp_path / "s.ndjson").exists()
 
 
 def test_malformed_config_json_exits_2(tmp_path, capsys):

@@ -2,13 +2,29 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import augment_reference, perturb_reference
 
-from mapassoc.errors import GenerationError
-from mapassoc.geometry import Point2, enumerate_paths, point_to_road_distance, validate_scene
+from mapassoc.errors import ConfigError, GenerationError
+from mapassoc.geometry import (
+    Association,
+    Centerline,
+    DirVec,
+    HdGraph,
+    Point2,
+    Road,
+    Scene,
+    SdGraph,
+    enumerate_paths,
+    point_to_road_distance,
+    validate_scene,
+)
 from mapassoc.io import dumps_scene
 from mapassoc.scenegen import (
     AugConfig,
@@ -209,6 +225,26 @@ def test_grid_sample_dedupes_same_cell():
     assert len(a.hd.centerlines) == len(s.hd.centerlines)
 
 
+def test_grid_sample_crop_covers_only_the_kept_centerlines():
+    # centerline 1 shares centerline 0's cell and reaches further out; once
+    # it is dropped, the observed HD crop ends at centerline 0
+    s = Scene(
+        sd=SdGraph(roads=(Road(0, (Point2(0.0, 0.0), Point2(20.0, 0.0))),), edges=()),
+        hd=HdGraph(centerlines=(
+            Centerline(0, DirVec.from_points(Point2(10.0, 0.0), Point2(10.5, 0.0))),
+            Centerline(1, DirVec.from_points(Point2(10.02, 0.01), Point2(10.6, 0.01))),
+        ), edges=()),
+        gt=Association(labels={0: 0, 1: 0}),
+        meta={"crop": {"sd": [20.0, 1.0], "hd": [1.0, 1.0]}},
+    )
+    cfg = AugConfig(rotate_p=0.0, scale_range=(1.0, 1.0), flip_p=0.0, jitter_sigma=0.0,
+                    grid_sample=(1.0, 1.0, math.pi / 8), seed=0)
+    a = augment_scene(s, cfg)
+    assert a.hd.node_ids == (0,)
+    assert a.meta["crop"]["hd"] == [10.5, 1.0]
+    assert a == augment_reference(s, cfg)
+
+
 def test_rigid_augment_preserves_nearest_road_recovery():
     s = generate_scene(GenConfig(seed=19))
     a = augment_scene(s, AugConfig(rotate_p=1.0, rotate_range_deg=(10.0, 80.0), scale_range=(0.8, 1.2), flip_p=1.0, jitter_sigma=0.0, grid_sample=None, seed=12))
@@ -228,3 +264,110 @@ def test_generated_hd_is_always_dag():
     for seed in range(6):
         s = generate_scene(GenConfig(layout="random-planar", seed=seed))
         enumerate_paths(s.hd)  # raises on a cycle
+
+
+@pytest.mark.parametrize("name", ["boundary_margin", "carriageway_sep", "road_clearance"])
+def test_negative_distances_are_refused_naming_the_field(name):
+    with pytest.raises(ConfigError) as exc:
+        GenConfig(**{name: -1.5})
+    assert str(exc.value) == f"{name} must be >= 0, got -1.5"
+    GenConfig(**{name: 0.0})
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes, and the per-point reference of perturb and augment
+
+PIN_PERTURB = PerturbConfig(gps_shift=1.0, dropout_rate=0.1, jitter_sigma=0.3, oversegment_rate=0.25, seed=4)
+PIN_AUGMENT = AugConfig(rotate_range_deg=(-5.0, 5.0), rotate_p=1.0, scale_range=(0.8, 1.2), flip_p=1.0,
+                        jitter_sigma=0.01, jitter_clip=0.012, grid_sample=(2.0, 2.0, math.pi / 4), seed=6)
+# sha256 of `dumps_scene` after generate, then perturb, then augment, recorded
+# from the per-point implementation that `oracles.perturb_reference` and
+# `oracles.augment_reference` keep
+PINNED = {
+    "grid": (
+        "1dc2c9682fc190453836cf0b6d006116d8549884ea012563d2dc10e0f593269d",
+        "34bde3a2a6291b0ada1cac820a4c693e1048904d2ea3e0d0eb94841ff7df1814",
+        "a08f2a59ad93d98bb9d6c6fdb52f4aaf6d5d52511cdf41cef3be1107a7e80ad6",
+    ),
+    "radial": (
+        "2adfbff809ce34c19c9f3fb9cce39213a05c0cb9f56d9811f6814a33443826fc",
+        "2e3557fbc20f70ae5d7d3d51803dabae2f6eb6009fea414e7b7de96d437ccaef",
+        "2da814fe987cdb62e995a8d18d3b36d10a7dc262942c4535ef1c21c67e00891c",
+    ),
+    "random-planar": (
+        "ab946031a9d4e17e31ea7decb080e999c8cbfc5a6f1f9fdf4b01cfa414dace7a",
+        "1f1124a281fa96f4de8ab3a221abeb48c7596e98ff9ebcfaa8e621d36e63bd69",
+        "b062e4e479479785c503663671d1b40e7fd9371c352f1e60bf14daac83558310",
+    ),
+}
+
+
+def sha256(scene) -> str:
+    return hashlib.sha256(dumps_scene(scene).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("layout", sorted(PINNED))
+def test_generate_perturb_augment_bytes_are_pinned(layout):
+    s = generate_scene(GenConfig(layout=layout, hd_extent=(40.0, 40.0), seed=3))
+    p = perturb_scene(s, PIN_PERTURB)
+    a = augment_scene(p, PIN_AUGMENT)
+    assert (sha256(s), sha256(p), sha256(a)) == PINNED[layout]
+    # every step of both ops took part
+    assert p.meta["perturb"]["gps_shift"] != [0.0, 0.0]
+    assert max(p.hd.node_ids) > max(s.hd.node_ids)  # oversegmented
+    assert set(s.hd.node_ids) - set(p.hd.node_ids)  # dropped
+    assert a.meta["augment"]["flip"] and a.meta["augment"]["angle_rad"] != 0.0
+    assert a.meta["augment"]["scale"] != 1.0
+    assert len(a.hd.centerlines) < len(p.hd.centerlines)  # grid-deduplicated
+
+
+SHIFTS = st.one_of(
+    st.just((0.0, 0.0)),
+    st.floats(0.0, 3.0),
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+)
+GRIDS = st.sampled_from([None, (0.1, 0.1, math.pi / 16), (2.0, 2.0, math.pi / 4)])
+NO_PERTURB = dict(shift=(0.0, 0.0), dropout=0.0, jitter=0.0, overseg=0.0)
+RIGID = dict(rotate_p=1.0, flip_p=1.0, scale=(0.8, 1.2))
+IDENTITY = dict(rotate_p=0.0, flip_p=0.0, scale=(1.0, 1.0))
+
+
+@given(
+    layout=st.sampled_from(["grid", "radial", "random-planar"]),
+    crop=st.sampled_from([(15.0, 30.0), (75.0, 75.0)]),
+    seed=st.integers(0, 40),
+    shift=SHIFTS,
+    dropout=st.sampled_from([0.0, 0.2, 1.0]),
+    jitter=st.sampled_from([0.0, 0.3]),
+    overseg=st.sampled_from([0.0, 0.3, 1.0]),
+    rotate_p=st.sampled_from([0.0, 0.5, 1.0]),
+    flip_p=st.sampled_from([0.0, 0.5, 1.0]),
+    scale=st.sampled_from([(1.0, 1.0), (0.9, 1.1)]),
+    aug_jitter=st.sampled_from([(0.0, 0.02), (0.005, 0.02), (0.02, 0.005), (0.01, 0.0)]),
+    grid=GRIDS,
+    aug_seed=st.integers(0, 10**6),
+)
+@example(layout="grid", crop=(15.0, 30.0), seed=0, **NO_PERTURB, **IDENTITY,
+         aug_jitter=(0.0, 0.02), grid=(2.0, 2.0, math.pi / 4), aug_seed=0)  # grid dedup alone
+@example(layout="radial", crop=(75.0, 75.0), seed=1, shift=0.0, dropout=1.0, jitter=0.3, overseg=1.0,
+         **RIGID, aug_jitter=(0.005, 0.02), grid=(0.1, 0.1, math.pi / 16), aug_seed=1)  # everything dropped
+@example(layout="random-planar", crop=(75.0, 75.0), seed=2, shift=(0.0, 0.0), dropout=0.0, jitter=0.0,
+         overseg=1.0, **RIGID, aug_jitter=(0.0, 0.02), grid=None, aug_seed=2)  # every centerline split
+@example(layout="grid", crop=(75.0, 75.0), seed=3, shift=(1.5, -0.5), dropout=0.2, jitter=0.0, overseg=0.0,
+         **IDENTITY, aug_jitter=(0.02, 0.005), grid=None, aug_seed=3)  # identity transform, clipped jitter
+@settings(max_examples=60, deadline=None)
+def test_array_pass_matches_the_per_point_reference(
+    layout, crop, seed, shift, dropout, jitter, overseg, rotate_p, flip_p, scale, aug_jitter, grid, aug_seed
+):
+    s = generate_scene(GenConfig(layout=layout, hd_extent=crop, seed=seed))
+    pcfg = PerturbConfig(gps_shift=shift, dropout_rate=dropout, jitter_sigma=jitter, oversegment_rate=overseg,
+                         seed=seed)
+    acfg = AugConfig(rotate_p=rotate_p, flip_p=flip_p, scale_range=scale, jitter_sigma=aug_jitter[0],
+                     jitter_clip=aug_jitter[1], grid_sample=grid, seed=aug_seed)
+    p, p_ref = perturb_scene(s, pcfg), perturb_reference(s, pcfg)
+    assert dumps_scene(p) == dumps_scene(p_ref)
+    assert p == p_ref  # headings too, which the bytes leave out
+    for source in (s, p):
+        a, a_ref = augment_scene(source, acfg), augment_reference(source, acfg)
+        assert dumps_scene(a) == dumps_scene(a_ref)
+        assert a == a_ref
