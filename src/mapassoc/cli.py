@@ -47,7 +47,7 @@ import sys
 
 import numpy as np
 
-from .baselines import HmmParams, distance_assoc_matrix, hmm_associate, knn_associate
+from .baselines import distance_assoc_matrix, hmm_associate, knn_associate
 from .decoder import DecoderConfig, decode_association
 from .errors import ConfigError, GenerationError, MapAssocError, NoFeasiblePathError, ValidationError
 from .io import (

@@ -375,8 +375,7 @@ def _scene_counts(pred, scene: Scene, cfg: MetricConfig, scorer) -> np.ndarray:
         )
         raise CoverageError(f"prediction does not cover centerlines {missing}")
     gt_paths = enumerate_paths(scene.hd).paths
-    # the same graph gives the same paths; enumerate it once
-    pred_paths = gt_paths if pred_hd is scene.hd else enumerate_paths(pred_hd).paths
+    pred_paths = enumerate_paths(pred_hd).paths
     gt_points = sorted({p for path in gt_paths for p in _path_ends(scene.hd, path)})
     pred_points = sorted({p for path in pred_paths for p in _path_ends(pred_hd, path)})
     match = _match_points(gt_points, pred_points, cfg.point_match_tau)

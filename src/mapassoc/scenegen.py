@@ -4,9 +4,12 @@ Scenes are built from a junction skeleton: junction points joined by straight
 directed arcs, one road per arc. Roads stop ``junction_radius`` short of each
 junction center (real intersections keep an open box), which guarantees that
 a lane is always strictly nearest to its own road on clean scenes. Lanes are
-parallel offsets of the road line, vectorized at HD spacing and cropped to
-the HD extent; lane chains that reach a junction connect across it following
-road connectivity. Boundaries envelope each road's lanes.
+parallel offsets of the road line, and boundaries envelope each road's lanes.
+Each lane and boundary line is sampled at HD spacing and cropped to the one
+run of samples inside the HD extent (a straight line enters the crop box at
+most once); a lane's run becomes a chain of centerline vectors. At each
+junction, every lane whose run reaches a road's end joins the nearest lane
+whose run starts each successor road (the lowest id on a tie).
 
 Three layouts
 -------------
@@ -24,9 +27,9 @@ seed: every step draws from its own spawned child stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -176,27 +179,22 @@ def _grid_skeleton(cfg: GenConfig):
     if any(abs(y) >= ey for y in ys) or any(abs(x) >= ex for x in xs):
         raise GenerationError("grid lines fall outside the SD extent")
     nodes: list[Point2] = []
+    arcs: list[_Arc] = []
 
     def add(p: Point2) -> int:
         nodes.append(p)
         return len(nodes) - 1
 
-    arcs: list[_Arc] = []
+    def chain_line(line: list[int]) -> None:
+        arcs.extend(_Arc(a, b) for a, b in zip(line, line[1:]))
+
+    crossings = []  # crossings[j][i]: the node where row j meets column i
     for y in ys:  # horizontal lines, direction +x
-        cols = [add(Point2(-ex, y))] + [add(Point2(x, y)) for x in xs] + [add(Point2(ex, y))]
-        for a, b in zip(cols, cols[1:]):
-            arcs.append(_Arc(a, b))
-    # crossing nodes were added per line; merge verticals onto them
-    cross = {}
-    for idx, p in enumerate(nodes):
-        cross[(round(p.x, 9), round(p.y, 9))] = idx
-    for x in xs:  # vertical lines, direction +y
-        col_nodes = [add(Point2(x, -ey))]
-        for y in ys:
-            col_nodes.append(cross[(round(x, 9), round(y, 9))])
-        col_nodes.append(add(Point2(x, ey)))
-        for a, b in zip(col_nodes, col_nodes[1:]):
-            arcs.append(_Arc(a, b))
+        row = [add(Point2(-ex, y))] + [add(Point2(x, y)) for x in xs] + [add(Point2(ex, y))]
+        chain_line(row)
+        crossings.append(row[1:-1])
+    for i, x in enumerate(xs):  # vertical lines, direction +y, through the crossings
+        chain_line([add(Point2(x, -ey))] + [row[i] for row in crossings] + [add(Point2(x, ey))])
     return nodes, arcs
 
 
@@ -322,7 +320,7 @@ def _arc_line(nodes, arc: _Arc, trim_tail: float, trim_head: float):
     ox, oy = arc.offset * nx, arc.offset * ny
     start = Point2(a.x + ux * trim_tail + ox, a.y + uy * trim_tail + oy)
     end = Point2(b.x - ux * trim_head + ox, b.y - uy * trim_head + oy)
-    return start, end, (ux, uy), (nx, ny)
+    return start, end, (nx, ny)
 
 
 def _offset_line(start: Point2, end: Point2, normal, off: float):
@@ -333,8 +331,20 @@ def _offset_line(start: Point2, end: Point2, normal, off: float):
     )
 
 
-def _inside(p: Point2, half) -> bool:
-    return abs(p.x) <= half[0] and abs(p.y) <= half[1]
+def _crop_run(line, cfg: GenConfig) -> tuple[list[Point2], bool, bool]:
+    """The samples of the straight `line` (start, end) at HD spacing that lie
+    inside the HD crop, and whether they include its first and its last sample.
+
+    Along a straight line each coordinate of the samples moves monotonically,
+    and the crop is a box, so the samples inside it form one contiguous run.
+    """
+    pts = sample_polyline(line, cfg.vector_spacing_hd)
+    hx, hy = cfg.hd_extent
+    inside = [i for i, p in enumerate(pts) if abs(p.x) <= hx and abs(p.y) <= hy]
+    if not inside:
+        return [], False, False
+    first, last = inside[0], inside[-1]
+    return pts[first:last + 1], first == 0, last == len(pts) - 1
 
 
 def generate_scene(cfg: GenConfig) -> Scene:
@@ -374,23 +384,20 @@ def _generate_once(cfg: GenConfig, attempt: int) -> Scene:
         return cfg.junction_radius if node_degree[node] > 1 else 0.0
 
     roads = []
-    road_lines = []  # (start, end, dir, normal) per road, lanes hang off these
+    road_lines = []  # (start, end, left normal) per road, lanes hang off these
     for rid, arc in enumerate(arcs):
-        start, end, direction, normal = _arc_line(nodes, arc, trim(arc.tail), trim(arc.head))
+        start, end, normal = _arc_line(nodes, arc, trim(arc.tail), trim(arc.head))
         pts = sample_polyline([start, end], cfg.vector_spacing_sd)
         roads.append(Road(id=rid, points=tuple(pts)))
-        road_lines.append((start, end, direction, normal))
+        road_lines.append((start, end, normal))
 
     # road connectivity: shared junction, U-turns excluded
-    sd_edges = []
-    for i, a in enumerate(arcs):
-        for j, b in enumerate(arcs):
-            if i == j or a.head != b.tail:
-                continue
-            if a.tail == b.head:  # reverse pair
-                continue
-            sd_edges.append((i, j))
-    sd_edges.sort()
+    sd_edges = [
+        (i, j)
+        for i, a in enumerate(arcs)
+        for j, b in enumerate(arcs)
+        if i != j and a.head == b.tail and a.tail != b.head
+    ]
 
     lane_counts = [int(lane_rng.integers(cfg.lanes_per_road[0], cfg.lanes_per_road[1] + 1))
                    for _ in arcs]
@@ -398,93 +405,49 @@ def _generate_once(cfg: GenConfig, attempt: int) -> Scene:
     centerlines: list[Centerline] = []
     hd_edges: list[tuple[int, int]] = []
     gt_labels: dict = {}
-    next_cl = 0
-    # per (road, lane): (first_cl_id or None, last_cl_id or None, reach flags)
-    lane_ends: dict = {}
-    for rid, arc in enumerate(arcs):
-        start, end, direction, normal = road_lines[rid]
+    # per road, (id, point) of the first vector of every lane whose run reaches
+    # the road's start, and of the last vector of every lane that reaches its end
+    starts: list = [[] for _ in arcs]
+    ends: list = [[] for _ in arcs]
+    for rid, (start, end, normal) in enumerate(road_lines):
         n_lanes = lane_counts[rid]
         for k in range(n_lanes):
             off = cfg.lane_offset * (k - (n_lanes - 1) / 2.0)
-            ls, le = _offset_line(start, end, normal, off)
-            pts = sample_polyline([ls, le], cfg.vector_spacing_hd)
-            # vector i joins samples i and i + 1; only those inside the crop are built
-            inside = [_inside(p, cfg.hd_extent) for p in pts]
-            kept = [i for i in range(len(pts) - 1) if inside[i] and inside[i + 1]]
-            ids = []
-            for i in kept:
-                centerlines.append(Centerline(id=next_cl, vector=DirVec.from_points(pts[i], pts[i + 1])))
-                gt_labels[next_cl] = rid
-                ids.append((i, next_cl))
-                next_cl += 1
-            for (i1, c1), (i2, c2) in zip(ids, ids[1:]):
-                if i2 == i1 + 1:
-                    hd_edges.append((c1, c2))
-            reaches_start = bool(ids) and ids[0][0] == 0
-            reaches_end = bool(ids) and ids[-1][0] == len(pts) - 2
-            lane_ends[(rid, k)] = (
-                ids[0][1] if ids else None,
-                ids[-1][1] if ids else None,
-                reaches_start,
-                reaches_end,
-            )
+            run, at_start, at_end = _crop_run(_offset_line(start, end, normal, off), cfg)
+            if len(run) < 2:
+                continue
+            first = len(centerlines)
+            for p1, p2 in zip(run, run[1:]):
+                gt_labels[len(centerlines)] = rid
+                centerlines.append(Centerline(id=len(centerlines), vector=DirVec.from_points(p1, p2)))
+            last = len(centerlines) - 1
+            hd_edges += zip(range(first, last), range(first + 1, last + 1))
+            if at_start:
+                starts[rid].append((first, run[0]))
+            if at_end:
+                ends[rid].append((last, run[-1]))
 
-    by_id = {c.id: c for c in centerlines}
-    # connect lane chains across junctions along road connectivity
+    # at each junction, every lane that reaches a road's end joins the nearest
+    # lane that starts each successor road, the lowest id on a tie
     for ra, rb in sd_edges:
-        incoming = [
-            lane_ends[(ra, k)]
-            for k in range(lane_counts[ra])
-            if lane_ends[(ra, k)][1] is not None and lane_ends[(ra, k)][3]
-        ]
-        outgoing = [
-            lane_ends[(rb, k)]
-            for k in range(lane_counts[rb])
-            if lane_ends[(rb, k)][0] is not None and lane_ends[(rb, k)][2]
-        ]
-        for _, last_id, _, _ in incoming:
-            if not outgoing:
-                break
-            p_out = by_id[last_id].vector.p2
-            best = min(
-                outgoing,
-                key=lambda entry: (
-                    math.hypot(
-                        by_id[entry[0]].vector.p1.x - p_out.x,
-                        by_id[entry[0]].vector.p1.y - p_out.y,
-                    ),
-                    entry[0],
-                ),
-            )
-            hd_edges.append((last_id, best[0]))
+        for last, p in ends[ra]:
+            if starts[rb]:
+                first, _ = min(
+                    starts[rb], key=lambda c: (math.hypot(c[1].x - p.x, c[1].y - p.y), c[0])
+                )
+                hd_edges.append((last, first))
 
     boundaries = []
-    next_b = 0
-    for rid, arc in enumerate(arcs):
-        start, end, direction, normal = road_lines[rid]
+    for rid, (start, end, normal) in enumerate(road_lines):
         half_span = cfg.lane_offset * (lane_counts[rid] - 1) / 2.0 + cfg.boundary_margin
         for side in (half_span, -half_span):
-            bs, be = _offset_line(start, end, normal, side)
-            pts = sample_polyline([bs, be], cfg.vector_spacing_hd)
-            run: list[Point2] = []
-            runs: list[list[Point2]] = []
-            for p in pts:
-                if _inside(p, cfg.hd_extent):
-                    run.append(p)
-                elif run:
-                    runs.append(run)
-                    run = []
-            if run:
-                runs.append(run)
-            for r in runs:
-                if len(r) >= 2:
-                    boundaries.append(Boundary(id=next_b, points=tuple(r)))
-                    next_b += 1
+            run, _, _ = _crop_run(_offset_line(start, end, normal, side), cfg)
+            if len(run) >= 2:
+                boundaries.append(Boundary(id=len(boundaries), points=tuple(run)))
 
     if not centerlines:
         raise GenerationError("no centerlines fall inside the HD extent")
 
-    hd_edges = sorted(set(hd_edges))
     scene = Scene(
         sd=SdGraph(roads=tuple(roads), edges=tuple(sd_edges)),
         hd=HdGraph(
@@ -629,7 +592,7 @@ def perturb_scene(scene: Scene, cfg: PerturbConfig) -> Scene:
             for first, second in second_of.items():
                 labels[second] = labels[first]
 
-    hd = HdGraph(centerlines=tuple(cls), edges=tuple(sorted(set(edges))), boundaries=tuple(bounds))
+    hd = HdGraph(centerlines=tuple(cls), edges=tuple(edges), boundaries=tuple(bounds))
     meta = dict(scene.meta)
     meta["perturb"] = {
         "gps_shift": [shift[0], shift[1]],
@@ -720,7 +683,7 @@ def augment_scene(scene: Scene, cfg: AugConfig) -> Scene:
                 labels = {i: r for i, r in labels.items() if i not in dropped}
 
     cls = tuple(map(Centerline, compress(ids, keep), compress(vectors, keep)))
-    hd = HdGraph(centerlines=cls, edges=tuple(sorted(set(edges))), boundaries=bounds)
+    hd = HdGraph(centerlines=cls, edges=tuple(edges), boundaries=bounds)
     sd = SdGraph(roads=roads, edges=scene.sd.edges)
     meta = dict(scene.meta)
     meta["augment"] = {

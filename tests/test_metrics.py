@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -209,18 +210,22 @@ def test_association_self_evaluation_is_exactly_one(tiny, grid42):
 
 
 def test_scene_graph_is_enumerated_once_when_prediction_reuses_it(tiny, monkeypatch):
-    calls = []
+    # the path DFS is the graph's cached `paths`; count its runs per graph
+    dfs, runs = HdGraph.paths.func, []
 
-    def counting(graph, *args, **kwargs):
-        calls.append(graph)
-        return enumerate_paths(graph, *args, **kwargs)
+    def counting(graph):
+        runs.append(graph)
+        return dfs(graph)
 
-    monkeypatch.setattr(metrics, "enumerate_paths", counting)
+    cached = cached_property(counting)
+    cached.__set_name__(HdGraph, "paths")
+    monkeypatch.setattr(HdGraph, "paths", cached)
     assert association_pr([tiny.gt], [tiny]).af1 == 1.0
-    assert len(calls) == 1 and calls[0] is tiny.hd
+    assert len(runs) == 1 and runs[0] is tiny.hd
     own_hd = HdGraph(centerlines=tiny.hd.centerlines, edges=tiny.hd.edges)
     assert association_pr([Prediction(assoc=tiny.gt, hd=own_hd)], [tiny]).af1 == 1.0
-    assert len(calls) == 3 and calls[1] is tiny.hd and calls[2] is own_hd
+    assert reachability_pr([Prediction(assoc=tiny.gt, hd=own_hd)], [tiny]).af1 == 1.0
+    assert len(runs) == 2 and runs[1] is own_hd
 
 
 def test_association_hand_walked_two_path_fixture(tiny):

@@ -1,0 +1,85 @@
+"""The package's public names and its imports.
+
+`__all__` of `mapassoc` and `mapassoc.mat` lists every public name in the
+package namespace that is not a submodule, and nothing else. No module under
+`src/mapassoc` imports a name it never uses: a name in the module's `__all__`
+is a re-export, and an import kept only as a module attribute (one that a
+tool patches) is marked `# noqa: F401` followed by the reason.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+import mapassoc
+import mapassoc.mat
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "mapassoc"
+
+# a noqa mark counts only with a reason after it
+KEPT = re.compile(r"#\s*noqa:\s*F401\s+\S")
+
+
+def _exported(tree: ast.Module) -> set:
+    return {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
+def unused_imports(source: str) -> list[str]:
+    """`line N: name` for each name `source` imports and never uses."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | _exported(tree)
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any(KEPT.search(line) for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name not in used:
+                out.append(f"line {node.lineno}: {name}")
+    return out
+
+
+@pytest.mark.parametrize("package", [mapassoc, mapassoc.mat], ids=lambda m: m.__name__)
+def test_all_lists_every_public_name(package):
+    public = {
+        name for name, value in vars(package).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert sorted(public - set(package.__all__)) == []
+    assert sorted(set(package.__all__) - public) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.rglob("*.py")), ids=lambda p: p.relative_to(SRC).as_posix()
+)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_caught():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import json  # noqa: F401\n"
+        "from .io import kept  # noqa: F401  a tool patches it\n"
+        "from .geometry import exported, used, unused\n"
+        "import numpy.linalg\n"
+        "__all__ = ['exported']\n"
+        "print(used, numpy)\n"
+    )
+    assert unused_imports(source) == ["line 2: os", "line 3: json", "line 5: unused"]

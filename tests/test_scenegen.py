@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
+from itertools import compress
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import augment_reference, perturb_reference
 
@@ -23,6 +25,7 @@ from mapassoc.geometry import (
     SdGraph,
     enumerate_paths,
     point_to_road_distance,
+    sample_polyline,
     validate_scene,
 )
 from mapassoc.io import dumps_scene
@@ -30,6 +33,7 @@ from mapassoc.scenegen import (
     AugConfig,
     GenConfig,
     PerturbConfig,
+    _crop_run,
     augment_scene,
     generate_scene,
     perturb_scene,
@@ -264,6 +268,38 @@ def test_generated_hd_is_always_dag():
     for seed in range(6):
         s = generate_scene(GenConfig(layout="random-planar", seed=seed))
         enumerate_paths(s.hd)  # raises on a cycle
+
+
+@st.composite
+def crop_lines(draw):
+    """A straight line, an HD crop and a spacing: endpoints are drawn freely or
+    exactly on a crop edge, and some lines run parallel to an axis."""
+    hx, hy = draw(st.floats(0.5, 40.0)), draw(st.floats(0.5, 40.0))
+
+    def coord(half):
+        return draw(st.one_of(st.floats(-60.0, 60.0), st.sampled_from([-half, 0.0, half])))
+
+    start = Point2(coord(hx), coord(hy))
+    axis = draw(st.sampled_from(["any", "x", "y"]))
+    end = Point2(start.x if axis == "y" else coord(hx), start.y if axis == "x" else coord(hy))
+    assume(math.hypot(end.x - start.x, end.y - start.y) >= 1e-3)
+    return (start, end), (hx, hy), draw(st.floats(0.2, 15.0))
+
+
+@given(crop_lines())
+@example(((Point2(-20.0, 5.0), Point2(20.0, 5.0)), (15.0, 30.0), 3.0))
+@example(((Point2(15.0, -40.0), Point2(15.0, 40.0)), (15.0, 30.0), 3.0))
+@example(((Point2(-15.0, 30.0), Point2(40.0, -33.0)), (15.0, 30.0), 1.7))
+@example(((Point2(50.0, 50.0), Point2(20.0, 35.0)), (15.0, 30.0), 3.0))
+@settings(max_examples=300, deadline=None)
+def test_crop_run_is_the_one_run_of_inside_samples(case):
+    line, (hx, hy), spacing = case
+    run, at_start, at_end = _crop_run(line, GenConfig(hd_extent=(hx, hy), vector_spacing_hd=spacing))
+    samples = sample_polyline(line, spacing)
+    inside = [abs(p.x) <= hx and abs(p.y) <= hy for p in samples]
+    assert re.fullmatch("0*1*0*", "".join("01"[f] for f in inside)), "inside samples are not one run"
+    assert run == list(compress(samples, inside))
+    assert (at_start, at_end) == (inside[0], inside[-1])
 
 
 @pytest.mark.parametrize("name", ["boundary_margin", "carriageway_sep", "road_clearance"])
