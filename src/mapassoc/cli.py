@@ -63,7 +63,7 @@ from .io import (
     write_lines,
 )
 from .io import read_scenes, write_scenes  # noqa: F401  kept as module attributes; bench/tracer.py patches them
-from .mat import ModelConfig, desk_config, init_weights, mat_associate
+from .mat import ModelConfig, PreparedWeights, desk_config, init_weights, mat_associate, prepare_weights
 from .metrics import MetricConfig, MetricReport, Prediction, association_pr, reachability_pr, report_table
 from .scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
 
@@ -325,10 +325,12 @@ def _cmd_associate(args) -> int:
             mcfg = _config_from(ModelConfig, _read_json(args.model_config, "model config"), "model config")
         else:
             mcfg = desk_config()
+        # checked and cast once here, before the workers fork and share them;
+        # load_weights already checks a weights file against the config
         if args.weights:
-            weights = load_weights(args.weights, mcfg)
+            weights = PreparedWeights(load_weights(args.weights, mcfg), mcfg)
         else:
-            weights = init_weights(mcfg, seed=args.init_seed)
+            weights = prepare_weights(init_weights(mcfg, seed=args.init_seed), mcfg)
     dcfg = DecoderConfig(k=args.beam_k)
     items, costs = _scene_items(args.scenes)
 
@@ -501,3 +503,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -12,6 +12,18 @@ four curve kinds:
 
 Sorting by curve index with a stable original-index tie-break yields the
 serialization permutation consumed by patch attention.
+
+Orders. A key at order m holds m bits per axis. A Hilbert key at order m
+equals the key at order m - 3 while every coordinate is below 2^(m - 3), and a
+Morton key is the same at every order that covers the coordinates. So the
+Hilbert kernel runs at the lowest order congruent to the requested one mod 3
+that still covers the largest coordinate, and `sort_tokens` raises the order
+when the coordinate spread needs more bits than requested: in steps of 3 for
+the Hilbert kinds, to the spread's bit length for the Morton kinds. Neither
+changes a key. A key must fit in uint64, so the order stops at 21
+(3 x 21 = 63 bits): from the default order 16 a Hilbert serialization covers
+an axis spread below 2^19 cells (52 km at the default 0.1 m cell), a Morton
+one below 2^21 cells (210 km).
 """
 
 from __future__ import annotations
@@ -44,6 +56,8 @@ CURVE_KINDS = ("z", "z-trans", "hilbert", "hilbert-trans")
 DEFAULT_GRID_G = 0.1
 DEFAULT_GRID_R = 16
 DEFAULT_ORDER = 16
+# the largest order whose 3-axis key fits in uint64 (63 bits)
+_MAX_KEY_ORDER = 21
 
 _TWO_PI = 2.0 * math.pi
 
@@ -100,9 +114,13 @@ def grid_encode_batch(
 # feed the rows in (r, y, x) order instead of (x, y, r).
 
 
-def _check_range(axes: np.ndarray, order: int):
+def _check_order(order: int):
     if order < 1 or order > 20:
         raise RangeError(f"order must be in [1, 20], got {order}")
+
+
+def _check_range(axes: np.ndarray, order: int):
+    _check_order(order)
     lim = 1 << order
     if axes.size and (axes.min() < 0 or axes.max() >= lim):
         bad = axes.min() if axes.min() < 0 else axes.max()
@@ -150,6 +168,10 @@ def _hilbert_transpose(axes: np.ndarray, order: int) -> np.ndarray:
 
 
 def _hilbert(axes: np.ndarray, order: int) -> np.ndarray:
+    # the key at order m equals the key at order m - 3 while every coordinate
+    # is below 2^(m - 3): run at the lowest such order, which does less work
+    bits = max(int(axes.max()).bit_length() if axes.size else 0, 1)
+    order -= 3 * max(0, (order - bits) // 3)
     x = _hilbert_transpose(axes, order)
     # interleave transposed bits, axis 0 most significant within each group
     out = np.zeros(axes.shape[1], dtype=np.uint64)
@@ -175,6 +197,10 @@ def curve_index_batch(coords: np.ndarray, kind: str, order: int = DEFAULT_ORDER)
         raise RangeError(f"expected an (N, 3) coordinate array, got shape {coords.shape}")
     axes = _axes_matrix(coords, kind)
     _check_range(axes, order)
+    return _keys(axes, kind, order)
+
+
+def _keys(axes: np.ndarray, kind: str, order: int) -> np.ndarray:
     if kind.startswith("z"):
         return _morton(axes, order)
     return _hilbert(axes, order)
@@ -186,13 +212,35 @@ def curve_index(coord: GridCoord, kind: str, order: int = DEFAULT_ORDER) -> int:
     return int(curve_index_batch(arr, kind, order)[0])
 
 
+def _covering_order(spread: int, kind: str, order: int) -> int:
+    """The order `sort_tokens` keys a spread at: `order`, raised until it covers the spread."""
+    bits = spread.bit_length()
+    if bits <= order:
+        return order
+    # a Hilbert key keeps its value only in steps of 3 orders, a Morton key in any step
+    step = 1 if kind.startswith("z") else 3
+    covering = order + step * -((order - bits) // step)  # the first step at or above bits
+    most = order + step * ((_MAX_KEY_ORDER - order) // step)
+    if covering > most:
+        raise RangeError(
+            f"coordinate spread {spread} needs {bits} bits per axis; a {kind} key from order "
+            f"{order} holds at most {most} in uint64 (spread below {1 << most})"
+        )
+    return covering
+
+
 def sort_tokens(coords, kind: str, order: int = DEFAULT_ORDER) -> SerializationOrder:
     """Serialization permutation of tokens by curve index.
 
     Coordinates are offset by the per-call minimum on each axis before
-    indexing, so negative cells are fine as long as each axis spread fits in
-    ``order`` bits. Equal keys keep original order (stable sort), making the
-    permutation a bijection with a deterministic tie-break.
+    indexing, so negative cells are fine. When an axis spread needs more than
+    ``order`` bits, the order is raised until it covers the spread, which
+    leaves every key that already fitted unchanged (see the module notes):
+    in steps of 3 for the Hilbert kinds, to the spread's bit length for the
+    Morton kinds, and at most to order 21, the largest whose key fits in
+    uint64; a wider spread raises RangeError naming the spread and the limit.
+    Equal keys keep original order (stable sort), making the permutation a
+    bijection with a deterministic tie-break.
     """
     coords = np.asarray(coords, dtype=np.int64)
     if coords.size == 0:
@@ -200,8 +248,9 @@ def sort_tokens(coords, kind: str, order: int = DEFAULT_ORDER) -> SerializationO
         return SerializationOrder(perm=e, inv=e.copy())
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise RangeError(f"expected an (N, 3) coordinate array, got shape {coords.shape}")
-    shifted = coords - coords.min(axis=0, keepdims=True)
-    keys = curve_index_batch(shifted, kind, order)
+    axes = _axes_matrix(coords - coords.min(axis=0, keepdims=True), kind)
+    _check_order(order)
+    keys = _keys(axes, kind, _covering_order(int(axes.max()), kind, order))
     perm = np.argsort(keys, kind="stable").astype(np.int64)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm), dtype=np.int64)

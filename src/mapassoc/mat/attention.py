@@ -14,10 +14,13 @@ serialized sequence into consecutive patches and attends within each patch.
 
 Both ops run one batched kernel instead of a loop over groups:
 
-- Project once. The weights are cast to float64 once per op, and Q/K/V are
-  projected once per unique token (`_project`). RoPE axes that belong to the
-  token itself, the instance axis and the three grid axes, are rotated
-  there too, so a token on 30 paths is projected and rotated once.
+- Project once. Q/K/V are projected once per unique token (`_project`).
+  The weights arrive as float64 when the forward pass reads
+  `PreparedWeights`, cast once per run; a float32 `AttnWeights` from a
+  library caller is cast once per op. RoPE axes that belong to the token
+  itself, the instance axis and the three grid axes, are rotated there too,
+  Q and K by one table of factors, so a token on 30 paths is projected and
+  rotated once.
 - Bucket by length. Paths of equal length stack into a (B, L) index array,
   so no group is padded or masked. Spatial patches are equal-length by
   construction; the short last patch is a batch of one.
@@ -25,7 +28,10 @@ Both ops run one batched kernel instead of a loop over groups:
   Per block the copies of Q/K/V are gathered, the path axis is rotated by
   each copy's step (the token axes turn by angle 0 there, an exact
   identity), and `_group_attention` runs one softmax over the
-  (heads, B, L, L) scores.
+  (heads, B, L, L) scores. One table of path-step factors per call serves
+  every bucket: a bucket of length L reads its first L rows.
+- Serialize once. `serializations` sorts the tokens once per curve kind; a
+  forward pass hands every spatial block its kind's permutation.
 - Scatter-mean. Path copies are summed per token with one `np.add.at` per
   block and divided by the token's copy count. The output projection then
   runs once per token, on the merged rows.
@@ -50,6 +56,7 @@ __all__ = [
     "rope_rotate",
     "path_attention",
     "spatial_attention",
+    "serializations",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -104,19 +111,33 @@ def rope_rotate(x: np.ndarray, positions, axes: int, base: float = 10000.0) -> n
         pos = pos[:, None]
     if pos.shape != (n, axes):
         raise ConfigError(f"positions shape {pos.shape}, expected ({n}, {axes})")
+    out = _turn(np.asarray(x, dtype=np.float64), _rope_factors(pos, d, base))
+    return out.astype(x.dtype, copy=False)
+
+
+def _rope_factors(pos: np.ndarray, d: int, base: float) -> np.ndarray:
+    """The (N, d/2) unit complex factors that turn each channel pair.
+
+    pos is (N, axes) float64. Each factor depends only on its own row of pos,
+    so a slice of a larger table is the table of that slice's positions.
+    """
+    n, axes = pos.shape
     da = d // axes
     half = da // 2
     freqs = float(base) ** (-2.0 * np.arange(half, dtype=np.float64) / da)
     ang = (pos[:, :, None] * freqs).reshape(n, axes * half)  # (N, d/2), axis-major
     rot = np.empty(ang.shape, dtype=np.complex128)
     rot.real, rot.imag = np.cos(ang), np.sin(ang)
+    return rot
+
+
+def _turn(x64: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """Float64 x (..., N, d) with every channel pair turned by its factor in rot."""
     # pair (2i, 2i+1) as the complex number x_2i + j x_2i+1 turns by one
     # complex multiply: (x_2i cos - x_2i+1 sin) + j (x_2i sin + x_2i+1 cos)
-    x64 = np.asarray(x, dtype=np.float64)
     if x64.strides[-1] != x64.itemsize:
         x64 = np.ascontiguousarray(x64)
-    out = (x64.view(np.complex128) * rot).view(np.float64)
-    return out.astype(x.dtype, copy=False)
+    return (x64.view(np.complex128) * rot).view(np.float64)
 
 
 @dataclass(frozen=True)
@@ -178,23 +199,26 @@ def _cast(w: AttnWeights) -> tuple:
 
 
 def _project(x: np.ndarray, w64: tuple, heads: int, pos: np.ndarray, base: float) -> tuple:
-    """Q, K, V of tokens x as (heads, n, hd) float64; Q and K rotated by pos.
+    """(QK, V) of tokens x: QK is (2, heads, n, hd) float64 rotated by pos, V (heads, n, hd).
 
     pos holds the RoPE positions that belong to the token itself, one column
     per axis, so each token is projected and rotated once however many
-    groups it sits in.
+    groups it sits in. Q and K are rotated in one call, by one table.
     """
     n, c = x.shape
     if c != w64[0].shape[0]:
         raise ConfigError(f"token width {c} does not match weights ({w64[0].shape[0]})")
     x64 = np.asarray(x, dtype=np.float64)
-    out = []
-    for i in range(3):
-        y = x64 @ w64[2 * i]
-        y += w64[2 * i + 1]
-        y = y.reshape(n, heads, c // heads).transpose(1, 0, 2)
-        out.append(rope_rotate(y, pos, pos.shape[1], base) if i < 2 else y)
-    return tuple(out)
+    hd = c // heads
+    qk = np.empty((2, n, c), dtype=np.float64)
+    for i in range(2):
+        np.matmul(x64, w64[2 * i], out=qk[i])
+        qk[i] += w64[2 * i + 1]
+    # V gets its own buffer: a view into QK's would keep unrotated Q and K alive
+    v = x64 @ w64[4]
+    v += w64[5]
+    qk = qk.reshape(2, n, heads, hd).transpose(0, 2, 1, 3)
+    return rope_rotate(qk, pos, pos.shape[1], base), v.reshape(n, heads, hd).transpose(1, 0, 2)
 
 
 def _group_attention(q, k, v) -> np.ndarray:
@@ -253,26 +277,28 @@ def path_attention(
         return x.copy()
     w64 = _cast(weights)
     token_pos = np.stack([np.zeros(n, dtype=np.int64), inst], axis=1)
-    q, k, v = _project(x, w64, weights.heads, token_pos, rope_base)
+    qk, v = _project(x, w64, weights.heads, token_pos, rope_base)
     c = weights.channels
     acc = np.zeros((n, c), dtype=np.float64)
     channels = np.arange(c)
     starts = np.cumsum(lengths) - lengths
+    # the path axis rotates every copy by its step; the instance axis was
+    # rotated per token in _project, so it turns by 0 here (an identity).
+    # One table covers every step; a bucket of length L reads its first L rows.
+    steps = np.zeros((int(lengths.max()), 2), dtype=np.float64)
+    steps[:, 0] = np.arange(steps.shape[0])
+    step_rot = _rope_factors(steps, c // weights.heads, rope_base)
     for length in np.unique(lengths[lengths > 0]):
         rows = flat[starts[lengths == length, None] + np.arange(length)]
-        # the path axis rotates every copy by its step; the instance axis was
-        # rotated per token in _project, so it turns by 0 here (an identity)
-        steps = np.zeros((length, 2), dtype=np.int64)
-        steps[:, 0] = np.arange(length)
+        rot = step_rot[:length]
         per_chunk = max(1, _CHUNK_COPIES // int(length))
         for i in range(0, rows.shape[0], per_chunk):
             chunk = rows[i : i + per_chunk]
-            qg = rope_rotate(q[:, chunk], steps, 2, rope_base)
-            kg = rope_rotate(k[:, chunk], steps, 2, rope_base)
+            qkg = _turn(qk[:, :, chunk], rot)
             # one flat index per (copy, channel) keeps np.add.at on its 1-D fast path
             cells = (chunk.reshape(-1, 1) * c + channels).ravel()
-            np.add.at(acc.reshape(-1), cells, _group_attention(qg, kg, v[:, chunk]).ravel())
-    del q, k, v  # free them before the output projection
+            np.add.at(acc.reshape(-1), cells, _group_attention(qkg[0], qkg[1], v[:, chunk]).ravel())
+    del qk, v  # free them before the output projection
     acc /= counts[:, None]
     return _out_project(acc, w64, x.dtype)
 
@@ -285,13 +311,17 @@ def spatial_attention(
     kind: str,
     order: int = DEFAULT_ORDER,
     rope_base: float = 10000.0,
+    *,
+    perm=None,
 ) -> np.ndarray:
     """Patch attention along a space-filling curve serialization.
 
     Tokens are sorted by curve index of their (x, y, r) grid cells, split into
     consecutive patches of `patch_size` (the last one shorter), attended per
     patch with 3-axis RoPE over the raw grid coordinates, and returned in the
-    original token order.
+    original token order. `perm`, when given, is that sort,
+    `sort_tokens(coords, kind, order).perm`, computed once by the caller
+    (see `serializations`).
     """
     x = np.asarray(tokens)
     n = x.shape[0]
@@ -302,7 +332,10 @@ def spatial_attention(
         raise ConfigError(f"patch_size must be >= 1, got {patch_size}")
     if n == 0:
         return x.copy()
-    perm = sort_tokens(coords, kind, order).perm
+    if perm is None:
+        perm = sort_tokens(coords, kind, order).perm
+    elif np.shape(perm) != (n,):
+        raise ConfigError(f"perm shape {np.shape(perm)}, expected ({n},)")
     w64 = _cast(weights)
     out = np.empty_like(x)
     # whole patches per step; each token sits in exactly one patch, so
@@ -312,11 +345,20 @@ def spatial_attention(
     for start in range(0, n, step):
         tok = perm[start : start + step]
         m = len(tok)
-        q, k, v = _project(x[tok], w64, heads, coords[tok], rope_base)
+        qk, v = _project(x[tok], w64, heads, coords[tok], rope_base)
         full = m - m % patch_size
         # whole patches as one batch, the short last patch as a batch of one
         for lo, hi, size in ((0, full, patch_size), (full, m, m - full)):
             if hi > lo:
-                groups = (a[:, lo:hi].reshape(heads, -1, size, hd) for a in (q, k, v))
+                groups = (a[:, lo:hi].reshape(heads, -1, size, hd) for a in (qk[0], qk[1], v))
                 out[tok[lo:hi]] = _out_project(_group_attention(*groups), w64, x.dtype)
     return out
+
+
+def serializations(coords, kinds, order: int = DEFAULT_ORDER) -> dict:
+    """{kind: serialization permutation} of coords, one `sort_tokens` per distinct kind.
+
+    A forward pass computes these once per scene and hands each spatial
+    block the permutation of its kind.
+    """
+    return {kind: sort_tokens(coords, kind, order).perm for kind in dict.fromkeys(kinds)}

@@ -15,6 +15,7 @@ outputs. All returned tensors are float32.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,9 @@ from ..assocmatrix import AssocMatrix
 from ..curves import CURVE_KINDS, grid_encode_batch
 from ..errors import ConfigError, LabelError
 from ..geometry import PathIndex, Scene, enumerate_paths
-from .attention import AttnWeights, gelu, layer_norm, path_attention, spatial_attention
+from .attention import AttnWeights, gelu, layer_norm, path_attention, serializations, spatial_attention
 from .config import ModelConfig
-from .weights import EMBED_IN, validate_weights
+from .weights import EMBED_IN, prepare_weights
 
 __all__ = [
     "KIND_ROAD",
@@ -134,7 +135,7 @@ def build_tokens(scene: Scene) -> TokenSet:
     )
 
 
-def embed_vectors(vectors, weights: dict) -> np.ndarray:
+def embed_vectors(vectors, weights: Mapping) -> np.ndarray:
     """Two-layer MLP lifting each 5-number vector to the stage-0 width."""
     if len(vectors) == 0:
         raise ConfigError("no vectors to embed")
@@ -164,7 +165,7 @@ def resolve_curve_kinds(cfg: ModelConfig, curve_seed: int = 0) -> tuple:
     return tuple(CURVE_KINDS[int(i)] for i in picks)
 
 
-def _ffn(x: np.ndarray, weights: dict, base: str) -> np.ndarray:
+def _ffn(x: np.ndarray, weights: Mapping, base: str) -> np.ndarray:
     h = layer_norm(x, weights[f"{base}.norm.weight"], weights[f"{base}.norm.bias"])
     # in-place bias adds and gelu keep the (N, 4C) hidden layer to two buffers
     h64 = h.astype(np.float64) @ np.asarray(weights[f"{base}.fc1.weight"], dtype=np.float64)
@@ -178,7 +179,7 @@ def _ffn(x: np.ndarray, weights: dict, base: str) -> np.ndarray:
 def mat_forward(
     scene: Scene,
     cfg: ModelConfig,
-    weights: dict,
+    weights: Mapping,
     curve_seed: int = 0,
 ) -> ForwardResult:
     """Run every stage over a scene; returns per-class float32 features.
@@ -186,14 +187,20 @@ def mat_forward(
     Each block applies its two attentions in cfg.attention_order, then the
     FFN, every sub-layer as a pre-norm residual. Stages are bridged by a
     linear channel projection; the token count never changes.
+
+    `weights` may be a plain mapping, checked and cast here, or
+    `PreparedWeights` from `prepare_weights(weights, cfg)`, which a run over
+    many scenes builds once. The tokens are serialized once per distinct
+    curve kind, and every spatial block of that kind reads the permutation.
     """
-    validate_weights(weights, cfg)
+    weights = prepare_weights(weights, cfg)
     tokens = build_tokens(scene)
     if len(tokens) == 0:
         raise ConfigError("scene has no map elements to tokenize")
     x = embed_vectors(tokens.vectors, weights)
     coords = grid_encode_batch(tokens.vectors, cfg.grid_g, cfg.grid_R)
     kinds = resolve_curve_kinds(cfg, curve_seed)
+    perms = serializations(coords, kinds)
     bi = 0
     for s, stage in enumerate(cfg.stages):
         if s > 0:
@@ -208,7 +215,9 @@ def mat_forward(
                 h = layer_norm(x, weights[f"{prefix}.norm.weight"], weights[f"{prefix}.norm.bias"])
                 aw = AttnWeights.from_dict(weights, prefix, stage.heads)
                 if attn == "spatial":
-                    h = spatial_attention(h, coords, aw, cfg.patch_size, kinds[bi], rope_base=cfg.rope_base)
+                    h = spatial_attention(
+                        h, coords, aw, cfg.patch_size, kinds[bi], rope_base=cfg.rope_base, perm=perms[kinds[bi]]
+                    )
                 else:
                     h = path_attention(h, tokens.pidx, aw, tokens.inst_pos, rope_base=cfg.rope_base)
                 x = x + h
@@ -268,13 +277,14 @@ def association_probs(
 def mat_associate(
     scene: Scene,
     cfg: ModelConfig,
-    weights: dict,
+    weights: Mapping,
     curve_seed: int = 0,
 ) -> tuple:
     """Forward a scene and build its association matrix over all roads.
 
     Returns (AssocMatrix, ForwardResult). Boundary tokens take part in
-    attention but never in the association head.
+    attention but never in the association head. `weights` is taken as by
+    `mat_forward`.
     """
     res = mat_forward(scene, cfg, weights, curve_seed)
     amat = association_probs(

@@ -14,16 +14,33 @@ Naming scheme (fixed, also the manifest order on disk):
     stage{s}.block{b}.ffn.norm.{weight,bias}
     stage{s}.block{b}.ffn.{fc1,fc2}.{weight,bias}
     stage{s}.proj.{weight,bias}               channel bridge into stage s >= 1
+
+The forward pass reads `PreparedWeights`: the tensors checked against one
+`ModelConfig` by `prepare_weights` and cast to read-only float64 once, so a
+run over many scenes neither checks nor casts them again per scene.
+Casting float32 to float64 is exact, so the prepared tensors give the same
+bits as casting in every op.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 import numpy as np
 
 from ..errors import ConfigError
 from .config import ModelConfig
 
-__all__ = ["EMBED_IN", "weight_spec", "init_weights", "spec_problems", "raise_problems", "validate_weights"]
+__all__ = [
+    "EMBED_IN",
+    "weight_spec",
+    "init_weights",
+    "spec_problems",
+    "raise_problems",
+    "validate_weights",
+    "PreparedWeights",
+    "prepare_weights",
+]
 
 # input feature width: [p1x, p1y, p2x, p2y, theta]
 EMBED_IN = 5
@@ -124,3 +141,45 @@ def validate_weights(weights: dict, cfg: ModelConfig) -> dict:
             problems.append(f"{name}: non-finite values")
     raise_problems(problems)
     return weights
+
+
+class PreparedWeights(Mapping):
+    """Read-only float64 copies of checked weights, and the config they fit.
+
+    Build them with `prepare_weights`. The constructor itself checks nothing:
+    it trusts that `weights` passed `validate_weights(weights, cfg)`, as
+    `io.load_weights(source, cfg)` output has.
+    """
+
+    def __init__(self, weights: Mapping, cfg: ModelConfig):
+        tensors = {}
+        for name, _ in weight_spec(cfg):
+            t = np.array(weights[name], dtype=np.float64)
+            t.flags.writeable = False
+            tensors[name] = t
+        self._tensors = tensors
+        self.cfg = cfg
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._tensors[name]
+
+    def __iter__(self):
+        return iter(self._tensors)
+
+    def __len__(self) -> int:
+        return len(self._tensors)
+
+
+def prepare_weights(weights: Mapping, cfg: ModelConfig) -> PreparedWeights:
+    """Check weights against cfg once and cast them to read-only float64.
+
+    Plain weights go through `validate_weights`. Weights prepared for `cfg`
+    come back as they are; weights prepared for another config are checked
+    again, by name and shape, and relabelled when they fit.
+    """
+    if isinstance(weights, PreparedWeights):
+        if weights.cfg == cfg:
+            return weights
+        raise_problems(spec_problems({name: t.shape for name, t in weights.items()}, cfg))
+        return PreparedWeights(weights, cfg)
+    return PreparedWeights(validate_weights(weights, cfg), cfg)

@@ -610,6 +610,73 @@ def morton_ref(x: int, y: int, r: int, bits: int = 16) -> int:
     return out
 
 
+# The curve kernels as they ran at a fixed order 16 before `curves._hilbert`
+# dropped to the lowest exact order, kept verbatim (renamed) so the keys of
+# every later kernel can be compared with them. All three take a (3, N)
+# axes matrix, row 0 the least significant Morton axis.
+
+
+def morton_keys_reference(axes: np.ndarray, order: int) -> np.ndarray:
+    # axes: (3, N) non-negative int64; row 0 least significant
+    out = np.zeros(axes.shape[1], dtype=np.uint64)
+    a = axes.astype(np.uint64)
+    for bit in range(order):
+        for axis in range(3):
+            out |= ((a[axis] >> np.uint64(bit)) & np.uint64(1)) << np.uint64(3 * bit + axis)
+    return out
+
+
+def hilbert_transpose_reference(axes: np.ndarray, order: int) -> np.ndarray:
+    # Skilling's axes-to-transpose, vectorized over columns.
+    x = axes.astype(np.uint64).copy()
+    n = x.shape[0]
+    q = np.uint64(1 << (order - 1))
+    one = np.uint64(1)
+    while q > one:
+        p = np.uint64(q - one)
+        for i in range(n):
+            hi = (x[i] & q) != 0
+            # invert low bits of x[0] where bit q of x[i] is set
+            x[0] = np.where(hi, x[0] ^ p, x[0])
+            # otherwise exchange low bits of x[0] and x[i]
+            t = np.where(hi, np.uint64(0), (x[0] ^ x[i]) & p)
+            x[0] ^= t
+            x[i] ^= t
+        q >>= one
+    for i in range(1, n):
+        x[i] ^= x[i - 1]
+    t = np.zeros_like(x[0])
+    q = np.uint64(1 << (order - 1))
+    while q > one:
+        mask = (x[n - 1] & q) != 0
+        t = np.where(mask, t ^ np.uint64(q - one), t)
+        q >>= one
+    for i in range(n):
+        x[i] ^= t
+    return x
+
+
+def hilbert_keys_reference(axes: np.ndarray, order: int) -> np.ndarray:
+    x = hilbert_transpose_reference(axes, order)
+    # interleave transposed bits, axis 0 most significant within each group
+    out = np.zeros(axes.shape[1], dtype=np.uint64)
+    n = x.shape[0]
+    for bit in range(order - 1, -1, -1):
+        for axis in range(n):
+            out = (out << np.uint64(1)) | ((x[axis] >> np.uint64(bit)) & np.uint64(1))
+    return out
+
+
+def curve_keys_reference(coords: np.ndarray, kind: str, order: int) -> np.ndarray:
+    """Keys of (N, 3) non-negative cells by the kernels above; `-trans` feeds (r, y, x)."""
+    axes = np.asarray(coords, dtype=np.int64).T
+    if kind.endswith("-trans"):
+        axes = axes[::-1]
+    if kind.startswith("z"):
+        return morton_keys_reference(axes, order)
+    return hilbert_keys_reference(axes, order)
+
+
 def grid_encode_reference(v, g: float, R: int) -> GridCoord:
     """One vector's grid cell in scalar Python float arithmetic."""
     x = math.floor((v.p1.x + v.p2.x) / (2.0 * g))

@@ -365,3 +365,64 @@ def test_batched_attention_is_bit_deterministic():
     again = path_attention(x, pidx, w, inst), spatial_attention(x, coords, w, 8, "hilbert")
     for a, b in zip(first, again):
         assert a.tobytes() == b.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# shared RoPE tables and serializations
+
+
+@pytest.mark.parametrize("hd", [12, 24])
+def test_path_step_table_slices_rotate_like_rope_rotate(hd):
+    # path attention builds one table for steps 0..longest-1 and turns a
+    # bucket of length L by its first L rows
+    rng = np.random.default_rng(hd)
+    longest = 70
+    steps = np.zeros((longest, 2))
+    steps[:, 0] = np.arange(longest)
+    table = attention._rope_factors(steps, hd, 10000.0)
+    for length in range(1, longest + 1):
+        x = rng.standard_normal((2, 4, 3, length, hd))  # (Q/K, heads, paths, L, hd)
+        want = rope_rotate(x, steps[:length].astype(np.int64), 2)
+        np.testing.assert_array_equal(attention._turn(x, table[:length]), want)
+
+
+@pytest.mark.parametrize("hd", [12, 24])
+@pytest.mark.parametrize("axes", [2, 3])
+def test_projection_turns_q_and_k_by_one_table_like_rope_rotate(hd, axes):
+    rng = np.random.default_rng(axes * hd)
+    heads, n = 4, 37
+    c = heads * hd
+    w = rand_attn(c, heads, rng)
+    w64 = attention._cast(w)
+    x = rng.standard_normal((n, c)).astype(np.float32)
+    pos = rng.integers(0, 300, size=(n, axes))
+    qk, v = attention._project(x, w64, heads, pos, 10000.0)
+    x64 = x.astype(np.float64)
+    for i, got in enumerate((qk[0], qk[1], v)):
+        y = (x64 @ w64[2 * i] + w64[2 * i + 1]).reshape(n, heads, hd).transpose(1, 0, 2)
+        np.testing.assert_array_equal(got, rope_rotate(y, pos, axes) if i < 2 else y)
+
+
+def test_spatial_attention_reads_a_given_serialization(monkeypatch):
+    rng = np.random.default_rng(4)
+    n = 30
+    x = rng.standard_normal((n, 12)).astype(np.float32)
+    coords = rng.integers(0, 40, size=(n, 3))
+    w = rand_attn(12, 1, rng)
+    want = spatial_attention(x, coords, w, 4, "hilbert")
+    (perm,) = attention.serializations(coords, ["hilbert", "hilbert"]).values()
+    monkeypatch.setattr(attention, "sort_tokens", None)  # a given perm sorts nothing
+    assert spatial_attention(x, coords, w, 4, "hilbert", perm=perm).tobytes() == want.tobytes()
+    with pytest.raises(ConfigError, match=r"perm shape \(29,\), expected \(30,\)"):
+        spatial_attention(x, coords, w, 4, "hilbert", perm=perm[:-1])
+
+
+def test_serializations_sort_once_per_distinct_kind(monkeypatch):
+    calls = []
+    real = attention.sort_tokens
+    monkeypatch.setattr(attention, "sort_tokens", lambda c, kind, order: calls.append(kind) or real(c, kind, order))
+    coords = np.random.default_rng(0).integers(0, 99, size=(20, 3))
+    perms = attention.serializations(coords, ("z", "hilbert", "z", "hilbert"))
+    assert calls == ["z", "hilbert"]
+    for kind in ("z", "hilbert"):
+        np.testing.assert_array_equal(perms[kind], real(coords, kind, 16).perm)

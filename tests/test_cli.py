@@ -6,6 +6,8 @@ import csv
 import json
 import os
 import select
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,8 @@ from mapassoc.assocmatrix import AssocMatrix
 from mapassoc.cli import main
 from mapassoc.errors import ValidationError
 from mapassoc.geometry import Point2
-from mapassoc.io import dumps_scene, read_assocs, read_scenes
+from mapassoc.io import dumps_scene, read_assocs, read_scenes, save_weights
+from mapassoc.mat import desk_config, init_weights, weights as mat_weights
 from mapassoc.metrics import MetricReport
 from mapassoc.scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
 
@@ -954,3 +957,69 @@ def test_report_malformed_body_exits_2(tmp_path, capsys, body, field):
     assert rc == 2
     err = capsys.readouterr().err
     assert str(bad) in err and field in err
+
+
+# ---------------------------------------------------------------------------
+# the transformer's per-run setup and scene extent
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("from_file", [False, True])
+def test_associate_mat_checks_the_weights_once(tmp_path, monkeypatch, threads, from_file):
+    scenes = gen_scenes(tmp_path, count=3)
+    argv = ["associate", "--method", "mat", "--scenes", scenes, "--out", str(tmp_path / "p.ndjson")]
+    if from_file:
+        save_weights(init_weights(desk_config(), seed=2), str(tmp_path / "w.mapw"))
+        argv += ["--weights", str(tmp_path / "w.mapw")]
+    # a forked worker's calls land in the file too
+    calls = tmp_path / "calls"
+    calls.touch()
+    real = mat_weights.validate_weights
+
+    def counting(weights, cfg):
+        with open(calls, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(weights, cfg)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("mapassoc")]:
+        if getattr(module, "validate_weights", None) is real:
+            monkeypatch.setattr(module, "validate_weights", counting)
+    monkeypatch.setenv("MAPASSOC_THREADS", threads)
+    assert main(argv) == 0
+    assert calls.read_text().splitlines() == [str(os.getpid())]
+
+
+# a 2x2 grid over 8 km: its cell spread at the default 0.1 m cell needs 17
+# bits, more than the default order-16 key holds; the wide vector spacing
+# keeps its paths short
+WIDE_CFG = {"gen": {"layout": "grid", "grid_rows": 2, "grid_cols": 2, "sd_extent": [8000, 8000],
+                    "hd_extent": [7000, 7000], "vector_spacing_sd": 200.0, "vector_spacing_hd": 200.0}}
+
+
+@pytest.mark.parametrize("extra", [[], ["--post"], ["--store-probs"]])
+def test_associate_mat_takes_a_scene_wider_than_order_16(tmp_path, extra):
+    scenes = gen_scenes(tmp_path, cfg=WIDE_CFG, count=1, seed=0)
+    pred = str(tmp_path / "p.ndjson")
+    assert main(["associate", "--method", "mat", *extra, "--scenes", scenes, "--out", pred]) == 0
+    (rec,) = read_assocs(pred)
+    assert set(rec.assoc.labels) == set(read_scenes(scenes)[0].hd.node_ids)
+
+
+@pytest.mark.parametrize("module", ["mapassoc", "mapassoc.cli"])
+def test_python_dash_m_runs_the_command_line(tmp_path, module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", module, *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    proc = run("gen", "--count", "1", "--seed", "3", "--out", "s.ndjson")
+    assert proc.returncode == 0, proc.stderr
+    assert [s.meta["scene_id"] for s in read_scenes(str(tmp_path / "s.ndjson"))] == ["grid-3"]
+    (tmp_path / "bad.json").write_text('{"nope": {}}')
+    proc = run("gen", "--config", "bad.json", "--count", "1", "--out", "t.ndjson")
+    assert proc.returncode == 2
+    assert "unknown sections: nope" in proc.stderr
+    assert not (tmp_path / "t.ndjson").exists()

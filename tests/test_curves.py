@@ -21,7 +21,7 @@ from mapassoc.curves import (
 from mapassoc.errors import RangeError
 from mapassoc.geometry import DirVec, Point2
 
-from oracles import grid_encode_reference, morton_ref
+from oracles import curve_keys_reference, grid_encode_reference, morton_ref
 
 
 def vec(p1, p2) -> DirVec:
@@ -246,3 +246,89 @@ def test_perm_orders_by_curve_index(coords, kind):
     keys = [curve_index(GridCoord(c.x - ox, c.y - oy, c.r - orr), kind) for c in coords]
     sorted_keys = [keys[i] for i in order.perm]
     assert sorted_keys == sorted(keys)
+
+
+# ---------------------------------------------------------------------------
+# keys against the fixed-order kernels kept in oracles
+
+
+@st.composite
+def cells_within(draw, order: int):
+    """(N, 3) non-negative cells: each axis a spread of 0 to `order` bits, or one constant."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    cols = []
+    for _ in range(3):
+        bits = draw(st.integers(min_value=0, max_value=order))
+        top = (1 << bits) - 1
+        if draw(st.booleans()):
+            cols.append([draw(st.integers(0, top))] * n)  # a constant column
+        else:
+            cols.append(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
+    cells = np.array(cols, dtype=np.int64).T
+    # repeat some rows, so equal keys (ties) occur
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=5))
+    return np.concatenate([cells, cells[repeats]])
+
+
+@given(st.data(), st.integers(min_value=1, max_value=20), st.sampled_from(CURVE_KINDS))
+@settings(max_examples=400, deadline=None)
+def test_keys_equal_the_fixed_order_kernels(data, order, kind):
+    cells = data.draw(cells_within(order))
+    want = curve_keys_reference(cells, kind, order)
+    np.testing.assert_array_equal(curve_index_batch(cells, kind, order), want)
+    perm = sort_tokens(cells, kind, order).perm
+    shifted = cells - cells.min(axis=0)
+    np.testing.assert_array_equal(perm, np.argsort(curve_keys_reference(shifted, kind, order), kind="stable"))
+
+
+@pytest.mark.parametrize("kind", CURVE_KINDS)
+def test_hilbert_key_runs_at_the_lowest_exact_order(kind, monkeypatch):
+    # an 11-bit spread at order 16 runs the transpose at order 13
+    from mapassoc import curves
+
+    seen = []
+    original = curves._hilbert_transpose
+    monkeypatch.setattr(curves, "_hilbert_transpose", lambda axes, order: seen.append(order) or original(axes, order))
+    cells = np.array([[0, 0, 0], [(1 << 11) - 1, 5, 15]])
+    np.testing.assert_array_equal(curve_index_batch(cells, kind, 16), curve_keys_reference(cells, kind, 16))
+    assert seen == ([] if kind.startswith("z") else [13])
+
+
+@given(st.data(), st.sampled_from(CURVE_KINDS), st.integers(min_value=17, max_value=21))
+@settings(max_examples=150, deadline=None)
+def test_sort_raises_the_order_for_a_wide_spread(data, kind, bits):
+    hilbert = kind.startswith("hilbert")
+    assume(not hilbert or bits <= 19)
+    n = data.draw(st.integers(min_value=2, max_value=20))
+    cells = np.array(data.draw(st.lists(
+        st.tuples(st.integers(-(1 << 20), 1 << 20), st.integers(-9, 9), st.integers(0, 15)),
+        min_size=n, max_size=n)), dtype=np.int64)
+    cells[0, 0], cells[1, 0] = 0, (1 << (bits - 1))  # the x spread needs exactly `bits` bits
+    cells[:, 0] = np.clip(cells[:, 0], 0, 1 << (bits - 1))
+    shifted = cells - cells.min(axis=0)
+    covering = 19 if hilbert else bits
+    want = np.argsort(curve_keys_reference(shifted, kind, covering), kind="stable")
+    np.testing.assert_array_equal(sort_tokens(cells, kind).perm, want)
+
+
+@pytest.mark.parametrize("kind, order, limit", [
+    ("hilbert", 16, 19), ("hilbert-trans", 16, 19), ("hilbert", 20, 20), ("hilbert", 14, 20),
+    ("z", 16, 21), ("z-trans", 1, 21),
+])
+def test_sort_refuses_a_spread_past_the_uint64_key(kind, order, limit):
+    fits = np.array([[0, 0, 0], [(1 << limit) - 1, 0, 0]])
+    assert len(sort_tokens(fits, kind, order).perm) == 2
+    wide = np.array([[-3, 0, 0], [(1 << limit) - 3, 0, 0]])
+    with pytest.raises(RangeError) as exc:
+        sort_tokens(wide, kind, order)
+    assert str(exc.value) == (
+        f"coordinate spread {1 << limit} needs {limit + 1} bits per axis; a {kind} key from order "
+        f"{order} holds at most {limit} in uint64 (spread below {1 << limit})"
+    )
+
+
+def test_curve_index_keeps_its_range_at_the_requested_order():
+    with pytest.raises(RangeError, match=r"coordinate 65536 outside \[0, 65536\) at order 16"):
+        curve_index_batch(np.array([[1 << 16, 0, 0]]), "hilbert")
+    with pytest.raises(RangeError, match=r"order must be in \[1, 20\], got 21"):
+        sort_tokens(np.array([[0, 0, 0]]), "z", 21)

@@ -23,7 +23,8 @@ from mapassoc.mat.forward import (
     mat_forward,
     resolve_curve_kinds,
 )
-from mapassoc.mat.weights import init_weights
+from mapassoc.mat import attention, weights as weights_module
+from mapassoc.mat.weights import PreparedWeights, init_weights, prepare_weights
 
 from oracles import path_attention_reference, spatial_attention_reference
 
@@ -230,6 +231,65 @@ def test_forward_rejects_weights_for_other_config(tiny):
     other = desk_config()
     with pytest.raises(ConfigError):
         mat_forward(tiny, cfg, init_weights(other, seed=0))
+
+
+# ---------------------------------------------------------------------------
+# prepared weights and per-scene setup
+
+
+def test_prepared_weights_are_read_only_float64_copies():
+    cfg = desk_config()
+    raw = init_weights(cfg, seed=3)
+    prepared = prepare_weights(raw, cfg)
+    assert prepared.cfg == cfg and list(prepared) == list(raw)
+    for name, t in prepared.items():
+        assert t.dtype == np.float64 and not t.flags.writeable
+        np.testing.assert_array_equal(t, raw[name])
+    with pytest.raises(ValueError, match="read-only"):
+        prepared["embed.fc1.weight"][0, 0] = 1.0
+    raw["embed.fc1.bias"][:] = 7.0  # the copy does not follow the source
+    assert not prepared["embed.fc1.bias"].any()
+
+
+def test_prepared_weights_give_the_plain_weights_bits(grid42):
+    cfg = desk_config()
+    raw = init_weights(cfg, seed=1)
+    plain, _ = mat_associate(grid42, cfg, raw)
+    prepared, res = mat_associate(grid42, cfg, prepare_weights(raw, cfg))
+    assert prepared.probs.tobytes() == plain.probs.tobytes()
+    assert res.road_feats.dtype == np.float32
+
+
+def test_prepared_weights_are_not_checked_again_for_their_config(tiny, monkeypatch):
+    cfg = small_config()
+    prepared = prepare_weights(init_weights(cfg, seed=0), cfg)
+    assert prepare_weights(prepared, cfg) is prepared
+    monkeypatch.setattr(weights_module, "validate_weights", None)
+    mat_forward(tiny, cfg, prepared)
+
+
+def test_prepared_weights_for_another_config_are_checked_again(tiny):
+    prepared = prepare_weights(init_weights(desk_config(), seed=0), desk_config())
+    with pytest.raises(ConfigError, match="weights do not match the model config"):
+        mat_forward(tiny, small_config(), prepared)
+    # a config that differs only outside the weights gets them relabelled
+    other = desk_config(patch_size=3)
+    relabelled = prepare_weights(prepared, other)
+    assert isinstance(relabelled, PreparedWeights) and relabelled.cfg == other
+    want = mat_forward(tiny, other, init_weights(desk_config(), seed=0))
+    assert mat_forward(tiny, other, prepared).road_feats.tobytes() == want.road_feats.tobytes()
+
+
+def test_forward_serializes_once_per_curve_kind(grid42, monkeypatch):
+    kinds, rotations = [], []
+    sort, rotate = attention.sort_tokens, attention.rope_rotate
+    monkeypatch.setattr(attention, "sort_tokens", lambda c, kind, order: kinds.append(kind) or sort(c, kind, order))
+    monkeypatch.setattr(attention, "rope_rotate", lambda *a: rotations.append(a[2]) or rotate(*a))
+    cfg = desk_config()
+    mat_forward(grid42, cfg, init_weights(cfg, seed=0))
+    assert kinds == ["hilbert"]  # both blocks use hilbert
+    # Q and K of every projection turn in one call: 2 blocks x (spatial, path)
+    assert sorted(rotations) == [2, 2, 3, 3]
 
 
 # ---------------------------------------------------------------------------
