@@ -4,13 +4,16 @@ The nearest-road baseline labels each centerline with the road closest to its
 midpoint. The HMM treats roads as hidden states along each lane path:
 Gaussian emissions on midpoint-to-road distance, transitions favoring staying
 on a road or moving to a connected one. It decodes by max-product over the
-lane DAG, so the number of lane paths never enters its cost. Both share the
-same vectorized distance kernel, and the Gaussian emissions double as a soft
-association matrix for the topology-constrained decoder.
+lane DAG, so the number of lane paths never enters its cost. Both read one
+distance kernel, which measures every centerline midpoint against every road
+segment of a scene in one pass per block of rows, with the same bits as the
+per-segment formula; the Gaussian emissions double as a soft association
+matrix for the topology-constrained decoder.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -56,30 +59,64 @@ class HmmParams:
 # distance kernel
 
 
-def _polyline_dist_matrix(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    # points (N, 2), poly (M, 2) with distinct consecutive rows -> (N,) distances
-    a = poly[:-1]
-    seg = poly[1:] - a
-    seg2 = (seg * seg).sum(axis=1)
-    d = points[:, None, :] - a[None, :, :]
-    t = np.clip((d * seg[None, :, :]).sum(axis=2) / seg2[None, :], 0.0, 1.0)
-    foot = a[None, :, :] + t[:, :, None] * seg[None, :, :]
-    diff = points[:, None, :] - foot
-    return np.sqrt((diff * diff).sum(axis=2)).min(axis=1)
+# Most (centerline, road segment) pairs one block of the distance kernel
+# holds: each float64 temporary of a block stays within 1 MB.
+_PAIRS_PER_BLOCK = 1 << 17
 
 
 def _scene_distances(scene: Scene) -> tuple[np.ndarray, tuple, tuple]:
-    """(n_centerlines, n_roads) midpoint distances, plus sorted id orders."""
+    """(n_centerlines, n_roads) midpoint distances, plus sorted id orders.
+
+    A distance is the minimum over the road's segments of the distance from
+    the midpoint to the foot of its perpendicular, clamped to the segment.
+    Every road segment is one entry of x and y columns, so one pass per block
+    of centerline rows measures every road; the per-road minimum is one
+    `minimum.reduceat` over each road's run of segments.
+    """
     cls, roads = scene.hd.centerlines, scene.sd.roads  # both sorted by id
     if not roads:
         raise LabelError("scene has no roads to associate against")
-    mids = np.array([[c.vector.midpoint.x, c.vector.midpoint.y] for c in cls], dtype=np.float64)
-    mids = mids.reshape(len(cls), 2)
+    chain = itertools.chain.from_iterable
+    ends = np.fromiter(chain(c.vector.p1 + c.vector.p2 for c in cls), dtype=np.float64).reshape(-1, 4)
+    mx = (ends[:, 0] + ends[:, 2]) / 2.0
+    my = (ends[:, 1] + ends[:, 3]) / 2.0
+
+    # the points of all roads in id order; a segment joining one road's last
+    # point to the next road's first is dropped
+    counts = np.array([len(r.points) for r in roads], dtype=np.int64)
+    pts = np.fromiter(chain(chain(r.points for r in roads)), dtype=np.float64).reshape(-1, 2)
+    x, y = pts[:, 0], pts[:, 1]
+    keep = np.ones(len(pts) - 1, dtype=bool)
+    keep[np.cumsum(counts)[:-1] - 1] = False
+    ax, ay = x[:-1][keep], y[:-1][keep]
+    sx, sy = np.diff(x)[keep], np.diff(y)[keep]
+    seg2 = sx * sx + sy * sy
+    first = np.concatenate(([0], np.cumsum(counts - 1)[:-1]))
+
+    # t = ((m - a) . s) / |s|^2 clamped to [0, 1], e = m - (a + t s): the
+    # per-segment formula's order of operations, so every float is the same
     dist = np.empty((len(cls), len(roads)), dtype=np.float64)
-    for j, road in enumerate(roads):
-        poly = np.array(road.points, dtype=np.float64)
-        if len(cls):
-            dist[:, j] = _polyline_dist_matrix(mids, poly)
+    step = max(1, _PAIRS_PER_BLOCK // len(sx))
+    for lo in range(0, len(cls), step):
+        bx, by = mx[lo : lo + step, None], my[lo : lo + step, None]
+        t = bx - ax
+        t *= sx
+        e = by - ay
+        e *= sy
+        t += e
+        t /= seg2
+        np.clip(t, 0.0, 1.0, out=t)
+        np.multiply(t, sx, out=e)
+        e += ax
+        np.subtract(bx, e, out=e)  # e = x error
+        t *= sy
+        t += ay
+        np.subtract(by, t, out=t)  # t = y error
+        e *= e
+        t *= t
+        e += t
+        np.sqrt(e, out=e)
+        dist[lo : lo + step] = np.minimum.reduceat(e, first, axis=1)
     cl_ids = tuple(c.id for c in cls)
     road_ids = tuple(r.id for r in roads)
     return dist, cl_ids, road_ids

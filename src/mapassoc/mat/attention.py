@@ -28,8 +28,11 @@ Both ops run one batched kernel instead of a loop over groups:
   Per block the copies of Q/K/V are gathered, the path axis is rotated by
   each copy's step (the token axes turn by angle 0 there, an exact
   identity), and `_group_attention` runs one softmax over the
-  (heads, B, L, L) scores. One table of path-step factors per call serves
-  every bucket: a bucket of length L reads its first L rows.
+  (heads, B, L, L) scores. A path longer than _CHUNK_COPIES is a chunk of
+  its own, and its queries attend in blocks of at most _CHUNK_COPIES**2 // L
+  rows (at least 1), so no score block outgrows _CHUNK_COPIES**2 entries per
+  head unless a single row of L keys does. One table of path-step factors
+  per call serves every bucket: a bucket of length L reads its first L rows.
 - Serialize once. `serializations` sorts the tokens once per curve kind; a
   forward pass hands every spatial block its kind's permutation.
 - Scatter-mean. Path copies are summed per token with one `np.add.at` per
@@ -61,8 +64,10 @@ __all__ = [
 
 _SQRT2 = np.sqrt(2.0)
 
-# Token copies per batched kernel step: bounds the (heads, B, L, L) score block
-# and the gathered Q/K/V to a few hundred kilobytes whatever the scene size.
+# Token copies per batched kernel step: bounds the score block to
+# _CHUNK_COPIES**2 float64 entries per head (2 MB) whatever the scene size, and
+# the gathered Q/K/V to _CHUNK_COPIES copies, or to the tokens of one path
+# longer than that.
 _CHUNK_COPIES = 512
 
 
@@ -224,12 +229,13 @@ def _project(x: np.ndarray, w64: tuple, heads: int, pos: np.ndarray, base: float
 def _group_attention(q, k, v) -> np.ndarray:
     """Softmax attention within each group, all groups in one batch.
 
-    q, k, v are (heads, B, L, hd): B groups of L tokens, RoPE already applied.
-    Returns the (B * L, heads * hd) merged-head outputs, group-major, before
-    the output projection.
+    k, v are (heads, B, L, hd): B groups of L tokens, RoPE already applied;
+    q is (heads, B, Lq, hd), the queries of Lq of those tokens. Returns the
+    (B * Lq, heads * hd) merged-head outputs, group-major, before the output
+    projection.
     """
     heads, b, length, hd = q.shape
-    attn = q @ k.swapaxes(-1, -2)  # (heads, B, L, L)
+    attn = q @ k.swapaxes(-1, -2)  # (heads, B, Lq, L)
     attn /= np.sqrt(hd)
     attn -= attn.max(axis=-1, keepdims=True)
     np.exp(attn, out=attn)
@@ -292,12 +298,19 @@ def path_attention(
         rows = flat[starts[lengths == length, None] + np.arange(length)]
         rot = step_rot[:length]
         per_chunk = max(1, _CHUNK_COPIES // int(length))
+        # a path longer than a chunk attends `span` query rows at a time
+        # against all its keys: at most max(_CHUNK_COPIES**2, L) scores per head
+        span = int(length) if length <= _CHUNK_COPIES else max(1, _CHUNK_COPIES**2 // int(length))
         for i in range(0, rows.shape[0], per_chunk):
             chunk = rows[i : i + per_chunk]
             qkg = _turn(qk[:, :, chunk], rot)
-            # one flat index per (copy, channel) keeps np.add.at on its 1-D fast path
-            cells = (chunk.reshape(-1, 1) * c + channels).ravel()
-            np.add.at(acc.reshape(-1), cells, _group_attention(qkg[0], qkg[1], v[:, chunk]).ravel())
+            vg = v[:, chunk]
+            for j in range(0, length, span):
+                queries = chunk[:, j : j + span]
+                # one flat index per (copy, channel) keeps np.add.at on its 1-D fast path
+                cells = (queries.reshape(-1, 1) * c + channels).ravel()
+                out = _group_attention(qkg[0][:, :, j : j + span], qkg[1], vg)
+                np.add.at(acc.reshape(-1), cells, out.ravel())
     del qk, v  # free them before the output projection
     acc /= counts[:, None]
     return _out_project(acc, w64, x.dtype)

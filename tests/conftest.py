@@ -1,12 +1,14 @@
-"""Shared fixtures: hand-built scenes, attention weight helpers, and a guard against leftover child processes."""
+"""Shared fixtures: hand-built scenes, the pinned-bytes scene file, attention weight helpers, and a guard against leftover child processes."""
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
 import pytest
 
+from mapassoc.cli import main
 from mapassoc.geometry import (
     Association,
     Centerline,
@@ -64,6 +66,25 @@ def tiny():
 def grid42() -> Scene:
     """The seed-42 golden scene used by the IO fixtures."""
     return generate_scene(GenConfig(seed=42))
+
+
+# `gen --count 4 --seed 9` with the default config, then one 4x4 grid whose
+# HD crop covers nearly the whole SD extent
+FULL_CROP_4X4 = {"gen": {"layout": "grid", "grid_rows": 4, "grid_cols": 4, "hd_extent": [75.0, 75.0]}}
+
+
+@pytest.fixture(scope="session")
+def pin_scenes(tmp_path_factory) -> str:
+    """The scene file whose association bytes the pin tests record."""
+    tmp = tmp_path_factory.mktemp("pins")
+    default, grid = tmp / "default.ndjson", tmp / "grid.ndjson"
+    cfg = tmp / "grid.json"
+    cfg.write_text(json.dumps(FULL_CROP_4X4))
+    assert main(["gen", "--count", "4", "--seed", "9", "--out", str(default)]) == 0
+    assert main(["gen", "--config", str(cfg), "--count", "1", "--seed", "0", "--out", str(grid)]) == 0
+    both = tmp / "scenes.ndjson"
+    both.write_bytes(default.read_bytes() + grid.read_bytes())
+    return str(both)
 
 
 def rand_attn(channels: int, heads: int, rng: np.random.Generator) -> AttnWeights:

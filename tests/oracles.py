@@ -27,13 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from mapassoc.assocmatrix import AssocMatrix
-from mapassoc.baselines import _log_emissions, _log_transition_matrix, _scene_distances, viterbi
+from mapassoc.baselines import _log_emissions, _log_transition_matrix, viterbi
 from mapassoc.curves import GridCoord, curve_index
 from mapassoc.decoder import DecodeResult, DecoderConfig
 from mapassoc.errors import (
     ConfigError,
     CoverageError,
     InvalidGeometryError,
+    LabelError,
     NoFeasiblePathError,
     TopologyError,
     ValidationError,
@@ -165,6 +166,37 @@ def path_attention_reference(tokens, paths, w, inst_pos, base: float = 10000.0) 
     return (acc / cnt[:, None]).astype(tokens.dtype)
 
 
+def single_path_attention_reference(tokens, path, w, inst_pos, base: float = 10000.0) -> np.ndarray:
+    """`path_attention_reference` for one path that covers every token.
+
+    The same expansion, RoPE reference and scatter-mean, but each head scores
+    the path as one dense (L, L) matrix with a numpy softmax per row, so a
+    path of thousands of tokens stays cheap.
+    """
+    tokens = np.asarray(tokens)
+    x = tokens[list(path)].astype(np.float64)
+    positions = np.array([(step, int(inst_pos[tok])) for step, tok in enumerate(path)])
+    n, c = x.shape
+    hd = c // w.heads
+    q = x @ np.asarray(w.q_w, dtype=np.float64) + np.asarray(w.q_b, dtype=np.float64)
+    k = x @ np.asarray(w.k_w, dtype=np.float64) + np.asarray(w.k_b, dtype=np.float64)
+    v = x @ np.asarray(w.v_w, dtype=np.float64) + np.asarray(w.v_b, dtype=np.float64)
+    merged = np.zeros((n, c), dtype=np.float64)
+    for h in range(w.heads):
+        sl = slice(h * hd, (h + 1) * hd)
+        scores = rope_reference(q[:, sl], positions, 2, base) @ rope_reference(k[:, sl], positions, 2, base).T
+        scores /= math.sqrt(hd)
+        scores = np.exp(scores - scores.max(axis=1, keepdims=True))
+        merged[:, sl] = (scores / scores.sum(axis=1, keepdims=True)) @ v[:, sl]
+    y = merged @ np.asarray(w.out_w, dtype=np.float64) + np.asarray(w.out_b, dtype=np.float64)
+    acc = np.zeros((tokens.shape[0], c), dtype=np.float64)
+    cnt = np.zeros(tokens.shape[0], dtype=np.float64)
+    for row, tok in enumerate(path):
+        acc[tok] += y[row]
+        cnt[tok] += 1.0
+    return (acc / cnt[:, None]).astype(tokens.dtype)
+
+
 def spatial_attention_reference(
     tokens, coords, w, patch_size: int, kind: str, order: int = 16, base: float = 10000.0
 ) -> np.ndarray:
@@ -213,6 +245,40 @@ def brute_viterbi(log_emissions, log_transitions, log_prior):
     return best_seq, float(best_score)
 
 
+def _polyline_dist_reference(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    # points (N, 2), poly (M, 2) with distinct consecutive rows -> (N,) distances
+    a = poly[:-1]
+    seg = poly[1:] - a
+    seg2 = (seg * seg).sum(axis=1)
+    d = points[:, None, :] - a[None, :, :]
+    t = np.clip((d * seg[None, :, :]).sum(axis=2) / seg2[None, :], 0.0, 1.0)
+    foot = a[None, :, :] + t[:, :, None] * seg[None, :, :]
+    diff = points[:, None, :] - foot
+    return np.sqrt((diff * diff).sum(axis=2)).min(axis=1)
+
+
+def scene_distances_reference(scene: Scene) -> tuple[np.ndarray, tuple, tuple]:
+    """(n_centerlines, n_roads) midpoint distances, plus sorted id orders.
+
+    Measures every midpoint against one road at a time; a distance is the
+    minimum over the road's segments of the distance to the clamped foot of
+    the perpendicular.
+    """
+    cls, roads = scene.hd.centerlines, scene.sd.roads  # both sorted by id
+    if not roads:
+        raise LabelError("scene has no roads to associate against")
+    mids = np.array([[c.vector.midpoint.x, c.vector.midpoint.y] for c in cls], dtype=np.float64)
+    mids = mids.reshape(len(cls), 2)
+    dist = np.empty((len(cls), len(roads)), dtype=np.float64)
+    for j, road in enumerate(roads):
+        poly = np.array(road.points, dtype=np.float64)
+        if len(cls):
+            dist[:, j] = _polyline_dist_reference(mids, poly)
+    cl_ids = tuple(c.id for c in cls)
+    road_ids = tuple(r.id for r in roads)
+    return dist, cl_ids, road_ids
+
+
 def hmm_per_path_reference(scene, params):
     """The HMM baseline decoded one enumerated lane path at a time.
 
@@ -222,7 +288,7 @@ def hmm_per_path_reference(scene, params):
     -inf. Returns (labels, sorted ids of centerlines whose every path was
     infeasible).
     """
-    dist, cl_ids, road_ids = _scene_distances(scene)
+    dist, cl_ids, road_ids = scene_distances_reference(scene)
     row_of = {c: i for i, c in enumerate(cl_ids)}
     log_em = _log_emissions(dist, params.emission_sigma)
     log_tr = _log_transition_matrix(scene, params, road_ids)

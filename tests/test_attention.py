@@ -26,6 +26,7 @@ from oracles import (
     dense_attention,
     path_attention_reference,
     rope_reference,
+    single_path_attention_reference,
     spatial_attention_reference,
 )
 
@@ -317,6 +318,42 @@ def test_path_attention_mixed_lengths_and_shared_tokens_matches_reference():
     got = path_attention(x, make_pidx(*paths), w, inst)
     want = path_attention_reference(x, [p for p in paths if p], w, inst)
     np.testing.assert_allclose(got, want, atol=1e-8)
+
+
+def test_single_path_reference_matches_masked_dense_reference():
+    rng = np.random.default_rng(15)
+    n = 30
+    path = tuple(range(n)) + tuple(int(i) for i in rng.integers(0, n, size=25))
+    x = rng.standard_normal((n, 16)).astype(np.float32)
+    w = rand_attn(16, 2, rng)
+    inst = rng.integers(0, 5, size=n)
+    np.testing.assert_allclose(
+        single_path_attention_reference(x, path, w, inst), path_attention_reference(x, [path], w, inst), atol=1e-6
+    )
+
+
+def test_path_longer_than_a_chunk_attends_in_bounded_query_blocks(monkeypatch):
+    # one path of 2,003 tokens: a single (heads, 1, L, L) block would hold
+    # 8 M scores; query blocks of 130 rows hold at most 512**2 per head
+    rng = np.random.default_rng(14)
+    n = 700
+    path = tuple(range(n)) + tuple(int(i) for i in rng.integers(0, n, size=1303))
+    length = len(path)
+    x = rng.standard_normal((n, 16)).astype(np.float32)
+    w = rand_attn(16, 2, rng)
+    inst = rng.integers(0, 9, size=n)
+    blocks = []
+    group_attention = attention._group_attention
+
+    def spy(q, k, v):
+        blocks.append(q.shape[0] * q.shape[1] * q.shape[2] * k.shape[2])
+        return group_attention(q, k, v)
+
+    monkeypatch.setattr(attention, "_group_attention", spy)
+    got = path_attention(x, make_pidx(path), w, inst)
+    assert max(blocks) <= w.heads * max(attention._CHUNK_COPIES**2, length)
+    assert sum(blocks) == w.heads * length * length  # every (query, key) pair scored once
+    np.testing.assert_allclose(got, single_path_attention_reference(x, path, w, inst), atol=1e-5)
 
 
 @pytest.mark.parametrize("channels, heads", [(48, 4), (96, 4)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mapassoc import baselines
 from mapassoc.baselines import (
     HmmParams,
+    _scene_distances,
     distance_assoc_matrix,
     hmm_associate,
     knn_associate,
@@ -21,11 +24,111 @@ from mapassoc.geometry import HdGraph, Point2, Road, Scene, SdGraph, enumerate_p
 from mapassoc.scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
 
 from conftest import make_centerline
-from oracles import brute_viterbi, hmm_per_path_reference
+from oracles import brute_viterbi, hmm_per_path_reference, scene_distances_reference
 
 
 def road(rid, y, x0=0.0, x1=10.0):
     return Road(id=rid, points=(Point2(x0, y), Point2(x1, y)))
+
+
+# ---------------------------------------------------------------------------
+# distance kernel
+
+
+def assert_same_distances(scene):
+    dist, cl_ids, road_ids = _scene_distances(scene)
+    want, want_cl, want_road = scene_distances_reference(scene)
+    assert (cl_ids, road_ids) == (want_cl, want_road)
+    assert dist.shape == want.shape and dist.dtype == want.dtype
+    assert dist.tobytes() == want.tobytes()
+    return dist
+
+
+HEAVY = PerturbConfig(gps_shift=3.0, dropout_rate=0.3, jitter_sigma=0.5, oversegment_rate=0.3)
+
+
+@given(
+    st.sampled_from(["grid", "radial", "random-planar"]),
+    st.integers(min_value=0, max_value=10_000),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=10_000)),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=10_000)),
+)
+@settings(max_examples=60, deadline=None)
+def test_scene_distances_match_per_road_reference(layout, seed, perturb_seed, augment_seed):
+    scene = generate_scene(GenConfig(layout=layout, seed=seed))
+    if perturb_seed is not None:
+        scene = perturb_scene(scene, dataclasses.replace(HEAVY, seed=perturb_seed))
+    if augment_seed is not None:
+        scene = augment_scene(scene, AugConfig(rotate_range_deg=(-180.0, 180.0), rotate_p=1.0, seed=augment_seed))
+    assert_same_distances(scene)
+
+
+def test_scene_distances_single_road_with_two_points():
+    sd = SdGraph(roads=(road(4, 0.0),), edges=())
+    hd = HdGraph(
+        centerlines=(make_centerline(1, (2.0, 3.0), (4.0, 3.0)), make_centerline(2, (12.0, -4.0), (14.0, -4.0))),
+        edges=(),
+    )
+    dist = assert_same_distances(Scene(sd=sd, hd=hd))
+    np.testing.assert_array_equal(dist, [[3.0], [5.0]])  # beyond the end: distance to (10, 0)
+
+
+def test_scene_distances_several_two_point_roads():
+    roads = tuple(Road(id=i, points=(Point2(float(i), 0.0), Point2(float(i), 5.0 + i))) for i in range(5))
+    cls = tuple(make_centerline(i, (0.3 * i, 1.0), (0.3 * i + 0.1, 2.0)) for i in range(7))
+    hd = HdGraph(centerlines=cls, edges=())
+    assert_same_distances(Scene(sd=SdGraph(roads=roads, edges=()), hd=hd))
+
+
+def test_scene_distances_without_centerlines():
+    sd = SdGraph(roads=(road(0, 0.0), road(1, 5.0)), edges=())
+    assert assert_same_distances(Scene(sd=sd, hd=HdGraph(centerlines=(), edges=()))).shape == (0, 2)
+
+
+def test_scene_distances_midpoint_on_a_road_vertex():
+    bent = Road(id=0, points=(Point2(0.0, 0.0), Point2(4.0, 0.0), Point2(4.0, 4.0), Point2(9.0, 7.0)))
+    cls = (make_centerline(0, (3.0, -1.0), (5.0, 1.0)), make_centerline(1, (3.0, 3.0), (5.0, 5.0)))
+    hd = HdGraph(centerlines=cls, edges=())
+    dist = assert_same_distances(Scene(sd=SdGraph(roads=(bent, road(1, 9.0)), edges=()), hd=hd))
+    assert dist[0, 0] == 0.0 and dist[1, 0] == 0.0
+
+
+def test_scene_distances_tie_between_roads_takes_lowest_id():
+    # the midpoint (2, 3) is 3.0 from road 7 and road 3, ids given out of order
+    bent = Road(id=3, points=(Point2(-5.0, 0.0), Point2(2.0, 0.0), Point2(9.0, 0.0)))
+    sd = SdGraph(roads=(road(7, 6.0), bent), edges=())
+    hd = HdGraph(centerlines=(make_centerline(5, (1.0, 3.0), (3.0, 3.0)),), edges=())
+    scene = Scene(sd=sd, hd=hd)
+    dist = assert_same_distances(scene)
+    assert dist[0, 0] == dist[0, 1] == 3.0
+    assert knn_associate(scene).labels == {5: 3}
+
+
+def zigzag_scene(n_points: int, n_centerlines: int) -> Scene:
+    rng = np.random.default_rng(3)
+    xs = np.cumsum(rng.uniform(0.5, 1.5, n_points))
+    ys = rng.uniform(-2.0, 2.0, (2, n_points)) + [[0.0], [20.0]]
+    roads = tuple(Road(id=i, points=tuple(map(Point2, xs.tolist(), ys[i].tolist()))) for i in range(2))
+    starts = rng.uniform(0.0, 1.0, (n_centerlines, 2)) * [float(xs[-1]), 20.0]
+    cls = tuple(make_centerline(i, (x, y), (x + 0.5, y + 0.25)) for i, (x, y) in enumerate(starts.tolist()))
+    hd = HdGraph(centerlines=cls, edges=())
+    return Scene(sd=SdGraph(roads=roads, edges=()), hd=hd)
+
+
+def test_scene_distances_over_several_row_blocks():
+    scene = zigzag_scene(400, 400)
+    segments = sum(len(r.points) - 1 for r in scene.sd.roads)
+    assert len(scene.hd.centerlines) * segments > 2 * baselines._PAIRS_PER_BLOCK
+    assert_same_distances(scene)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 36])
+def test_scene_distances_do_not_depend_on_the_block_size(monkeypatch, rows):
+    # 798 segments and 37 centerlines: blocks of 1, 5 and 36 rows, the last
+    # two with a short last block; a block smaller than a row holds one row
+    scene = zigzag_scene(400, 37)
+    monkeypatch.setattr(baselines, "_PAIRS_PER_BLOCK", 798 * rows if rows > 1 else 100)
+    assert_same_distances(scene)
 
 
 # ---------------------------------------------------------------------------
