@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assocmatrix import AssocMatrix
-from .errors import ConfigError, LabelError, NoFeasiblePathError
-from .fields import check_fields
+from .errors import LabelError, NoFeasiblePathError
+from .fields import above, at_least, check_fields
 from .geometry import Association, Scene
 from .geometry import enumerate_paths  # noqa: F401  kept as a module attribute; bench/tracer.py patches it
 
@@ -39,20 +39,13 @@ class HmmParams:
     """HMM settings. The emission sigma matches the scale reconstructed from
     typical lane-to-road offsets; transition weights are normalized per row."""
 
-    emission_sigma: float = 4.07
-    transition_self: float = 0.7
-    transition_adjacent: float = 0.3
+    emission_sigma: float = field(default=4.07, metadata=above(0))
+    transition_self: float = field(default=0.7, metadata=above(0))
+    transition_adjacent: float = field(default=0.3, metadata=at_least(0))
     disallow_nonadjacent: bool = True
 
     def __post_init__(self):
         check_fields(self)
-        # check_fields has refused NaN and infinities
-        if self.emission_sigma <= 0:
-            raise ConfigError(f"emission_sigma must be > 0, got {self.emission_sigma}")
-        if self.transition_self <= 0:
-            raise ConfigError(f"transition_self must be > 0, got {self.transition_self}")
-        if self.transition_adjacent < 0:
-            raise ConfigError(f"transition_adjacent must be >= 0, got {self.transition_adjacent}")
 
 
 # ---------------------------------------------------------------------------

@@ -457,7 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     assoc = sub.add_parser("associate", help="run an association method over scenes")
     assoc.add_argument("--method", required=True, choices=("knn", "hmm", "mat"))
-    assoc.add_argument("--post", action="store_true", help="beam-decode the probability matrix")
+    assoc.add_argument(
+        "--post",
+        action="store_true",
+        help="beam-decode the probability matrix; for knn and hmm, the shared distance-emission matrix, "
+        "in place of the baseline",
+    )
     assoc.add_argument("--weights", help="weights container for --method mat")
     assoc.add_argument("--model-config", help="JSON model configuration for --method mat")
     assoc.add_argument("--init-seed", type=_non_negative, default=0, help="random init seed when no weights given")

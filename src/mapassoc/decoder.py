@@ -24,14 +24,14 @@ then runs the search on plain tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from .assocmatrix import AssocMatrix
 from .errors import ConfigError, LabelError
-from .fields import check_fields
+from .fields import at_least, check_fields
 from .geometry import Association, Scene, enumerate_paths
 
 __all__ = [
@@ -47,15 +47,11 @@ __all__ = [
 class DecoderConfig:
     """Beam width and an optional cap on beam-grown sequence length."""
 
-    k: int = 5
-    max_len: Union[int, None] = None
+    k: int = field(default=5, metadata=at_least(1))
+    max_len: Union[int, None] = field(default=None, metadata=at_least(1))
 
     def __post_init__(self):
         check_fields(self)
-        if self.k < 1:
-            raise ConfigError(f"beam width must be >= 1, got {self.k}")
-        if self.max_len is not None and self.max_len < 1:
-            raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
 
 
 @dataclass(frozen=True)

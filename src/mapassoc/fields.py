@@ -7,10 +7,18 @@ int no larger than a float can hold, kept as given, and a numpy float.
 give a tuple, a dataclass may be a list of its fields, and `Optional` and
 `Union` take the first member that fits.
 
+A `Literal` of strings takes an exact `str` that is one of its values, so the
+annotation owns a field's fixed set of choices.
+
 `check_fields` also owns the rule that a config float is finite: a NaN or an
 infinity in a float field, tuple members included, raises a ConfigError that
 names the field, unless the field is declared with `metadata=MAY_BE_INFINITE`
-(the open upper bound of `MetricConfig.length_buckets`).
+(the open upper bound of `MetricConfig.length_buckets`). It owns the range of
+a config number too: a field declared with `metadata=at_least(low)`,
+`above(low)` or `within(low, high)` must hold a number in that range, or a
+tuple of such numbers, or None where the annotation allows it. Ranges are
+checked after every field has passed the type and finiteness checks, in
+declaration order; a rule that relates two values stays in `__post_init__`.
 """
 
 from __future__ import annotations
@@ -20,13 +28,30 @@ import math
 import re
 import sys
 from functools import lru_cache
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 
-__all__ = ["conform", "fits", "check_fields", "MAY_BE_INFINITE"]
+__all__ = ["conform", "fits", "check_fields", "MAY_BE_INFINITE", "at_least", "above", "within"]
 
 MAY_BE_INFINITE = {"may_be_infinite": True}
+
+
+def at_least(low) -> dict:
+    """Field metadata: the number, or each number of the tuple, is >= `low`."""
+    return {"range": (lambda v: v >= low, f">= {low}")}
+
+
+def above(low) -> dict:
+    """Field metadata: the number, or each number of the tuple, is > `low`."""
+    return {"range": (lambda v: v > low, f"> {low}")}
+
+
+def within(low, high, open_low=False) -> dict:
+    """Field metadata: the number, or each number of the tuple, is in [low, high] ((low, high] if `open_low`)."""
+    if open_low:
+        return {"range": (lambda v: low < v <= high, f"in ({low}, {high}]")}
+    return {"range": (lambda v: low <= v <= high, f"in [{low}, {high}]")}
 
 
 def conform(value, hint):
@@ -45,6 +70,9 @@ def conform(value, hint):
                 return tuple(conform(v, args[0]) for v in value)
             if len(value) == len(args):
                 return tuple(map(conform, value, args))
+    elif origin is Literal:
+        if type(value) is str and value in get_args(hint):
+            return value
     elif dataclasses.is_dataclass(hint):
         if isinstance(value, hint):
             return value
@@ -71,11 +99,13 @@ def _name(hint) -> str:
 
 
 @lru_cache(maxsize=None)
-def _field_hints(cls) -> tuple:
+def _field_rules(cls) -> tuple:
+    """((name, hint, may_be_infinite) per field, (name, test, text) per field with a range)."""
     hints = get_type_hints(cls)
-    return tuple(
-        (f.name, hints[f.name], f.metadata.get("may_be_infinite", False))
-        for f in dataclasses.fields(cls)
+    fields = dataclasses.fields(cls)
+    return (
+        tuple((f.name, hints[f.name], f.metadata.get("may_be_infinite", False)) for f in fields),
+        tuple((f.name, *f.metadata["range"]) for f in fields if "range" in f.metadata),
     )
 
 
@@ -89,8 +119,9 @@ def _non_finite(value):
 
 
 def check_fields(obj) -> None:
-    """Conform each field of the dataclass `obj` in place; ConfigError names a misfit."""
-    for name, hint, may_be_infinite in _field_hints(type(obj)):
+    """Conform each field of the dataclass `obj` in place, then check ranges; ConfigError names a misfit."""
+    hints, ranges = _field_rules(type(obj))
+    for name, hint, may_be_infinite in hints:
         value = getattr(obj, name)
         try:
             fitted = conform(value, hint)
@@ -103,3 +134,7 @@ def check_fields(obj) -> None:
             raise ConfigError(f"{name}: must be finite, got {bad!r}")
         if fitted is not value:
             object.__setattr__(obj, name, fitted)
+    for name, test, text in ranges:
+        value = getattr(obj, name)
+        if value is not None and not all(map(test, value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{name}: must be {text}, got {value!r}")

@@ -38,7 +38,7 @@ from typing import IO, Union
 import numpy as np
 
 from .assocmatrix import AssocMatrix
-from .errors import ConfigError, IntegrityError, InvalidGeometryError, ValidationError
+from .errors import ConfigError, IntegrityError, MapAssocError, ValidationError
 from .fields import fits
 from .geometry import (
     Association,
@@ -392,6 +392,14 @@ def _scene_in_batches(doc: dict, meta: dict, sd_half, hd_half):
     return Scene(sd=sd, hd=hd, gt=gt, meta=meta)
 
 
+def _named(where: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`; a fault it raises is re-raised naming `where`."""
+    try:
+        return make(*args, **kwargs)
+    except MapAssocError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 def _scene_per_element(doc: dict, meta: dict, where: str) -> Scene:
     """The scene of `doc` through the checking constructors, element by element."""
     sd_doc = _field(doc, "sd", where)
@@ -403,8 +411,9 @@ def _scene_per_element(doc: dict, meta: dict, where: str) -> Scene:
         pts = _field(r, "points", f"{where}.sd.roads[{i}] (road {rid})")
         if not isinstance(pts, list):
             raise ValidationError(f"{where}.sd: road {rid}: points must be a list")
-        roads.append(Road(id=rid, points=_points(pts, f"{where}.sd: road {rid}")))
-    sd = SdGraph(roads=tuple(roads), edges=_edges(_field(sd_doc, "edges", f"{where}.sd"), f"{where}.sd.edges"))
+        roads.append(_named(f"{where}.sd", Road, id=rid, points=_points(pts, f"{where}.sd: road {rid}")))
+    sd_edges = _edges(_field(sd_doc, "edges", f"{where}.sd"), f"{where}.sd.edges")
+    sd = _named(f"{where}.sd", SdGraph, roads=tuple(roads), edges=sd_edges)
 
     hd_doc = _field(doc, "hd", where)
     if not isinstance(hd_doc, dict):
@@ -414,10 +423,7 @@ def _scene_per_element(doc: dict, meta: dict, where: str) -> Scene:
         cid = _ident(c, f"{where}.hd.centerlines[{i}]")
         p1 = _point(_field(c, "p1", f"{where}.hd: centerline {cid}"), f"{where}.hd: centerline {cid} p1")
         p2 = _point(_field(c, "p2", f"{where}.hd: centerline {cid}"), f"{where}.hd: centerline {cid} p2")
-        try:
-            vector = DirVec(p1, p2, full_angle(p2.x - p1.x, p2.y - p1.y))
-        except InvalidGeometryError as exc:
-            raise InvalidGeometryError(f"{where}.hd: centerline {cid}: {exc}") from None
+        vector = _named(f"{where}.hd: centerline {cid}", DirVec, p1, p2, full_angle(p2.x - p1.x, p2.y - p1.y))
         cls.append(Centerline(id=cid, vector=vector))
     bounds = []
     for i, b in enumerate(_list_field(hd_doc, "boundaries", f"{where}.hd", optional=True)):
@@ -425,12 +431,9 @@ def _scene_per_element(doc: dict, meta: dict, where: str) -> Scene:
         pts = _field(b, "points", f"{where}.hd: boundary {bid}")
         if not isinstance(pts, list):
             raise ValidationError(f"{where}.hd: boundary {bid}: points must be a list")
-        bounds.append(Boundary(id=bid, points=_points(pts, f"{where}.hd: boundary {bid}")))
-    hd = HdGraph(
-        centerlines=tuple(cls),
-        edges=_edges(_field(hd_doc, "edges", f"{where}.hd"), f"{where}.hd.edges"),
-        boundaries=tuple(bounds),
-    )
+        bounds.append(_named(f"{where}.hd", Boundary, id=bid, points=_points(pts, f"{where}.hd: boundary {bid}")))
+    hd_edges = _edges(_field(hd_doc, "edges", f"{where}.hd"), f"{where}.hd.edges")
+    hd = _named(f"{where}.hd", HdGraph, centerlines=tuple(cls), edges=hd_edges, boundaries=tuple(bounds))
 
     gt_doc = doc.get("gt")
     gt = None
@@ -439,7 +442,7 @@ def _scene_per_element(doc: dict, meta: dict, where: str) -> Scene:
             raise ValidationError(f"{where}: gt must be an object or null")
         gt = Association(labels=_labels(gt_doc, f"{where}.gt"))
 
-    return validate_scene(Scene(sd=sd, hd=hd, gt=gt, meta=meta))
+    return _named(where, validate_scene, Scene(sd=sd, hd=hd, gt=gt, meta=meta))
 
 
 def dumps_scene(scene: Scene) -> str:

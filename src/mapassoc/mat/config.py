@@ -12,11 +12,12 @@ must be divisible by both 4 and 6 (hence by 12).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Literal
 
 from ..curves import CURVE_KINDS, DEFAULT_GRID_G, DEFAULT_GRID_R
 from ..errors import ConfigError
-from ..fields import check_fields
+from ..fields import above, at_least, check_fields
 
 __all__ = ["StageSpec", "ModelConfig", "desk_config", "full_config", "FULL_VARIANTS"]
 
@@ -32,25 +33,19 @@ SPATIAL_ROPE_AXES = 3
 class StageSpec:
     """One stage: `blocks` residual blocks at `channels` width, `heads` heads."""
 
-    blocks: int
-    channels: int
-    heads: int
+    blocks: int = field(metadata=at_least(1))
+    channels: int = field(metadata=at_least(1))
+    heads: int = field(metadata=at_least(1))
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("blocks", "channels", "heads"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ConfigError(f"stage {name} must be a positive integer, got {v!r}")
         if self.channels % self.heads != 0:
-            raise ConfigError(
-                f"channels {self.channels} not divisible by {self.heads} heads"
-            )
+            raise ConfigError(f"channels: {self.channels} not divisible by {self.heads} heads")
         head_dim = self.channels // self.heads
         for axes, kind in ((PATH_ROPE_AXES, "path"), (SPATIAL_ROPE_AXES, "spatial")):
             if head_dim % (2 * axes) != 0:
                 raise ConfigError(
-                    f"head dim {head_dim} not divisible by {2 * axes} "
+                    f"channels: head dim {head_dim} not divisible by {2 * axes} "
                     f"({kind} attention rotates {axes} axes)"
                 )
 
@@ -66,38 +61,21 @@ class ModelConfig:
     """
 
     stages: tuple[StageSpec, ...] = (StageSpec(1, 48, 4), StageSpec(1, 96, 4))
-    patch_size: int = 1024
-    curve: str = "hilbert"
+    patch_size: int = field(default=1024, metadata=at_least(1))
+    curve: Literal[CURVE_KINDS + ("random",)] = "hilbert"
     attention_order: tuple[str, str] = ("spatial", "path")
-    mlp_ratio: int = 4
-    rope_base: float = 10000.0
-    pooling: str = "avg"
-    grid_g: float = DEFAULT_GRID_G
-    grid_R: int = DEFAULT_GRID_R
+    mlp_ratio: int = field(default=4, metadata=at_least(1))
+    rope_base: float = field(default=10000.0, metadata=above(1))
+    pooling: Literal[POOLING_KINDS] = "avg"
+    grid_g: float = field(default=DEFAULT_GRID_G, metadata=above(0))
+    grid_R: int = field(default=DEFAULT_GRID_R, metadata=at_least(1))
 
     def __post_init__(self):
         check_fields(self)
         if not self.stages:
-            raise ConfigError("at least one stage required")
-        if self.patch_size < 1:
-            raise ConfigError(f"patch_size must be >= 1, got {self.patch_size}")
-        if self.curve != "random" and self.curve not in CURVE_KINDS:
-            raise ConfigError(
-                f"curve must be one of {CURVE_KINDS} or 'random', got {self.curve!r}"
-            )
+            raise ConfigError("stages: at least one stage required")
         if sorted(self.attention_order) != sorted(ATTENTION_KINDS):
-            raise ConfigError(
-                f"attention_order must permute {ATTENTION_KINDS}, "
-                f"got {self.attention_order}"
-            )
-        if self.mlp_ratio < 1:
-            raise ConfigError(f"mlp_ratio must be >= 1, got {self.mlp_ratio}")
-        if not self.rope_base > 1.0:
-            raise ConfigError(f"rope_base must be > 1, got {self.rope_base}")
-        if self.pooling not in POOLING_KINDS:
-            raise ConfigError(f"pooling must be one of {POOLING_KINDS}")
-        if self.grid_g <= 0 or self.grid_R < 1:
-            raise ConfigError("grid_g must be positive and grid_R >= 1")
+            raise ConfigError(f"attention_order: must permute {ATTENTION_KINDS}, got {self.attention_order!r}")
 
     @property
     def n_blocks(self) -> int:

@@ -45,7 +45,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigError, CoverageError, InvalidGeometryError, ValidationError
-from .fields import MAY_BE_INFINITE, check_fields, fits
+from .fields import MAY_BE_INFINITE, above, check_fields, fits, within
 from .geometry import Association, HdGraph, Scene, enumerate_paths
 
 __all__ = [
@@ -72,10 +72,10 @@ _PREFILTER_CELLS = 1 << 18
 class MetricConfig:
     """Thresholds, length buckets, and the two geometric tolerances."""
 
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
+    thresholds: tuple[float, ...] = field(default=DEFAULT_THRESHOLDS, metadata=within(0, 1, open_low=True))
     length_buckets: tuple[tuple[float, float], ...] = field(default=DEFAULT_BUCKETS, metadata=MAY_BE_INFINITE)
-    point_match_tau: float = 1.5
-    chamfer_tau: float = 1.0
+    point_match_tau: float = field(default=1.5, metadata=above(0))
+    chamfer_tau: float = field(default=1.0, metadata=above(0))
 
     def __post_init__(self):
         check_fields(self)
@@ -83,19 +83,15 @@ class MetricConfig:
         object.__setattr__(self, "thresholds", ths)
         buckets = tuple((float(lo), float(hi)) for lo, hi in self.length_buckets)
         object.__setattr__(self, "length_buckets", buckets)
-        if not ths or any(not 0.0 < t <= 1.0 for t in ths):
-            raise ConfigError("thresholds must lie in (0, 1]")
+        if not ths:
+            raise ConfigError("thresholds: must not be empty")
         if any(a >= b for a, b in zip(ths, ths[1:])):
-            raise ConfigError("thresholds must be strictly increasing")
+            raise ConfigError(f"thresholds: must be strictly increasing, got {ths!r}")
         if not buckets or buckets[0][0] != 0.0 or buckets[-1][1] != math.inf:
-            raise ConfigError("length buckets must start at 0 and end at infinity")
+            raise ConfigError("length_buckets: must start at 0 and end at infinity")
         for (lo, hi), (lo2, _) in zip(buckets, buckets[1:]):
             if hi != lo2 or lo >= hi:
-                raise ConfigError("length buckets must be contiguous and increasing")
-        for name in ("point_match_tau", "chamfer_tau"):
-            tau = getattr(self, name)
-            if tau <= 0:  # check_fields has refused NaN and infinities
-                raise ConfigError(f"{name} must be positive, got {tau}")
+                raise ConfigError("length_buckets: must be contiguous and increasing")
 
     def bucket_of(self, length: float) -> int:
         for i, (lo, hi) in enumerate(self.length_buckets):

@@ -27,14 +27,14 @@ seed: every step draws from its own spawned child stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress
-from typing import Optional, Union
+from typing import Literal, Optional, Union
 
 import numpy as np
 
 from .errors import ConfigError, GenerationError
-from .fields import check_fields
+from .fields import above, at_least, check_fields, within
 from .geometry import (
     Association,
     Boundary,
@@ -67,41 +67,29 @@ _TWO_PI = 2.0 * math.pi
 class GenConfig:
     """Scene generation settings. Extents are (x, y) half-widths in meters."""
 
-    layout: str = "grid"
-    sd_extent: tuple[float, float] = (75.0, 75.0)
-    hd_extent: tuple[float, float] = (15.0, 30.0)
-    lanes_per_road: tuple[int, int] = (1, 3)
-    lane_offset: float = 3.0
-    vector_spacing_sd: float = 10.0
-    vector_spacing_hd: float = 3.0
-    junction_radius: float = 6.0
-    boundary_margin: float = 1.5
+    layout: Literal["grid", "radial", "random-planar"] = "grid"
+    sd_extent: tuple[float, float] = field(default=(75.0, 75.0), metadata=above(0))
+    hd_extent: tuple[float, float] = field(default=(15.0, 30.0), metadata=above(0))
+    lanes_per_road: tuple[int, int] = field(default=(1, 3), metadata=at_least(1))
+    lane_offset: float = field(default=3.0, metadata=above(0))
+    vector_spacing_sd: float = field(default=10.0, metadata=above(0))
+    vector_spacing_hd: float = field(default=3.0, metadata=above(0))
+    junction_radius: float = field(default=6.0, metadata=at_least(0))
+    boundary_margin: float = field(default=1.5, metadata=at_least(0))
     grid_rows: int = 2
     grid_cols: int = 2
     grid_pitch: float = 20.0
     radial_arms: int = 3
-    carriageway_sep: float = 9.0
+    carriageway_sep: float = field(default=9.0, metadata=at_least(0))
     random_roads: int = 6
-    road_clearance: float = 18.0
-    seed: int = 0
+    road_clearance: float = field(default=18.0, metadata=at_least(0))
+    seed: int = field(default=0, metadata=at_least(0))
 
     def __post_init__(self):
         check_fields(self)
-        if self.layout not in ("grid", "radial", "random-planar"):
-            raise ConfigError(f"unknown layout {self.layout!r}")
         lo, hi = self.lanes_per_road
-        if not (1 <= lo <= hi):
-            raise ConfigError(f"bad lanes_per_road range {self.lanes_per_road}")
-        for name in ("lane_offset", "vector_spacing_sd", "vector_spacing_hd"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if min(self.sd_extent) <= 0 or min(self.hd_extent) <= 0:
-            raise ConfigError("extents must be positive")
-        for name in ("junction_radius", "boundary_margin", "carriageway_sep", "road_clearance"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if lo > hi:
+            raise ConfigError(f"lanes_per_road: low must be <= high, got {self.lanes_per_road!r}")
 
 
 @dataclass(frozen=True)
@@ -110,20 +98,13 @@ class PerturbConfig:
     Gaussian sigma in meters when given as a single number."""
 
     gps_shift: Union[tuple[float, float], float] = (0.0, 0.0)
-    dropout_rate: float = 0.0
-    jitter_sigma: float = 0.0
-    oversegment_rate: float = 0.0
-    seed: int = 0
+    dropout_rate: float = field(default=0.0, metadata=within(0, 1))
+    jitter_sigma: float = field(default=0.0, metadata=at_least(0))
+    oversegment_rate: float = field(default=0.0, metadata=within(0, 1))
+    seed: int = field(default=0, metadata=at_least(0))
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("dropout_rate", "oversegment_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        for name in ("jitter_sigma", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -131,25 +112,19 @@ class AugConfig:
     """Training-time augmentation settings, applied jointly to SD and HD."""
 
     rotate_range_deg: tuple[float, float] = (-1.0, 1.0)
-    rotate_p: float = 0.5
-    scale_range: tuple[float, float] = (0.9, 1.1)
-    flip_p: float = 0.5
-    jitter_sigma: float = 0.005
-    jitter_clip: float = 0.02
-    grid_sample: Optional[tuple[float, float, float]] = (0.1, 0.1, math.pi / 16)
-    seed: int = 0
+    rotate_p: float = field(default=0.5, metadata=within(0, 1))
+    scale_range: tuple[float, float] = field(default=(0.9, 1.1), metadata=above(0))
+    flip_p: float = field(default=0.5, metadata=within(0, 1))
+    jitter_sigma: float = field(default=0.005, metadata=at_least(0))
+    jitter_clip: float = field(default=0.02, metadata=at_least(0))
+    grid_sample: Optional[tuple[float, float, float]] = field(default=(0.1, 0.1, math.pi / 16), metadata=above(0))
+    seed: int = field(default=0, metadata=at_least(0))
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("rotate_p", "flip_p"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        for name in ("jitter_sigma", "jitter_clip", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.grid_sample is not None and min(self.grid_sample) <= 0:
-            raise ConfigError(f"grid_sample cell sizes must be > 0, got {self.grid_sample}")
+        lo, hi = self.scale_range
+        if lo > hi:
+            raise ConfigError(f"scale_range: low must be <= high, got {self.scale_range!r}")
 
 
 # ---------------------------------------------------------------------------

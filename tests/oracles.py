@@ -35,6 +35,7 @@ from mapassoc.errors import (
     CoverageError,
     InvalidGeometryError,
     LabelError,
+    MapAssocError,
     NoFeasiblePathError,
     TopologyError,
     ValidationError,
@@ -883,6 +884,13 @@ def validate_scene_reference(scene: Scene) -> Scene:
     return scene
 
 
+def _named_reference(where: str, make, *args, **kwargs):
+    try:
+        return make(*args, **kwargs)
+    except MapAssocError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 def scene_from_doc_reference(doc: dict, where: str = "scene") -> Scene:
     """The scene reader one element at a time, through the checking constructors.
 
@@ -891,7 +899,9 @@ def scene_from_doc_reference(doc: dict, where: str = "scene") -> Scene:
     element walk: a malformed `meta.crop` raises a ValidationError naming the
     field, a zero-length centerline names the line and its id, and a roads,
     centerlines or truthy boundaries value that is not a list raises a
-    ValidationError naming the field.
+    ValidationError naming the field. A fault from a graph or element
+    constructor is prefixed with `where` and the graph, one from the whole-scene
+    checks with `where`.
     """
     version = _field_reference(doc, "version", where)
     if version != "1":
@@ -920,9 +930,9 @@ def scene_from_doc_reference(doc: dict, where: str = "scene") -> Scene:
             raise ValidationError(f"{where}.sd: road {rid}: points must be a list")
         owner = f"{where}.sd: road {rid}"
         points = tuple(_point_reference(p, f"{owner} point {j}") for j, p in enumerate(pts))
-        roads.append(Road(id=rid, points=points))
+        roads.append(_named_reference(f"{where}.sd", Road, id=rid, points=points))
     sd_edges = _edges_reference(_field_reference(sd_doc, "edges", f"{where}.sd"), f"{where}.sd.edges")
-    sd = SdGraph(roads=tuple(roads), edges=sd_edges)
+    sd = _named_reference(f"{where}.sd", SdGraph, roads=tuple(roads), edges=sd_edges)
 
     hd_doc = _field_reference(doc, "hd", where)
     if not isinstance(hd_doc, dict):
@@ -947,9 +957,9 @@ def scene_from_doc_reference(doc: dict, where: str = "scene") -> Scene:
         if not isinstance(pts, list):
             raise ValidationError(f"{owner}: points must be a list")
         points = tuple(_point_reference(p, f"{owner} point {j}") for j, p in enumerate(pts))
-        bounds.append(Boundary(id=bid, points=points))
+        bounds.append(_named_reference(f"{where}.hd", Boundary, id=bid, points=points))
     hd_edges = _edges_reference(_field_reference(hd_doc, "edges", f"{where}.hd"), f"{where}.hd.edges")
-    hd = HdGraph(centerlines=tuple(cls), edges=hd_edges, boundaries=tuple(bounds))
+    hd = _named_reference(f"{where}.hd", HdGraph, centerlines=tuple(cls), edges=hd_edges, boundaries=tuple(bounds))
 
     gt_doc = doc.get("gt")
     gt = None
@@ -958,7 +968,7 @@ def scene_from_doc_reference(doc: dict, where: str = "scene") -> Scene:
             raise ValidationError(f"{where}: gt must be an object or null")
         gt = Association(labels=_labels_reference(gt_doc, f"{where}.gt"))
 
-    return validate_scene_reference(Scene(sd=sd, hd=hd, gt=gt, meta=meta))
+    return _named_reference(where, validate_scene_reference, Scene(sd=sd, hd=hd, gt=gt, meta=meta))
 
 
 # ---------------------------------------------------------------------------

@@ -644,7 +644,19 @@ def test_negative_distance_exits_2_naming_the_field(tmp_path, capsys, field, lay
     cfg = write_cfg(tmp_path, {"gen": {"layout": layout, field: -9.0}})
     rc = main(["gen", "--config", cfg, "--out", str(tmp_path / "s.ndjson")])
     assert rc == 2
-    assert f"{field} must be >= 0, got -9.0" in capsys.readouterr().err
+    assert f"{field}: must be >= 0, got -9.0" in capsys.readouterr().err
+    assert not (tmp_path / "s.ndjson").exists()
+
+
+@pytest.mark.parametrize("scale_range, message", [
+    ([1.2, 0.9], "scale_range: low must be <= high, got (1.2, 0.9)"),
+    ([0.0, 0.0], "scale_range: must be > 0, got (0.0, 0.0)"),
+])
+def test_bad_scale_range_exits_2_naming_the_field(tmp_path, capsys, scale_range, message):
+    cfg = write_cfg(tmp_path, {"augment": {"scale_range": scale_range}})
+    rc = main(["gen", "--config", cfg, "--out", str(tmp_path / "s.ndjson")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: augment config: {message}\n"
     assert not (tmp_path / "s.ndjson").exists()
 
 
@@ -746,6 +758,40 @@ def test_zero_length_centerline_error_names_line_and_centerline(tmp_path, capsys
     err = capsys.readouterr().err
     assert rc == 2
     assert f"line 1.hd: centerline {c['id']}: degenerate vector at {Point2(*c['p1'])}" in err
+
+
+def _duplicate_centerline(doc):
+    doc["hd"]["centerlines"].append(dict(doc["hd"]["centerlines"][0]))
+
+
+def _repeated_road_point(doc):
+    points = doc["sd"]["roads"][0]["points"]
+    points.insert(1, list(points[0]))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("fault, message", [
+    (_duplicate_centerline, "duplicate centerline ids"),
+    (lambda doc: doc["hd"]["edges"].append([1, 0]), "lane graph has a cycle through centerline 0"),
+    (lambda doc: doc["gt"].pop("0"), "gt does not cover centerline 0"),
+    (lambda doc: doc["sd"]["edges"].append([0, 999]), "road edge (0, 999) references missing id 999"),
+    (lambda doc: doc["hd"]["centerlines"][3].update(p2=[500.0, 0.0]), "point (500.0, 0.0) outside crop extents"),
+    (_repeated_road_point, "road 0: repeated point"),
+    (lambda doc: doc["sd"]["roads"][0]["points"][0].__setitem__(0, "@@"), "road 0 has non-finite point (inf, "),
+], ids=["duplicate-id", "lane-cycle", "gt-coverage", "missing-edge-id", "outside-crop", "repeated-point", "1e999"])
+def test_a_scene_fault_names_its_line_once(tmp_path, capsys, monkeypatch, threads, fault, message):
+    monkeypatch.setenv("MAPASSOC_THREADS", threads)
+    scenes = gen_scenes(tmp_path, count=2)
+    lines = Path(scenes).read_text().splitlines(keepends=True)
+    doc = json.loads(lines[1])
+    fault(doc)
+    lines[1] = json.dumps(doc).replace('"@@"', "1e999") + "\n"
+    Path(scenes).write_text("".join(lines))
+    capsys.readouterr()
+    rc = main(["associate", "--method", "knn", "--scenes", scenes, "--out", str(tmp_path / "p.ndjson")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: line 2") and err.count("line 2") == 1 and message in err
 
 
 @pytest.mark.parametrize("method, code", [("knn", 0), ("hmm", 0), ("mat", 2)])

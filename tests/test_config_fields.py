@@ -64,7 +64,9 @@ def test_a_dead_field_is_caught():
     trees = dict(_trees())
     config = SRC / "mat" / "config.py"
     text = config.read_text(encoding="utf-8").replace(
-        "    grid_R: int = DEFAULT_GRID_R\n", "    grid_R: int = DEFAULT_GRID_R\n    alpha: float = 1.0\n", 1
+        "    grid_R: int = field(default=DEFAULT_GRID_R, metadata=at_least(1))\n",
+        "    grid_R: int = field(default=DEFAULT_GRID_R, metadata=at_least(1))\n    alpha: float = 1.0\n",
+        1,
     )
     assert text != config.read_text(encoding="utf-8")
     trees[config] = ast.parse(text)

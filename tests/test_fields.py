@@ -26,7 +26,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_config_fields import CONFIG_CLASSES, _trees
 
+from mapassoc.baselines import HmmParams
 from mapassoc.cli import main
+from mapassoc.decoder import DecoderConfig
 from mapassoc.errors import ConfigError
 from mapassoc.fields import check_fields, conform, fits
 from mapassoc.mat import ModelConfig, StageSpec
@@ -147,7 +149,7 @@ def test_range_checks_follow_the_type_check(make):
     (lambda: AugConfig(jitter_sigma=math.inf), "jitter_sigma: must be finite, got inf"),
     (lambda: AugConfig(scale_range=(1.0, math.inf)), "scale_range: must be finite, got inf"),
     (lambda: GenConfig(junction_radius=-math.inf), "junction_radius: must be finite, got -inf"),
-    (lambda: GenConfig(junction_radius=-1), "junction_radius must be >= 0, got -1"),
+    (lambda: GenConfig(junction_radius=-1), "junction_radius: must be >= 0, got -1"),
     (lambda: PerturbConfig(gps_shift=math.nan), "gps_shift: must be finite, got nan"),
     (lambda: PerturbConfig(gps_shift=(0.0, -math.inf)), "gps_shift: must be finite, got -inf"),
     (lambda: AugConfig(grid_sample=(0.1, math.inf, 0.1)), "grid_sample: must be finite, got inf"),
@@ -157,6 +159,38 @@ def test_config_floats_must_be_finite(make, message):
     with pytest.raises(ConfigError) as exc:
         make()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: AugConfig(jitter_clip=-1.5), "jitter_clip: must be >= 0, got -1.5"),
+    (lambda: AugConfig(grid_sample=(0.1, 0.1, -1.0)), "grid_sample: must be > 0, got (0.1, 0.1, -1.0)"),
+    (lambda: PerturbConfig(dropout_rate=1.5), "dropout_rate: must be in [0, 1], got 1.5"),
+    (lambda: MetricConfig(thresholds=(0.5, 0.0)), "thresholds: must be in (0, 1], got (0.5, 0.0)"),
+    (lambda: ModelConfig(rope_base=1), "rope_base: must be > 1, got 1"),
+    (lambda: ModelConfig(stages=[[1, 0, 1]]), "stages: channels: must be >= 1, got 0"),
+    (lambda: GenConfig(lanes_per_road=(3, 2)), "lanes_per_road: low must be <= high, got (3, 2)"),
+    (lambda: GenConfig(layout="hex"), "layout: expected Literal['grid', 'radial', 'random-planar'], got 'hex'"),
+    # a type fault of any field comes before a range fault, and range faults go in declaration order
+    (lambda: GenConfig(sd_extent=(-1.0, 5.0), seed="0"), "seed: expected int, got '0'"),
+    (lambda: GenConfig(junction_radius=-1.0, seed=-1), "junction_radius: must be >= 0, got -1.0"),
+])
+def test_a_range_fault_names_the_field_and_its_value(make, message):
+    with pytest.raises(ConfigError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("scale_range, message", [
+    ((1.2, 0.9), "scale_range: low must be <= high, got (1.2, 0.9)"),
+    ((0.0, 0.0), "scale_range: must be > 0, got (0.0, 0.0)"),
+    ((-0.5, 1.0), "scale_range: must be > 0, got (-0.5, 1.0)"),
+])
+def test_scale_range_must_be_positive_and_ordered(scale_range, message):
+    with pytest.raises(ConfigError) as exc:
+        AugConfig(scale_range=scale_range)
+    assert str(exc.value) == message
+    tiny = math.nextafter(0.0, 1.0)
+    assert AugConfig(scale_range=(tiny, tiny)).scale_range == (tiny, tiny)
 
 
 def test_only_a_field_declared_so_may_be_infinite():
@@ -330,3 +364,136 @@ def test_guard_catches_a_hand_written_type_check():
     )
     fn = ast.parse(src).body[0].body[0]
     assert _calls(fn, "isinstance") and ast.unparse(fn.body[0]) != "check_fields(self)"
+
+
+def _bound_checks(node) -> list:
+    """Comparisons under `node` of a value with a constant bound or a fixed set of choices.
+
+    Flagged: an order comparison with a number literal, an `in` or `not in`,
+    and an equality with a string literal. Rules that relate two values, such
+    as `lo <= hi` or `channels % heads != 0`, pass.
+    """
+    def number(n):
+        n = n.operand if isinstance(n, ast.UnaryOp) else n
+        return isinstance(n, ast.Constant) and isinstance(n.value, (int, float))
+
+    def string(n):
+        return isinstance(n, ast.Constant) and isinstance(n.value, str)
+
+    out = []
+    for cmp in (n for n in ast.walk(node) if isinstance(n, ast.Compare)):
+        operands = [cmp.left, *cmp.comparators]
+        for op, a, b in zip(cmp.ops, operands, operands[1:]):
+            if (
+                isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) and (number(a) or number(b))
+                or isinstance(op, (ast.In, ast.NotIn))
+                or isinstance(op, (ast.Eq, ast.NotEq)) and (string(a) or string(b))
+            ):
+                out.append(ast.unparse(cmp))
+    return out
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES)
+def test_post_init_holds_no_range_or_choice_check(cls):
+    assert not _bound_checks(_post_inits()[cls]), f"{cls}.__post_init__ checks a range by hand; declare it on the field"
+
+
+@pytest.mark.parametrize("check, caught", [
+    ("self.seed < 0", True),
+    ("not 0.0 <= self.flip_p <= 1.0", True),
+    ("min(self.sd_extent) <= 0", True),
+    ("self.pooling not in POOLING_KINDS", True),
+    ("self.curve != 'random'", True),
+    ("lo > hi", False),
+    ("self.channels % self.heads != 0", False),
+])
+def test_guard_catches_a_hand_written_range_check(check, caught):
+    src = (
+        "class GenConfig:\n"
+        "    def __post_init__(self):\n"
+        "        check_fields(self)\n"
+        f"        if {check}:\n"
+        "            raise ConfigError\n"
+    )
+    assert bool(_bound_checks(ast.parse(src))) == caught
+
+
+# ---------------------------------------------------------------------------
+# ranges and choices: the values each config field accepts
+
+# (class, field, tuple member or None, bound, accepted just below / at / just
+# above the bound: "+" accepted, "-" refused). The neighbours are the next
+# float each way, or the bound -1 and +1 for an int bound. The table was
+# recorded from the hand-written checks that field metadata replaced.
+RANGE_TABLE = [
+    (GenConfig, "sd_extent", 0, 0.0, "--+"), (GenConfig, "sd_extent", 1, 0.0, "--+"),
+    (GenConfig, "hd_extent", 0, 0.0, "--+"), (GenConfig, "hd_extent", 1, 0.0, "--+"),
+    (GenConfig, "lanes_per_road", 0, 1, "-++"), (GenConfig, "lanes_per_road", 1, 1, "-++"),
+    (GenConfig, "lane_offset", None, 0.0, "--+"),
+    (GenConfig, "vector_spacing_sd", None, 0.0, "--+"), (GenConfig, "vector_spacing_hd", None, 0.0, "--+"),
+    (GenConfig, "junction_radius", None, 0.0, "-++"), (GenConfig, "boundary_margin", None, 0.0, "-++"),
+    (GenConfig, "carriageway_sep", None, 0.0, "-++"), (GenConfig, "road_clearance", None, 0.0, "-++"),
+    (GenConfig, "seed", None, 0, "-++"),
+    (PerturbConfig, "dropout_rate", None, 0.0, "-++"), (PerturbConfig, "dropout_rate", None, 1.0, "++-"),
+    (PerturbConfig, "oversegment_rate", None, 0.0, "-++"), (PerturbConfig, "oversegment_rate", None, 1.0, "++-"),
+    (PerturbConfig, "jitter_sigma", None, 0.0, "-++"), (PerturbConfig, "seed", None, 0, "-++"),
+    (AugConfig, "rotate_p", None, 0.0, "-++"), (AugConfig, "rotate_p", None, 1.0, "++-"),
+    (AugConfig, "flip_p", None, 0.0, "-++"), (AugConfig, "flip_p", None, 1.0, "++-"),
+    (AugConfig, "jitter_sigma", None, 0.0, "-++"), (AugConfig, "jitter_clip", None, 0.0, "-++"),
+    (AugConfig, "seed", None, 0, "-++"),
+    (AugConfig, "grid_sample", 0, 0.0, "--+"), (AugConfig, "grid_sample", 1, 0.0, "--+"),
+    (AugConfig, "grid_sample", 2, 0.0, "--+"),
+    (HmmParams, "emission_sigma", None, 0.0, "--+"), (HmmParams, "transition_self", None, 0.0, "--+"),
+    (HmmParams, "transition_adjacent", None, 0.0, "-++"),
+    (DecoderConfig, "k", None, 1, "-++"), (DecoderConfig, "max_len", None, 1, "-++"),
+    (MetricConfig, "thresholds", 0, 0.0, "--+"), (MetricConfig, "thresholds", 0, 1.0, "++-"),
+    (MetricConfig, "point_match_tau", None, 0.0, "--+"), (MetricConfig, "chamfer_tau", None, 0.0, "--+"),
+    (ModelConfig, "patch_size", None, 1, "-++"), (ModelConfig, "mlp_ratio", None, 1, "-++"),
+    (ModelConfig, "grid_R", None, 1, "-++"), (ModelConfig, "rope_base", None, 1.0, "--+"),
+    (ModelConfig, "grid_g", None, 0.0, "--+"),
+    (StageSpec, "blocks", None, 1, "-++"), (StageSpec, "heads", None, 1, "-++"),
+    (StageSpec, "channels", None, 1, "---"),  # 1 and 2 channels split into no RoPE-sized head
+]
+# the other fields of a class whose defaults do not leave a field free to vary
+RANGE_BASE = {StageSpec: dict(blocks=1, channels=24, heads=2), MetricConfig: dict(thresholds=(0.5,))}
+
+
+def _make(cls, name, member, value):
+    """`cls` with `name`, or member `member` of its tuple, set to `value`."""
+    kw = dict(RANGE_BASE.get(cls, {}))
+    if member is not None:
+        items = list(kw.get(name, cls.__dataclass_fields__[name].default))
+        items[member] = value
+        value = tuple(items)
+    return cls(**{**kw, name: value})
+
+
+def _accepted(make) -> str:
+    try:
+        make()
+    except ConfigError:
+        return "-"
+    return "+"
+
+
+@pytest.mark.parametrize(
+    "cls, name, member, bound, want", RANGE_TABLE,
+    ids=[f"{c.__name__}.{n}{'' if m is None else f'[{m}]'}@{b}" for c, n, m, b, _ in RANGE_TABLE],
+)
+def test_range_bounds_accept_what_they_accepted(cls, name, member, bound, want):
+    if type(bound) is int:
+        values = (bound - 1, bound, bound + 1)
+    else:
+        values = (math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf))
+    assert "".join(_accepted(lambda: _make(cls, name, member, v)) for v in values) == want
+    if (cls, name) in {(DecoderConfig, "max_len"), (AugConfig, "grid_sample")}:
+        _make(cls, name, None, None)  # an Optional field may be None
+
+
+@pytest.mark.parametrize("cls, name, choices, other", [
+    (GenConfig, "layout", ("grid", "radial", "random-planar"), "Grid"),
+    (ModelConfig, "curve", ("z", "z-trans", "hilbert", "hilbert-trans", "random"), "peano"),
+    (ModelConfig, "pooling", ("avg", "max"), "sum"),
+])
+def test_choice_fields_accept_what_they_accepted(cls, name, choices, other):
+    assert "".join(_accepted(lambda: cls(**{name: v})) for v in (*choices, other)) == "+" * len(choices) + "-"

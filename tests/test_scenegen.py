@@ -306,7 +306,7 @@ def test_crop_run_is_the_one_run_of_inside_samples(case):
 def test_negative_distances_are_refused_naming_the_field(name):
     with pytest.raises(ConfigError) as exc:
         GenConfig(**{name: -1.5})
-    assert str(exc.value) == f"{name} must be >= 0, got -1.5"
+    assert str(exc.value) == f"{name}: must be >= 0, got -1.5"
     GenConfig(**{name: 0.0})
 
 
