@@ -273,6 +273,17 @@ def _config_from(cls, doc, where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _from_flags(cls, **flagged):
+    """`cls` built from `field=(flag, value)` pairs; a ConfigError about a field names its flag instead."""
+    try:
+        return cls(**{name: value for name, (_, value) in flagged.items()})
+    except ConfigError as exc:
+        name, sep, rest = str(exc).partition(": ")
+        if sep and name in flagged:
+            raise ConfigError(f"{flagged[name][0]}: {rest}") from None
+        raise
+
+
 def _non_negative(text: str) -> int:
     """An argparse type for seeds and counts."""
     if not text.isdecimal():
@@ -331,7 +342,7 @@ def _cmd_associate(args) -> int:
             weights = PreparedWeights(load_weights(args.weights, mcfg), mcfg)
         else:
             weights = prepare_weights(init_weights(mcfg, seed=args.init_seed), mcfg)
-    dcfg = DecoderConfig(k=args.beam_k)
+    dcfg = _from_flags(DecoderConfig, k=("--beam-k", args.beam_k))
     items, costs = _scene_items(args.scenes)
 
     def one(item) -> AssocRecord:
@@ -361,22 +372,14 @@ def _cmd_associate(args) -> int:
     return 0
 
 
-def _sum_reports(per_scene) -> MetricReport:
-    first = per_scene[0]
-    counts = first.counts.copy()
-    for rep in per_scene[1:]:
-        counts += rep.counts
-    return MetricReport(thresholds=first.thresholds, buckets=first.buckets, counts=counts)
-
-
 def _cmd_eval(args) -> int:
-    kwargs = {"point_match_tau": args.tau, "chamfer_tau": args.chamfer_tau}
+    flagged = {"point_match_tau": ("--tau", args.tau), "chamfer_tau": ("--chamfer-tau", args.chamfer_tau)}
     if args.thresholds:
         try:
-            kwargs["thresholds"] = tuple(float(t) for t in args.thresholds.split(","))
+            flagged["thresholds"] = ("--thresholds", tuple(float(t) for t in args.thresholds.split(",")))
         except ValueError:
             raise ConfigError(f"--thresholds must be comma-separated numbers, got {args.thresholds!r}") from None
-    cfg = MetricConfig(**kwargs)
+    cfg = _from_flags(MetricConfig, **flagged)
     score = association_pr if args.metric == "association" else reachability_pr
     items, costs = _scene_items(args.scenes)
     if not items:
@@ -395,7 +398,7 @@ def _cmd_eval(args) -> int:
             )
         return score([Prediction(assoc=records[i].assoc)], [scene], cfg)
 
-    report = _sum_reports(_map(one, items, costs))
+    report = MetricReport(cfg.thresholds, cfg.length_buckets, sum(rep.counts for rep in _map(one, items, costs)))
 
     name = args.name or (records[0].method if records else "pred")
     doc = {

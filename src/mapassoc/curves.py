@@ -13,17 +13,18 @@ four curve kinds:
 Sorting by curve index with a stable original-index tie-break yields the
 serialization permutation consumed by patch attention.
 
-Orders. A key at order m holds m bits per axis. A Hilbert key at order m
-equals the key at order m - 3 while every coordinate is below 2^(m - 3), and a
-Morton key is the same at every order that covers the coordinates. So the
-Hilbert kernel runs at the lowest order congruent to the requested one mod 3
-that still covers the largest coordinate, and `sort_tokens` raises the order
-when the coordinate spread needs more bits than requested: in steps of 3 for
-the Hilbert kinds, to the spread's bit length for the Morton kinds. Neither
-changes a key. A key must fit in uint64, so the order stops at 21
-(3 x 21 = 63 bits): from the default order 16 a Hilbert serialization covers
-an axis spread below 2^19 cells (52 km at the default 0.1 m cell), a Morton
-one below 2^21 cells (210 km).
+Orders. A key at order m holds m bits per axis. A Morton key is the same at
+every order that covers the coordinates, and a Hilbert key at order m equals
+the key at order m - 3 while every coordinate is below 2^(m - 3). So
+`_key_order` computes every key at the lowest order that gives the keys of
+the requested one and covers the coordinate spread: the spread's bit length
+for the Morton kinds, the lowest order congruent to the requested one mod 3
+for the Hilbert kinds. That lowers the order for a narrow spread, and for
+`sort_tokens` it raises the order when the spread needs more bits than
+requested; neither changes a key. A key must fit in uint64, so the order
+stops at 21 (3 x 21 = 63 bits): from the default order 16 a Hilbert
+serialization covers an axis spread below 2^19 cells (52 km at the default
+0.1 m cell), a Morton one below 2^21 cells (210 km).
 """
 
 from __future__ import annotations
@@ -168,10 +169,6 @@ def _hilbert_transpose(axes: np.ndarray, order: int) -> np.ndarray:
 
 
 def _hilbert(axes: np.ndarray, order: int) -> np.ndarray:
-    # the key at order m equals the key at order m - 3 while every coordinate
-    # is below 2^(m - 3): run at the lowest such order, which does less work
-    bits = max(int(axes.max()).bit_length() if axes.size else 0, 1)
-    order -= 3 * max(0, (order - bits) // 3)
     x = _hilbert_transpose(axes, order)
     # interleave transposed bits, axis 0 most significant within each group
     out = np.zeros(axes.shape[1], dtype=np.uint64)
@@ -200,33 +197,35 @@ def curve_index_batch(coords: np.ndarray, kind: str, order: int = DEFAULT_ORDER)
     return _keys(axes, kind, order)
 
 
-def _keys(axes: np.ndarray, kind: str, order: int) -> np.ndarray:
+def _key_order(spread: int, kind: str, order: int) -> int:
+    """The lowest order whose keys equal the keys at `order` and cover `spread` (see the module notes)."""
+    bits = spread.bit_length()
     if kind.startswith("z"):
-        return _morton(axes, order)
-    return _hilbert(axes, order)
+        key_order, most = bits, _MAX_KEY_ORDER
+    else:
+        # a Hilbert key keeps its value only in steps of 3 orders, and needs at least 1
+        key_order = order + 3 * -((order - max(bits, 1)) // 3)
+        most = order + 3 * ((_MAX_KEY_ORDER - order) // 3)
+    if key_order > most:
+        raise RangeError(
+            f"coordinate spread {spread} needs {bits} bits per axis; a {kind} key from order "
+            f"{order} holds at most {most} in uint64 (spread below {1 << most})"
+        )
+    return key_order
+
+
+def _keys(axes: np.ndarray, kind: str, order: int) -> np.ndarray:
+    """Keys of non-negative axes as at `order`, computed at `_key_order`."""
+    key_order = _key_order(int(axes.max()) if axes.size else 0, kind, order)
+    if kind.startswith("z"):
+        return _morton(axes, key_order)
+    return _hilbert(axes, key_order)
 
 
 def curve_index(coord: GridCoord, kind: str, order: int = DEFAULT_ORDER) -> int:
     """Curve index of a single non-negative grid cell."""
     arr = np.array([[coord[0], coord[1], coord[2]]], dtype=np.int64)
     return int(curve_index_batch(arr, kind, order)[0])
-
-
-def _covering_order(spread: int, kind: str, order: int) -> int:
-    """The order `sort_tokens` keys a spread at: `order`, raised until it covers the spread."""
-    bits = spread.bit_length()
-    if bits <= order:
-        return order
-    # a Hilbert key keeps its value only in steps of 3 orders, a Morton key in any step
-    step = 1 if kind.startswith("z") else 3
-    covering = order + step * -((order - bits) // step)  # the first step at or above bits
-    most = order + step * ((_MAX_KEY_ORDER - order) // step)
-    if covering > most:
-        raise RangeError(
-            f"coordinate spread {spread} needs {bits} bits per axis; a {kind} key from order "
-            f"{order} holds at most {most} in uint64 (spread below {1 << most})"
-        )
-    return covering
 
 
 def sort_tokens(coords, kind: str, order: int = DEFAULT_ORDER) -> SerializationOrder:
@@ -250,7 +249,7 @@ def sort_tokens(coords, kind: str, order: int = DEFAULT_ORDER) -> SerializationO
         raise RangeError(f"expected an (N, 3) coordinate array, got shape {coords.shape}")
     axes = _axes_matrix(coords - coords.min(axis=0, keepdims=True), kind)
     _check_order(order)
-    keys = _keys(axes, kind, _covering_order(int(axes.max()), kind, order))
+    keys = _keys(axes, kind, order)
     perm = np.argsort(keys, kind="stable").astype(np.int64)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm), dtype=np.int64)

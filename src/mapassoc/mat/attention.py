@@ -16,8 +16,7 @@ Both ops run one batched kernel instead of a loop over groups:
 
 - Project once. Q/K/V are projected once per unique token (`_project`).
   The weights arrive as float64 when the forward pass reads
-  `PreparedWeights`, cast once per run; a float32 `AttnWeights` from a
-  library caller is cast once per op. RoPE axes that belong to the token
+  `PreparedWeights`, cast once per run. RoPE axes that belong to the token
   itself, the instance axis and the three grid axes, are rotated there too,
   Q and K by one table of factors, so a token on 30 paths is projected and
   rotated once.
@@ -90,7 +89,7 @@ def layer_norm(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, eps: float =
     mean = x64.mean(axis=-1, keepdims=True)
     var = x64.var(axis=-1, keepdims=True)
     out = (x64 - mean) / np.sqrt(var + eps)
-    out = out * np.asarray(weight, dtype=np.float64) + np.asarray(bias, dtype=np.float64)
+    out = out * weight + bias
     return out.astype(np.asarray(x).dtype)
 
 
@@ -195,15 +194,7 @@ class AttnWeights:
         return np.asarray(self.q_w).shape[0]
 
 
-def _cast(w: AttnWeights) -> tuple:
-    """The eight projection tensors as float64, cast once per op."""
-    return tuple(
-        np.asarray(getattr(w, f), dtype=np.float64)
-        for f in ("q_w", "q_b", "k_w", "k_b", "v_w", "v_b", "out_w", "out_b")
-    )
-
-
-def _project(x: np.ndarray, w64: tuple, heads: int, pos: np.ndarray, base: float) -> tuple:
+def _project(x: np.ndarray, w: AttnWeights, pos: np.ndarray, base: float) -> tuple:
     """(QK, V) of tokens x: QK is (2, heads, n, hd) float64 rotated by pos, V (heads, n, hd).
 
     pos holds the RoPE positions that belong to the token itself, one column
@@ -211,17 +202,17 @@ def _project(x: np.ndarray, w64: tuple, heads: int, pos: np.ndarray, base: float
     groups it sits in. Q and K are rotated in one call, by one table.
     """
     n, c = x.shape
-    if c != w64[0].shape[0]:
-        raise ConfigError(f"token width {c} does not match weights ({w64[0].shape[0]})")
+    if c != w.channels:
+        raise ConfigError(f"token width {c} does not match weights ({w.channels})")
     x64 = np.asarray(x, dtype=np.float64)
-    hd = c // heads
+    heads, hd = w.heads, c // w.heads
     qk = np.empty((2, n, c), dtype=np.float64)
-    for i in range(2):
-        np.matmul(x64, w64[2 * i], out=qk[i])
-        qk[i] += w64[2 * i + 1]
+    for i, (proj_w, proj_b) in enumerate(((w.q_w, w.q_b), (w.k_w, w.k_b))):
+        np.matmul(x64, proj_w, out=qk[i])
+        qk[i] += proj_b
     # V gets its own buffer: a view into QK's would keep unrotated Q and K alive
-    v = x64 @ w64[4]
-    v += w64[5]
+    v = x64 @ w.v_w
+    v += w.v_b
     qk = qk.reshape(2, n, heads, hd).transpose(0, 2, 1, 3)
     return rope_rotate(qk, pos, pos.shape[1], base), v.reshape(n, heads, hd).transpose(1, 0, 2)
 
@@ -244,9 +235,9 @@ def _group_attention(q, k, v) -> np.ndarray:
     return out.transpose(1, 2, 0, 3).reshape(b * length, heads * hd)
 
 
-def _out_project(y: np.ndarray, w64: tuple, dtype) -> np.ndarray:
-    out = y @ w64[6]
-    out += w64[7]
+def _out_project(y: np.ndarray, w: AttnWeights, dtype) -> np.ndarray:
+    out = y @ w.out_w
+    out += w.out_b
     return out.astype(dtype, copy=False)
 
 
@@ -281,9 +272,8 @@ def path_attention(
         raise ConfigError(f"positions shape {inst.shape}, expected ({n},)")
     if n == 0:
         return x.copy()
-    w64 = _cast(weights)
     token_pos = np.stack([np.zeros(n, dtype=np.int64), inst], axis=1)
-    qk, v = _project(x, w64, weights.heads, token_pos, rope_base)
+    qk, v = _project(x, weights, token_pos, rope_base)
     c = weights.channels
     acc = np.zeros((n, c), dtype=np.float64)
     channels = np.arange(c)
@@ -313,7 +303,7 @@ def path_attention(
                 np.add.at(acc.reshape(-1), cells, out.ravel())
     del qk, v  # free them before the output projection
     acc /= counts[:, None]
-    return _out_project(acc, w64, x.dtype)
+    return _out_project(acc, weights, x.dtype)
 
 
 def spatial_attention(
@@ -349,7 +339,6 @@ def spatial_attention(
         perm = sort_tokens(coords, kind, order).perm
     elif np.shape(perm) != (n,):
         raise ConfigError(f"perm shape {np.shape(perm)}, expected ({n},)")
-    w64 = _cast(weights)
     out = np.empty_like(x)
     # whole patches per step; each token sits in exactly one patch, so
     # projecting step by step still projects every token once
@@ -358,13 +347,13 @@ def spatial_attention(
     for start in range(0, n, step):
         tok = perm[start : start + step]
         m = len(tok)
-        qk, v = _project(x[tok], w64, heads, coords[tok], rope_base)
+        qk, v = _project(x[tok], weights, coords[tok], rope_base)
         full = m - m % patch_size
         # whole patches as one batch, the short last patch as a batch of one
         for lo, hi, size in ((0, full, patch_size), (full, m, m - full)):
             if hi > lo:
                 groups = (a[:, lo:hi].reshape(heads, -1, size, hd) for a in (qk[0], qk[1], v))
-                out[tok[lo:hi]] = _out_project(_group_attention(*groups), w64, x.dtype)
+                out[tok[lo:hi]] = _out_project(_group_attention(*groups), weights, x.dtype)
     return out
 
 

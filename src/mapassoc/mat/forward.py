@@ -25,7 +25,7 @@ from ..curves import CURVE_KINDS, grid_encode_batch
 from ..errors import ConfigError, LabelError
 from ..geometry import PathIndex, Scene, enumerate_paths
 from .attention import AttnWeights, gelu, layer_norm, path_attention, serializations, spatial_attention
-from .config import ModelConfig
+from .config import POOLING_KINDS, ModelConfig
 from .weights import EMBED_IN, prepare_weights
 
 __all__ = [
@@ -144,15 +144,14 @@ def embed_vectors(vectors, weights: Mapping) -> np.ndarray:
         w2, b2 = weights["embed.fc2.weight"], weights["embed.fc2.bias"]
     except KeyError as err:
         raise ConfigError(f"missing embedding tensor {err.args[0]}") from None
-    w1 = np.asarray(w1, dtype=np.float64)
-    w2 = np.asarray(w2, dtype=np.float64)
+    w1, w2 = np.asarray(w1), np.asarray(w2)
     if w1.ndim != 2 or w1.shape[0] != EMBED_IN:
         raise ConfigError(f"embed.fc1.weight shape {w1.shape}, expected ({EMBED_IN}, C)")
     if w2.ndim != 2 or w2.shape[0] != w1.shape[1]:
         raise ConfigError(f"embed.fc2.weight shape {w2.shape} does not chain {w1.shape}")
     x = np.asarray([v.as_tuple() for v in vectors], dtype=np.float64)
-    h = gelu(x @ w1 + np.asarray(b1, dtype=np.float64))
-    out = h @ w2 + np.asarray(b2, dtype=np.float64)
+    h = gelu(x @ w1 + b1)
+    out = h @ w2 + b2
     return out.astype(np.float32)
 
 
@@ -168,11 +167,11 @@ def resolve_curve_kinds(cfg: ModelConfig, curve_seed: int = 0) -> tuple:
 def _ffn(x: np.ndarray, weights: Mapping, base: str) -> np.ndarray:
     h = layer_norm(x, weights[f"{base}.norm.weight"], weights[f"{base}.norm.bias"])
     # in-place bias adds and gelu keep the (N, 4C) hidden layer to two buffers
-    h64 = h.astype(np.float64) @ np.asarray(weights[f"{base}.fc1.weight"], dtype=np.float64)
-    h64 += np.asarray(weights[f"{base}.fc1.bias"], dtype=np.float64)
+    h64 = h.astype(np.float64) @ weights[f"{base}.fc1.weight"]
+    h64 += weights[f"{base}.fc1.bias"]
     h64 = gelu(h64)
-    out = h64 @ np.asarray(weights[f"{base}.fc2.weight"], dtype=np.float64)
-    out += np.asarray(weights[f"{base}.fc2.bias"], dtype=np.float64)
+    out = h64 @ weights[f"{base}.fc2.weight"]
+    out += weights[f"{base}.fc2.bias"]
     return out.astype(np.float32)
 
 
@@ -204,10 +203,8 @@ def mat_forward(
     bi = 0
     for s, stage in enumerate(cfg.stages):
         if s > 0:
-            x64 = x.astype(np.float64)
-            w = np.asarray(weights[f"stage{s}.proj.weight"], dtype=np.float64)
-            b = np.asarray(weights[f"stage{s}.proj.bias"], dtype=np.float64)
-            x = (x64 @ w + b).astype(np.float32)
+            w, b = weights[f"stage{s}.proj.weight"], weights[f"stage{s}.proj.bias"]
+            x = (x.astype(np.float64) @ w + b).astype(np.float32)
         for blk in range(stage.blocks):
             base = f"stage{s}.block{blk}"
             for attn in cfg.attention_order:
@@ -255,8 +252,8 @@ def association_probs(
         )
     if rmap.shape != (rd.shape[0],):
         raise ConfigError(f"road_token_map length {rmap.shape} != {rd.shape[0]} tokens")
-    if pooling not in ("avg", "max"):
-        raise ConfigError(f"pooling must be 'avg' or 'max', got {pooling!r}")
+    if pooling not in POOLING_KINDS:
+        raise ConfigError(f"pooling must be one of {POOLING_KINDS}, got {pooling!r}")
     if road_ids is None:
         road_ids = sorted(set(int(r) for r in rmap))
     road_ids = [int(r) for r in road_ids]

@@ -17,9 +17,11 @@ Naming scheme (fixed, also the manifest order on disk):
 
 The forward pass reads `PreparedWeights`: the tensors checked against one
 `ModelConfig` by `prepare_weights` and cast to read-only float64 once, so a
-run over many scenes neither checks nor casts them again per scene.
-Casting float32 to float64 is exact, so the prepared tensors give the same
-bits as casting in every op.
+run over many scenes neither checks nor casts them again per scene; each
+block's `AttnWeights` bundle is still assembled and shape-checked per
+forward pass. This is the one place weights become float64: the ops cast no
+weight, and a float32 tensor a library caller hands them is cast exactly by
+numpy's mixed-dtype arithmetic, so it gives the bits of its prepared copy.
 """
 
 from __future__ import annotations

@@ -76,12 +76,12 @@ class GenConfig:
     vector_spacing_hd: float = field(default=3.0, metadata=above(0))
     junction_radius: float = field(default=6.0, metadata=at_least(0))
     boundary_margin: float = field(default=1.5, metadata=at_least(0))
-    grid_rows: int = 2
-    grid_cols: int = 2
-    grid_pitch: float = 20.0
-    radial_arms: int = 3
+    grid_rows: int = field(default=2, metadata=at_least(1))
+    grid_cols: int = field(default=2, metadata=at_least(1))
+    grid_pitch: float = field(default=20.0, metadata=above(0))
+    radial_arms: int = field(default=3, metadata=at_least(2))
     carriageway_sep: float = field(default=9.0, metadata=at_least(0))
-    random_roads: int = 6
+    random_roads: int = field(default=6, metadata=at_least(1))
     road_clearance: float = field(default=18.0, metadata=at_least(0))
     seed: int = field(default=0, metadata=at_least(0))
 
@@ -174,8 +174,6 @@ def _grid_skeleton(cfg: GenConfig):
 
 
 def _radial_skeleton(cfg: GenConfig):
-    if cfg.radial_arms < 2:
-        raise GenerationError("radial layout needs at least 2 arms")
     ex, ey = cfg.sd_extent
     sep = cfg.carriageway_sep
     nodes = [Point2(0.0, 0.0)]

@@ -430,13 +430,13 @@ def test_projection_turns_q_and_k_by_one_table_like_rope_rotate(hd, axes):
     heads, n = 4, 37
     c = heads * hd
     w = rand_attn(c, heads, rng)
-    w64 = attention._cast(w)
     x = rng.standard_normal((n, c)).astype(np.float32)
     pos = rng.integers(0, 300, size=(n, axes))
-    qk, v = attention._project(x, w64, heads, pos, 10000.0)
+    qk, v = attention._project(x, w, pos, 10000.0)
     x64 = x.astype(np.float64)
-    for i, got in enumerate((qk[0], qk[1], v)):
-        y = (x64 @ w64[2 * i] + w64[2 * i + 1]).reshape(n, heads, hd).transpose(1, 0, 2)
+    projections = ((w.q_w, w.q_b), (w.k_w, w.k_b), (w.v_w, w.v_b))
+    for i, (got, (proj_w, proj_b)) in enumerate(zip((qk[0], qk[1], v), projections)):
+        y = (x64 @ proj_w + proj_b).reshape(n, heads, hd).transpose(1, 0, 2)
         np.testing.assert_array_equal(got, rope_rotate(y, pos, axes) if i < 2 else y)
 
 

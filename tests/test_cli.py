@@ -648,6 +648,25 @@ def test_negative_distance_exits_2_naming_the_field(tmp_path, capsys, field, lay
     assert not (tmp_path / "s.ndjson").exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("gen, message", [
+    ({"grid_rows": -1}, "grid_rows: must be >= 1, got -1"),
+    ({"grid_cols": 0}, "grid_cols: must be >= 1, got 0"),
+    ({"layout": "radial", "radial_arms": 1}, "radial_arms: must be >= 2, got 1"),
+    ({"layout": "random-planar", "random_roads": 0}, "random_roads: must be >= 1, got 0"),
+    ({"grid_pitch": -20.0}, "grid_pitch: must be > 0, got -20.0"),
+    # a range holds whatever the layout
+    ({"layout": "radial", "grid_pitch": -20.0}, "grid_pitch: must be > 0, got -20.0"),
+])
+def test_layout_count_out_of_range_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, threads, gen, message):
+    monkeypatch.setenv("MAPASSOC_THREADS", threads)
+    cfg = write_cfg(tmp_path, {"gen": gen})
+    rc = main(["gen", "--config", cfg, "--count", "2", "--out", str(tmp_path / "s.ndjson")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: gen config: {message}\n"
+    assert not (tmp_path / "s.ndjson").exists()
+
+
 @pytest.mark.parametrize("scale_range, message", [
     ([1.2, 0.9], "scale_range: low must be <= high, got (1.2, 0.9)"),
     ([0.0, 0.0], "scale_range: must be > 0, got (0.0, 0.0)"),
@@ -977,7 +996,6 @@ def test_report_missing_field_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--tau", "--chamfer-tau"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_eval_non_finite_tolerance_exits_2(tmp_path, capsys, flag, value):
-    field = {"--tau": "point_match_tau", "--chamfer-tau": "chamfer_tau"}[flag]
     scenes = gen_scenes(tmp_path, count=1)
     pred = str(tmp_path / "pred.ndjson")
     main(["associate", "--method", "knn", "--scenes", scenes, "--out", pred])
@@ -985,7 +1003,23 @@ def test_eval_non_finite_tolerance_exits_2(tmp_path, capsys, flag, value):
     rc = main(["eval", "--metric", "reachability", "--pred", pred, "--scenes", scenes,
                flag, value, "--report", str(tmp_path / "r.json")])
     assert rc == 2
-    assert f"error: {field}: must be finite, got {value}" in capsys.readouterr().err
+    assert f"error: {flag}: must be finite, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["associate", "--method", "knn", "--post", "--beam-k", "0"], "--beam-k: must be >= 1, got 0"),
+    (["eval", "--metric", "association", "--thresholds", "0.5,2"], "--thresholds: must be in (0, 1], got (0.5, 2.0)"),
+    (["eval", "--metric", "association", "--thresholds", "0.9,0.5"],
+     "--thresholds: must be strictly increasing, got (0.9, 0.5)"),
+])
+def test_a_config_error_from_a_flag_names_the_flag(tmp_path, capsys, argv, message):
+    scenes = gen_scenes(tmp_path, count=1)
+    pred = str(tmp_path / "pred.ndjson")
+    main(["associate", "--method", "knn", "--scenes", scenes, "--out", pred])
+    capsys.readouterr()
+    io = ["--pred", pred, "--report", str(tmp_path / "r.json")] if argv[0] == "eval" else ["--out", pred]
+    assert main([*argv, "--scenes", scenes, *io]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("body, field", [

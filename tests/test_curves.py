@@ -294,6 +294,21 @@ def test_hilbert_key_runs_at_the_lowest_exact_order(kind, monkeypatch):
     assert seen == ([] if kind.startswith("z") else [13])
 
 
+@pytest.mark.parametrize("kind", CURVE_KINDS)
+def test_index_and_sort_compute_keys_at_one_lowest_order(kind, monkeypatch):
+    # an 11-bit spread at order 16: Morton keys take 11 bit passes, Hilbert keys order 13
+    from mapassoc import curves
+
+    seen = []
+    for name in ("_morton", "_hilbert"):
+        kernel = getattr(curves, name)
+        monkeypatch.setattr(curves, name, lambda axes, order, kernel=kernel: seen.append(order) or kernel(axes, order))
+    cells = np.array([[0, 0, 0], [(1 << 11) - 1, 5, 15]])
+    np.testing.assert_array_equal(curve_index_batch(cells, kind, 16), curve_keys_reference(cells, kind, 16))
+    assert list(sort_tokens(cells, kind, 16).perm) == [0, 1]
+    assert seen == ([11, 11] if kind.startswith("z") else [13, 13])
+
+
 @given(st.data(), st.sampled_from(CURVE_KINDS), st.integers(min_value=17, max_value=21))
 @settings(max_examples=150, deadline=None)
 def test_sort_raises_the_order_for_a_wide_spread(data, kind, bits):

@@ -424,7 +424,8 @@ def test_guard_catches_a_hand_written_range_check(check, caught):
 # (class, field, tuple member or None, bound, accepted just below / at / just
 # above the bound: "+" accepted, "-" refused). The neighbours are the next
 # float each way, or the bound -1 and +1 for an int bound. The table was
-# recorded from the hand-written checks that field metadata replaced.
+# recorded from the hand-written checks that field metadata replaced; the
+# GenConfig layout counts and grid_pitch had no range before their metadata.
 RANGE_TABLE = [
     (GenConfig, "sd_extent", 0, 0.0, "--+"), (GenConfig, "sd_extent", 1, 0.0, "--+"),
     (GenConfig, "hd_extent", 0, 0.0, "--+"), (GenConfig, "hd_extent", 1, 0.0, "--+"),
@@ -434,6 +435,9 @@ RANGE_TABLE = [
     (GenConfig, "junction_radius", None, 0.0, "-++"), (GenConfig, "boundary_margin", None, 0.0, "-++"),
     (GenConfig, "carriageway_sep", None, 0.0, "-++"), (GenConfig, "road_clearance", None, 0.0, "-++"),
     (GenConfig, "seed", None, 0, "-++"),
+    (GenConfig, "grid_rows", None, 1, "-++"), (GenConfig, "grid_cols", None, 1, "-++"),
+    (GenConfig, "grid_pitch", None, 0.0, "--+"), (GenConfig, "radial_arms", None, 2, "-++"),
+    (GenConfig, "random_roads", None, 1, "-++"),
     (PerturbConfig, "dropout_rate", None, 0.0, "-++"), (PerturbConfig, "dropout_rate", None, 1.0, "++-"),
     (PerturbConfig, "oversegment_rate", None, 0.0, "-++"), (PerturbConfig, "oversegment_rate", None, 1.0, "++-"),
     (PerturbConfig, "jitter_sigma", None, 0.0, "-++"), (PerturbConfig, "seed", None, 0, "-++"),

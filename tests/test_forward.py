@@ -10,7 +10,7 @@ import pytest
 from mapassoc.curves import CURVE_KINDS, GridCoord, grid_encode_batch
 from mapassoc.errors import ConfigError, LabelError
 from mapassoc.geometry import DirVec, Point2
-from mapassoc.mat.attention import AttnWeights, gelu, layer_norm
+from mapassoc.mat.attention import AttnWeights, gelu, layer_norm, path_attention, spatial_attention
 from mapassoc.mat.config import FULL_VARIANTS, ModelConfig, StageSpec, desk_config, full_config
 from mapassoc.mat.forward import (
     KIND_BOUNDARY,
@@ -23,7 +23,7 @@ from mapassoc.mat.forward import (
     mat_forward,
     resolve_curve_kinds,
 )
-from mapassoc.mat import attention, weights as weights_module
+from mapassoc.mat import attention, forward as forward_module, weights as weights_module
 from mapassoc.mat.weights import PreparedWeights, init_weights, prepare_weights
 
 from oracles import path_attention_reference, spatial_attention_reference
@@ -258,6 +258,35 @@ def test_prepared_weights_give_the_plain_weights_bits(grid42):
     prepared, res = mat_associate(grid42, cfg, prepare_weights(raw, cfg))
     assert prepared.probs.tobytes() == plain.probs.tobytes()
     assert res.road_feats.dtype == np.float32
+
+
+@pytest.mark.parametrize("channels, heads", [(24, 2), (96, 4)])
+def test_float32_weights_give_the_bits_of_their_float64_copies(grid42, channels, heads):
+    # the ops cast no weight themselves: numpy casts a float32 tensor to
+    # float64 exactly before each float64 kernel, as PreparedWeights does once
+    cfg = small_config(stages=(StageSpec(1, channels, heads),))
+    rng = np.random.default_rng(channels)
+    narrow = {name: rng.standard_normal(shape).astype(np.float32) for name, shape in weights_module.weight_spec(cfg)}
+    wide = {name: t.astype(np.float64) for name, t in narrow.items()}
+    tokens = build_tokens(grid42)
+    coords = grid_encode_batch(tokens.vectors, cfg.grid_g, cfg.grid_R)
+    x = embed_vectors(tokens.vectors, wide)
+    base = "stage0.block0"
+    ops = {
+        "embed_vectors": lambda w: embed_vectors(tokens.vectors, w),
+        "layer_norm": lambda w: layer_norm(x, w[f"{base}.sa.norm.weight"], w[f"{base}.sa.norm.bias"]),
+        "path_attention": lambda w: path_attention(
+            x, tokens.pidx, AttnWeights.from_dict(w, f"{base}.pa", heads), tokens.inst_pos
+        ),
+        "spatial_attention": lambda w: spatial_attention(
+            x, coords, AttnWeights.from_dict(w, f"{base}.sa", heads), cfg.patch_size, "hilbert"
+        ),
+        "_ffn": lambda w: forward_module._ffn(x, w, f"{base}.ffn"),
+    }
+    for name, op in ops.items():
+        got, want = op(narrow), op(wide)
+        assert got.dtype == want.dtype == np.float32, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_prepared_weights_are_not_checked_again_for_their_config(tiny, monkeypatch):
