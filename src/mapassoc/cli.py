@@ -27,6 +27,8 @@ Faults are found as a serial run meets them: first the command's own inputs
 file and its record count), then each scene in file order (its parse, its
 `scene_ref` pairing, its work; for `gen`, generation through serialization).
 Whatever the worker count, the error raised is the first one in that order.
+A fault in a scene's work names the scene, as its parse faults do: its line
+for `associate` and `eval`, its index and seed for `gen`.
 """
 
 from __future__ import annotations
@@ -66,6 +68,10 @@ from .io import read_scenes, write_scenes  # noqa: F401  kept as module attribut
 from .mat import ModelConfig, PreparedWeights, desk_config, init_weights, mat_associate, prepare_weights
 from .metrics import MetricConfig, MetricReport, Prediction, association_pr, reachability_pr, report_table
 from .scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
+
+
+# the values of `eval --metric`, and of a report's "metric" field
+_METRICS = ("association", "reachability")
 
 
 def _threads() -> int:
@@ -284,6 +290,15 @@ def _from_flags(cls, **flagged):
         raise
 
 
+@contextlib.contextmanager
+def _naming(where: str):
+    """Re-raise a MapAssocError from a scene's work as the same type, prefixed with `where`."""
+    try:
+        yield
+    except MapAssocError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 def _non_negative(text: str) -> int:
     """An argparse type for seeds and counts."""
     if not text.isdecimal():
@@ -308,12 +323,13 @@ def _cmd_gen(args) -> int:
     base = args.seed if args.seed is not None else gen_cfg.seed
 
     def one(i: int) -> str:
-        scene = generate_scene(dataclasses.replace(gen_cfg, seed=base + i))
-        if pcfg is not None:
-            scene = perturb_scene(scene, dataclasses.replace(pcfg, seed=pcfg.seed + i))
-        if acfg is not None:
-            scene = augment_scene(scene, dataclasses.replace(acfg, seed=acfg.seed + i))
-        return dumps_scene(scene)
+        with _naming(f"scene {i} (seed {base + i})"):
+            scene = generate_scene(dataclasses.replace(gen_cfg, seed=base + i))
+            if pcfg is not None:
+                scene = perturb_scene(scene, dataclasses.replace(pcfg, seed=pcfg.seed + i))
+            if acfg is not None:
+                scene = augment_scene(scene, dataclasses.replace(acfg, seed=acfg.seed + i))
+            return dumps_scene(scene)
 
     lines = _map(one, range(args.count))
     write_lines(lines, args.out)
@@ -348,17 +364,18 @@ def _cmd_associate(args) -> int:
     def one(item) -> AssocRecord:
         i, where, line = item
         scene = loads_scene(line, where)
-        if method == "mat":
-            amat, _ = mat_associate(scene, mcfg, weights, curve_seed=args.curve_seed)
-        else:
-            # the soft matrix only feeds the decoder and the stored rows
-            amat = distance_assoc_matrix(scene) if args.post or args.store_probs else None
-        if args.post:
-            assoc = decode_association(scene, amat, dcfg)
-        elif method == "mat":
-            assoc = amat.argmax_association()
-        else:
-            assoc = knn_associate(scene) if method == "knn" else hmm_associate(scene)
+        with _naming(where):
+            if method == "mat":
+                amat, _ = mat_associate(scene, mcfg, weights, curve_seed=args.curve_seed)
+            else:
+                # the soft matrix only feeds the decoder and the stored rows
+                amat = distance_assoc_matrix(scene) if args.post or args.store_probs else None
+            if args.post:
+                assoc = decode_association(scene, amat, dcfg)
+            elif method == "mat":
+                assoc = amat.argmax_association()
+            else:
+                assoc = knn_associate(scene) if method == "knn" else hmm_associate(scene)
         return AssocRecord(
             method=(method + "+beam") if args.post else method,
             scene_ref=str(scene.meta.get("scene_id", f"scene-{i}")),
@@ -373,7 +390,7 @@ def _cmd_associate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    flagged = {"point_match_tau": ("--tau", args.tau), "chamfer_tau": ("--chamfer-tau", args.chamfer_tau)}
+    flagged = {}
     if args.thresholds:
         try:
             flagged["thresholds"] = ("--thresholds", tuple(float(t) for t in args.thresholds.split(",")))
@@ -396,7 +413,8 @@ def _cmd_eval(args) -> int:
             raise ValidationError(
                 f"record {i} references scene {records[i].scene_ref!r} but scene {i} is {str(sid)!r}"
             )
-        return score([Prediction(assoc=records[i].assoc)], [scene], cfg)
+        with _naming(where):
+            return score([Prediction(assoc=records[i].assoc)], [scene], cfg)
 
     report = MetricReport(cfg.thresholds, cfg.length_buckets, sum(rep.counts for rep in _map(one, items, costs)))
 
@@ -422,16 +440,20 @@ def _cmd_report(args) -> int:
         for key in ("name", "metric", "report"):
             if key not in doc:
                 raise ValidationError(f"report {path}: missing field {key!r}")
+        name, metric = doc["name"], doc["metric"]
+        if not isinstance(name, str):
+            raise ValidationError(f"report {path}: field 'name' must be a string, got {name!r}")
+        if metric not in _METRICS:
+            raise ValidationError(f"report {path}: field 'metric' must be one of {_METRICS}, got {metric!r}")
         try:
             rep = MetricReport.from_json(doc["report"])
         except (ConfigError, ValidationError) as exc:
             raise ValidationError(f"report {path}: field 'report': {exc}") from exc
-        name = str(doc["name"])
         reports.append((name, rep))
         prec, rec, f1 = rep.precision, rep.recall, rep.f1
         for j, th in enumerate(rep.thresholds):
-            rows.append([name, doc["metric"], f"{th:g}", f"{prec[j]:.6f}", f"{rec[j]:.6f}", f"{f1[j]:.6f}"])
-        rows.append([name, doc["metric"], "50:95", f"{rep.ap:.6f}", f"{rep.ar:.6f}", f"{rep.af1:.6f}"])
+            rows.append([name, metric, f"{th:g}", f"{prec[j]:.6f}", f"{rec[j]:.6f}", f"{f1[j]:.6f}"])
+        rows.append([name, metric, "50:95", f"{rep.ap:.6f}", f"{rep.ar:.6f}", f"{rep.af1:.6f}"])
     with open(args.csv, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["name", "metric", "threshold", "precision", "recall", "f1"])
@@ -477,11 +499,16 @@ def build_parser() -> argparse.ArgumentParser:
     assoc.set_defaults(fn=_cmd_associate)
 
     ev = sub.add_parser("eval", help="score predictions against ground truth")
-    ev.add_argument("--metric", required=True, choices=("association", "reachability"))
+    ev.add_argument(
+        "--metric",
+        required=True,
+        choices=_METRICS,
+        help="association: each gt lane path's label overlap with the prediction; reachability: whether the "
+        "predicted lane graph joins the path's endpoints. eval scores on the scene's own lane graph, so "
+        "reachability is 1.0 for any labels",
+    )
     ev.add_argument("--pred", required=True, help="association container to score")
     ev.add_argument("--scenes", required=True, help="scene container with ground truth")
-    ev.add_argument("--tau", type=float, default=1.5, help="endpoint match radius (meters)")
-    ev.add_argument("--chamfer-tau", type=float, default=1.0, help="reachability Chamfer tolerance (meters)")
     ev.add_argument("--thresholds", help="comma-separated overlap thresholds (default 0.5:0.05:0.95)")
     ev.add_argument("--name", help="row label in tables and CSV (default: method of first record)")
     ev.add_argument("--report", required=True, help="output JSON report")

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -73,7 +74,7 @@ class GridCoord(NamedTuple):
 
 @dataclass(frozen=True)
 class SerializationOrder:
-    """A serialization permutation and its inverse.
+    """A serialization permutation; its inverse is derived on first use.
 
     ``perm[i]`` is the original index of the token in serialized slot i;
     ``inv[j]`` is the serialized slot of original token j, so
@@ -81,7 +82,12 @@ class SerializationOrder:
     """
 
     perm: np.ndarray
-    inv: np.ndarray
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        inv = np.empty_like(self.perm)
+        inv[self.perm] = np.arange(len(self.perm), dtype=self.perm.dtype)
+        return inv
 
 
 def grid_encode(v: DirVec, g: float = DEFAULT_GRID_G, R: int = DEFAULT_GRID_R) -> GridCoord:
@@ -243,14 +249,10 @@ def sort_tokens(coords, kind: str, order: int = DEFAULT_ORDER) -> SerializationO
     """
     coords = np.asarray(coords, dtype=np.int64)
     if coords.size == 0:
-        e = np.zeros(0, dtype=np.int64)
-        return SerializationOrder(perm=e, inv=e.copy())
+        return SerializationOrder(perm=np.zeros(0, dtype=np.int64))
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise RangeError(f"expected an (N, 3) coordinate array, got shape {coords.shape}")
     axes = _axes_matrix(coords - coords.min(axis=0, keepdims=True), kind)
     _check_order(order)
     keys = _keys(axes, kind, order)
-    perm = np.argsort(keys, kind="stable").astype(np.int64)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm), dtype=np.int64)
-    return SerializationOrder(perm=perm, inv=inv)
+    return SerializationOrder(perm=np.argsort(keys, kind="stable").astype(np.int64))

@@ -60,8 +60,12 @@ class DecodeResult:
 
     labels: tuple
     score: float
-    fallback: bool = False
     fallback_positions: tuple = ()
+
+    @property
+    def fallback(self) -> bool:
+        """Whether any position took the unconstrained argmax."""
+        return bool(self.fallback_positions)
 
 
 def _best_cell(vals: list, cols: list) -> tuple:
@@ -219,12 +223,7 @@ def _search(path, logs, best_col, best_val, road_ids, pred, succ, k, max_len) ->
                 score += lrows[t][j]
                 fb = fb + (t,)
         labels = tuple(full)
-    return DecodeResult(
-        labels=labels,
-        score=float(score),
-        fallback=bool(fb),
-        fallback_positions=tuple(sorted(fb)),
-    )
+    return DecodeResult(labels=labels, score=float(score), fallback_positions=tuple(sorted(fb)))
 
 
 def decode_association(

@@ -6,6 +6,10 @@ centerline vectors with lane-level connectivity, plus boundary polylines).
 Coordinates are meters in an ego-centered frame; angles are radians in
 [-pi, pi) under the atan2 convention with +pi wrapped to -pi.
 
+Elements hold only the values that define them. A vector's heading is
+derived from its endpoints by `DirVec.theta` and is not stored; roads and
+boundaries share one polyline type that owns their checks.
+
 All containers are frozen dataclasses and safe to share across workers.
 Derived data (vectors of a polyline, adjacency maps) is computed once and
 cached on the instance. Each road and lane graph owns its DAG facts: one
@@ -92,11 +96,11 @@ def full_angle(dx: float, dy: float) -> float:
 
 @dataclass(frozen=True)
 class DirVec:
-    """A short directed vector: two endpoints plus the cached heading angle."""
+    """A short directed vector, defined by its two endpoints; its heading
+    `theta` is derived from them on each read, never stored."""
 
     p1: Point2
     p2: Point2
-    theta: float
 
     def __post_init__(self):
         if self.p1 == self.p2:
@@ -108,7 +112,12 @@ class DirVec:
             p1 = Point2(*p1)
         if type(p2) is not Point2:
             p2 = Point2(*p2)
-        return cls(p1, p2, full_angle(p2.x - p1.x, p2.y - p1.y))
+        return cls(p1, p2)
+
+    @property
+    def theta(self) -> float:
+        """Heading of p1 -> p2 in [-pi, pi) (see full_angle)."""
+        return full_angle(self.p2.x - self.p1.x, self.p2.y - self.p1.y)
 
     @property
     def length(self) -> float:
@@ -123,32 +132,36 @@ class DirVec:
         return (self.p1.x, self.p1.y, self.p2.x, self.p2.y, self.theta)
 
 
-def _check_polyline(points: Sequence[Point2], what: str, ident) -> tuple[Point2, ...]:
-    pts = tuple(points)
-    if not set(map(type, pts)) <= {Point2}:
-        pts = tuple(Point2(*p) for p in pts)
-    if len(pts) < 2:
-        raise InvalidGeometryError(f"{what} {ident}: needs at least 2 points")
-    if True in map(eq, pts, pts[1:]):
-        a = next(a for a, b in zip(pts, pts[1:]) if a == b)
-        raise InvalidGeometryError(f"{what} {ident}: repeated point {a}")
-    return pts
-
-
 @dataclass(frozen=True)
-class Road(object):
-    """An SD road: an ordered polyline with a stable integer id."""
+class _Polyline:
+    """An id plus an ordered polyline of at least 2 points, none repeated
+    back to back; `_NOUN` names the element kind in messages."""
 
     id: int
     points: tuple[Point2, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _check_polyline(self.points, "road", self.id))
+        pts = tuple(self.points)
+        if not set(map(type, pts)) <= {Point2}:
+            pts = tuple(Point2(*p) for p in pts)
+        if len(pts) < 2:
+            raise InvalidGeometryError(f"{self._NOUN} {self.id}: needs at least 2 points")
+        if True in map(eq, pts, pts[1:]):
+            a = next(a for a, b in zip(pts, pts[1:]) if a == b)
+            raise InvalidGeometryError(f"{self._NOUN} {self.id}: repeated point {a}")
+        object.__setattr__(self, "points", pts)
 
     @cached_property
     def vectors(self) -> tuple[DirVec, ...]:
         """Chained vectors between consecutive points; v[i].p2 == v[i+1].p1."""
         return tuple(DirVec.from_points(a, b) for a, b in zip(self.points, self.points[1:]))
+
+
+@dataclass(frozen=True)
+class Road(_Polyline):
+    """An SD road: an ordered polyline with a stable integer id."""
+
+    _NOUN = "road"
 
     @cached_property
     def length(self) -> float:
@@ -164,18 +177,10 @@ class Centerline:
 
 
 @dataclass(frozen=True)
-class Boundary:
+class Boundary(_Polyline):
     """An HD lane-boundary polyline with a stable id."""
 
-    id: int
-    points: tuple[Point2, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", _check_polyline(self.points, "boundary", self.id))
-
-    @cached_property
-    def vectors(self) -> tuple[DirVec, ...]:
-        return tuple(DirVec.from_points(a, b) for a, b in zip(self.points, self.points[1:]))
+    _NOUN = "boundary"
 
 
 _point2 = partial(tuple.__new__, Point2)  # Point2 from a checked [x, y] pair, unconverted

@@ -31,8 +31,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from math import atan2, isfinite, pi
-from operator import eq, ge, itemgetter, sub
+from math import isfinite
+from operator import eq, ge, itemgetter
 from typing import IO, Union
 
 import numpy as np
@@ -54,7 +54,6 @@ from .geometry import (
     _point2,
     _trusted,
     crop_extents,
-    full_angle,
     validate_scene,
 )
 
@@ -329,13 +328,7 @@ def _centerlines(elements, half):
     coords = _coords(p1s + p2s)
     if coords is None or any(map(eq, p1s, p2s)) or not _coords_within(coords, half):
         return None
-    n = len(coords) // 2  # p1 coordinates, then p2 coordinates
-    dxs = list(map(sub, coords[n::2], coords[0:n:2]))
-    dys = list(map(sub, coords[n + 1::2], coords[1:n:2]))
-    thetas = list(map(atan2, dys, dxs))
-    if pi in thetas:  # full_angle's wrap of +pi to -pi
-        thetas = list(map(full_angle, dxs, dys))
-    return ids, _trusted(DirVec, list(map(_point2, p1s)), list(map(_point2, p2s)), thetas)
+    return ids, _trusted(DirVec, list(map(_point2, p1s)), list(map(_point2, p2s)))
 
 
 def _edge_pairs(edges, ids: set):
@@ -423,7 +416,7 @@ def _scene_per_element(doc: dict, meta: dict, where: str) -> Scene:
         cid = _ident(c, f"{where}.hd.centerlines[{i}]")
         p1 = _point(_field(c, "p1", f"{where}.hd: centerline {cid}"), f"{where}.hd: centerline {cid} p1")
         p2 = _point(_field(c, "p2", f"{where}.hd: centerline {cid}"), f"{where}.hd: centerline {cid} p2")
-        vector = _named(f"{where}.hd: centerline {cid}", DirVec, p1, p2, full_angle(p2.x - p1.x, p2.y - p1.y))
+        vector = _named(f"{where}.hd: centerline {cid}", DirVec, p1, p2)
         cls.append(Centerline(id=cid, vector=vector))
     bounds = []
     for i, b in enumerate(_list_field(hd_doc, "boundaries", f"{where}.hd", optional=True)):

@@ -14,6 +14,13 @@ in turn; reachability uses the symmetric Chamfer distance against a single
 meter tolerance (its counts repeat across the threshold axis so both reports
 share one shape).
 
+Reachability judges a predicted lane graph, not labels. `mapassoc eval`
+passes no predicted graph, so it scores on the scene's own: every endpoint
+matches itself and every ground-truth path is its own first candidate, at
+Chamfer distance 0. There reachability is 1.0 for any labels, and neither
+`point_match_tau` nor `chamfer_tau` changes a count; they act only for a
+library caller that passes `Prediction(hd=...)`.
+
 No result is computed twice and no candidate is scored once its verdict is
 settled. A ground-truth path's verdict is an OR over its candidates, so
 scoring stops as soon as every threshold is TP. When the prediction reuses
@@ -220,11 +227,17 @@ class MetricReport:
             counts = None  # ragged nesting
         if counts is None or (counts.size and counts.dtype.kind != "i"):
             raise ValidationError("field 'counts' must be a nested list of integers")
-        return cls(
-            thresholds=tuple(ths),
-            buckets=tuple((lo, math.inf if hi is None else hi) for lo, hi in buckets),
-            counts=counts,
-        )
+        # the thresholds and buckets follow the rules of the config that made them
+        try:
+            cfg = MetricConfig(
+                thresholds=tuple(ths),
+                length_buckets=tuple((lo, math.inf if hi is None else hi) for lo, hi in buckets),
+            )
+        except ConfigError as exc:
+            name, _, rest = str(exc).partition(": ")
+            key = "buckets" if name == "length_buckets" else name
+            raise ValidationError(f"field {key!r}: {rest}") from None
+        return cls(thresholds=cfg.thresholds, buckets=cfg.length_buckets, counts=counts)
 
 
 # ---------------------------------------------------------------------------

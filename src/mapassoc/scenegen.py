@@ -46,7 +46,6 @@ from .geometry import (
     Scene,
     SdGraph,
     _point2,
-    full_angle,
     point_to_segment_distance,
     sample_polyline,
 )
@@ -455,12 +454,10 @@ def _ends(centerlines) -> np.ndarray:
 
 
 def _vectors(ends: np.ndarray) -> list:
-    """A DirVec per [p1x, p1y, p2x, p2y] row, its heading from `full_angle`
-    per vector, as `DirVec.from_points` gives it."""
-    dxs, dys = (ends[:, 2:] - ends[:, :2]).T.tolist()
+    """A DirVec per [p1x, p1y, p2x, p2y] row."""
     p1s = map(_point2, ends[:, :2].tolist())
     p2s = map(_point2, ends[:, 2:].tolist())
-    return list(map(DirVec, p1s, p2s, map(full_angle, dxs, dys)))
+    return list(map(DirVec, p1s, p2s))
 
 
 def _polylines(cls, elements, xy: np.ndarray) -> tuple:

@@ -51,7 +51,6 @@ from mapassoc.geometry import (
     Scene,
     SdGraph,
     enumerate_paths,
-    full_angle,
 )
 from mapassoc.metrics import chamfer_distance, label_sequence, overlap_ratio
 
@@ -473,7 +472,6 @@ def beam_decode_reference(
     return DecodeResult(
         labels=labels,
         score=float(score),
-        fallback=bool(fb),
         fallback_positions=tuple(sorted(fb)),
     )
 
@@ -945,7 +943,7 @@ def scene_from_doc_reference(doc: dict, where: str = "scene") -> Scene:
         p1 = _point_reference(_field_reference(c, "p1", owner), f"{owner} p1")
         p2 = _point_reference(_field_reference(c, "p2", owner), f"{owner} p2")
         try:
-            vector = DirVec(p1, p2, full_angle(p2.x - p1.x, p2.y - p1.y))
+            vector = DirVec(p1, p2)
         except InvalidGeometryError as exc:
             raise InvalidGeometryError(f"{owner}: {exc}") from None
         cls.append(Centerline(id=cid, vector=vector))

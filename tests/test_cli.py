@@ -16,8 +16,8 @@ from mapassoc import cli
 from mapassoc.assocmatrix import AssocMatrix
 from mapassoc.cli import main
 from mapassoc.errors import ValidationError
-from mapassoc.geometry import Point2
-from mapassoc.io import dumps_scene, read_assocs, read_scenes, save_weights
+from mapassoc.geometry import Association, Point2
+from mapassoc.io import AssocRecord, dumps_scene, read_assocs, read_scenes, save_weights, write_assocs
 from mapassoc.mat import desk_config, init_weights, weights as mat_weights
 from mapassoc.metrics import MetricReport
 from mapassoc.scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
@@ -203,10 +203,7 @@ def test_eval_reachability_metric(tmp_path):
     pred = str(tmp_path / "pred.ndjson")
     assert main(["associate", "--method", "knn", "--scenes", scenes, "--out", pred]) == 0
     report = str(tmp_path / "r.json")
-    rc = main([
-        "eval", "--metric", "reachability", "--pred", pred, "--scenes", scenes,
-        "--chamfer-tau", "0.5", "--report", report,
-    ])
+    rc = main(["eval", "--metric", "reachability", "--pred", pred, "--scenes", scenes, "--report", report])
     assert rc == 0
     doc = json.loads((tmp_path / "r.json").read_text())
     assert doc["metric"] == "reachability"
@@ -813,6 +810,46 @@ def test_a_scene_fault_names_its_line_once(tmp_path, capsys, monkeypatch, thread
     assert err.startswith("error: line 2") and err.count("line 2") == 1 and message in err
 
 
+def _no_roads(doc):
+    doc["sd"]["roads"], doc["sd"]["edges"], doc["gt"] = [], [], None
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv, message", [
+    (["associate", "--method", "knn"], "scene has no roads to associate against"),
+    (["associate", "--method", "hmm"], "scene has no roads to associate against"),
+    (["associate", "--method", "mat"], "no candidate roads to associate against"),
+    (["eval", "--metric", "association"], "scene has no ground-truth association"),
+])
+def test_a_fault_in_a_scenes_work_names_its_line(tmp_path, capsys, monkeypatch, threads, argv, message):
+    monkeypatch.setenv("MAPASSOC_THREADS", threads)
+    scenes = gen_scenes(tmp_path, count=2)
+    pred = str(tmp_path / "p.ndjson")
+    assert main(["associate", "--method", "knn", "--scenes", scenes, "--out", pred]) == 0
+    lines = Path(scenes).read_text().splitlines(keepends=True)
+    doc = json.loads(lines[1])
+    if argv[0] == "associate":
+        _no_roads(doc)
+    else:
+        doc["gt"] = None
+    lines[1] = json.dumps(doc) + "\n"
+    Path(scenes).write_text("".join(lines))
+    capsys.readouterr()
+    io = ["--out", pred] if argv[0] == "associate" else ["--pred", pred, "--report", str(tmp_path / "r.json")]
+    assert main([*argv, "--scenes", scenes, *io]) == 2
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_generation_fault_names_the_scene_and_its_seed(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("MAPASSOC_THREADS", threads)
+    # seeds 1, 2 and 4 place all 8 roads; seed 3 places 1
+    cfg = write_cfg(tmp_path, {"gen": {"layout": "random-planar", "random_roads": 8, "road_clearance": 40}})
+    rc = main(["gen", "--config", cfg, "--count", "4", "--seed", "1", "--out", str(tmp_path / "s.ndjson")])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: scene 2 (seed 3): random-planar layout infeasible: placed 1 of 8 roads\n"
+
+
 @pytest.mark.parametrize("method, code", [("knn", 0), ("hmm", 0), ("mat", 2)])
 def test_two_way_road_pair(tmp_path, capsys, method, code):
     # the baselines accept a road cycle; mat enumerates road paths, so it
@@ -994,16 +1031,38 @@ def test_report_missing_field_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--tau", "--chamfer-tau"])
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_eval_non_finite_tolerance_exits_2(tmp_path, capsys, flag, value):
+def test_eval_tolerance_flags_are_refused(tmp_path, capsys, flag):
+    # eval scores on the scene's own lane graph, where neither tolerance changes a count
     scenes = gen_scenes(tmp_path, count=1)
     pred = str(tmp_path / "pred.ndjson")
     main(["associate", "--method", "knn", "--scenes", scenes, "--out", pred])
     capsys.readouterr()
-    rc = main(["eval", "--metric", "reachability", "--pred", pred, "--scenes", scenes,
-               flag, value, "--report", str(tmp_path / "r.json")])
-    assert rc == 2
-    assert f"error: {flag}: must be finite, got {value}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--metric", "reachability", "--pred", pred, "--scenes", scenes,
+              flag, "1.0", "--report", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1.0" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_reachability_is_one_for_any_labels(tmp_path, capsys):
+    # eval passes no predicted lane graph, so every gt path is its own
+    # candidate: labelling every centerline with the first road scores
+    # reachability 1.0 while association drops
+    scenes = gen_scenes(tmp_path, cfg={}, count=4)
+    pred = str(tmp_path / "first-road.ndjson")
+    write_assocs([
+        AssocRecord("first-road", s.meta["scene_id"], Association({c.id: s.sd.roads[0].id for c in s.hd.centerlines}))
+        for s in read_scenes(scenes)
+    ], pred)
+    reports = {}
+    for metric in ("reachability", "association"):
+        report = tmp_path / f"{metric}.json"
+        assert main(["eval", "--metric", metric, "--pred", pred, "--scenes", scenes, "--report", str(report)]) == 0
+        reports[metric] = MetricReport.from_json(json.loads(report.read_text())["report"])
+    reach = reports["reachability"]
+    assert reach.ap == reach.ar == reach.af1 == 1.0 and reach.counts[:, :, 0].sum() > 0
+    assert reports["association"].af1 < 0.5
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1037,6 +1096,37 @@ def test_report_malformed_body_exits_2(tmp_path, capsys, body, field):
     assert rc == 2
     err = capsys.readouterr().err
     assert str(bad) in err and field in err
+
+
+def _report_edit(key, value):
+    return lambda doc: (doc["report"] if key in ("thresholds", "buckets") else doc).__setitem__(key, value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_report_edit("name", ["a"]), "field 'name' must be a string, got ['a']"),
+    (_report_edit("metric", 7), "field 'metric' must be one of ('association', 'reachability'), got 7"),
+    (_report_edit("thresholds", [0.5] * 10), "field 'report': field 'thresholds': must be strictly increasing"),
+    (_report_edit("thresholds", [0.5 + 0.1 * i for i in range(10)]),
+     "field 'report': field 'thresholds': must be in (0, 1]"),
+    (lambda doc: doc["report"]["buckets"].__setitem__(0, [5, 0]),
+     "field 'report': field 'buckets': must start at 0 and end at infinity"),
+], ids=["name", "metric", "equal-thresholds", "threshold-above-1", "first-bucket"])
+def test_report_refuses_a_body_eval_cannot_write(tmp_path, capsys, edit, message):
+    scenes = gen_scenes(tmp_path, count=1)
+    pred, good = str(tmp_path / "pred.ndjson"), tmp_path / "good.json"
+    main(["associate", "--method", "knn", "--scenes", scenes, "--out", pred])
+    main(["eval", "--metric", "association", "--pred", pred, "--scenes", scenes, "--report", str(good)])
+    assert main(["report", "--reports", str(good), "--csv", str(tmp_path / "good.csv")]) == 0
+    doc = json.loads(good.read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["report", "--reports", str(bad), "--csv", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report {bad}: {message}")
+    assert not (tmp_path / "out.csv").exists()
+
 
 
 # ---------------------------------------------------------------------------

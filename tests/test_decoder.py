@@ -3,6 +3,7 @@ and against the per-path decoder it replaced."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from mapassoc.assocmatrix import AssocMatrix
 from mapassoc.baselines import distance_assoc_matrix
-from mapassoc.decoder import DecoderConfig, beam_decode, decode_association, init_token
+from mapassoc.decoder import DecodeResult, DecoderConfig, beam_decode, decode_association, init_token
 from mapassoc.errors import ConfigError, LabelError
 from mapassoc.geometry import HdGraph, Point2, Road, Scene, SdGraph
 from mapassoc.mat import desk_config, init_weights, mat_associate
@@ -131,6 +132,14 @@ def test_beam_dead_end_falls_back_to_argmax():
     assert res.fallback
     assert res.fallback_positions == (1,)
     assert res.score == pytest.approx(0.0)
+
+
+def test_fallback_is_derived_from_its_positions():
+    assert "fallback" not in {f.name for f in dataclasses.fields(DecodeResult)}
+    assert not DecodeResult(labels=(1, 2), score=0.0).fallback
+    assert DecodeResult(labels=(1, 2), score=0.0, fallback_positions=(1,)).fallback
+    with pytest.raises(TypeError):
+        DecodeResult(labels=(1,), score=0.0, fallback=True)
 
 
 def test_beam_max_len_fills_flanks():

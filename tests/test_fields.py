@@ -3,7 +3,7 @@
 `mapassoc.fields` enforces the rule; every config class calls `check_fields`
 first in `__post_init__`. A property test feeds mutated `gen --config` and
 `--model-config` documents through the CLI, which must exit 0, 2 or 3, never
-raise. A guard keeps hand-written type checks from growing back.
+raise, and mutated `report` bodies, which must exit 0 or 2. A guard keeps hand-written type checks from growing back.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from mapassoc.decoder import DecoderConfig
 from mapassoc.errors import ConfigError
 from mapassoc.fields import check_fields, conform, fits
 from mapassoc.mat import ModelConfig, StageSpec
-from mapassoc.metrics import DEFAULT_THRESHOLDS, MetricConfig
+from mapassoc.metrics import DEFAULT_THRESHOLDS, MetricConfig, MetricReport
 from mapassoc.scenegen import AugConfig, GenConfig, PerturbConfig
 
 # ---------------------------------------------------------------------------
@@ -315,6 +315,40 @@ def test_mutated_model_config_exits_0_2_or_3(scenes, threads, doc):
         argv = ["associate", "--method", "mat", "--post", "--model-config", mc,
                 "--scenes", scenes, "--out", str(Path(tmp, "p.ndjson"))]
         assert _run(argv) in (0, 2, 3)
+
+
+REPORT_DOC = {
+    "name": "knn", "metric": "association", "scenes": 2,
+    "report": MetricReport(DEFAULT_THRESHOLDS, MetricConfig().length_buckets, np.ones((10, 15, 3), int)).to_json(),
+}
+REPORT_BODY_FIELDS = ("thresholds", "buckets", "counts")
+
+
+@st.composite
+def report_docs(draw) -> dict:
+    doc = json.loads(json.dumps(REPORT_DOC))
+    for _ in range(draw(st.integers(1, 2))):
+        body = doc.get("report")
+        where = draw(st.sampled_from(("document", "body", "member")))
+        if where == "document" or not isinstance(body, dict):
+            _mutant(draw, doc, ("name", "metric", "report"))
+        elif where == "body":
+            _mutant(draw, body, REPORT_BODY_FIELDS)
+        else:  # one threshold, bucket or row of counts
+            items = body.get(draw(st.sampled_from(REPORT_BODY_FIELDS)))
+            if isinstance(items, list) and items:
+                items[draw(st.integers(0, len(items) - 1))] = draw(st.sampled_from((*OTHER_TYPES, BIG, NEG_BIG)))
+    return doc
+
+
+@given(doc=report_docs())
+@example(doc=dict(REPORT_DOC, name=["a"]))
+@example(doc=dict(REPORT_DOC, metric=7))
+@settings(max_examples=200, deadline=None)
+def test_mutated_report_body_exits_0_or_2(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        report = _write(Path(tmp, "r.json"), doc)
+        assert _run(["report", "--reports", report, "--csv", str(Path(tmp, "out.csv"))]) in (0, 2)
 
 
 # ---------------------------------------------------------------------------

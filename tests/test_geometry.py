@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mapassoc import geometry
+from mapassoc import io as mio
 from mapassoc.errors import InvalidGeometryError, TopologyError, ValidationError
 from mapassoc.geometry import (
     Association,
@@ -32,7 +34,7 @@ from mapassoc.geometry import (
     vectorize_polyline,
 )
 
-from mapassoc.scenegen import GenConfig, PerturbConfig, generate_scene, perturb_scene
+from mapassoc.scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
 
 from conftest import make_centerline, tiny_scene
 from oracles import longest_path_depths
@@ -61,6 +63,85 @@ def test_dirvec_from_points():
 def test_dirvec_rejects_degenerate():
     with pytest.raises(InvalidGeometryError):
         DirVec.from_points(Point2(1.0, 2.0), Point2(1.0, 2.0))
+
+
+def test_dirvec_holds_only_its_endpoints():
+    assert [f.name for f in dataclasses.fields(DirVec)] == ["p1", "p2"]
+    with pytest.raises(TypeError):
+        DirVec(Point2(0.0, 0.0), Point2(1.0, 0.0), 0.3)
+
+
+def _derived(v: DirVec) -> bool:
+    """Whether `v.theta` has the bits of `full_angle` of its endpoints, in [-pi, pi)."""
+    want = full_angle(v.p2.x - v.p1.x, v.p2.y - v.p1.y)
+    return v.theta.hex() == want.hex() and -math.pi <= v.theta < math.pi
+
+
+COORD = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def endpoint_pairs(draw):
+    """Two distinct finite endpoints; one pair in four heads along -x."""
+    p1 = Point2(draw(COORD), draw(COORD))
+    if draw(st.integers(0, 3)):
+        p2 = Point2(draw(COORD), draw(COORD))
+    else:
+        p2 = Point2(p1.x - draw(st.floats(1e-3, 1e3)), p1.y)
+    assume(p2 != p1)
+    return p1, p2
+
+
+@given(st.lists(endpoint_pairs(), min_size=1, max_size=8))
+@example(pairs=[(Point2(0.0, 0.0), Point2(-1.0, 0.0)), (Point2(2.0, 0.0), Point2(1.0, -0.0))])
+@settings(max_examples=100, deadline=None)
+def test_every_constructor_and_reader_derives_the_heading(pairs):
+    made = [DirVec(p1, p2) for p1, p2 in pairs] + [DirVec.from_points(list(p1), tuple(p2)) for p1, p2 in pairs]
+    scene = Scene(
+        sd=SdGraph(roads=(Road(id=0, points=((0.0, 0.0), (1.0, 1.0))),), edges=()),
+        hd=HdGraph(centerlines=tuple(Centerline(i, v) for i, v in enumerate(made[: len(pairs)])), edges=()),
+    )
+    doc = mio.scene_to_doc(scene)
+    batch = mio._scene_in_batches(doc, {}, None, None)
+    per_element = mio._scene_per_element(doc, {}, "scene")
+    assert batch == per_element == scene
+    made += [c.vector for s in (batch, per_element) for c in s.hd.centerlines]
+    assert all(map(_derived, made))
+    for v in made:
+        if v.p2.y == v.p1.y and v.p2.x < v.p1.x:
+            assert v.theta == -math.pi
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("layout", ["grid", "radial", "random-planar"])
+def test_generated_perturbed_and_augmented_vectors_derive_the_heading(layout, seed):
+    scene = generate_scene(GenConfig(layout=layout, seed=seed))
+    noisy = perturb_scene(
+        scene, PerturbConfig(gps_shift=1.0, dropout_rate=0.1, jitter_sigma=0.2, oversegment_rate=0.3, seed=seed)
+    )
+    moved = augment_scene(noisy, AugConfig(rotate_p=1.0, flip_p=0.5, scale_range=(0.9, 1.1), seed=seed))
+    for s in (scene, noisy, moved):
+        vectors = [c.vector for c in s.hd.centerlines]
+        vectors += [v for e in (*s.sd.roads, *s.hd.boundaries) for v in e.vectors]
+        assert vectors and all(map(_derived, vectors))
+
+
+@pytest.mark.parametrize("cls, noun", [(Road, "road"), (Boundary, "boundary")])
+def test_polylines_check_their_points_and_name_their_kind(cls, noun):
+    with pytest.raises(InvalidGeometryError, match=f"^{noun} 7: needs at least 2 points$"):
+        cls(id=7, points=[(0.0, 0.0)])
+    with pytest.raises(InvalidGeometryError, match=re.escape(f"{noun} 7: repeated point {Point2(1.0, 1.0)}")):
+        cls(id=7, points=[(0.0, 0.0), (1.0, 1.0), (1.0, 1.0)])
+    line = cls(id=7, points=[[0, 0], [1, 0], [1, 2]])
+    assert line.points == (Point2(0, 0), Point2(1, 0), Point2(1, 2)) and type(line.points[0]) is Point2
+    assert [v.p2 for v in line.vectors] == list(line.points[1:])
+
+
+def test_a_road_and_a_boundary_are_never_equal():
+    pts = (Point2(0.0, 0.0), Point2(1.0, 0.0))
+    assert Road(1, pts) == Road(1, pts) and Boundary(1, pts) == Boundary(1, pts)
+    assert Road(1, pts) != Boundary(1, pts)
+    assert len({Road(1, pts), Boundary(1, pts)}) == 2
 
 
 # ---------------------------------------------------------------------------
