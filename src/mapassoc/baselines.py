@@ -5,114 +5,41 @@ midpoint. The HMM treats roads as hidden states along each lane path:
 Gaussian emissions on midpoint-to-road distance, transitions favoring staying
 on a road or moving to a connected one. It decodes by max-product over the
 lane DAG, so the number of lane paths never enters its cost. Both read one
-distance kernel, which measures every centerline midpoint against every road
-segment of a scene in one pass per block of rows, with the same bits as the
-per-segment formula; the Gaussian emissions double as a soft association
-matrix for the topology-constrained decoder.
+distance matrix per scene, `Scene.road_distances`, computed on first use and
+cached on the scene, so a run that also builds the soft association matrix
+measures each scene once; the Gaussian emissions double as that soft matrix
+for the topology-constrained decoder.
+
+The HMM's parameters are constants: an emission sigma of 4.07 m, the scale
+reconstructed from typical lane-to-road offsets, and per road a transition
+weight of 0.7 to itself and 0.3 shared among the roads it connects to,
+normalized per row. A road never moves to one it does not connect to.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assocmatrix import AssocMatrix
-from .errors import LabelError, NoFeasiblePathError
-from .fields import above, at_least, check_fields
+from .errors import NoFeasiblePathError
 from .geometry import Association, Scene
 from .geometry import enumerate_paths  # noqa: F401  kept as a module attribute; bench/tracer.py patches it
 
 __all__ = [
-    "HmmParams",
+    "EMISSION_SIGMA",
+    "TRANSITION_SELF",
+    "TRANSITION_ADJACENT",
     "knn_associate",
     "viterbi",
     "hmm_associate",
     "distance_assoc_matrix",
 ]
 
-
-@dataclass(frozen=True)
-class HmmParams:
-    """HMM settings. The emission sigma matches the scale reconstructed from
-    typical lane-to-road offsets; transition weights are normalized per row."""
-
-    emission_sigma: float = field(default=4.07, metadata=above(0))
-    transition_self: float = field(default=0.7, metadata=above(0))
-    transition_adjacent: float = field(default=0.3, metadata=at_least(0))
-    disallow_nonadjacent: bool = True
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-# ---------------------------------------------------------------------------
-# distance kernel
-
-
-# Most (centerline, road segment) pairs one block of the distance kernel
-# holds: each float64 temporary of a block stays within 1 MB.
-_PAIRS_PER_BLOCK = 1 << 17
-
-
-def _scene_distances(scene: Scene) -> tuple[np.ndarray, tuple, tuple]:
-    """(n_centerlines, n_roads) midpoint distances, plus sorted id orders.
-
-    A distance is the minimum over the road's segments of the distance from
-    the midpoint to the foot of its perpendicular, clamped to the segment.
-    Every road segment is one entry of x and y columns, so one pass per block
-    of centerline rows measures every road; the per-road minimum is one
-    `minimum.reduceat` over each road's run of segments.
-    """
-    cls, roads = scene.hd.centerlines, scene.sd.roads  # both sorted by id
-    if not roads:
-        raise LabelError("scene has no roads to associate against")
-    chain = itertools.chain.from_iterable
-    ends = np.fromiter(chain(c.vector.p1 + c.vector.p2 for c in cls), dtype=np.float64).reshape(-1, 4)
-    mx = (ends[:, 0] + ends[:, 2]) / 2.0
-    my = (ends[:, 1] + ends[:, 3]) / 2.0
-
-    # the points of all roads in id order; a segment joining one road's last
-    # point to the next road's first is dropped
-    counts = np.array([len(r.points) for r in roads], dtype=np.int64)
-    pts = np.fromiter(chain(chain(r.points for r in roads)), dtype=np.float64).reshape(-1, 2)
-    x, y = pts[:, 0], pts[:, 1]
-    keep = np.ones(len(pts) - 1, dtype=bool)
-    keep[np.cumsum(counts)[:-1] - 1] = False
-    ax, ay = x[:-1][keep], y[:-1][keep]
-    sx, sy = np.diff(x)[keep], np.diff(y)[keep]
-    seg2 = sx * sx + sy * sy
-    first = np.concatenate(([0], np.cumsum(counts - 1)[:-1]))
-
-    # t = ((m - a) . s) / |s|^2 clamped to [0, 1], e = m - (a + t s): the
-    # per-segment formula's order of operations, so every float is the same
-    dist = np.empty((len(cls), len(roads)), dtype=np.float64)
-    step = max(1, _PAIRS_PER_BLOCK // len(sx))
-    for lo in range(0, len(cls), step):
-        bx, by = mx[lo : lo + step, None], my[lo : lo + step, None]
-        t = bx - ax
-        t *= sx
-        e = by - ay
-        e *= sy
-        t += e
-        t /= seg2
-        np.clip(t, 0.0, 1.0, out=t)
-        np.multiply(t, sx, out=e)
-        e += ax
-        np.subtract(bx, e, out=e)  # e = x error
-        t *= sy
-        t += ay
-        np.subtract(by, t, out=t)  # t = y error
-        e *= e
-        t *= t
-        e += t
-        np.sqrt(e, out=e)
-        dist[lo : lo + step] = np.minimum.reduceat(e, first, axis=1)
-    cl_ids = tuple(c.id for c in cls)
-    road_ids = tuple(r.id for r in roads)
-    return dist, cl_ids, road_ids
+EMISSION_SIGMA = 4.07
+TRANSITION_SELF = 0.7
+TRANSITION_ADJACENT = 0.3
 
 
 def knn_associate(scene: Scene) -> Association:
@@ -120,9 +47,9 @@ def knn_associate(scene: Scene) -> Association:
 
     Ties resolve to the lowest road id.
     """
-    dist, cl_ids, road_ids = _scene_distances(scene)
-    best = np.argmin(dist, axis=1)  # first min, columns ascend by road id
-    labels = {c: int(road_ids[b]) for c, b in zip(cl_ids, best)}
+    road_ids = scene.sd.node_ids
+    best = np.argmin(scene.road_distances, axis=1)  # first min, columns ascend by road id
+    labels = {c: int(road_ids[b]) for c, b in zip(scene.hd.node_ids, best)}
     return Association(labels=labels, meta={"method": "knn"})
 
 
@@ -162,31 +89,22 @@ def viterbi(log_emissions, log_transitions, log_prior) -> tuple[list, float]:
     return states, best
 
 
-def _log_transition_matrix(scene: Scene, params: HmmParams, road_ids: tuple) -> np.ndarray:
-    n = len(road_ids)
+def _log_transition_matrix(scene: Scene) -> np.ndarray:
+    road_ids = scene.sd.node_ids
     col = {r: j for j, r in enumerate(road_ids)}
-    succ = scene.sd.successors
-    w = np.zeros((n, n), dtype=np.float64)
+    w = np.zeros((len(road_ids), len(road_ids)), dtype=np.float64)
     for i, rid in enumerate(road_ids):
-        adjacent = succ.get(rid, ())
-        w[i, i] = params.transition_self
-        if adjacent:
-            share = params.transition_adjacent / len(adjacent)
-            for other in adjacent:
-                w[i, col[other]] += share
-        if not params.disallow_nonadjacent:
-            # lenient mode: a small uniform floor keeps every move possible
-            floor = params.transition_adjacent / max(n, 1)
-            for j in range(n):
-                if j != i and w[i, j] == 0.0:
-                    w[i, j] = floor
+        adjacent = scene.sd.successors[rid]
+        w[i, i] = TRANSITION_SELF
+        for other in adjacent:
+            w[i, col[other]] += TRANSITION_ADJACENT / len(adjacent)
         w[i] /= w[i].sum()
     with np.errstate(divide="ignore"):
         return np.log(w)
 
 
-def _log_emissions(dist: np.ndarray, sigma: float) -> np.ndarray:
-    return -0.5 * (dist / sigma) ** 2 - math.log(sigma * math.sqrt(2.0 * math.pi))
+def _log_emissions(dist: np.ndarray) -> np.ndarray:
+    return -0.5 * (dist / EMISSION_SIGMA) ** 2 - math.log(EMISSION_SIGMA * math.sqrt(2.0 * math.pi))
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -221,7 +139,7 @@ def _max_plus(log_tr: np.ndarray):
     """x -> out[:, s] = max_t x[:, t] + log_tr[t, s], over finite entries only.
 
     Leaving out the -inf entries is exact: every column keeps its finite
-    diagonal (transition_self > 0), which is never below a dropped entry.
+    diagonal (TRANSITION_SELF > 0), which is never below a dropped entry.
     """
     cols, rows = np.nonzero(np.isfinite(log_tr.T))  # sorted by column
     vals = log_tr[rows, cols]
@@ -261,7 +179,7 @@ def _max_marginals(em: np.ndarray, log_tr: np.ndarray, log_prior: float, edges: 
     return m
 
 
-def hmm_associate(scene: Scene, params: HmmParams = HmmParams()) -> Association:
+def hmm_associate(scene: Scene) -> Association:
     """Max-marginal road labels over every lane path, without enumerating paths.
 
     Roads are hidden states along each root-to-leaf path of the lane DAG. One
@@ -286,12 +204,12 @@ def hmm_associate(scene: Scene, params: HmmParams = HmmParams()) -> Association:
     Raises TopologyError on a lane-graph cycle.
     """
     depth = np.array(scene.hd.depths, dtype=np.int64)  # raises on a cycle
-    dist, cl_ids, road_ids = _scene_distances(scene)
+    dist, cl_ids, road_ids = scene.road_distances, scene.hd.node_ids, scene.sd.node_ids
     edges = np.searchsorted(cl_ids, np.array(scene.hd.edges, dtype=np.int64).reshape(-1, 2))
-    log_tr = _log_transition_matrix(scene, params, road_ids)
+    log_tr = _log_transition_matrix(scene)
     # an emission or a path score that overflows to -inf is a zero probability
     with np.errstate(over="ignore"):
-        em = _log_emissions(dist, params.emission_sigma)
+        em = _log_emissions(dist)
         m = _max_marginals(em, log_tr, -math.log(len(road_ids)), edges, depth)
 
     best = np.argmax(m, axis=1)  # first max, columns ascend by road id
@@ -304,11 +222,10 @@ def hmm_associate(scene: Scene, params: HmmParams = HmmParams()) -> Association:
     return Association(labels=labels, meta=meta)
 
 
-def distance_assoc_matrix(scene: Scene, sigma: float = HmmParams.emission_sigma) -> AssocMatrix:
+def distance_assoc_matrix(scene: Scene) -> AssocMatrix:
     """Soft association from Gaussian distance emissions, row-normalized.
 
     Gives classical methods a probability matrix the beam decoder can
     post-process.
     """
-    dist, cl_ids, road_ids = _scene_distances(scene)
-    return AssocMatrix.from_logits(_log_emissions(dist, sigma), cl_ids, road_ids)
+    return AssocMatrix.from_logits(_log_emissions(scene.road_distances), scene.hd.node_ids, scene.sd.node_ids)

@@ -27,8 +27,9 @@ Faults are found as a serial run meets them: first the command's own inputs
 file and its record count), then each scene in file order (its parse, its
 `scene_ref` pairing, its work; for `gen`, generation through serialization).
 Whatever the worker count, the error raised is the first one in that order.
-A fault in a scene's work names the scene, as its parse faults do: its line
-for `associate` and `eval`, its index and seed for `gen`.
+A fault in a scene's `scene_ref` pairing or its work names the scene, as its
+parse faults do: its line for `associate` and `eval`, its index and seed for
+`gen`.
 """
 
 from __future__ import annotations
@@ -409,11 +410,11 @@ def _cmd_eval(args) -> int:
         i, where, line = item
         scene = loads_scene(line, where)
         sid = scene.meta.get("scene_id")
-        if sid is not None and records[i].scene_ref != str(sid):
-            raise ValidationError(
-                f"record {i} references scene {records[i].scene_ref!r} but scene {i} is {str(sid)!r}"
-            )
         with _naming(where):
+            if sid is not None and records[i].scene_ref != str(sid):
+                raise ValidationError(
+                    f"record {i + 1} references scene {records[i].scene_ref!r} but this scene is {str(sid)!r}"
+                )
             return score([Prediction(assoc=records[i].assoc)], [scene], cfg)
 
     report = MetricReport(cfg.thresholds, cfg.length_buckets, sum(rep.counts for rep in _map(one, items, costs)))

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,20 +92,22 @@ class SerializationOrder:
 
 def grid_encode(v: DirVec, g: float = DEFAULT_GRID_G, R: int = DEFAULT_GRID_R) -> GridCoord:
     """Quantize one vector to its grid cell (`grid_encode_batch` of one)."""
-    return GridCoord(*grid_encode_batch([v], g, R)[0].tolist())
+    return GridCoord(*grid_encode_batch([v.as_tuple()], g, R)[0].tolist())
 
 
-def grid_encode_batch(
-    vectors: Sequence[DirVec], g: float = DEFAULT_GRID_G, R: int = DEFAULT_GRID_R
-) -> np.ndarray:
-    """Quantize many vectors at once; returns an (N, 3) int64 array."""
+def grid_encode_batch(features, g: float = DEFAULT_GRID_G, R: int = DEFAULT_GRID_R) -> np.ndarray:
+    """Quantize many vectors at once; returns an (N, 3) int64 array.
+
+    `features` holds one row per vector, `DirVec.as_tuple()`: an (N, 5)
+    array or a sequence of such rows.
+    """
     if g <= 0.0:
         raise RangeError(f"cell size must be positive, got {g}")
     if R < 1:
         raise RangeError(f"sector count must be >= 1, got {R}")
-    if len(vectors) == 0:
+    if len(features) == 0:
         return np.zeros((0, 3), dtype=np.int64)
-    a = np.array([v.as_tuple() for v in vectors], dtype=np.float64)
+    a = np.asarray(features, dtype=np.float64)
     x = np.floor((a[:, 0] + a[:, 2]) / (2.0 * g)).astype(np.int64)
     y = np.floor((a[:, 1] + a[:, 3]) / (2.0 * g)).astype(np.int64)
     theta_norm = np.mod(a[:, 4], _TWO_PI)

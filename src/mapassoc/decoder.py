@@ -45,10 +45,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Beam width and an optional cap on beam-grown sequence length."""
+    """Beam width; the beam always grows to the full length of the path."""
 
     k: int = field(default=5, metadata=at_least(1))
-    max_len: Union[int, None] = field(default=None, metadata=at_least(1))
 
     def __post_init__(self):
         check_fields(self)
@@ -126,10 +125,8 @@ def beam_decode(
 
     `sd_edges` is the directed road connectivity; an extension to the left
     prepends a predecessor of the current first label, to the right appends a
-    successor of the current last label. Tokens outside the beam-grown span
-    (only possible under a max_len cap) are filled by unconstrained argmax and
-    flagged. Raises ConfigError on a malformed shape or a cell that is not a
-    finite probability >= 0.
+    successor of the current last label. Raises ConfigError on a malformed
+    shape or a cell that is not a finite probability >= 0.
     """
     rows = np.asarray(rows, dtype=np.float64)
     single = paths is None
@@ -152,12 +149,12 @@ def beam_decode(
     best_val = rows.max(axis=1).tolist()
     pred, succ = _road_tables(road_ids, sd_edges)
     results = [
-        _search(path, logs, best_col, best_val, road_ids, pred, succ, cfg.k, cfg.max_len) for path in paths
+        _search(path, logs, best_col, best_val, road_ids, pred, succ, cfg.k) for path in paths
     ]
     return results[0] if single else results
 
 
-def _search(path, logs, best_col, best_val, road_ids, pred, succ, k, max_len) -> DecodeResult:
+def _search(path, logs, best_col, best_val, road_ids, pred, succ, k) -> DecodeResult:
     """The beam search over one path's rows; see the module docstring."""
     if not len(path):
         raise LabelError("empty lane path")
@@ -173,9 +170,8 @@ def _search(path, logs, best_col, best_val, road_ids, pred, succ, k, max_len) ->
     # the native tuple sort orders by score, labels and left, and the unique
     # insertion rank keeps tied candidates in insertion order.
     beam = [(-lrows[t0][j0], (road_ids[j0],), t0, 0, t0, ())]
-    target = t_steps if max_len is None else min(max_len, t_steps)
     neg_inf = -math.inf
-    for _ in range(target - 1):
+    for _ in range(t_steps - 1):
         cands = []
         add = cands.append
         n = 0
@@ -209,21 +205,8 @@ def _search(path, logs, best_col, best_val, road_ids, pred, succ, k, max_len) ->
                     add((-s, (road_ids[j],) + labels, t, len(cands), right, fb + (t,)))
         cands.sort()
         beam = cands[:k]
-    neg, labels, left, _, right, fb = beam[0]
-    score = -neg
-    if right - left + 1 < t_steps:
-        # max_len cap: fill the uncovered flanks by per-token argmax
-        full = []
-        for t in range(t_steps):
-            if left <= t <= right:
-                full.append(labels[t - left])
-            else:
-                j = cols[t]
-                full.append(road_ids[j])
-                score += lrows[t][j]
-                fb = fb + (t,)
-        labels = tuple(full)
-    return DecodeResult(labels=labels, score=float(score), fallback_positions=tuple(sorted(fb)))
+    neg, labels, _, _, _, fb = beam[0]
+    return DecodeResult(labels=labels, score=float(-neg), fallback_positions=tuple(sorted(fb)))
 
 
 def decode_association(

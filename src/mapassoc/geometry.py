@@ -11,10 +11,11 @@ derived from its endpoints by `DirVec.theta` and is not stored; roads and
 boundaries share one polyline type that owns their checks.
 
 All containers are frozen dataclasses and safe to share across workers.
-Derived data (vectors of a polyline, adjacency maps) is computed once and
-cached on the instance. Each road and lane graph owns its DAG facts: one
-Kahn peel gives its longest-path `depths` and finds cycles, and `paths` is
-its PathIndex, counted before it is enumerated and built once per graph. A
+Derived data (vectors of a polyline, adjacency maps, a scene's
+`road_distances`) is computed once and cached on the instance, so every
+consumer reads the same values. Each road and lane graph owns its DAG facts:
+one Kahn peel gives its longest-path `depths` and finds cycles, and `paths`
+is its PathIndex, counted before it is enumerated and built once per graph. A
 reader that has checked a whole scene in bulk builds its objects with
 `_trusted`, which skips the constructor checks.
 
@@ -40,9 +41,12 @@ from itertools import chain, repeat
 from operator import eq, setitem
 from typing import NamedTuple, Sequence, Union
 
+import numpy as np
+
 from .errors import (
     CoverageError,
     InvalidGeometryError,
+    LabelError,
     TopologyError,
     ValidationError,
 )
@@ -399,6 +403,16 @@ class Scene:
     gt: Union[Association, None] = None
     meta: dict = field(default_factory=dict)
 
+    @cached_property
+    def road_distances(self) -> np.ndarray:
+        """Distance from every centerline's midpoint to every road.
+
+        A read-only float64 (n_centerlines, n_roads) array, rows in
+        `hd.node_ids` order and columns in `sd.node_ids` order, computed once
+        per scene. Raises LabelError when the scene has no roads.
+        """
+        return _road_distances(self.hd.centerlines, self.sd.roads)
+
 
 @dataclass(frozen=True)
 class PathIndex:
@@ -513,6 +527,70 @@ def point_to_polyline_distance(p: Point2, points: Sequence[Point2]) -> float:
 def point_to_road_distance(p: Point2, road: Road) -> float:
     """Euclidean distance from a point to the road polyline (endpoint-clamped)."""
     return point_to_polyline_distance(p, road.points)
+
+
+# Most (centerline, road segment) pairs one block of the distance kernel
+# holds: each float64 temporary of a block stays within 1 MB.
+_PAIRS_PER_BLOCK = 1 << 17
+
+
+def _road_distances(cls: Sequence[Centerline], roads: Sequence[Road]) -> np.ndarray:
+    """The kernel of `Scene.road_distances`; both sequences sorted by id.
+
+    A distance is the minimum over the road's segments of the distance from
+    the midpoint to the foot of its perpendicular, clamped to the segment, as
+    `point_to_road_distance` defines it; the length is sqrt(dx*dx + dy*dy),
+    which may differ from that function's `math.hypot` in the last bit, and a
+    distance whose square overflows is inf. Every road segment is one entry
+    of x and y columns, so one pass per block of centerline rows measures
+    every road; the per-road minimum is one `minimum.reduceat` over each
+    road's run of segments.
+    """
+    if not roads:
+        raise LabelError("scene has no roads to associate against")
+    flat = chain.from_iterable
+    ends = np.fromiter(flat(c.vector.p1 + c.vector.p2 for c in cls), dtype=np.float64).reshape(-1, 4)
+    mx = (ends[:, 0] + ends[:, 2]) / 2.0
+    my = (ends[:, 1] + ends[:, 3]) / 2.0
+
+    # the points of all roads in id order; a segment joining one road's last
+    # point to the next road's first is dropped
+    counts = np.array([len(r.points) for r in roads], dtype=np.int64)
+    pts = np.fromiter(flat(flat(r.points for r in roads)), dtype=np.float64).reshape(-1, 2)
+    x, y = pts[:, 0], pts[:, 1]
+    keep = np.ones(len(pts) - 1, dtype=bool)
+    keep[np.cumsum(counts)[:-1] - 1] = False
+    ax, ay = x[:-1][keep], y[:-1][keep]
+    sx, sy = np.diff(x)[keep], np.diff(y)[keep]
+    seg2 = sx * sx + sy * sy
+    first = np.concatenate(([0], np.cumsum(counts - 1)[:-1]))
+
+    # t = ((m - a) . s) / |s|^2 clamped to [0, 1], e = m - (a + t s): the
+    # per-segment formula's order of operations, so every float is the same
+    dist = np.empty((len(cls), len(roads)), dtype=np.float64)
+    step = max(1, _PAIRS_PER_BLOCK // len(sx))
+    for lo in range(0, len(cls), step):
+        bx, by = mx[lo : lo + step, None], my[lo : lo + step, None]
+        t = bx - ax
+        t *= sx
+        e = by - ay
+        e *= sy
+        t += e
+        t /= seg2
+        np.clip(t, 0.0, 1.0, out=t)
+        np.multiply(t, sx, out=e)
+        e += ax
+        np.subtract(bx, e, out=e)  # e = x error
+        t *= sy
+        t += ay
+        np.subtract(by, t, out=t)  # t = y error
+        e *= e
+        t *= t
+        e += t
+        np.sqrt(e, out=e)
+        dist[lo : lo + step] = np.minimum.reduceat(e, first, axis=1)
+    dist.flags.writeable = False
+    return dist
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ Token assembly
 Every map element is flattened into direction-vector tokens in a fixed order:
 roads ascending by id (one token per polyline segment), then centerlines
 ascending by id (one token each), then boundaries ascending by id (one token
-per segment). Path attention groups tokens by root-to-leaf paths of the road
-graph, root-to-leaf paths of the lane graph, and per-boundary chains, so every
-token sits on at least one path.
+per segment). A token is its vector's 5 numbers, `DirVec.as_tuple()`; the
+tokens form one float64 (N, 5) array, built once per pass, that both the
+embedding and the grid encoding read, so each heading is computed once. Path
+attention groups tokens by root-to-leaf paths of the road graph, root-to-leaf
+paths of the lane graph, and per-boundary chains, so every token sits on at
+least one path.
 
 The pass is pure: same scene, config, weights, and curve seed give bit-equal
 outputs. All returned tensors are float32.
@@ -51,20 +54,21 @@ KIND_BOUNDARY = 2
 class TokenSet:
     """Flattened scene tokens plus the grouping data attention needs.
 
+    features  (N, 5) float64 token rows, `DirVec.as_tuple()` of each vector
     kind      per-token element class (KIND_* constants)
     parent    per-token parent element id
     inst_pos  per-token ordinal position inside its parent element
     pidx      token-level path index (token indices, not element ids)
     """
 
-    vectors: tuple
+    features: np.ndarray
     kind: np.ndarray
     parent: np.ndarray
     inst_pos: np.ndarray
     pidx: PathIndex
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.features)
 
     def token_ids(self, kind: int) -> np.ndarray:
         """Parent ids of all tokens of one element class, in token order."""
@@ -84,7 +88,7 @@ class ForwardResult:
 
 def build_tokens(scene: Scene) -> TokenSet:
     """Flatten a scene into tokens and the path index covering them."""
-    vectors = []
+    rows = []
     kind = []
     parent = []
     inst_pos = []
@@ -92,28 +96,28 @@ def build_tokens(scene: Scene) -> TokenSet:
     cl_slot = {}
     # the graphs hold their elements sorted by id
     for road in scene.sd.roads:
-        start = len(vectors)
+        start = len(rows)
         for i, v in enumerate(road.vectors):
-            vectors.append(v)
+            rows.append(v.as_tuple())
             kind.append(KIND_ROAD)
             parent.append(road.id)
             inst_pos.append(i)
-        road_span[road.id] = (start, len(vectors))
+        road_span[road.id] = (start, len(rows))
     for cl in scene.hd.centerlines:
-        cl_slot[cl.id] = len(vectors)
-        vectors.append(cl.vector)
+        cl_slot[cl.id] = len(rows)
+        rows.append(cl.vector.as_tuple())
         kind.append(KIND_CENTERLINE)
         parent.append(cl.id)
         inst_pos.append(0)
     boundary_chains = []
     for b in scene.hd.boundaries:
-        start = len(vectors)
+        start = len(rows)
         for i, v in enumerate(b.vectors):
-            vectors.append(v)
+            rows.append(v.as_tuple())
             kind.append(KIND_BOUNDARY)
             parent.append(b.id)
             inst_pos.append(i)
-        boundary_chains.append(tuple(range(start, len(vectors))))
+        boundary_chains.append(tuple(range(start, len(rows))))
 
     paths = []
     for rp in enumerate_paths(scene.sd).paths:
@@ -127,7 +131,7 @@ def build_tokens(scene: Scene) -> TokenSet:
     paths.extend(boundary_chains)
     pidx = PathIndex(paths=tuple(paths))
     return TokenSet(
-        vectors=tuple(vectors),
+        features=np.array(rows, dtype=np.float64).reshape(-1, 5),
         kind=np.asarray(kind, dtype=np.int8),
         parent=np.asarray(parent, dtype=np.int64),
         inst_pos=np.asarray(inst_pos, dtype=np.int64),
@@ -135,9 +139,9 @@ def build_tokens(scene: Scene) -> TokenSet:
     )
 
 
-def embed_vectors(vectors, weights: Mapping) -> np.ndarray:
-    """Two-layer MLP lifting each 5-number vector to the stage-0 width."""
-    if len(vectors) == 0:
+def embed_vectors(features: np.ndarray, weights: Mapping) -> np.ndarray:
+    """Two-layer MLP lifting each row of the (N, 5) token features to the stage-0 width."""
+    if len(features) == 0:
         raise ConfigError("no vectors to embed")
     try:
         w1, b1 = weights["embed.fc1.weight"], weights["embed.fc1.bias"]
@@ -149,8 +153,7 @@ def embed_vectors(vectors, weights: Mapping) -> np.ndarray:
         raise ConfigError(f"embed.fc1.weight shape {w1.shape}, expected ({EMBED_IN}, C)")
     if w2.ndim != 2 or w2.shape[0] != w1.shape[1]:
         raise ConfigError(f"embed.fc2.weight shape {w2.shape} does not chain {w1.shape}")
-    x = np.asarray([v.as_tuple() for v in vectors], dtype=np.float64)
-    h = gelu(x @ w1 + b1)
+    h = gelu(np.asarray(features, dtype=np.float64) @ w1 + b1)
     out = h @ w2 + b2
     return out.astype(np.float32)
 
@@ -196,8 +199,8 @@ def mat_forward(
     tokens = build_tokens(scene)
     if len(tokens) == 0:
         raise ConfigError("scene has no map elements to tokenize")
-    x = embed_vectors(tokens.vectors, weights)
-    coords = grid_encode_batch(tokens.vectors, cfg.grid_g, cfg.grid_R)
+    x = embed_vectors(tokens.features, weights)
+    coords = grid_encode_batch(tokens.features, cfg.grid_g, cfg.grid_R)
     kinds = resolve_curve_kinds(cfg, curve_seed)
     perms = serializations(coords, kinds)
     bi = 0

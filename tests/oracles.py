@@ -279,7 +279,7 @@ def scene_distances_reference(scene: Scene) -> tuple[np.ndarray, tuple, tuple]:
     return dist, cl_ids, road_ids
 
 
-def hmm_per_path_reference(scene, params):
+def hmm_per_path_reference(scene):
     """The HMM baseline decoded one enumerated lane path at a time.
 
     Viterbi runs on every root-to-leaf path; a centerline takes its label from
@@ -290,8 +290,8 @@ def hmm_per_path_reference(scene, params):
     """
     dist, cl_ids, road_ids = scene_distances_reference(scene)
     row_of = {c: i for i, c in enumerate(cl_ids)}
-    log_em = _log_emissions(dist, params.emission_sigma)
-    log_tr = _log_transition_matrix(scene, params, road_ids)
+    log_em = _log_emissions(dist)
+    log_tr = _log_transition_matrix(scene)
     log_prior = np.full(len(road_ids), -math.log(len(road_ids)))
     labels, best_score = {}, {}
     for path in enumerate_paths(scene.hd).paths:
@@ -378,9 +378,7 @@ def beam_decode_reference(
 
     `sd_edges` is the directed road connectivity; an extension to the left
     prepends a predecessor of the current first label, to the right appends a
-    successor of the current last label. Tokens outside the beam-grown span
-    (only possible under a max_len cap) are filled by unconstrained argmax and
-    flagged.
+    successor of the current last label.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
@@ -402,11 +400,10 @@ def beam_decode_reference(
     col = {r: j for j, r in enumerate(road_ids)}
 
     t0, j0 = init_on_rows_reference(rows)
-    target = t_steps if cfg.max_len is None else min(cfg.max_len, t_steps)
     # beam entries: (Hypothesis, fallback position tuple)
     seed = Hypothesis(labels=(road_ids[j0],), score=float(logs[t0, j0]), span=(t0, t0))
     beam = [(seed, ())]
-    while (beam[0][0].span[1] - beam[0][0].span[0] + 1) < target:
+    while (beam[0][0].span[1] - beam[0][0].span[0] + 1) < t_steps:
         cands = []
         for h, fb in beam:
             left, right = h.span
@@ -455,23 +452,9 @@ def beam_decode_reference(
         cands.sort(key=lambda e: (-e[0].score, e[0].labels, e[0].span[0]))
         beam = cands[: cfg.k]
     best, fb = beam[0]
-    labels, score = best.labels, best.score
-    left, right = best.span
-    if right - left + 1 < t_steps:
-        # max_len cap: fill the uncovered flanks by per-token argmax
-        full = []
-        for t in range(t_steps):
-            if left <= t <= right:
-                full.append(labels[t - left])
-            else:
-                j = int(np.argmax(rows[t]))
-                full.append(road_ids[j])
-                score += float(logs[t, j])
-                fb = fb + (t,)
-        labels = tuple(full)
     return DecodeResult(
-        labels=labels,
-        score=float(score),
+        labels=best.labels,
+        score=float(best.score),
         fallback_positions=tuple(sorted(fb)),
     )
 

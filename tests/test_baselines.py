@@ -10,17 +10,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapassoc import baselines
+from mapassoc import geometry
 from mapassoc.baselines import (
-    HmmParams,
-    _scene_distances,
+    TRANSITION_ADJACENT,
+    TRANSITION_SELF,
+    _log_transition_matrix,
     distance_assoc_matrix,
     hmm_associate,
     knn_associate,
     viterbi,
 )
-from mapassoc.errors import ConfigError, LabelError, NoFeasiblePathError, TopologyError
-from mapassoc.geometry import HdGraph, Point2, Road, Scene, SdGraph, enumerate_paths
+from mapassoc.errors import LabelError, NoFeasiblePathError, TopologyError
+from mapassoc.geometry import (
+    Centerline,
+    DirVec,
+    HdGraph,
+    Point2,
+    Road,
+    Scene,
+    SdGraph,
+    enumerate_paths,
+    point_to_road_distance,
+)
 from mapassoc.scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
 
 from conftest import make_centerline
@@ -36,9 +47,9 @@ def road(rid, y, x0=0.0, x1=10.0):
 
 
 def assert_same_distances(scene):
-    dist, cl_ids, road_ids = _scene_distances(scene)
+    dist = scene.road_distances
     want, want_cl, want_road = scene_distances_reference(scene)
-    assert (cl_ids, road_ids) == (want_cl, want_road)
+    assert (scene.hd.node_ids, scene.sd.node_ids) == (want_cl, want_road)
     assert dist.shape == want.shape and dist.dtype == want.dtype
     assert dist.tobytes() == want.tobytes()
     return dist
@@ -118,7 +129,7 @@ def zigzag_scene(n_points: int, n_centerlines: int) -> Scene:
 def test_scene_distances_over_several_row_blocks():
     scene = zigzag_scene(400, 400)
     segments = sum(len(r.points) - 1 for r in scene.sd.roads)
-    assert len(scene.hd.centerlines) * segments > 2 * baselines._PAIRS_PER_BLOCK
+    assert len(scene.hd.centerlines) * segments > 2 * geometry._PAIRS_PER_BLOCK
     assert_same_distances(scene)
 
 
@@ -127,8 +138,37 @@ def test_scene_distances_do_not_depend_on_the_block_size(monkeypatch, rows):
     # 798 segments and 37 centerlines: blocks of 1, 5 and 36 rows, the last
     # two with a short last block; a block smaller than a row holds one row
     scene = zigzag_scene(400, 37)
-    monkeypatch.setattr(baselines, "_PAIRS_PER_BLOCK", 798 * rows if rows > 1 else 100)
+    monkeypatch.setattr(geometry, "_PAIRS_PER_BLOCK", 798 * rows if rows > 1 else 100)
     assert_same_distances(scene)
+
+
+@pytest.mark.parametrize("layout", ["grid", "radial", "random-planar"])
+def test_road_distances_are_computed_once_per_scene(monkeypatch, layout):
+    scene = perturb_scene(generate_scene(GenConfig(layout=layout, seed=4)), HEAVY)
+    calls = []
+    real = geometry._road_distances
+    monkeypatch.setattr(geometry, "_road_distances", lambda *args: calls.append(1) or real(*args))
+    dist = scene.road_distances
+    assert scene.road_distances is dist
+    knn_associate(scene), hmm_associate(scene), distance_assoc_matrix(scene)
+    assert len(calls) == 1
+    assert not dist.flags.writeable
+    with pytest.raises(ValueError):
+        dist[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("layout", ["grid", "radial", "random-planar"])
+def test_road_distances_agree_with_point_to_road_distance(layout):
+    # rows follow hd.node_ids and columns sd.node_ids; the kernel's
+    # sqrt(dx*dx + dy*dy) may differ from math.hypot in the last bit
+    scene = perturb_scene(generate_scene(GenConfig(layout=layout, seed=8)), HEAVY)
+    cls = {c.id: c for c in scene.hd.centerlines}
+    roads = {r.id: r for r in scene.sd.roads}
+    want = [
+        [point_to_road_distance(cls[c].vector.midpoint, roads[r]) for r in scene.sd.node_ids]
+        for c in scene.hd.node_ids
+    ]
+    np.testing.assert_allclose(scene.road_distances, want, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +201,16 @@ def test_knn_without_roads_raises():
     hd = HdGraph(centerlines=(make_centerline(0, (0.0, 0.0), (1.0, 0.0)),), edges=())
     with pytest.raises(LabelError):
         knn_associate(Scene(sd=SdGraph(roads=(), edges=()), hd=hd))
+
+
+@pytest.mark.parametrize(
+    "measure", [hmm_associate, distance_assoc_matrix, lambda scene: scene.road_distances],
+    ids=["hmm", "distance_assoc_matrix", "road_distances"],
+)
+def test_scene_without_roads_raises_the_knn_error(measure):
+    hd = HdGraph(centerlines=(make_centerline(0, (0.0, 0.0), (1.0, 0.0)),), edges=())
+    with pytest.raises(LabelError, match="^scene has no roads to associate against$"):
+        measure(Scene(sd=SdGraph(roads=(), edges=()), hd=hd))
 
 
 def test_knn_invariant_under_rigid_motion(grid42):
@@ -282,60 +332,74 @@ def test_hmm_consecutive_labels_stay_connected():
             assert nxt == prev or nxt in succ.get(prev, ())
 
 
-def test_hmm_lenient_mode_allows_any_move():
-    # road 2 is 1 m from the second token but not adjacent to road 0; only
-    # the lenient transition floor lets the decoder move onto it
-    sd = SdGraph(roads=(road(0, 0.0), road(1, 20.0), road(2, 11.0)), edges=((0, 1),))
-    hd = HdGraph(
-        centerlines=(
-            make_centerline(0, (0.0, 1.0), (4.0, 1.0)),
-            make_centerline(1, (4.0, 10.0), (8.0, 10.0)),
-        ),
-        edges=((0, 1),),
-    )
-    assoc = hmm_associate(Scene(sd=sd, hd=hd), HmmParams(disallow_nonadjacent=False))
-    assert assoc.labels == {0: 0, 1: 2}
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_hmm_transition_row_shares_the_adjacent_weight(degree):
+    # road 0 connects to roads 1..degree; no road moves to one it does not
+    # connect to, and a road without successors stays put
+    sd = SdGraph(roads=tuple(road(i, 3.0 * i) for i in range(5)), edges=tuple((0, j) for j in range(1, degree + 1)))
+    log_tr = _log_transition_matrix(Scene(sd=sd, hd=HdGraph(centerlines=(), edges=())))
+    weights = [TRANSITION_SELF] + [TRANSITION_ADJACENT / max(degree, 1)] * degree + [0.0] * (4 - degree)
+    want = np.array(weights) / sum(weights)
+    np.testing.assert_allclose(np.exp(log_tr[0]), want, rtol=1e-15, atol=0.0)
+    assert np.isneginf(log_tr[0, degree + 1 :]).all()
+    assert (np.exp(log_tr[1:]) == np.eye(5)[1:]).all()
 
 
 @given(
     st.sampled_from(["grid", "radial", "random-planar"]),
     st.integers(min_value=0, max_value=10_000),
     st.one_of(st.none(), st.integers(min_value=0, max_value=10_000)),
-    st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_hmm_matches_per_path_viterbi_reference(layout, seed, perturb_seed, lenient):
+def test_hmm_matches_per_path_viterbi_reference(layout, seed, perturb_seed):
     scene = generate_scene(GenConfig(layout=layout, seed=seed))
     if perturb_seed is not None:
         scene = perturb_scene(scene, PerturbConfig(
             gps_shift=2.0, dropout_rate=0.1, jitter_sigma=0.3, oversegment_rate=0.1, seed=perturb_seed,
         ))
-    params = HmmParams(disallow_nonadjacent=not lenient)
-    labels, fallback = hmm_per_path_reference(scene, params)
-    assoc = hmm_associate(scene, params)
+    labels, fallback = hmm_per_path_reference(scene)
+    assoc = hmm_associate(scene)
     assert assoc.labels == labels
     assert assoc.meta.get("fallback_centerlines", []) == fallback == []
 
 
+# A centerline 1e155 m from every road: its squared distance, and with it
+# its emission under sigma 4.07 m, overflows, so its emission is -inf.
+FAR = DirVec.from_points((1e155, 0.0), (1e155, 1.0))
+
+
+def moved_far(scene: Scene, ids) -> Scene:
+    """`scene` with the centerlines `ids` moved to FAR, and no crop meta."""
+    cls = tuple(Centerline(c.id, FAR) if c.id in ids else c for c in scene.hd.centerlines)
+    hd = HdGraph(centerlines=cls, edges=scene.hd.edges, boundaries=scene.hd.boundaries)
+    return Scene(sd=scene.sd, hd=hd, gt=scene.gt)
+
+
 def test_hmm_partial_fallback_matches_reference():
-    # sigma 1e-154 overflows the emission of every centerline more than about
-    # 1.3 m from a road to -inf; a path through such a centerline is
-    # infeasible, a centerline on at least one feasible path keeps its label
-    params = HmmParams(emission_sigma=1e-154)
+    # a path through a far centerline is infeasible; a centerline on at
+    # least one feasible path keeps its label
+    partial = 0
     for seed in range(6):
         scene = perturb_scene(generate_scene(GenConfig(seed=seed)), PerturbConfig(gps_shift=1.0, seed=seed))
+        paths = enumerate_paths(scene.hd).paths
+        scene = moved_far(scene, {paths[0][len(paths[0]) // 2], paths[-1][-1]})
         with np.errstate(over="ignore"):
-            labels, fallback = hmm_per_path_reference(scene, params)
-        assoc = hmm_associate(scene, params)
+            labels, fallback = hmm_per_path_reference(scene)
+            assoc = hmm_associate(scene)
         assert assoc.labels == labels
         assert assoc.meta.get("fallback_centerlines", []) == fallback
+        partial += 0 < len(fallback) < len(labels)
+    assert partial == 6
 
 
 def test_hmm_every_emission_infeasible_falls_back_to_knn(tiny):
-    # every centerline sits 0.5 m off every road, and (0.5 / 1e-200)^2
-    # overflows, so no state sequence anywhere is feasible
-    assoc = hmm_associate(tiny, HmmParams(emission_sigma=1e-200))
-    assert assoc.labels == knn_associate(tiny).labels
+    # every centerline is far from every road, so no state sequence
+    # anywhere is feasible
+    scene = moved_far(tiny, set(tiny.hd.node_ids))
+    with np.errstate(over="ignore"):
+        assoc = hmm_associate(scene)
+        assert (assoc.labels, [0, 1, 2, 3, 4, 5]) == hmm_per_path_reference(scene)
+    assert assoc.labels == knn_associate(scene).labels
     assert assoc.meta == {"method": "hmm", "fallback_centerlines": [0, 1, 2, 3, 4, 5]}
 
 
@@ -373,28 +437,6 @@ def test_hmm_empty_lane_graph():
     assert assoc.meta == {"method": "hmm"}
 
 
-@pytest.mark.parametrize("field, value", [
-    ("emission_sigma", 0.0),
-    ("emission_sigma", -1.0),
-    ("emission_sigma", math.inf),
-    ("emission_sigma", math.nan),
-    ("transition_self", 0.0),
-    ("transition_self", -0.5),
-    ("transition_self", math.inf),
-    ("transition_adjacent", -0.1),
-    ("transition_adjacent", math.inf),
-    ("transition_adjacent", math.nan),
-])
-def test_hmm_params_reject_invalid_values(field, value):
-    with pytest.raises(ConfigError, match=field):
-        HmmParams(**{field: value})
-
-
-def test_hmm_params_accept_zero_adjacent_weight(tiny):
-    # only self-transitions remain: every path keeps one road
-    assert hmm_associate(tiny, HmmParams(transition_adjacent=0.0)).labels == tiny.gt.labels
-
-
 # ---------------------------------------------------------------------------
 # soft association matrix
 
@@ -411,9 +453,3 @@ def test_distance_assoc_matrix_shape_and_rows(grid42):
 def test_distance_assoc_matrix_argmax_matches_knn(grid42):
     amat = distance_assoc_matrix(grid42)
     assert amat.argmax_association().labels == knn_associate(grid42).labels
-
-
-def test_distance_assoc_matrix_sharpens_with_smaller_sigma(tiny):
-    wide = distance_assoc_matrix(tiny, sigma=8.0)
-    sharp = distance_assoc_matrix(tiny, sigma=0.5)
-    assert float(sharp.probs.max(axis=1).min()) > float(wide.probs.max(axis=1).min())

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from mapassoc import cli
+from mapassoc import cli, geometry
 from mapassoc.assocmatrix import AssocMatrix
 from mapassoc.cli import main
 from mapassoc.errors import ValidationError
@@ -124,6 +124,27 @@ def test_baselines_compute_distance_matrix_only_when_used(tmp_path, monkeypatch)
     for flag in ("--post", "--store-probs"):
         assert main(["associate", "--method", "knn", flag, "--scenes", scenes, "--out", str(tmp_path / "p.ndjson")]) == 0
     assert len(calls) == 4  # two scenes per run
+
+
+@pytest.mark.parametrize(
+    "flags", [(), ("--post",), ("--store-probs",), ("--post", "--store-probs")],
+    ids=["plain", "post", "store-probs", "post-store-probs"],
+)
+@pytest.mark.parametrize("method, per_scene", [("knn", 1), ("hmm", 1), ("mat", 0)], ids=["knn", "hmm", "mat"])
+def test_associate_measures_each_scene_at_most_once(tmp_path, monkeypatch, method, per_scene, flags):
+    # the baselines' labels and soft matrix read one cached distance matrix;
+    # mat measures no distance at all
+    monkeypatch.setenv("MAPASSOC_THREADS", "1")
+    scenes = gen_scenes(tmp_path)
+    calls = []
+    real = geometry._road_distances
+    monkeypatch.setattr(geometry, "_road_distances", lambda *args: calls.append(1) or real(*args))
+    out = str(tmp_path / "p.ndjson")
+    assert main(["associate", "--method", method, *flags, "--scenes", scenes, "--out", out]) == 0
+    assert len(calls) == 2 * per_scene
+    records = read_assocs(out)
+    assert len(records) == 2
+    assert all((rec.probs is not None) == ("--store-probs" in flags) for rec in records)
 
 
 def test_post_computes_only_the_decoded_labels(tmp_path, monkeypatch):
@@ -980,7 +1001,7 @@ def test_eval_reports_scene_faults_in_file_order(tmp_path, capsys, monkeypatch, 
     rc = main(["eval", "--metric", "association", "--pred", pred, "--scenes", scenes,
                "--report", str(tmp_path / "r.json")])
     assert rc == 2
-    assert capsys.readouterr().err == "error: record 1 references scene 'grid-4' but scene 1 is 'other'\n"
+    assert capsys.readouterr().err == "error: line 2: record 2 references scene 'grid-4' but this scene is 'other'\n"
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -18,7 +18,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "mapassoc"
 
 CONFIG_CLASSES = (
-    "ModelConfig", "StageSpec", "DecoderConfig", "HmmParams",
+    "ModelConfig", "StageSpec", "DecoderConfig",
     "MetricConfig", "GenConfig", "PerturbConfig", "AugConfig",
 )
 

@@ -79,7 +79,7 @@ def test_grid_encode_batch_matches_scalar():
         p1 = rng.uniform(-5, 5, size=2)
         p2 = p1 + rng.uniform(0.1, 2.0, size=2)
         vecs.append(vec(tuple(p1), tuple(p2)))
-    batch = grid_encode_batch(vecs, g=0.1, R=16)
+    batch = grid_encode_batch([v.as_tuple() for v in vecs], g=0.1, R=16)
     for row, v in zip(batch, vecs):
         c = grid_encode(v, g=0.1, R=16)
         assert tuple(row) == (c.x, c.y, c.r)
@@ -103,7 +103,7 @@ def test_grid_encode_matches_scalar_reference(vecs, setting):
     g, R = setting
     want = [grid_encode_reference(v, g, R) for v in vecs]
     assert [grid_encode(v, g=g, R=R) for v in vecs] == want
-    assert [GridCoord(*row) for row in grid_encode_batch(vecs, g=g, R=R).tolist()] == want
+    assert [GridCoord(*row) for row in grid_encode_batch([v.as_tuple() for v in vecs], g=g, R=R).tolist()] == want
 
 
 # ---------------------------------------------------------------------------

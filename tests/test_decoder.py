@@ -86,10 +86,15 @@ def test_init_token_is_the_seed_beam_decode_starts_from(case):
     amat, path = case
     t, rid = init_token(amat, path)
     assert (t, amat.road_ids.index(rid)) == init_on_rows_reference(amat.rows_for(path))
-    # with max_len 1 the beam never grows: every position but the seed is an argmax fallback
-    (res,) = beam_decode(amat.probs, amat.road_ids, (), DecoderConfig(max_len=1), paths=[amat.row_indices(path)])
-    (seed,) = set(range(len(path))) - set(res.fallback_positions)
-    assert (seed, res.labels[seed]) == (t, rid)
+    # an all-zero row after each of the path's rows: the beam cannot extend
+    # from the seed, the argmax fallback scores -inf, and every later step
+    # is a dead end too, so every position but the seed is a fallback
+    rows = np.vstack([amat.probs, np.zeros((1, len(amat.road_ids)), dtype=amat.probs.dtype)])
+    zero = len(amat.probs)
+    spaced = [r for i in amat.row_indices(path) for r in (i, zero)]
+    (res,) = beam_decode(rows, amat.road_ids, (), paths=[spaced])
+    (seed,) = set(range(len(spaced))) - set(res.fallback_positions)
+    assert (seed // 2, res.labels[seed]) == (t, rid) and seed % 2 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +129,21 @@ def test_beam_connectivity_overrides_greedy_argmax():
     assert not res.fallback
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 5, 8])
+def test_beam_grows_over_the_whole_path(length):
+    # a ring of roads never dead-ends, so the beam labels every position
+    # itself and the score sums the chosen cells
+    rng = np.random.default_rng(length)
+    rows = rng.uniform(0.05, 1.0, size=(length, 3))
+    rows /= rows.sum(axis=1, keepdims=True)
+    res = beam_decode(rows, [0, 1, 2], ((0, 1), (1, 2), (2, 0)), DecoderConfig(k=2))
+    assert len(res.labels) == length
+    assert res.fallback_positions == ()
+    for a, b in zip(res.labels, res.labels[1:]):
+        assert a == b or (a, b) in {(0, 1), (1, 2), (2, 0)}
+    assert res.score == pytest.approx(sum(math.log(rows[t, j]) for t, j in enumerate(res.labels)), rel=1e-12)
+
+
 def test_beam_dead_end_falls_back_to_argmax():
     # no edges and disjoint support: the connected frontier is empty
     rows = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -140,16 +160,6 @@ def test_fallback_is_derived_from_its_positions():
     assert DecodeResult(labels=(1, 2), score=0.0, fallback_positions=(1,)).fallback
     with pytest.raises(TypeError):
         DecodeResult(labels=(1,), score=0.0, fallback=True)
-
-
-def test_beam_max_len_fills_flanks():
-    rows = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
-    edges = ((1, 2), (2, 1))
-    res = beam_decode(rows, [1, 2], edges, DecoderConfig(k=4, max_len=1))
-    assert res.labels == (1, 2, 1)
-    assert res.fallback
-    assert res.fallback_positions == (1, 2)
-    assert res.score == pytest.approx(math.log(0.9 * 0.8 * 0.6))
 
 
 def test_beam_deterministic():
@@ -177,8 +187,6 @@ def test_beam_validates_inputs():
     assert beam_decode(np.zeros((0, 0)), [], (), paths=[]) == []
     with pytest.raises(ConfigError):
         DecoderConfig(k=0)
-    with pytest.raises(ConfigError):
-        DecoderConfig(max_len=0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-9])
@@ -281,9 +289,7 @@ def decode_instances(draw):
     paths = draw(
         st.lists(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=max_t), min_size=1, max_size=3)
     )
-    longest = max(len(p) for p in paths)
-    max_len = draw(st.one_of(st.none(), st.integers(1, longest)))
-    return rows, road_ids, edges, DecoderConfig(k=k, max_len=max_len), paths
+    return rows, road_ids, edges, DecoderConfig(k=k), paths
 
 
 def bits(res):

@@ -26,7 +26,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_config_fields import CONFIG_CLASSES, _trees
 
-from mapassoc.baselines import HmmParams
 from mapassoc.cli import main
 from mapassoc.decoder import DecoderConfig
 from mapassoc.errors import ConfigError
@@ -481,9 +480,7 @@ RANGE_TABLE = [
     (AugConfig, "seed", None, 0, "-++"),
     (AugConfig, "grid_sample", 0, 0.0, "--+"), (AugConfig, "grid_sample", 1, 0.0, "--+"),
     (AugConfig, "grid_sample", 2, 0.0, "--+"),
-    (HmmParams, "emission_sigma", None, 0.0, "--+"), (HmmParams, "transition_self", None, 0.0, "--+"),
-    (HmmParams, "transition_adjacent", None, 0.0, "-++"),
-    (DecoderConfig, "k", None, 1, "-++"), (DecoderConfig, "max_len", None, 1, "-++"),
+    (DecoderConfig, "k", None, 1, "-++"),
     (MetricConfig, "thresholds", 0, 0.0, "--+"), (MetricConfig, "thresholds", 0, 1.0, "++-"),
     (MetricConfig, "point_match_tau", None, 0.0, "--+"), (MetricConfig, "chamfer_tau", None, 0.0, "--+"),
     (ModelConfig, "patch_size", None, 1, "-++"), (ModelConfig, "mlp_ratio", None, 1, "-++"),
@@ -524,7 +521,7 @@ def test_range_bounds_accept_what_they_accepted(cls, name, member, bound, want):
     else:
         values = (math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf))
     assert "".join(_accepted(lambda: _make(cls, name, member, v)) for v in values) == want
-    if (cls, name) in {(DecoderConfig, "max_len"), (AugConfig, "grid_sample")}:
+    if (cls, name) == (AugConfig, "grid_sample"):
         _make(cls, name, None, None)  # an Optional field may be None
 
 

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mapassoc.curves import CURVE_KINDS, GridCoord, grid_encode_batch
+from mapassoc.curves import CURVE_KINDS, GridCoord, grid_encode, grid_encode_batch
 from mapassoc.errors import ConfigError, LabelError
 from mapassoc.geometry import DirVec, Point2
 from mapassoc.mat.attention import AttnWeights, gelu, layer_norm, path_attention, spatial_attention
@@ -25,6 +27,7 @@ from mapassoc.mat.forward import (
 )
 from mapassoc.mat import attention, forward as forward_module, weights as weights_module
 from mapassoc.mat.weights import PreparedWeights, init_weights, prepare_weights
+from mapassoc.scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
 
 from oracles import path_attention_reference, spatial_attention_reference
 
@@ -67,6 +70,34 @@ def test_build_tokens_covers_every_token(grid42):
         np.testing.assert_array_equal(pos, np.arange(len(b.points) - 1))
 
 
+@given(
+    st.sampled_from(["grid", "radial", "random-planar"]),
+    st.integers(min_value=0, max_value=10_000),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=10_000)),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=10_000)),
+    st.sampled_from([(0.1, 16), (0.5, 7), (2.0, 1)]),
+)
+@settings(max_examples=40, deadline=None)
+def test_token_features_are_the_vectors_in_token_order(layout, seed, perturb_seed, augment_seed, grid):
+    scene = generate_scene(GenConfig(layout=layout, seed=seed))
+    if perturb_seed is not None:
+        scene = perturb_scene(scene, PerturbConfig(
+            gps_shift=2.0, dropout_rate=0.1, jitter_sigma=0.3, oversegment_rate=0.2, seed=perturb_seed,
+        ))
+    if augment_seed is not None:
+        scene = augment_scene(scene, AugConfig(rotate_range_deg=(-180.0, 180.0), rotate_p=1.0, seed=augment_seed))
+    vectors = [v for r in scene.sd.roads for v in r.vectors]
+    vectors += [c.vector for c in scene.hd.centerlines]
+    vectors += [v for b in scene.hd.boundaries for v in b.vectors]
+    features = build_tokens(scene).features
+    want = np.array([v.as_tuple() for v in vectors], dtype=np.float64)
+    assert features.dtype == np.float64 and features.shape == want.shape == (len(vectors), 5)
+    assert features.tobytes() == want.tobytes()
+    g, R = grid
+    cells = [GridCoord(*row) for row in grid_encode_batch(features, g, R).tolist()]
+    assert cells == [grid_encode(v, g, R) for v in vectors]
+
+
 # ---------------------------------------------------------------------------
 # embedding
 
@@ -79,7 +110,7 @@ def test_embed_zero_weights_gives_zeros(tiny):
         "embed.fc2.weight": np.zeros((6, 4), dtype=np.float32),
         "embed.fc2.bias": np.zeros(4, dtype=np.float32),
     }
-    out = embed_vectors(tokens.vectors, w)
+    out = embed_vectors(tokens.features, w)
     assert out.shape == (8, 4)
     assert out.dtype == np.float32
     np.testing.assert_array_equal(out, 0.0)
@@ -98,7 +129,7 @@ def test_embed_hand_computed_two_channels():
         "embed.fc2.weight": np.eye(2),
         "embed.fc2.bias": np.array([0.5, -0.5]),
     }
-    out = embed_vectors([v], w)
+    out = embed_vectors([v.as_tuple()], w)
     want = [1.0 * PHI1 + 0.5, 2.0 * PHI2 - 0.5]
     np.testing.assert_allclose(out[0], want, rtol=1e-6)
 
@@ -106,7 +137,7 @@ def test_embed_hand_computed_two_channels():
 def test_embed_validates_weights(tiny):
     tokens = build_tokens(tiny)
     with pytest.raises(ConfigError, match="missing embedding tensor"):
-        embed_vectors(tokens.vectors, {})
+        embed_vectors(tokens.features, {})
     bad = {
         "embed.fc1.weight": np.zeros((4, 6)),
         "embed.fc1.bias": np.zeros(6),
@@ -114,7 +145,7 @@ def test_embed_validates_weights(tiny):
         "embed.fc2.bias": np.zeros(6),
     }
     with pytest.raises(ConfigError, match="embed.fc1.weight"):
-        embed_vectors(tokens.vectors, bad)
+        embed_vectors(tokens.features, bad)
     with pytest.raises(ConfigError):
         embed_vectors([], {})
 
@@ -173,8 +204,8 @@ def test_forward_single_block_matches_composed_reference(tiny):
     res = mat_forward(tiny, cfg, w)
 
     tokens = build_tokens(tiny)
-    x = embed_vectors(tokens.vectors, w)
-    coords = grid_encode_batch(tokens.vectors, cfg.grid_g, cfg.grid_R)
+    x = embed_vectors(tokens.features, w)
+    coords = grid_encode_batch(tokens.features, cfg.grid_g, cfg.grid_R)
     gcs = [GridCoord(int(a), int(b), int(c)) for a, b, c in coords]
     base = "stage0.block0"
     sa = AttnWeights.from_dict(w, f"{base}.sa", 1)
@@ -269,11 +300,11 @@ def test_float32_weights_give_the_bits_of_their_float64_copies(grid42, channels,
     narrow = {name: rng.standard_normal(shape).astype(np.float32) for name, shape in weights_module.weight_spec(cfg)}
     wide = {name: t.astype(np.float64) for name, t in narrow.items()}
     tokens = build_tokens(grid42)
-    coords = grid_encode_batch(tokens.vectors, cfg.grid_g, cfg.grid_R)
-    x = embed_vectors(tokens.vectors, wide)
+    coords = grid_encode_batch(tokens.features, cfg.grid_g, cfg.grid_R)
+    x = embed_vectors(tokens.features, wide)
     base = "stage0.block0"
     ops = {
-        "embed_vectors": lambda w: embed_vectors(tokens.vectors, w),
+        "embed_vectors": lambda w: embed_vectors(tokens.features, w),
         "layer_norm": lambda w: layer_norm(x, w[f"{base}.sa.norm.weight"], w[f"{base}.sa.norm.bias"]),
         "path_attention": lambda w: path_attention(
             x, tokens.pidx, AttnWeights.from_dict(w, f"{base}.pa", heads), tokens.inst_pos
