@@ -10,7 +10,7 @@ a whole benchmark run is four shell lines:
     mapassoc report --reports hmm.json knn.json --csv summary.csv
 
 Exit codes: 0 success, 2 validation/configuration error, 3 infeasible
-computation (generation retries exhausted, no feasible decode), 1 anything
+generation (a layout the extents or the random draw cannot hold), 1 anything
 else.  Per-scene work runs on forked worker processes: MAPASSOC_THREADS
 caps their number (default: all usable CPUs, and never more than those),
 and the run is serial where the platform has no fork.  Outputs are
@@ -29,7 +29,9 @@ file and its record count), then each scene in file order (its parse, its
 Whatever the worker count, the error raised is the first one in that order.
 A fault in a scene's `scene_ref` pairing or its work names the scene, as its
 parse faults do: its line for `associate` and `eval`, its index and seed for
-`gen`.
+`gen`. A fault in a config or report file names the file, one in a config
+section names the section, and one in the association file of `eval` reads
+`--pred: line N: ...`; `errors.located` adds each prefix.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import numpy as np
 
 from .baselines import distance_assoc_matrix, hmm_associate, knn_associate
 from .decoder import DecoderConfig, decode_association
-from .errors import ConfigError, GenerationError, MapAssocError, NoFeasiblePathError, ValidationError
+from .errors import ConfigError, GenerationError, MapAssocError, ValidationError, located
 from .io import (
     AssocRecord,
     decode_utf8,
@@ -60,7 +62,7 @@ from .io import (
     load_weights,
     loads_scene,
     numbered_lines,
-    parse_json,
+    parse_object,
     read_assocs,
     write_assocs,
     write_lines,
@@ -255,15 +257,9 @@ def _map(fn, items, costs=None) -> list:
 
 
 def _read_json(path: str, where: str) -> dict:
+    where = f"{where} {path}"
     with open(path, "rb") as fh:
-        text = decode_utf8(fh.read(), f"{where} {path}")
-    try:
-        doc = parse_json(text, f"{where} {path}", finite=True)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{where} {path}: malformed JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{where} {path}: expected a JSON object")
-    return doc
+        return parse_object(decode_utf8(fh.read(), where), where, finite=True)
 
 
 def _config_from(cls, doc, where: str):
@@ -274,10 +270,8 @@ def _config_from(cls, doc, where: str):
     unknown = sorted(set(doc) - names)
     if unknown:
         raise ConfigError(f"{where}: unknown fields: {', '.join(unknown)}")
-    try:
+    with located(where):
         return cls(**doc)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _from_flags(cls, **flagged):
@@ -289,15 +283,6 @@ def _from_flags(cls, **flagged):
         if sep and name in flagged:
             raise ConfigError(f"{flagged[name][0]}: {rest}") from None
         raise
-
-
-@contextlib.contextmanager
-def _naming(where: str):
-    """Re-raise a MapAssocError from a scene's work as the same type, prefixed with `where`."""
-    try:
-        yield
-    except MapAssocError as exc:
-        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _non_negative(text: str) -> int:
@@ -324,7 +309,7 @@ def _cmd_gen(args) -> int:
     base = args.seed if args.seed is not None else gen_cfg.seed
 
     def one(i: int) -> str:
-        with _naming(f"scene {i} (seed {base + i})"):
+        with located(f"scene {i} (seed {base + i})"):
             scene = generate_scene(dataclasses.replace(gen_cfg, seed=base + i))
             if pcfg is not None:
                 scene = perturb_scene(scene, dataclasses.replace(pcfg, seed=pcfg.seed + i))
@@ -365,7 +350,7 @@ def _cmd_associate(args) -> int:
     def one(item) -> AssocRecord:
         i, where, line = item
         scene = loads_scene(line, where)
-        with _naming(where):
+        with located(where):
             if method == "mat":
                 amat, _ = mat_associate(scene, mcfg, weights, curve_seed=args.curve_seed)
             else:
@@ -402,7 +387,8 @@ def _cmd_eval(args) -> int:
     items, costs = _scene_items(args.scenes)
     if not items:
         raise ValidationError(f"{args.scenes}: no scenes in container")
-    records = read_assocs(args.pred)
+    with located("--pred"):
+        records = read_assocs(args.pred)
     if len(records) != len(items):
         raise ValidationError(f"{args.pred} has {len(records)} records but {args.scenes} has {len(items)} scenes")
 
@@ -410,7 +396,7 @@ def _cmd_eval(args) -> int:
         i, where, line = item
         scene = loads_scene(line, where)
         sid = scene.meta.get("scene_id")
-        with _naming(where):
+        with located(where):
             if sid is not None and records[i].scene_ref != str(sid):
                 raise ValidationError(
                     f"record {i + 1} references scene {records[i].scene_ref!r} but this scene is {str(sid)!r}"
@@ -446,10 +432,8 @@ def _cmd_report(args) -> int:
             raise ValidationError(f"report {path}: field 'name' must be a string, got {name!r}")
         if metric not in _METRICS:
             raise ValidationError(f"report {path}: field 'metric' must be one of {_METRICS}, got {metric!r}")
-        try:
+        with located(f"report {path}: field 'report'"):
             rep = MetricReport.from_json(doc["report"])
-        except (ConfigError, ValidationError) as exc:
-            raise ValidationError(f"report {path}: field 'report': {exc}") from exc
         reports.append((name, rep))
         prec, rec, f1 = rep.precision, rep.recall, rep.f1
         for j, th in enumerate(rep.thresholds):
@@ -526,7 +510,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (GenerationError, NoFeasiblePathError) as exc:
+    except GenerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MapAssocError as exc:

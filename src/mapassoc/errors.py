@@ -2,9 +2,13 @@
 
 Every error raised on purpose derives from :class:`MapAssocError` so callers
 (and the CLI exit-code mapping) can tell deliberate failures from bugs.
+`located` owns where a fault is: it prefixes a fault from its block with the
+place it names (a container line, an element, a config section, a flag).
 """
 
 from __future__ import annotations
+
+import contextlib
 
 __all__ = [
     "MapAssocError",
@@ -18,6 +22,7 @@ __all__ = [
     "LabelError",
     "ValidationError",
     "IntegrityError",
+    "located",
 ]
 
 
@@ -63,3 +68,12 @@ class ValidationError(MapAssocError):
 
 class IntegrityError(ValidationError):
     """Binary payload does not match its manifest (truncation, bad magic)."""
+
+
+@contextlib.contextmanager
+def located(where: str):
+    """Re-raise a MapAssocError from the block as the same type, prefixed with `where`."""
+    try:
+        yield
+    except MapAssocError as exc:
+        raise type(exc)(f"{where}: {exc}") from None

@@ -13,7 +13,9 @@ byte offset), then a single contiguous float32 little-endian blob.
 
 Readers reject rather than repair: any malformed field raises before a
 partially constructed value can escape, and the error names the offending
-element or tensor.
+element or tensor. Every document, whether a container line, a config, a
+report or a weights manifest, is read by `parse_object`: one JSON object or a
+ValidationError naming where the text came from.
 
 The scene reader checks each element class of a document in one batch:
 exact-type checks over the whole list of roads, centerlines, boundaries and
@@ -38,7 +40,7 @@ from typing import IO, Union
 import numpy as np
 
 from .assocmatrix import AssocMatrix
-from .errors import ConfigError, IntegrityError, MapAssocError, ValidationError
+from .errors import ConfigError, IntegrityError, ValidationError, located
 from .fields import fits
 from .geometry import (
     Association,
@@ -111,8 +113,8 @@ def parse_json(text: str, where: str, finite: bool = False):
     refuses one with a ValidationError naming `where`; with `finite`, also a
     number that overflows a float, such as 1e999 (the scene reader leaves that
     to its per-element checks). So is an int literal longer than Python's
-    digit limit (4300 digits by default). Malformed text still raises
-    JSONDecodeError.
+    digit limit (4300 digits by default), and text nested deeper than the
+    recursion limit. Malformed text still raises JSONDecodeError.
     """
 
     def reject(name):
@@ -125,17 +127,22 @@ def parse_json(text: str, where: str, finite: bool = False):
         return json.loads(text, parse_constant=reject, parse_float=finite_float if finite else None)
     except json.JSONDecodeError:
         raise
-    except ValueError as exc:  # an int literal past Python's digit limit; drop its advice to raise the limit
+    except (ValueError, RecursionError) as exc:  # past the digit or recursion limit; drop the advice to raise it
         raise ValidationError(f"{where}: {str(exc).partition(';')[0]}") from None
 
 
-def _parse_line(text: str, where: str) -> dict:
+def parse_object(text: str, where: str, finite: bool = False, error: type = ValidationError) -> dict:
+    """The JSON object `text` holds, through `parse_json`.
+
+    Malformed text, or a value that is not an object, raises `error` (a
+    ValidationError) naming `where`.
+    """
     try:
-        doc = parse_json(text, where)
+        doc = parse_json(text, where, finite)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"{where}: malformed JSON at column {exc.colno}: {exc.msg}") from exc
+        raise error(f"{where}: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ValidationError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+        raise error(f"{where}: expected a JSON object, got {type(doc).__name__}")
     return doc
 
 
@@ -251,10 +258,8 @@ def scene_from_doc(doc: dict, where: str = "scene") -> Scene:
         _canonical(meta)  # e.g. 1e999 parses to inf, which has no JSON spelling
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: meta cannot be written as canonical JSON: {exc}") from None
-    try:
+    with located(where):
         sd_half, hd_half = crop_extents(meta)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
     scene = _scene_in_batches(doc, meta, sd_half, hd_half)
     return scene if scene is not None else _scene_per_element(doc, meta, where)
 
@@ -385,14 +390,6 @@ def _scene_in_batches(doc: dict, meta: dict, sd_half, hd_half):
     return Scene(sd=sd, hd=hd, gt=gt, meta=meta)
 
 
-def _named(where: str, make, *args, **kwargs):
-    """`make(*args, **kwargs)`; a fault it raises is re-raised naming `where`."""
-    try:
-        return make(*args, **kwargs)
-    except MapAssocError as exc:
-        raise type(exc)(f"{where}: {exc}") from None
-
-
 def _scene_per_element(doc: dict, meta: dict, where: str) -> Scene:
     """The scene of `doc` through the checking constructors, element by element."""
     sd_doc = _field(doc, "sd", where)
@@ -404,9 +401,12 @@ def _scene_per_element(doc: dict, meta: dict, where: str) -> Scene:
         pts = _field(r, "points", f"{where}.sd.roads[{i}] (road {rid})")
         if not isinstance(pts, list):
             raise ValidationError(f"{where}.sd: road {rid}: points must be a list")
-        roads.append(_named(f"{where}.sd", Road, id=rid, points=_points(pts, f"{where}.sd: road {rid}")))
+        points = _points(pts, f"{where}.sd: road {rid}")
+        with located(f"{where}.sd"):
+            roads.append(Road(id=rid, points=points))
     sd_edges = _edges(_field(sd_doc, "edges", f"{where}.sd"), f"{where}.sd.edges")
-    sd = _named(f"{where}.sd", SdGraph, roads=tuple(roads), edges=sd_edges)
+    with located(f"{where}.sd"):
+        sd = SdGraph(roads=tuple(roads), edges=sd_edges)
 
     hd_doc = _field(doc, "hd", where)
     if not isinstance(hd_doc, dict):
@@ -416,7 +416,8 @@ def _scene_per_element(doc: dict, meta: dict, where: str) -> Scene:
         cid = _ident(c, f"{where}.hd.centerlines[{i}]")
         p1 = _point(_field(c, "p1", f"{where}.hd: centerline {cid}"), f"{where}.hd: centerline {cid} p1")
         p2 = _point(_field(c, "p2", f"{where}.hd: centerline {cid}"), f"{where}.hd: centerline {cid} p2")
-        vector = _named(f"{where}.hd: centerline {cid}", DirVec, p1, p2)
+        with located(f"{where}.hd: centerline {cid}"):
+            vector = DirVec(p1, p2)
         cls.append(Centerline(id=cid, vector=vector))
     bounds = []
     for i, b in enumerate(_list_field(hd_doc, "boundaries", f"{where}.hd", optional=True)):
@@ -424,9 +425,12 @@ def _scene_per_element(doc: dict, meta: dict, where: str) -> Scene:
         pts = _field(b, "points", f"{where}.hd: boundary {bid}")
         if not isinstance(pts, list):
             raise ValidationError(f"{where}.hd: boundary {bid}: points must be a list")
-        bounds.append(_named(f"{where}.hd", Boundary, id=bid, points=_points(pts, f"{where}.hd: boundary {bid}")))
+        points = _points(pts, f"{where}.hd: boundary {bid}")
+        with located(f"{where}.hd"):
+            bounds.append(Boundary(id=bid, points=points))
     hd_edges = _edges(_field(hd_doc, "edges", f"{where}.hd"), f"{where}.hd.edges")
-    hd = _named(f"{where}.hd", HdGraph, centerlines=tuple(cls), edges=hd_edges, boundaries=tuple(bounds))
+    with located(f"{where}.hd"):
+        hd = HdGraph(centerlines=tuple(cls), edges=hd_edges, boundaries=tuple(bounds))
 
     gt_doc = doc.get("gt")
     gt = None
@@ -435,7 +439,8 @@ def _scene_per_element(doc: dict, meta: dict, where: str) -> Scene:
             raise ValidationError(f"{where}: gt must be an object or null")
         gt = Association(labels=_labels(gt_doc, f"{where}.gt"))
 
-    return _named(where, validate_scene, Scene(sd=sd, hd=hd, gt=gt, meta=meta))
+    with located(where):
+        return validate_scene(Scene(sd=sd, hd=hd, gt=gt, meta=meta))
 
 
 def dumps_scene(scene: Scene) -> str:
@@ -449,7 +454,7 @@ def write_scene(scene: Scene, dest: Union[str, IO]) -> None:
 
 def loads_scene(text: str, where: str = "scene") -> Scene:
     """Parse and validate one scene document; inverse of dumps_scene."""
-    return scene_from_doc(_parse_line(text, where), where)
+    return scene_from_doc(parse_object(text, where), where)
 
 
 def read_scene(source: Union[str, IO]) -> Scene:
@@ -532,14 +537,11 @@ def assoc_from_doc(doc: dict, where: str = "assoc") -> AssocRecord:
             raise ValidationError(f"{where}: probs must be an object")
         try:
             rows = np.asarray(_field(probs_doc, "rows", f"{where}.probs"), dtype=np.float32)
-            probs = AssocMatrix(
-                probs=rows,
-                centerline_ids=tuple(_field(probs_doc, "centerline_ids", f"{where}.probs")),
-                road_ids=tuple(_field(probs_doc, "road_ids", f"{where}.probs")),
-            )
-        except ValidationError:
-            raise
-        except (TypeError, ValueError) as exc:
+            centerline_ids = tuple(_field(probs_doc, "centerline_ids", f"{where}.probs"))
+            road_ids = tuple(_field(probs_doc, "road_ids", f"{where}.probs"))
+            with located(f"{where}.probs"):
+                probs = AssocMatrix(probs=rows, centerline_ids=centerline_ids, road_ids=road_ids)
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an inf id or a row value past float
             raise ValidationError(f"{where}.probs: {exc}") from exc
     return AssocRecord(method=method, scene_ref=scene_ref, assoc=Association(labels=labels, meta=meta), probs=probs)
 
@@ -551,7 +553,7 @@ def write_assocs(records, dest: Union[str, IO]) -> None:
 
 def read_assocs(source: Union[str, IO]) -> list:
     """Read every association record from a newline-delimited container, in file order."""
-    return [assoc_from_doc(_parse_line(line, where), where) for where, line in numbered_lines(source)]
+    return [assoc_from_doc(parse_object(line, where), where) for where, line in numbered_lines(source)]
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +598,7 @@ def load_weights(source: Union[str, IO], cfg=None) -> dict:
     if nl < 0:
         raise IntegrityError("weights container: manifest line missing")
     where = f"weights container {_source_name(source)}: manifest"
-    try:
-        manifest = parse_json(decode_utf8(body[:nl], where, IntegrityError), where)
-    except json.JSONDecodeError as exc:
-        raise IntegrityError(f"weights container: malformed manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise IntegrityError("weights container: manifest must be an object")
+    manifest = parse_object(decode_utf8(body[:nl], where, IntegrityError), where, error=IntegrityError)
     tensors = manifest.get("tensors")
     total = manifest.get("total_bytes")
     if not isinstance(tensors, list) or not fits(total, int):
