@@ -15,9 +15,9 @@ Derived data (vectors of a polyline, adjacency maps, a scene's
 `road_distances`) is computed once and cached on the instance, so every
 consumer reads the same values. Each road and lane graph owns its DAG facts:
 one Kahn peel gives its longest-path `depths` and finds cycles, and `paths`
-is its PathIndex, counted before it is enumerated and built once per graph. A
-reader that has checked a whole scene in bulk builds its objects with
-`_trusted`, which skips the constructor checks.
+is its PathIndex, counted before it is enumerated and built once per graph.
+This module owns every element and graph rule: the `many` builders check a
+whole list of elements in one pass, and a graph keeps canonical input as given.
 
 Public types
 ------------
@@ -37,8 +37,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, repeat
-from operator import eq, setitem
+from itertools import accumulate, chain, repeat
+from operator import attrgetter, eq, ge, setitem
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -155,6 +155,20 @@ class _Polyline:
             raise InvalidGeometryError(f"{self._NOUN} {self.id}: repeated point {a}")
         object.__setattr__(self, "points", pts)
 
+    @classmethod
+    def many(cls, ids: Sequence[int], point_lists: Sequence[Sequence]) -> list:
+        """One `cls` per id from its list of [x, y] pairs, checked in one pass
+        and built unchecked; input that fails goes through the constructor."""
+        if min(map(len, point_lists), default=2) >= 2:
+            pts = tuple(map(_point2, chain.from_iterable(point_lists)))
+            ends = list(accumulate(map(len, point_lists)))
+            same = list(map(eq, pts, pts[1:]))
+            for end in ends[:-1]:
+                same[end - 1] = False  # the first point of the next polyline
+            if True not in same:
+                return _trusted(cls, ids, list(map(pts.__getitem__, map(slice, [0, *ends[:-1]], ends))))
+        return list(map(cls, ids, point_lists))  # raises the first fault
+
     @cached_property
     def vectors(self) -> tuple[DirVec, ...]:
         """Chained vectors between consecutive points; v[i].p2 == v[i+1].p1."""
@@ -179,6 +193,15 @@ class Centerline:
     id: int
     vector: DirVec
 
+    @classmethod
+    def many(cls, ids: Sequence[int], p1s: Sequence, p2s: Sequence) -> list:
+        """One Centerline per id from [x, y] endpoint pairs, built unchecked
+        when no vector has zero length; otherwise `DirVec` raises the first fault."""
+        p1s, p2s = list(map(_point2, p1s)), list(map(_point2, p2s))
+        if True in map(eq, p1s, p2s):
+            return list(map(cls, ids, map(DirVec, p1s, p2s)))
+        return _trusted(cls, ids, _trusted(DirVec, p1s, p2s))
+
 
 @dataclass(frozen=True)
 class Boundary(_Polyline):
@@ -187,18 +210,17 @@ class Boundary(_Polyline):
     _NOUN = "boundary"
 
 
-_point2 = partial(tuple.__new__, Point2)  # Point2 from a checked [x, y] pair, unconverted
+_point2 = partial(tuple.__new__, Point2)  # Point2 from an [x, y] pair, unconverted
+_ID = attrgetter("id")
 
 
 def _trusted(cls, *columns) -> list:
     """`cls` instances from one column of values per field, unchecked.
 
-    The frozen dataclass `__init__`/`__post_init__` does not run, so nothing
-    is checked, converted or sorted: the caller must already have checked
-    every invariant the constructor enforces and pass canonical values
-    (`Point2` points, element tuples sorted by id, sorted unique edges). The
-    instances are indistinguishable from constructed ones; pickle restores
-    a dataclass the same way. Each field is set for every instance in one
+    The frozen dataclass `__init__`/`__post_init__` does not run: the `many`
+    builders call it on values that passed the constructor's checks. The
+    instances are indistinguishable from constructed ones; pickle restores a
+    dataclass the same way. Each field is set for every instance in one
     C-level pass.
     """
     objs = list(map(object.__new__, repeat(cls, len(columns[0]))))
@@ -216,18 +238,23 @@ class _Dag:
     graph's nodes first; `_LAYER` names the graph in messages. Construction
     sorts every element field by id and the edges, drops duplicate edges and
     rejects duplicate ids, self-loops and edges to missing nodes, so equal
-    graphs compare equal regardless of construction order. The DAG facts are
-    computed on first use and cached on the instance.
+    graphs compare equal regardless of construction order; input already in
+    that form is kept as given. The DAG facts are computed on first use and cached.
     """
 
     def __post_init__(self):
+        for name, _ in self._ELEMENTS:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "edges", tuple(self.edges))
+        if self._canonical():
+            return
         for name, what in self._ELEMENTS:
-            elements = tuple(sorted(getattr(self, name), key=lambda e: e.id))
+            elements = tuple(sorted(getattr(self, name), key=_ID))
             object.__setattr__(self, name, elements)
-            if len({e.id for e in elements}) != len(elements):
+            if len(set(map(_ID, elements))) != len(elements):
                 raise ValidationError(f"duplicate {what} ids")
         name, what = self._ELEMENTS[0]
-        ids = {n.id for n in getattr(self, name)}
+        ids = set(map(_ID, getattr(self, name)))
         edges = set()
         for e in self.edges:
             a, b = int(e[0]), int(e[1])
@@ -238,6 +265,19 @@ class _Dag:
                     raise TopologyError(f"{what} edge ({a}, {b}) references missing id {node}")
             edges.add((a, b))
         object.__setattr__(self, "edges", tuple(sorted(edges)))
+
+    def _canonical(self) -> bool:
+        # int ids strictly ascending; edges strictly ascending (a, b) int tuples, a != b, of node ids
+        ids = [list(map(_ID, getattr(self, name))) for name, _ in self._ELEMENTS]
+        if not all(set(map(type, i)) <= {int} and True not in map(ge, i, i[1:]) for i in ids):
+            return False
+        edges = self.edges
+        if not set(map(type, edges)) <= {tuple} or not set(map(len, edges)) <= {2}:
+            return False
+        ends = list(chain.from_iterable(edges))
+        if not set(map(type, ends)) <= {int} or not set(ids[0]).issuperset(ends):
+            return False
+        return True not in map(eq, ends[0::2], ends[1::2]) and True not in map(ge, edges, edges[1:])
 
     @cached_property
     def by_id(self) -> dict:

@@ -17,30 +17,29 @@ element or tensor. Every document, whether a container line, a config, a
 report or a weights manifest, is read by `parse_object`: one JSON object or a
 ValidationError naming where the text came from.
 
-The scene reader checks each element class of a document in one batch:
-exact-type checks over the whole list of roads, centerlines, boundaries and
-edges, a check that ids and edges are in canonical (strictly ascending)
-order, reductions over the flattened coordinates for finiteness and the
-crop extents, and one pairwise pass for repeated points. When every check
-passes it builds each object once, unchecked. Any other document is re-read
-element by element, through the checking constructors and
-`validate_scene`: they put elements and edges into canonical order, or
-raise the first fault in document order with a message that names it.
+The scene reader checks only what JSON holds, in one batch per element
+class: exact types over each list, and reductions over the flattened
+coordinates for finiteness and the crop extents. It builds the scene through
+`geometry`, which owns every element and graph rule. A document that fails a
+check or a rule is re-read element by element through the checking
+constructors and `validate_scene`, which raise the first fault in document
+order with a message that names it.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from math import isfinite
-from operator import eq, ge, itemgetter
+from operator import itemgetter
 from typing import IO, Union
 
 import numpy as np
 
 from .assocmatrix import AssocMatrix
-from .errors import ConfigError, IntegrityError, ValidationError, located
+from .errors import ConfigError, IntegrityError, MapAssocError, ValidationError, located
 from .fields import fits
 from .geometry import (
     Association,
@@ -53,8 +52,6 @@ from .geometry import (
     Scene,
     SdGraph,
     _coords_within,
-    _point2,
-    _trusted,
     crop_extents,
     validate_scene,
 )
@@ -106,19 +103,19 @@ def _write_bytes(dest: Union[str, IO], data: bytes) -> None:
         fh.write(data)
 
 
-def parse_json(text: str, where: str, finite: bool = False):
+def parse_json(text: str, where: str, finite: bool = False, error: type = ValidationError):
     """`json.loads` without the NaN, Infinity and -Infinity extensions.
 
     Canonical JSON has no spelling for a non-finite number, so a reader
-    refuses one with a ValidationError naming `where`; with `finite`, also a
-    number that overflows a float, such as 1e999 (the scene reader leaves that
-    to its per-element checks). So is an int literal longer than Python's
-    digit limit (4300 digits by default), and text nested deeper than the
-    recursion limit. Malformed text still raises JSONDecodeError.
+    refuses one with `error` (a ValidationError) naming `where`; with
+    `finite`, also a number that overflows a float, such as 1e999 (the scene
+    reader checks that per element). So is an int literal past Python's
+    digit limit (4300 by default) and text nested past the recursion limit.
+    Malformed text still raises JSONDecodeError.
     """
 
     def reject(name):
-        raise ValidationError(f"{where}: non-finite number {name} is not allowed")
+        raise error(f"{where}: non-finite number {name} is not allowed")
 
     def finite_float(literal):
         return float(literal) if isfinite(float(literal)) else reject(literal)
@@ -128,7 +125,7 @@ def parse_json(text: str, where: str, finite: bool = False):
     except json.JSONDecodeError:
         raise
     except (ValueError, RecursionError) as exc:  # past the digit or recursion limit; drop the advice to raise it
-        raise ValidationError(f"{where}: {str(exc).partition(';')[0]}") from None
+        raise error(f"{where}: {str(exc).partition(';')[0]}") from None
 
 
 def parse_object(text: str, where: str, finite: bool = False, error: type = ValidationError) -> dict:
@@ -138,7 +135,7 @@ def parse_object(text: str, where: str, finite: bool = False, error: type = Vali
     ValidationError) naming `where`.
     """
     try:
-        doc = parse_json(text, where, finite)
+        doc = parse_json(text, where, finite, error)
     except json.JSONDecodeError as exc:
         raise error(f"{where}: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -242,11 +239,9 @@ def scene_to_doc(scene: Scene) -> dict:
 def scene_from_doc(doc: dict, where: str = "scene") -> Scene:
     """Rebuild and fully validate a Scene from its document form.
 
-    The elements are checked in batches (see the module docstring); a
-    document that fails any batch check is re-read element by element, which
-    raises the first fault in document order or, for an input the batches
-    are stricter about (elements or edges out of canonical order, an int or
-    numpy coordinate, a tuple point), returns the same scene.
+    A document the batch checks refuse (see the module docstring) is re-read
+    element by element, which raises its first fault in document order or,
+    for an int or numpy coordinate or a tuple point, returns the same scene.
     """
     version = _field(doc, "version", where)
     if version != SCENE_VERSION:
@@ -269,17 +264,13 @@ _DICT, _LIST, _INT, _FLOAT, _STR, _TWO = {dict}, {list}, {int}, {float}, {str}, 
 
 
 def _records(elements, *keys):
-    """The id column and the `keys` columns of a list of JSON objects, or None.
-
-    None unless every element is an object with an int id and every key, and
-    the ids are strictly ascending, as a canonical document's are; the graph
-    constructors put any other order right on the per-element path.
-    """
+    """The id column and the `keys` columns of a list of JSON objects, each
+    with an int id and every key, or None."""
     if type(elements) is not list or not set(map(type, elements)) <= _DICT:
         return None
     try:
         ids = list(map(_ID, elements))
-        if not set(map(type, ids)) <= _INT or any(map(ge, ids, ids[1:])):
+        if not set(map(type, ids)) <= _INT:
             return None
         return (ids, *(list(map(itemgetter(k), elements)) for k in keys))
     except KeyError:
@@ -295,80 +286,44 @@ def _coords(points: list):
 
 
 def _polylines(elements, half):
-    """The ids and `Point2` tuples of {"id", "points"} objects, in id order, or None.
-
-    None unless every polyline has at least 2 finite [x, y] float points
-    inside the crop half-extents `half` and no point repeats its predecessor.
-    """
+    """The ids and point lists of {"id", "points"} objects, or None unless
+    every point is a finite [x, y] float pair inside the crop half-extents `half`."""
     rec = _records(elements, "points")
-    if rec is None:
+    if rec is None or not set(map(type, rec[1])) <= _LIST:
         return None
-    ids, lines = rec
-    if not set(map(type, lines)) <= _LIST or (lines and min(map(len, lines)) < 2):
-        return None
-    pts = list(chain.from_iterable(lines))
-    coords = _coords(pts)
-    if coords is None or not _coords_within(coords, half):
-        return None
-    ends = list(accumulate(map(len, lines)))
-    same = list(map(eq, pts, pts[1:]))
-    for end in ends[:-1]:
-        same[end - 1] = False  # the first point of the next polyline
-    if True in same:
-        return None
-    points = tuple(map(_point2, pts))
-    return ids, list(map(points.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+    coords = _coords(list(chain.from_iterable(rec[1])))
+    return rec if coords is not None and _coords_within(coords, half) else None
 
 
 def _centerlines(elements, half):
-    """The ids and `DirVec`s of {"id", "p1", "p2"} objects, in id order, or None.
-
-    None unless every endpoint is a finite [x, y] float pair inside the crop
-    half-extents `half` and no centerline has zero length.
-    """
+    """The ids and endpoint columns of {"id", "p1", "p2"} objects, or None unless
+    every endpoint is a finite [x, y] float pair inside the crop half-extents `half`."""
     rec = _records(elements, "p1", "p2")
     if rec is None:
         return None
-    ids, p1s, p2s = rec
-    coords = _coords(p1s + p2s)
-    if coords is None or any(map(eq, p1s, p2s)) or not _coords_within(coords, half):
-        return None
-    return ids, _trusted(DirVec, list(map(_point2, p1s)), list(map(_point2, p2s)))
+    coords = _coords(rec[1] + rec[2])
+    return rec if coords is not None and _coords_within(coords, half) else None
 
 
-def _edge_pairs(edges, ids: set):
-    """The (a, b) pairs of an edge list, or None.
-
-    None unless every edge is an [a, b] list of two distinct ids in `ids` and
-    the edges are strictly ascending, as a canonical document's are.
-    """
+def _edge_pairs(edges):
+    """The (a, b) pairs of a list of [int, int] lists, or None."""
     if type(edges) is not list or not set(map(type, edges)) <= _LIST or not set(map(len, edges)) <= _TWO:
         return None
-    ends = list(chain.from_iterable(edges))
-    if (
-        not set(map(type, ends)) <= _INT
-        or not ids.issuperset(ends)
-        or any(map(eq, ends[0::2], ends[1::2]))
-        or any(map(ge, edges, edges[1:]))
-    ):
+    if not set(map(type, chain.from_iterable(edges))) <= _INT:
         return None
     return tuple(map(tuple, edges))
 
 
 def _scene_in_batches(doc: dict, meta: dict, sd_half, hd_half):
-    """The scene of `doc`, built unchecked, or None when a batch check fails."""
+    """The scene of `doc`, or None when a batch check or a geometry builder fails."""
     sd_doc, hd_doc = doc.get("sd"), doc.get("hd")
     if type(sd_doc) is not dict or type(hd_doc) is not dict:
         return None
     roads = _polylines(sd_doc.get("roads"), sd_half)
     cls = _centerlines(hd_doc.get("centerlines"), hd_half)
     bounds = _polylines(hd_doc.get("boundaries") or [], hd_half)
-    if roads is None or cls is None or bounds is None:
-        return None
-    road_ids, cl_ids = set(roads[0]), set(cls[0])
-    sd_edges = _edge_pairs(sd_doc.get("edges"), road_ids)
-    hd_edges = _edge_pairs(hd_doc.get("edges"), cl_ids)
-    if sd_edges is None or hd_edges is None:
+    sd_edges, hd_edges = _edge_pairs(sd_doc.get("edges")), _edge_pairs(hd_doc.get("edges"))
+    if roads is None or cls is None or bounds is None or sd_edges is None or hd_edges is None:
         return None
     gt = doc.get("gt")
     if gt is not None:
@@ -378,14 +333,14 @@ def _scene_in_batches(doc: dict, meta: dict, sd_half, hd_half):
             labels = dict(zip(map(int, gt), gt.values()))
         except ValueError:
             return None
-        if labels.keys() != cl_ids or not road_ids.issuperset(labels.values()):
+        if labels.keys() != set(cls[0]) or not set(roads[0]).issuperset(labels.values()):
             return None
         gt = Association(labels=labels)
-    [sd] = _trusted(SdGraph, [tuple(_trusted(Road, *roads))], [sd_edges])
-    [hd] = _trusted(
-        HdGraph, [tuple(_trusted(Centerline, *cls))], [hd_edges], [tuple(_trusted(Boundary, *bounds))]
-    )
-    if hd._peel[1] is not None:  # a lane cycle
+    try:
+        sd = SdGraph(roads=Road.many(*roads), edges=sd_edges)
+        hd = HdGraph(centerlines=Centerline.many(*cls), edges=hd_edges, boundaries=Boundary.many(*bounds))
+        hd.depths  # raises on a lane cycle
+    except MapAssocError:
         return None
     return Scene(sd=sd, hd=hd, gt=gt, meta=meta)
 
@@ -453,8 +408,17 @@ def write_scene(scene: Scene, dest: Union[str, IO]) -> None:
 
 
 def loads_scene(text: str, where: str = "scene") -> Scene:
-    """Parse and validate one scene document; inverse of dumps_scene."""
-    return scene_from_doc(parse_object(text, where), where)
+    """Parse and validate one scene document; inverse of dumps_scene. The
+    cyclic collector is paused meanwhile: the thousands of lists a document
+    parses into would set off dozens of collections per scene, now and then a
+    full one over the whole heap, and reference counting frees them all."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return scene_from_doc(parse_object(text, where), where)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def read_scene(source: Union[str, IO]) -> Scene:

@@ -45,7 +45,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from ..curves import DEFAULT_ORDER, sort_tokens
 from ..errors import ConfigError, TopologyError
@@ -72,6 +71,8 @@ _CHUNK_COPIES = 512
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Gaussian-error linear unit, exact erf form."""
+    from scipy.special import erf  # here, so that only a model run pays scipy's import
+
     x = np.asarray(x)
     # 0.5 * x * (1 + erf(x / sqrt 2)) in place, so a wide FFN hidden layer
     # holds one temporary; a 0-d input gives a scalar, which has no buffer

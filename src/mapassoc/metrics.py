@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Optional, Union
 
 import numpy as np
@@ -270,6 +272,12 @@ def label_sequence(path, assoc: Association, hd: HdGraph) -> tuple:
     return tuple(labels), tuple(lengths)
 
 
+def _sum(values) -> float:
+    """The float sum of `values` left to right from 0.0: the same bits on every
+    Python (builtin `sum()` compensates since 3.12)."""
+    return reduce(add, values, 0.0)
+
+
 def overlap_ratio(pred, gt) -> float:
     """Length-aware overlap between two collapsed label sequences.
 
@@ -279,17 +287,13 @@ def overlap_ratio(pred, gt) -> float:
     """
     pl, pv = list(pred[0]), list(pred[1])
     gl, gv = list(gt[0]), list(gt[1])
-    total = float(sum(gv))
+    total = _sum(gv)
     if total <= 0.0:
         raise InvalidGeometryError("ground-truth path has zero length")
     if pl == gl:
         # Equal sequences align only along the diagonal at full length, and
-        # the DP below sums that diagonal left to right from 0.0; this loop
-        # gives the same bits (sum() may compensate, so it is not used).
-        s = 0.0
-        for a, b in zip(pv, gv):
-            s += min(a, b)
-        return min(s / total, 1.0)
+        # the DP below sums that diagonal left to right from 0.0, as _sum does
+        return min(_sum(map(min, pv, gv)) / total, 1.0)
     np_, ng = len(pl), len(gl)
     # dp[i][j]: best (aligned count, aligned min-length sum) for pred[:i], gt[:j]
     dp = [[(0, 0.0)] * (ng + 1) for _ in range(np_ + 1)]
@@ -397,7 +401,7 @@ def _scene_counts(pred, scene: Scene, cfg: MetricConfig, scorer) -> np.ndarray:
     gt_lengths = scene.hd.lengths
     for gt_path in gt_paths:
         s, e = _path_ends(scene.hd, gt_path)
-        b = cfg.bucket_of(sum(gt_lengths[c] for c in gt_path))
+        b = cfg.bucket_of(_sum(gt_lengths[c] for c in gt_path))
         candidates = []
         if s in match and e in match:
             candidates = by_ends.get((match[s], match[e]), [])

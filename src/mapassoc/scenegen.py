@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from typing import Literal, Optional, Union
 
 import numpy as np
@@ -45,7 +45,6 @@ from .geometry import (
     Road,
     Scene,
     SdGraph,
-    _point2,
     point_to_segment_distance,
     sample_polyline,
 )
@@ -453,22 +452,16 @@ def _ends(centerlines) -> np.ndarray:
     return _xy([(c.vector.p1, c.vector.p2) for c in centerlines]).reshape(-1, 4)
 
 
-def _vectors(ends: np.ndarray) -> list:
-    """A DirVec per [p1x, p1y, p2x, p2y] row."""
-    p1s = map(_point2, ends[:, :2].tolist())
-    p2s = map(_point2, ends[:, 2:].tolist())
-    return list(map(DirVec, p1s, p2s))
+def _centerlines(ids, ends: np.ndarray) -> list:
+    """A Centerline per id, its vector from a [p1x, p1y, p2x, p2y] row of `ends`."""
+    return Centerline.many(ids, ends[:, :2].tolist(), ends[:, 2:].tolist())
 
 
-def _polylines(cls, elements, xy: np.ndarray) -> tuple:
+def _polylines(cls, elements, xy: np.ndarray) -> list:
     """`cls` (Road or Boundary) per element, with its points taken in turn from the rows of `xy`."""
-    pts = list(map(_point2, xy.tolist()))
-    out, start = [], 0
-    for e in elements:
-        end = start + len(e.points)
-        out.append(cls(e.id, tuple(pts[start:end])))
-        start = end
-    return tuple(out)
+    rows = xy.tolist()
+    ends = list(accumulate(len(e.points) for e in elements))
+    return cls.many([e.id for e in elements], list(map(rows.__getitem__, map(slice, [0, *ends[:-1]], ends))))
 
 
 def _crop(base, xy: np.ndarray) -> list:
@@ -543,7 +536,7 @@ def perturb_scene(scene: Scene, cfg: PerturbConfig) -> Scene:
         split = over_rng.random(len(ids)) < cfg.oversegment_rate
     whole = ~split
     if moved:
-        cls = list(map(Centerline, compress(ids, whole), _vectors(ends[whole])))
+        cls = _centerlines(list(compress(ids, whole)), ends[whole])
     else:
         cls = list(compress(cls, whole))
     if split.any():
@@ -553,8 +546,8 @@ def perturb_scene(scene: Scene, cfg: PerturbConfig) -> Scene:
         mid = (cut[:, :2] + cut[:, 2:]) / 2.0
         firsts = list(compress(ids, split))
         seconds = range(max(ids) + 1, max(ids) + 1 + len(firsts))
-        cls += map(Centerline, firsts, _vectors(np.hstack((cut[:, :2], mid))))
-        cls += map(Centerline, seconds, _vectors(np.hstack((mid, cut[:, 2:]))))
+        cls += _centerlines(firsts, np.hstack((cut[:, :2], mid)))
+        cls += _centerlines(seconds, np.hstack((mid, cut[:, 2:])))
         second_of = dict(zip(firsts, seconds))
         edges = [(second_of.get(a, a), b) for a, b in edges]
         edges += second_of.items()
@@ -609,6 +602,7 @@ def augment_scene(scene: Scene, cfg: AugConfig) -> Scene:
         return scene
 
     roads, cls, bounds = scene.sd.roads, scene.hd.centerlines, scene.hd.boundaries
+    ids = [c.id for c in cls]
     sd_xy = _xy([r.points for r in roads])
     ends = _ends(cls)
     bxy = _xy([b.points for b in bounds])
@@ -625,10 +619,7 @@ def augment_scene(scene: Scene, cfg: AugConfig) -> Scene:
         sd_xy, ends, bxy = xy[:n_sd], xy[n_sd:n_hd].reshape(-1, 4), xy[n_hd:]
         roads = _polylines(Road, roads, sd_xy)
         bounds = _polylines(Boundary, bounds, bxy)
-        vectors = _vectors(ends)
-    else:
-        vectors = [c.vector for c in cls]
-    ids = [c.id for c in cls]
+        cls = _centerlines(ids, ends)
     edges = list(scene.hd.edges)
     labels = dict(scene.gt.labels) if scene.gt is not None else None
 
@@ -639,7 +630,7 @@ def augment_scene(scene: Scene, cfg: AugConfig) -> Scene:
         cells = zip(
             np.floor(mid[:, 0] / gx).tolist(),
             np.floor(mid[:, 1] / gy).tolist(),
-            [math.floor((v.theta % _TWO_PI) / gtheta) for v in vectors],
+            [math.floor((c.vector.theta % _TWO_PI) / gtheta) for c in cls],
         )
         seen: dict = {}
         for cid, cell in zip(ids, cells):  # graph elements come in id order
@@ -652,8 +643,7 @@ def augment_scene(scene: Scene, cfg: AugConfig) -> Scene:
             if labels is not None:
                 labels = {i: r for i, r in labels.items() if i not in dropped}
 
-    cls = tuple(map(Centerline, compress(ids, keep), compress(vectors, keep)))
-    hd = HdGraph(centerlines=cls, edges=tuple(edges), boundaries=bounds)
+    hd = HdGraph(centerlines=tuple(compress(cls, keep)), edges=tuple(edges), boundaries=bounds)
     sd = SdGraph(roads=roads, edges=scene.sd.edges)
     meta = dict(scene.meta)
     meta["augment"] = {

@@ -5,9 +5,9 @@ exhaustive enumeration, naive recursion. Production code must match these
 references, never the other way around. Nothing in this module imports
 from the production attention, decoding, loss, or metric internals; the
 package imports are leaf data types, the curve-index primitive (whose own
-tests pin it against hand values), for the per-path HMM reference the
-HMM's emission and transition builders, path enumeration and `viterbi`
-(pinned against `brute_viterbi`), for the per-pair metric reference the
+tests pin it against hand values), for the per-path and the exhaustive HMM
+references the HMM's emission and transition builders, path enumeration
+and `viterbi` (pinned against `brute_viterbi`), for the per-pair metric reference the
 public pair scorers `label_sequence`, `overlap_ratio` and `chamfer_distance`
 (pinned against `lcs_overlap` and `chamfer_brute`), for the per-path beam
 reference the decoder's config and result types, for the element-by-
@@ -307,6 +307,40 @@ def hmm_per_path_reference(scene):
     return labels, sorted(c for c, v in best_score.items() if v == -math.inf)
 
 
+def hmm_exhaustive_reference(scene):
+    """The HMM's max-marginals by trying every road sequence of every lane path.
+
+    A sequence's score along a root-to-leaf path is the uniform log prior plus
+    its emissions and transitions; M[v, s] is the best score of any (path,
+    sequence) through centerline v in road state s, with rows in centerline
+    id order and columns in road id order. A centerline takes the lowest road
+    id among the best of its row or, when the whole row is -inf, its nearest
+    road. Returns (labels, sorted ids of the centerlines that fell back, M).
+    """
+    dist, cl_ids, road_ids = scene_distances_reference(scene)
+    row_of = {c: i for i, c in enumerate(cl_ids)}
+    log_em = _log_emissions(dist)
+    log_tr = _log_transition_matrix(scene)
+    m = np.full(dist.shape, -np.inf)
+    for path in enumerate_paths(scene.hd).paths:
+        rows = [row_of[c] for c in path]
+        seqs = np.array(list(itertools.product(range(len(road_ids)), repeat=len(path))))
+        scores = -math.log(len(road_ids)) + log_em[rows[0], seqs[:, 0]]
+        for t in range(1, len(path)):
+            scores = scores + (log_tr[seqs[:, t - 1], seqs[:, t]] + log_em[rows[t], seqs[:, t]])
+        for t, r in enumerate(rows):
+            for s in range(len(road_ids)):
+                m[r, s] = max(m[r, s], scores[seqs[:, t] == s].max())
+    labels, fallback = {}, []
+    for c, r in row_of.items():
+        if m[r].max() == -np.inf:
+            labels[c] = int(road_ids[int(np.argmin(dist[r]))])
+            fallback.append(c)
+        else:
+            labels[c] = int(road_ids[int(np.argmax(m[r]))])
+    return labels, fallback, m
+
+
 def brute_beam(rows, road_ids, edges):
     """Best connected label sequence through the confidence-seeded token.
 
@@ -524,6 +558,16 @@ def ctc_enumeration(logprobs, labels) -> float:
 # metrics
 
 
+def left_sum(values) -> float:
+    """The float sum of `values` left to right from 0.0, as the metric defines
+    a path's length on every Python version (builtin `sum()` compensates
+    since 3.12)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def lcs_overlap(pred_labels, pred_lens, gt_labels, gt_lens) -> float:
     """Exhaustive best common subsequence by (count, min-length sum)."""
     n, m = len(pred_labels), len(gt_labels)
@@ -547,7 +591,7 @@ def overlap_dp_reference(pred, gt) -> float:
     """`overlap_ratio` as it was before its equal-sequence shortcut: the LCS DP for every pair."""
     pl, pv = list(pred[0]), list(pred[1])
     gl, gv = list(gt[0]), list(gt[1])
-    total = float(sum(gv))
+    total = left_sum(gv)
     if total <= 0.0:
         raise InvalidGeometryError("ground-truth path has zero length")
     np_, ng = len(pl), len(gl)
@@ -629,7 +673,7 @@ def scene_counts_reference(metric, assoc, scene, cfg, pred_hd=None) -> np.ndarra
     counts = np.zeros((len(ths), len(cfg.length_buckets), 3), dtype=np.int64)
     for gt_path in gt_paths:
         s, e = ends(scene.hd, gt_path)
-        b = cfg.bucket_of(sum(scene.hd.by_id[c].vector.length for c in gt_path))
+        b = cfg.bucket_of(left_sum(scene.hd.by_id[c].vector.length for c in gt_path))
         candidates = []
         if s in match and e in match:
             candidates = by_ends.get((match[s], match[e]), [])

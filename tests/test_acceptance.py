@@ -19,7 +19,7 @@ from mapassoc.baselines import distance_assoc_matrix, hmm_associate, knn_associa
 from mapassoc.cli import main
 from mapassoc.curves import CURVE_KINDS, GridCoord, curve_index, sort_tokens
 from mapassoc.decoder import DecoderConfig, beam_decode, decode_association
-from mapassoc.geometry import Association, HdGraph, PathIndex
+from mapassoc.geometry import Association, Centerline, DirVec, HdGraph, PathIndex, Point2, Road, Scene, SdGraph
 from mapassoc.io import dumps_scene, scene_from_doc
 from mapassoc.mat import desk_config, init_weights, mat_associate
 from mapassoc.mat.attention import path_attention, rope_rotate, spatial_attention
@@ -32,11 +32,12 @@ from oracles import (
     brute_beam,
     brute_viterbi,
     ctc_enumeration,
+    hmm_exhaustive_reference,
     path_attention_reference,
     spatial_attention_reference,
 )
 
-N_CRITERIA = 12
+N_CRITERIA = 13
 
 
 def verdict(num: int, label: str, ok: bool, detail: str = ""):
@@ -182,6 +183,56 @@ def test_05_viterbi_equals_brute_force_100_instances():
         ok = ok and list(got_seq) == list(want_seq)
         ok = ok and got_score == pytest.approx(want_score, rel=1e-9)
     verdict(5, "Viterbi = brute force on 100 instances (T<=6, S<=5), exact sequences", ok)
+
+
+# ---------------------------------------------------------------------------
+# 13. the HMM the system runs equals exhaustive search
+
+
+def small_hmm_scene(rng) -> Scene:
+    """1-4 roads with random connections, and a lane DAG over 6 depth levels,
+    so no lane path has more than 6 centerlines; ids are not contiguous. One
+    scene in five moves a centerline 1e155 m away, where its emission is -inf."""
+    road_ids = sorted(int(i) for i in rng.choice(20, size=int(rng.integers(1, 5)), replace=False))
+    roads = []
+    for rid in road_ids:
+        a = rng.uniform(-20.0, 20.0, size=2)
+        roads.append(Road(id=rid, points=(Point2(*a.tolist()), Point2(*(a + rng.uniform(5.0, 15.0, size=2)).tolist()))))
+    sd_edges = tuple((a, b) for a in road_ids for b in road_ids if a != b and rng.random() < 0.4)
+    cl_ids = sorted(int(i) for i in rng.choice(30, size=int(rng.integers(1, 13)), replace=False))
+    level = dict(zip(cl_ids, rng.integers(0, 6, size=len(cl_ids)).tolist()))
+    hd_edges = tuple((a, b) for a in cl_ids for b in cl_ids if level[a] < level[b] and rng.random() < 0.5)
+    far = set(rng.choice(cl_ids, size=1).tolist()) if rng.random() < 0.2 else set()
+    cls = []
+    for c in cl_ids:
+        p1 = np.array([1e155, 0.0]) if c in far else rng.uniform(-25.0, 25.0, size=2)
+        cls.append(Centerline(id=c, vector=DirVec.from_points(p1.tolist(), (p1 + rng.uniform(1.0, 4.0, size=2)).tolist())))
+    return Scene(sd=SdGraph(roads=tuple(roads), edges=sd_edges), hd=HdGraph(centerlines=tuple(cls), edges=hd_edges))
+
+
+def test_13_hmm_equals_exhaustive_search_100_scenes():
+    ok, ties, fallbacks, blocked = True, 0, 0, 0
+    for seed in range(100):
+        scene = small_hmm_scene(np.random.default_rng(13000 + seed))
+        with np.errstate(over="ignore"):
+            assoc = hmm_associate(scene)
+            want, want_fallback, m = hmm_exhaustive_reference(scene)
+        ok = ok and assoc.meta.get("fallback_centerlines", []) == want_fallback
+        col = {r: j for j, r in enumerate(scene.sd.node_ids)}
+        for row, c in enumerate(scene.hd.node_ids):
+            got = assoc.labels[c]
+            if got != want[c]:
+                # roads whose finite max-marginals tie within 1e-9: either label is right
+                best = m[row].max()
+                ties += 1
+                ok = ok and best > -np.inf and m[row, col[got]] >= best - 1e-9 * max(1.0, abs(best))
+        fallbacks += bool(want_fallback)
+        blocked += len(scene.sd.edges) < len(scene.sd.roads) * (len(scene.sd.roads) - 1)
+    ok = ok and fallbacks > 0 and blocked > 0
+    verdict(
+        13, "HMM = exhaustive search over every road sequence of every lane path on 100 scenes "
+        f"(<=4 roads, paths <=6; {fallbacks} with fallbacks, {blocked} with infeasible transitions, {ties} ties)", ok,
+    )
 
 
 # ---------------------------------------------------------------------------

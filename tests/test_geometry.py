@@ -521,6 +521,83 @@ def test_graph_rejects_self_loop():
         SdGraph(roads=(r,), edges=((1, 1),))
 
 
+def _noisy_scene(seed: int) -> Scene:
+    noise = PerturbConfig(gps_shift=1.0, dropout_rate=0.1, jitter_sigma=0.2, oversegment_rate=0.3, seed=seed)
+    return augment_scene(perturb_scene(generate_scene(GenConfig(layout="radial", seed=seed)), noise), AugConfig(seed=seed))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graphs_keep_canonical_input_as_given(seed):
+    scene = _noisy_scene(seed)
+    roads, sd_edges = tuple(list(scene.sd.roads)), tuple(list(scene.sd.edges))
+    sd = SdGraph(roads=roads, edges=sd_edges)
+    assert sd.roads is roads and sd.edges is sd_edges
+    cls, bounds, hd_edges = (tuple(list(v)) for v in (scene.hd.centerlines, scene.hd.boundaries, scene.hd.edges))
+    hd = HdGraph(centerlines=cls, edges=hd_edges, boundaries=bounds)
+    assert hd.centerlines is cls and hd.boundaries is bounds and hd.edges is hd_edges
+    assert (sd, hd) == (scene.sd, scene.hd)
+    # a list is kept as a tuple
+    assert type(SdGraph(roads=list(roads), edges=list(sd_edges)).roads) is tuple
+
+
+@pytest.mark.parametrize("order", ["canonical", "shuffled elements", "unsorted edges", "repeated edges", "list edges"])
+@pytest.mark.parametrize("seed", range(4))
+def test_shuffled_repeated_and_canonical_input_give_equal_graphs(seed, order):
+    scene = _noisy_scene(seed)
+    rng = np.random.default_rng(seed)
+    roads, cls, bounds = list(scene.sd.roads), list(scene.hd.centerlines), list(scene.hd.boundaries)
+    sd_edges, hd_edges = list(scene.sd.edges), list(scene.hd.edges)
+    if order == "shuffled elements":
+        for elements in (roads, cls, bounds):
+            rng.shuffle(elements)
+    elif order in ("unsorted edges", "repeated edges"):
+        for edges in (sd_edges, hd_edges):
+            if order == "repeated edges":
+                edges += edges[: len(edges) // 2 + 1]
+            rng.shuffle(edges)
+    elif order == "list edges":
+        sd_edges, hd_edges = [list(e) for e in sd_edges], [list(e) for e in hd_edges]
+    sd = SdGraph(roads=tuple(roads), edges=tuple(sd_edges))
+    hd = HdGraph(centerlines=tuple(cls), edges=tuple(hd_edges), boundaries=tuple(bounds))
+    assert (sd, hd) == (scene.sd, scene.hd)
+    assert (sd.roads, sd.edges) == (scene.sd.roads, scene.sd.edges)
+    assert (hd.centerlines, hd.edges, hd.boundaries) == (scene.hd.centerlines, scene.hd.edges, scene.hd.boundaries)
+    assert all(type(e) is tuple and list(map(type, e)) == [int, int] for e in sd.edges + hd.edges)
+
+
+def test_many_builders_equal_the_constructors():
+    scene = _noisy_scene(0)
+    roads, bounds, cls = scene.sd.roads, scene.hd.boundaries, scene.hd.centerlines
+    as_lists = lambda elements: [[list(p) for p in e.points] for e in elements]
+    assert Road.many([r.id for r in roads], as_lists(roads)) == list(roads)
+    assert Boundary.many([b.id for b in bounds], as_lists(bounds)) == list(bounds)
+    got = Centerline.many([c.id for c in cls], [list(c.vector.p1) for c in cls], [list(c.vector.p2) for c in cls])
+    assert got == list(cls)
+    assert all(type(p) is Point2 for c in got for p in (c.vector.p1, c.vector.p2))
+    # one polyline's last point equal to the next one's first is no repeat
+    chained = Road.many([1, 2], [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]])
+    assert [r.points for r in chained] == [(Point2(0.0, 0.0), Point2(1.0, 0.0)), (Point2(1.0, 0.0), Point2(2.0, 0.0))]
+    assert all(type(p) is Point2 for r in chained for p in r.points)
+    assert Road.many([], []) == [] and Centerline.many([], [], []) == []
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Road.many([1, 2], [[[0.0, 0.0], [1.0, 0.0]], [[5.0, 5.0]]]), "road 2: needs at least 2 points"),
+        (lambda: Road.many([1], [[[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]]), "road 1: repeated point Point2(x=1.0, y=0.0)"),
+        (lambda: Boundary.many([4], [[[0.0, -0.0], [-0.0, 0.0]]]), "boundary 4: repeated point Point2(x=0.0, y=-0.0)"),
+        (lambda: Centerline.many([1, 2], [[0.0, 0.0], [3.0, 3.0]], [[1.0, 0.0], [3.0, 3.0]]),
+         "degenerate vector at Point2(x=3.0, y=3.0)"),
+    ],
+    ids=["too few points", "repeated point", "repeated signed zeros", "zero-length vector"],
+)
+def test_many_builders_raise_the_constructors_message(build, message):
+    with pytest.raises(InvalidGeometryError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_validate_scene_accepts_tiny():
     assert validate_scene(tiny_scene()) is not None
 

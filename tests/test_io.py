@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io as pyio
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from mapassoc.io import (
     assoc_to_doc,
     dumps_scene,
     load_weights,
+    loads_scene,
     read_assocs,
     read_scene,
     read_scenes,
@@ -168,6 +171,34 @@ def test_scenes_ndjson_reports_bad_line_number(tmp_path):
         read_scenes(path)
 
 
+def test_scene_read_runs_no_collection_and_keeps_the_collector_setting(grid42):
+    line = dumps_scene(grid42)
+    inside = []  # the generation of each collection that starts inside loads_scene
+
+    def record(phase, info):
+        frame = sys._getframe(1)
+        while phase == "start" and frame is not None:
+            if frame.f_code is loads_scene.__code__:
+                inside.append(info["generation"])
+            frame = frame.f_back
+
+    gc.callbacks.append(record)
+    try:
+        assert gc.isenabled()
+        assert loads_scene(line) == grid42
+        with pytest.raises(ValidationError):
+            loads_scene(line.replace('"points"', '"pts"', 1))
+        assert gc.isenabled() and inside == []
+        gc.disable()
+        try:
+            assert loads_scene(line) == grid42
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+    finally:
+        gc.callbacks.remove(record)
+
+
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 def test_readers_reject_non_finite_constants(tmp_path, grid42, constant):
     # json.loads accepts these literals; canonical JSON cannot write them back
@@ -194,6 +225,17 @@ def test_weights_manifest_rejects_non_finite_constant():
     assert b'"total_bytes":8' in data
     with pytest.raises(ValidationError, match="manifest: non-finite number NaN"):
         load_weights(pyio.BytesIO(data.replace(b'"total_bytes":8', b'"total_bytes":NaN')))
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [(b'{"tensors":[],"total_bytes":NaN}', "manifest: non-finite number NaN"),
+     (b"[" * 100_000, "manifest: maximum recursion depth exceeded")],
+    ids=["non-finite", "nested past the recursion limit"],
+)
+def test_weights_manifest_faults_are_integrity_errors(manifest, message):
+    with pytest.raises(IntegrityError, match=message):
+        load_weights(pyio.BytesIO(WEIGHTS_MAGIC + manifest + b"\n"))
 
 
 def test_meta_number_overflowing_to_infinity_is_rejected(tmp_path, tiny):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import mapassoc.metrics as metrics
 from mapassoc.baselines import knn_associate
 from mapassoc.errors import ConfigError, CoverageError, InvalidGeometryError
-from mapassoc.geometry import Association, DirVec, HdGraph, Scene, enumerate_paths
+from mapassoc.geometry import Association, DirVec, HdGraph, Point2, Road, Scene, SdGraph, enumerate_paths
 from mapassoc.metrics import (
     DEFAULT_THRESHOLDS,
     MetricConfig,
@@ -532,3 +532,34 @@ def test_report_table_marks_missing_thresholds(tiny):
 
 def test_default_thresholds_are_50_to_95():
     assert DEFAULT_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
+
+
+# ---------------------------------------------------------------------------
+# sums with the same bits on every Python version
+
+# Ten lengths of 0.1 sum to 0.9999999999999999 left to right; the compensated
+# builtin sum() of Python 3.12 and later gives 1.0.
+TENTHS = (0.1,) * 10
+
+
+def test_sums_run_left_to_right():
+    assert metrics._sum(TENTHS) == 0.9999999999999999
+    labels = tuple(range(10))
+    assert overlap_ratio((labels, TENTHS), (labels, TENTHS)) == 1.0
+
+
+def test_bucket_edge_between_the_left_to_right_and_the_compensated_path_length():
+    # one lane path of ten 0.1 m centerlines against a bucket edge at 1.0 m
+    road = Road(id=0, points=(Point2(0.0, -1.0), Point2(10.0, -1.0)))
+    cls = tuple(make_centerline(i, (float(i), 0.0), (float(i), 0.1)) for i in range(10))
+    assert {c.vector.length for c in cls} == {0.1}
+    scene = Scene(
+        sd=SdGraph(roads=(road,), edges=()),
+        hd=HdGraph(centerlines=cls, edges=tuple((i, i + 1) for i in range(9))),
+        gt=Association(labels=dict.fromkeys(range(10), 0)),
+    )
+    cfg = MetricConfig(length_buckets=((0.0, 1.0), (1.0, math.inf)))
+    counts = association_pr([scene.gt], [scene], cfg).counts
+    assert counts[:, 0, 0].tolist() == [1] * len(cfg.thresholds)
+    assert not counts[:, 1].any()
+    assert (counts == scene_counts_reference("association", scene.gt, scene, cfg)).all()

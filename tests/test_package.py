@@ -10,7 +10,10 @@ tool patches) is marked `# noqa: F401` followed by the reason.
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -83,3 +86,14 @@ def test_an_unused_import_is_caught():
         "print(used, numpy)\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 3: json", "line 5: unused"]
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    # scipy is imported only where the transformer's GELU runs
+    src = str(SRC.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    code = "import sys, mapassoc.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -410,3 +410,25 @@ def test_out_of_order_documents_read_as_the_canonical_scene(layout, noisy, order
     read = scene_from_doc(json.loads(json.dumps(doc)))
     assert read == built
     assert dumps_scene(read) == dumps_scene(built)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("order", ["shuffled elements", "unsorted edges", "repeated edges"])
+def test_out_of_order_documents_stay_on_the_batch_path(monkeypatch, layout, noisy, order):
+    built = _scene(layout, 0, noisy)
+    doc = scene_to_doc(built)
+    rng = random.Random(11)
+    if order == "shuffled elements":
+        for graph, key in (("sd", "roads"), ("hd", "centerlines"), ("hd", "boundaries")):
+            rng.shuffle(doc[graph][key])
+    else:
+        for graph in ("sd", "hd"):
+            edges = doc[graph]["edges"]
+            if order == "repeated edges":
+                edges += edges[: len(edges) // 2 + 1]
+            rng.shuffle(edges)
+    monkeypatch.setattr(mio, "_scene_per_element", _no_element_walk)
+    read = scene_from_doc(json.loads(json.dumps(doc)))
+    assert read == built
+    assert dumps_scene(read) == dumps_scene(built)
