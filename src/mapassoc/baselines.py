@@ -6,9 +6,9 @@ Gaussian emissions on midpoint-to-road distance, transitions favoring staying
 on a road or moving to a connected one. It decodes by max-product over the
 lane DAG, so the number of lane paths never enters its cost. Both read one
 distance matrix per scene, `Scene.road_distances`, computed on first use and
-cached on the scene, so a run that also builds the soft association matrix
-measures each scene once; the Gaussian emissions double as that soft matrix
-for the topology-constrained decoder.
+cached on the scene. The Gaussian emissions, row-normalized, are also the
+nearest-road baseline's soft matrix for the topology-constrained decoder;
+the HMM's max-product pass gives no probability matrix.
 
 The HMM's parameters are constants: an emission sigma of 4.07 m, the scale
 reconstructed from typical lane-to-road offsets, and per road a transition
@@ -225,7 +225,7 @@ def hmm_associate(scene: Scene) -> Association:
 def distance_assoc_matrix(scene: Scene) -> AssocMatrix:
     """Soft association from Gaussian distance emissions, row-normalized.
 
-    Gives classical methods a probability matrix the beam decoder can
-    post-process.
+    Gives the nearest-road baseline a probability matrix the beam decoder
+    can post-process.
     """
     return AssocMatrix.from_logits(_log_emissions(scene.road_distances), scene.hd.node_ids, scene.sd.node_ids)

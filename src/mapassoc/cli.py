@@ -344,6 +344,9 @@ def _cmd_associate(args) -> int:
             weights = PreparedWeights(load_weights(args.weights, mcfg), mcfg)
         else:
             weights = prepare_weights(init_weights(mcfg, seed=args.init_seed), mcfg)
+    if method == "hmm" and (args.post or args.store_probs):  # both need the matrix the HMM does not make
+        flag = "--post" if args.post else "--store-probs"
+        raise ConfigError(f"{flag}: --method hmm has no probability matrix; knn and mat have one")
     dcfg = _from_flags(DecoderConfig, k=("--beam-k", args.beam_k))
     items, costs = _scene_items(args.scenes)
 
@@ -354,7 +357,7 @@ def _cmd_associate(args) -> int:
             if method == "mat":
                 amat, _ = mat_associate(scene, mcfg, weights, curve_seed=args.curve_seed)
             else:
-                # the soft matrix only feeds the decoder and the stored rows
+                # knn's soft matrix only feeds the decoder and the stored rows
                 amat = distance_assoc_matrix(scene) if args.post or args.store_probs else None
             if args.post:
                 assoc = decode_association(scene, amat, dcfg)
@@ -470,15 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
     assoc.add_argument(
         "--post",
         action="store_true",
-        help="beam-decode the probability matrix; for knn and hmm, the shared distance-emission matrix, "
-        "in place of the baseline",
+        help="beam-decode the probability matrix (mat's head; for knn, the distance-emission matrix) in place "
+        "of its argmax or the nearest road; hmm has no probability matrix and refuses it",
     )
     assoc.add_argument("--weights", help="weights container for --method mat")
     assoc.add_argument("--model-config", help="JSON model configuration for --method mat")
     assoc.add_argument("--init-seed", type=_non_negative, default=0, help="random init seed when no weights given")
     assoc.add_argument("--curve-seed", type=_non_negative, default=0, help="seed for random curve scheduling")
     assoc.add_argument("--beam-k", type=int, default=5, help="beam width for --post")
-    assoc.add_argument("--store-probs", action="store_true", help="keep full probability rows in the output")
+    assoc.add_argument("--store-probs", action="store_true", help="keep full probability rows in the output; not hmm")
     assoc.add_argument("--scenes", required=True, help="input scene container")
     assoc.add_argument("--out", required=True, help="output association container")
     assoc.set_defaults(fn=_cmd_associate)

@@ -19,6 +19,7 @@ a config number too: a field declared with `metadata=at_least(low)`,
 tuple of such numbers, or None where the annotation allows it. Ranges are
 checked after every field has passed the type and finiteness checks, in
 declaration order; a rule that relates two values stays in `__post_init__`.
+A message echoes the offending value's repr, cut to a fixed length.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ from .errors import ConfigError
 __all__ = ["conform", "fits", "check_fields", "MAY_BE_INFINITE", "at_least", "above", "within"]
 
 MAY_BE_INFINITE = {"may_be_infinite": True}
+
+
+def _shown(value) -> str:
+    """`repr(value)`, cut to 60 characters and "..." when longer."""
+    text = repr(value)
+    return text[:60] + "..." if len(text) > 60 else text
 
 
 def at_least(low) -> dict:
@@ -81,7 +88,7 @@ def conform(value, hint):
     elif isinstance(value, bool) == (hint is bool) and isinstance(value, (int, float) if hint is float else hint):
         if hint is not float or isinstance(value, float) or abs(value) <= sys.float_info.max:
             return value
-    raise TypeError(f"expected {_name(hint)}, got {value!r}")
+    raise TypeError(f"expected {_name(hint)}, got {_shown(value)}")
 
 
 def fits(value, hint) -> bool:
@@ -126,15 +133,15 @@ def check_fields(obj) -> None:
         try:
             fitted = conform(value, hint)
         except TypeError:
-            raise ConfigError(f"{name}: expected {_name(hint)}, got {value!r}") from None
+            raise ConfigError(f"{name}: expected {_name(hint)}, got {_shown(value)}") from None
         except ConfigError as exc:  # from a nested dataclass, such as a StageSpec
             raise ConfigError(f"{name}: {exc}") from None
         bad = None if may_be_infinite else _non_finite(fitted)
         if bad is not None:
-            raise ConfigError(f"{name}: must be finite, got {bad!r}")
+            raise ConfigError(f"{name}: must be finite, got {_shown(bad)}")
         if fitted is not value:
             object.__setattr__(obj, name, fitted)
     for name, test, text in ranges:
         value = getattr(obj, name)
         if value is not None and not all(map(test, value if isinstance(value, tuple) else (value,))):
-            raise ConfigError(f"{name}: must be {text}, got {value!r}")
+            raise ConfigError(f"{name}: must be {text}, got {_shown(value)}")

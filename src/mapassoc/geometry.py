@@ -28,7 +28,6 @@ Public operations
 -----------------
 vectorize_polyline : resample a polyline into chained direction vectors
 enumerate_paths    : all root-to-leaf paths of a DAG, in lexicographic order
-point_to_road_distance : Euclidean point-to-polyline distance
 """
 
 from __future__ import annotations
@@ -69,8 +68,6 @@ __all__ = [
     "polyline_length",
     "enumerate_paths",
     "point_to_segment_distance",
-    "point_to_polyline_distance",
-    "point_to_road_distance",
     "validate_scene",
     "crop_extents",
     "MAX_PATHS",
@@ -342,7 +339,7 @@ class _Dag:
         """
         depths, cyc = self._peel
         if cyc is not None:
-            raise TopologyError(f"{self._LAYER} graph has a cycle through node {cyc}")
+            raise TopologyError(f"{self._LAYER} graph has a cycle through {self._ELEMENTS[0][1]} {cyc}")
         return depths
 
     @cached_property
@@ -558,17 +555,6 @@ def point_to_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
     return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
-def point_to_polyline_distance(p: Point2, points: Sequence[Point2]) -> float:
-    if len(points) < 2:
-        raise InvalidGeometryError("polyline needs at least 2 points")
-    return min(point_to_segment_distance(p, a, b) for a, b in zip(points, points[1:]))
-
-
-def point_to_road_distance(p: Point2, road: Road) -> float:
-    """Euclidean distance from a point to the road polyline (endpoint-clamped)."""
-    return point_to_polyline_distance(p, road.points)
-
-
 # Most (centerline, road segment) pairs one block of the distance kernel
 # holds: each float64 temporary of a block stays within 1 MB.
 _PAIRS_PER_BLOCK = 1 << 17
@@ -578,13 +564,11 @@ def _road_distances(cls: Sequence[Centerline], roads: Sequence[Road]) -> np.ndar
     """The kernel of `Scene.road_distances`; both sequences sorted by id.
 
     A distance is the minimum over the road's segments of the distance from
-    the midpoint to the foot of its perpendicular, clamped to the segment, as
-    `point_to_road_distance` defines it; the length is sqrt(dx*dx + dy*dy),
-    which may differ from that function's `math.hypot` in the last bit, and a
-    distance whose square overflows is inf. Every road segment is one entry
-    of x and y columns, so one pass per block of centerline rows measures
-    every road; the per-road minimum is one `minimum.reduceat` over each
-    road's run of segments.
+    the midpoint to the foot of its perpendicular, clamped to the segment;
+    the length is sqrt(dx*dx + dy*dy), and a distance whose square overflows
+    is inf. Every road segment is one entry of x and y columns, so one pass
+    per block of centerline rows measures every road; the per-road minimum
+    is one `minimum.reduceat` over each road's run of segments.
     """
     if not roads:
         raise LabelError("scene has no roads to associate against")
@@ -605,8 +589,8 @@ def _road_distances(cls: Sequence[Centerline], roads: Sequence[Road]) -> np.ndar
     seg2 = sx * sx + sy * sy
     first = np.concatenate(([0], np.cumsum(counts - 1)[:-1]))
 
-    # t = ((m - a) . s) / |s|^2 clamped to [0, 1], e = m - (a + t s): the
-    # per-segment formula's order of operations, so every float is the same
+    # t = ((m - a) . s) / |s|^2 clamped to [0, 1], e = m - (a + t s), in the
+    # order of operations of one segment at a time, so every float is the same
     dist = np.empty((len(cls), len(roads)), dtype=np.float64)
     step = max(1, _PAIRS_PER_BLOCK // len(sx))
     for lo in range(0, len(cls), step):
@@ -707,9 +691,7 @@ def validate_scene(scene: Scene) -> Scene:
     bounds = [(b.id, b.points) for b in scene.hd.boundaries]
     for what, owners in (("road", roads), ("centerline", cls), ("boundary", bounds)):
         _check_points(what, owners)
-    cyc = scene.hd._peel[1]
-    if cyc is not None:
-        raise TopologyError(f"lane graph has a cycle through centerline {cyc}")
+    scene.hd.depths  # raises on a lane cycle
     if scene.gt is not None:
         road_ids = set(scene.sd.node_ids)
         for c in scene.hd.centerlines:

@@ -331,10 +331,10 @@ def chamfer_distance(points_a, points_b) -> float:
 # endpoint matching
 
 
-def _path_ends(hd: HdGraph, path) -> tuple:
-    first = hd.by_id[path[0]].vector
-    last = hd.by_id[path[-1]].vector
-    return (first.p1.x, first.p1.y), (last.p2.x, last.p2.y)
+def _path_ends(hd: HdGraph, paths) -> dict:
+    """Each path's (start, end) points, by path."""
+    by_id = hd.by_id
+    return {path: (tuple(by_id[path[0]].vector.p1), tuple(by_id[path[-1]].vector.p2)) for path in paths}
 
 
 def _match_points(gt_points, pred_points, tau: float) -> dict:
@@ -389,18 +389,20 @@ def _scene_counts(pred, scene: Scene, cfg: MetricConfig, scorer) -> np.ndarray:
         raise CoverageError(f"prediction does not cover centerlines {missing}")
     gt_paths = enumerate_paths(scene.hd).paths
     pred_paths = enumerate_paths(pred_hd).paths
-    gt_points = sorted({p for path in gt_paths for p in _path_ends(scene.hd, path)})
-    pred_points = sorted({p for path in pred_paths for p in _path_ends(pred_hd, path)})
+    gt_ends = _path_ends(scene.hd, gt_paths)
+    pred_ends = gt_ends if pred_hd is scene.hd else _path_ends(pred_hd, pred_paths)
+    gt_points = sorted({p for ends in gt_ends.values() for p in ends})
+    pred_points = sorted({p for ends in pred_ends.values() for p in ends})
     match = _match_points(gt_points, pred_points, cfg.point_match_tau)
     by_ends = {}
-    for path in pred_paths:
-        by_ends.setdefault(_path_ends(pred_hd, path), []).append(path)
+    for path, ends in pred_ends.items():
+        by_ends.setdefault(ends, []).append(path)
 
     n_th, n_b = len(cfg.thresholds), len(cfg.length_buckets)
     counts = np.zeros((n_th, n_b, 3), dtype=np.int64)
     gt_lengths = scene.hd.lengths
     for gt_path in gt_paths:
-        s, e = _path_ends(scene.hd, gt_path)
+        s, e = gt_ends[gt_path]
         b = cfg.bucket_of(_sum(gt_lengths[c] for c in gt_path))
         candidates = []
         if s in match and e in match:

@@ -20,7 +20,6 @@ PINNED = {
     ("knn", "--post"): "f5faa9d799138f7ce8692371f2418104b9e3aa23c7162b65d66e388352e74597",
     ("knn", "--store-probs"): "d90902fc1c77c47ee654b19f2c181ea5193518eebba02f0a3100fd35670c83a0",
     ("hmm",): "43147938c5e588be9c3dd9b413c85f9fdec347685cc4c9333303b614e17b4e59",
-    ("hmm", "--post"): "5ffcc1ab9e3abbd61517f1b86404049c2c54d8dbb8d324ba3a4ea65c9523f367",
 }
 
 

@@ -30,7 +30,6 @@ from mapassoc.geometry import (
     Scene,
     SdGraph,
     enumerate_paths,
-    point_to_road_distance,
 )
 from mapassoc.scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
 
@@ -155,20 +154,6 @@ def test_road_distances_are_computed_once_per_scene(monkeypatch, layout):
     assert not dist.flags.writeable
     with pytest.raises(ValueError):
         dist[0, 0] = 0.0
-
-
-@pytest.mark.parametrize("layout", ["grid", "radial", "random-planar"])
-def test_road_distances_agree_with_point_to_road_distance(layout):
-    # rows follow hd.node_ids and columns sd.node_ids; the kernel's
-    # sqrt(dx*dx + dy*dy) may differ from math.hypot in the last bit
-    scene = perturb_scene(generate_scene(GenConfig(layout=layout, seed=8)), HEAVY)
-    cls = {c.id: c for c in scene.hd.centerlines}
-    roads = {r.id: r for r in scene.sd.roads}
-    want = [
-        [point_to_road_distance(cls[c].vector.midpoint, roads[r]) for r in scene.sd.node_ids]
-        for c in scene.hd.node_ids
-    ]
-    np.testing.assert_allclose(scene.road_distances, want, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +411,7 @@ def test_hmm_lane_graph_cycle_raises():
         ),
         edges=((3, 5), (5, 7), (7, 5)),
     )
-    with pytest.raises(TopologyError, match="graph has a cycle through node 5"):
+    with pytest.raises(TopologyError, match="lane graph has a cycle through centerline 5"):
         hmm_associate(Scene(sd=sd, hd=hd))
 
 

@@ -104,9 +104,9 @@ def test_full_pipeline_knn(tmp_path, capsys):
 def test_associate_post_appends_beam_to_method(tmp_path):
     scenes = gen_scenes(tmp_path, cfg=NOISY_CFG, count=1)
     pred = str(tmp_path / "pred.ndjson")
-    assert main(["associate", "--method", "hmm", "--post", "--scenes", scenes, "--out", pred]) == 0
+    assert main(["associate", "--method", "knn", "--post", "--scenes", scenes, "--out", pred]) == 0
     (rec,) = read_assocs(pred)
-    assert rec.method == "hmm+beam"
+    assert rec.method == "knn+beam"
     assert rec.assoc.meta["method"] == "beam"
     assert rec.assoc.meta["k"] == 5
 
@@ -126,11 +126,33 @@ def test_baselines_compute_distance_matrix_only_when_used(tmp_path, monkeypatch)
     assert len(calls) == 4  # two scenes per run
 
 
+FLAG_SETS = {"plain": (), "post": ("--post",), "store-probs": ("--store-probs",),
+             "post-store-probs": ("--post", "--store-probs")}
+
+
+@pytest.mark.parametrize("flags", FLAG_SETS.values(), ids=FLAG_SETS)
+@pytest.mark.parametrize("method", ["knn", "hmm", "mat"])
+def test_associate_refuses_only_hmm_with_a_matrix_flag(tmp_path, monkeypatch, capsys, method, flags):
+    # --post and --store-probs need a probability matrix, which the HMM does not
+    # make; the flags are refused before the scene container is opened
+    out = tmp_path / "p.ndjson"
+    if method != "hmm" or not flags:
+        assert main(["associate", "--method", method, *flags, "--scenes", gen_scenes(tmp_path), "--out", str(out)]) == 0
+        assert len(read_assocs(out)) == 2
+        return
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MAPASSOC_THREADS", threads)
+        missing = str(tmp_path / "missing.ndjson")
+        assert main(["associate", "--method", method, *flags, "--scenes", missing, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flags[0]}: --method hmm has no probability matrix")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize(
-    "flags", [(), ("--post",), ("--store-probs",), ("--post", "--store-probs")],
-    ids=["plain", "post", "store-probs", "post-store-probs"],
+    "method, per_scene, flags",
+    [("hmm", 1, ())] + [(m, n, f) for m, n in (("knn", 1), ("mat", 0)) for f in FLAG_SETS.values()],
+    ids=["hmm-plain"] + [f"{m}-{f}" for m in ("knn", "mat") for f in FLAG_SETS],
 )
-@pytest.mark.parametrize("method, per_scene", [("knn", 1), ("hmm", 1), ("mat", 0)], ids=["knn", "hmm", "mat"])
 def test_associate_measures_each_scene_at_most_once(tmp_path, monkeypatch, method, per_scene, flags):
     # the baselines' labels and soft matrix read one cached distance matrix;
     # mat measures no distance at all
@@ -155,9 +177,8 @@ def test_post_computes_only_the_decoded_labels(tmp_path, monkeypatch):
         raise AssertionError("labels computed and then overwritten by the decoder")
 
     monkeypatch.setattr(cli, "knn_associate", unused)
-    monkeypatch.setattr(cli, "hmm_associate", unused)
     monkeypatch.setattr(AssocMatrix, "argmax_association", unused)
-    for method in ("knn", "hmm", "mat"):
+    for method in ("knn", "mat"):
         pred = str(tmp_path / f"{method}.ndjson")
         assert main(["associate", "--method", method, "--post", "--scenes", scenes, "--out", pred]) == 0
         assert [r.method for r in read_assocs(pred)] == [f"{method}+beam"] * 2
@@ -297,7 +318,7 @@ def test_hmm_on_grid_with_more_lane_paths_than_enumeration_allows(tmp_path):
 def test_outputs_bit_identical_across_thread_counts(tmp_path, monkeypatch):
     runs = {
         "scenes": None,
-        "hmm": ["associate", "--method", "hmm", "--post"],
+        "hmm": ["associate", "--method", "hmm"],
         "knn": ["associate", "--method", "knn"],
         "mat": ["associate", "--method", "mat", "--post", "--store-probs"],
     }
@@ -888,7 +909,7 @@ def test_two_way_road_pair(tmp_path, capsys, method, code):
     assert rc == code
     assert "Traceback" not in err
     if code:
-        assert f"road graph has a cycle through node {min(a, b)}" in err
+        assert f"road graph has a cycle through road {min(a, b)}" in err
         assert not out.exists()
 
 

@@ -132,6 +132,19 @@ def test_config_documents_refuse_an_int_out_of_the_float_range(tmp_path, capsys)
     assert "error: perturb config: jitter_sigma: expected float, got 1000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", "[" * 900 + "]" * 900, "seed: expected int"),
+    ("hd_extent", json.dumps([1.5] * 5000), "hd_extent: expected tuple[float, float]"),
+], ids=["seed-nested-900-deep", "hd_extent-of-5000-floats"])
+def test_a_config_error_echoes_a_long_value_cut_short(tmp_path, capsys, field, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"gen": {"%s": %s}}' % (field, value))
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "s.ndjson")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert f"error: gen config: {message}, got " in line
+    assert len(line) <= 200
+
+
 @pytest.mark.parametrize("make", [
     lambda: GenConfig(seed=-1),
     lambda: PerturbConfig(seed=-1),

@@ -26,8 +26,6 @@ from mapassoc.geometry import (
     SdGraph,
     enumerate_paths,
     full_angle,
-    point_to_polyline_distance,
-    point_to_road_distance,
     polyline_length,
     sample_polyline,
     validate_scene,
@@ -37,7 +35,7 @@ from mapassoc.geometry import (
 from mapassoc.scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
 
 from conftest import make_centerline, tiny_scene
-from oracles import longest_path_depths
+from oracles import _polyline_dist_reference, longest_path_depths
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +224,8 @@ def test_vectorize_chains_and_stays_on_polyline(points, spacing):
     pts = [Point2(*p) for p in points]
     for a, b in zip(vs, vs[1:]):
         assert a.p2 == b.p1
-    for v in vs:
-        assert point_to_polyline_distance(v.p1, pts) < 1e-6
-        assert point_to_polyline_distance(v.p2, pts) < 1e-6
+    ends = np.array([p for v in vs for p in (v.p1, v.p2)], dtype=np.float64)
+    assert (_polyline_dist_reference(ends, np.array(pts, dtype=np.float64)) < 1e-6).all()
 
 
 @given(polylines(), st.floats(min_value=0.3, max_value=10.0, allow_nan=False))
@@ -397,9 +394,9 @@ def test_cycle_names_lowest_node_on_one():
     ids = (0, 1, 2, 5, 6, 8, 9)
     cls = tuple(make_centerline(i, (float(i), 0.0), (float(i) + 1.0, 0.0)) for i in ids)
     g = HdGraph(centerlines=cls, edges=((0, 5), (5, 6), (6, 5), (6, 1), (1, 2), (9, 8), (8, 9), (8, 2)))
-    with pytest.raises(TopologyError, match=r"graph has a cycle through node 5$"):
+    with pytest.raises(TopologyError, match=r"^lane graph has a cycle through centerline 5$"):
         g.depths
-    with pytest.raises(TopologyError, match=r"graph has a cycle through node 5$"):
+    with pytest.raises(TopologyError, match=r"^lane graph has a cycle through centerline 5$"):
         enumerate_paths(g)
     s = tiny_scene()
     with pytest.raises(TopologyError, match=r"lane graph has a cycle through centerline 5$"):
@@ -456,17 +453,23 @@ def test_lengths_table_holds_each_centerline_length_once():
 X_AXIS_ROAD = Road(id=1, points=(Point2(-5.0, 0.0), Point2(5.0, 0.0)))
 
 
+def x_axis_scene(*points) -> Scene:
+    """The x-axis road and one unit centerline along x centred on each point, ids in point order."""
+    cls = tuple(make_centerline(i, (x - 0.5, y), (x + 0.5, y)) for i, (x, y) in enumerate(points))
+    return Scene(sd=SdGraph(roads=(X_AXIS_ROAD,), edges=()), hd=HdGraph(centerlines=cls, edges=()))
+
+
 def test_point_distance_perpendicular_drop():
-    assert point_to_road_distance(Point2(0.0, 1.0), X_AXIS_ROAD) == pytest.approx(1.0)
+    assert x_axis_scene((0.0, 1.0)).road_distances[0, 0] == 1.0
 
 
 def test_point_distance_membership():
-    assert point_to_road_distance(Point2(2.0, 0.0), X_AXIS_ROAD) == 0.0
+    assert x_axis_scene((2.0, 0.0)).road_distances[0, 0] == 0.0
 
 
 def test_point_distance_endpoint_clamp():
     # beyond the segment end the nearest point is the endpoint itself
-    assert point_to_road_distance(Point2(6.0, 1.0), X_AXIS_ROAD) == pytest.approx(math.sqrt(2.0))
+    assert x_axis_scene((6.0, 1.0)).road_distances[0, 0] == pytest.approx(math.sqrt(2.0))
 
 
 @given(
@@ -475,9 +478,9 @@ def test_point_distance_endpoint_clamp():
 )
 @settings(max_examples=200, deadline=None)
 def test_point_distance_lipschitz(px, py, qx, qy):
-    p, q = Point2(px, py), Point2(qx, qy)
-    dp = point_to_road_distance(p, X_AXIS_ROAD)
-    dq = point_to_road_distance(q, X_AXIS_ROAD)
+    scene = x_axis_scene((px, py), (qx, qy))
+    dp, dq = scene.road_distances[:, 0]
+    p, q = (c.vector.midpoint for c in scene.hd.centerlines)
     assert abs(dp - dq) <= math.dist(p, q) + 1e-12
     assert dp >= 0.0
 

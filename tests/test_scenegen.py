@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import augment_reference, perturb_reference
 
+from mapassoc.baselines import knn_associate
 from mapassoc.errors import ConfigError, GenerationError
 from mapassoc.geometry import (
     Association,
@@ -24,7 +25,6 @@ from mapassoc.geometry import (
     Scene,
     SdGraph,
     enumerate_paths,
-    point_to_road_distance,
     sample_polyline,
     validate_scene,
 )
@@ -62,10 +62,7 @@ def test_different_seeds_differ():
 
 def test_grid_nearest_road_equals_gt():
     s = generate_scene(GenConfig(layout="grid", grid_rows=2, grid_cols=2, lanes_per_road=(1, 1), seed=3))
-    for c in s.hd.centerlines:
-        mid = c.vector.midpoint
-        best = min(s.sd.roads, key=lambda r: (point_to_road_distance(mid, r), r.id))
-        assert best.id == s.gt.labels[c.id]
+    assert knn_associate(s).labels == s.gt.labels
 
 
 def test_radial_junction_paths():
@@ -252,10 +249,7 @@ def test_grid_sample_crop_covers_only_the_kept_centerlines():
 def test_rigid_augment_preserves_nearest_road_recovery():
     s = generate_scene(GenConfig(seed=19))
     a = augment_scene(s, AugConfig(rotate_p=1.0, rotate_range_deg=(10.0, 80.0), scale_range=(0.8, 1.2), flip_p=1.0, jitter_sigma=0.0, grid_sample=None, seed=12))
-    for c in a.hd.centerlines:
-        mid = c.vector.midpoint
-        best = min(a.sd.roads, key=lambda r: (point_to_road_distance(mid, r), r.id))
-        assert best.id == a.gt.labels[c.id]
+    assert knn_associate(a).labels == a.gt.labels
 
 
 def test_augment_deterministic():
