@@ -55,6 +55,7 @@ import numpy as np
 from .baselines import distance_assoc_matrix, hmm_associate, knn_associate
 from .decoder import DecoderConfig, decode_association
 from .errors import ConfigError, GenerationError, MapAssocError, ValidationError, located
+from .fields import _shown
 from .io import (
     AssocRecord,
     decode_utf8,
@@ -334,6 +335,7 @@ def _cmd_associate(args) -> int:
     mcfg = None
     weights = None
     if method == "mat":
+        import scipy.special  # noqa: F401  GELU's erf, loaded once here rather than in each forked worker
         if args.model_config:
             mcfg = _config_from(ModelConfig, _read_json(args.model_config, "model config"), "model config")
         else:
@@ -384,7 +386,7 @@ def _cmd_eval(args) -> int:
         try:
             flagged["thresholds"] = ("--thresholds", tuple(float(t) for t in args.thresholds.split(",")))
         except ValueError:
-            raise ConfigError(f"--thresholds must be comma-separated numbers, got {args.thresholds!r}") from None
+            raise ConfigError(f"--thresholds must be comma-separated numbers, got {_shown(args.thresholds)}") from None
     cfg = _from_flags(MetricConfig, **flagged)
     score = association_pr if args.metric == "association" else reachability_pr
     items, costs = _scene_items(args.scenes)
@@ -402,7 +404,7 @@ def _cmd_eval(args) -> int:
         with located(where):
             if sid is not None and records[i].scene_ref != str(sid):
                 raise ValidationError(
-                    f"record {i + 1} references scene {records[i].scene_ref!r} but this scene is {str(sid)!r}"
+                    f"record {i + 1} references scene {_shown(records[i].scene_ref)} but this scene is {_shown(str(sid))}"
                 )
             return score([Prediction(assoc=records[i].assoc)], [scene], cfg)
 
@@ -432,9 +434,9 @@ def _cmd_report(args) -> int:
                 raise ValidationError(f"report {path}: missing field {key!r}")
         name, metric = doc["name"], doc["metric"]
         if not isinstance(name, str):
-            raise ValidationError(f"report {path}: field 'name' must be a string, got {name!r}")
+            raise ValidationError(f"report {path}: field 'name' must be a string, got {_shown(name)}")
         if metric not in _METRICS:
-            raise ValidationError(f"report {path}: field 'metric' must be one of {_METRICS}, got {metric!r}")
+            raise ValidationError(f"report {path}: field 'metric' must be one of {_METRICS}, got {_shown(metric)}")
         with located(f"report {path}: field 'report'"):
             rep = MetricReport.from_json(doc["report"])
         reports.append((name, rep))

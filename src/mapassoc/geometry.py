@@ -565,10 +565,10 @@ def _road_distances(cls: Sequence[Centerline], roads: Sequence[Road]) -> np.ndar
 
     A distance is the minimum over the road's segments of the distance from
     the midpoint to the foot of its perpendicular, clamped to the segment;
-    the length is sqrt(dx*dx + dy*dy), and a distance whose square overflows
-    is inf. Every road segment is one entry of x and y columns, so one pass
-    per block of centerline rows measures every road; the per-road minimum
-    is one `minimum.reduceat` over each road's run of segments.
+    the length is sqrt(dx*dx + dy*dy), inf where the square overflows, or
+    np.hypot(dx, dy) in a row where every square does. One pass per block of
+    centerline rows measures every road segment, held as x and y columns; the
+    per-road minimum is one `minimum.reduceat` over each road's segments.
     """
     if not roads:
         raise LabelError("scene has no roads to associate against")
@@ -589,12 +589,9 @@ def _road_distances(cls: Sequence[Centerline], roads: Sequence[Road]) -> np.ndar
     seg2 = sx * sx + sy * sy
     first = np.concatenate(([0], np.cumsum(counts - 1)[:-1]))
 
-    # t = ((m - a) . s) / |s|^2 clamped to [0, 1], e = m - (a + t s), in the
-    # order of operations of one segment at a time, so every float is the same
-    dist = np.empty((len(cls), len(roads)), dtype=np.float64)
-    step = max(1, _PAIRS_PER_BLOCK // len(sx))
-    for lo in range(0, len(cls), step):
-        bx, by = mx[lo : lo + step, None], my[lo : lo + step, None]
+    # x and y errors e = m - (a + t s), t = ((m - a) . s) / |s|^2 clamped to [0, 1], of midpoints m (a (k, 1)
+    # column or one point) to every segment, in the order of operations of one segment at a time: same floats
+    def errors(bx, by):
         t = bx - ax
         t *= sx
         e = by - ay
@@ -608,11 +605,20 @@ def _road_distances(cls: Sequence[Centerline], roads: Sequence[Road]) -> np.ndar
         t *= sy
         t += ay
         np.subtract(by, t, out=t)  # t = y error
+        return e, t
+
+    dist = np.empty((len(cls), len(roads)), dtype=np.float64)
+    step = max(1, _PAIRS_PER_BLOCK // len(sx))
+    for lo in range(0, len(cls), step):
+        bx, by = mx[lo : lo + step, None], my[lo : lo + step, None]
+        e, t = errors(bx, by)
         e *= e
         t *= t
         e += t
         np.sqrt(e, out=e)
         dist[lo : lo + step] = np.minimum.reduceat(e, first, axis=1)
+        for i in lo + np.flatnonzero(np.isinf(dist[lo : lo + step].min(axis=1))):  # every square overflowed
+            dist[i] = np.minimum.reduceat(np.hypot(*errors(mx[i], my[i])), first)
     dist.flags.writeable = False
     return dist
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .assocmatrix import AssocMatrix
 from .errors import ConfigError, IntegrityError, MapAssocError, ValidationError, located
-from .fields import fits
+from .fields import _shown, fits
 from .geometry import (
     Association,
     Boundary,
@@ -145,7 +145,7 @@ def parse_object(text: str, where: str, finite: bool = False, error: type = Vali
 
 def _point(value, where: str) -> Point2:
     if not fits(value, tuple[float, float]):
-        raise ValidationError(f"{where}: expected [x, y], got {value!r}")
+        raise ValidationError(f"{where}: expected [x, y], got {_shown(value)}")
     return Point2(float(value[0]), float(value[1]))
 
 
@@ -167,7 +167,7 @@ def _edges(value, where: str) -> tuple:
     out = []
     for i, e in enumerate(value):
         if not fits(e, tuple[int, int]):
-            raise ValidationError(f"{where}[{i}]: expected an [a, b] id pair, got {e!r}")
+            raise ValidationError(f"{where}[{i}]: expected an [a, b] id pair, got {_shown(e)}")
         out.append((e[0], e[1]))
     return tuple(out)
 
@@ -179,7 +179,7 @@ def _labels(doc: dict, where: str) -> dict:
         try:
             cl = int(k)
         except ValueError:
-            raise ValidationError(f"{where}: non-integer centerline key {k!r}") from None
+            raise ValidationError(f"{where}: non-integer centerline key {_shown(k)}") from None
         if type(v) is not int and not fits(v, int):  # exact type first: this runs per label per record
             raise ValidationError(f"{where}: centerline {k}: road id must be an integer")
         labels[cl] = v
@@ -245,7 +245,7 @@ def scene_from_doc(doc: dict, where: str = "scene") -> Scene:
     """
     version = _field(doc, "version", where)
     if version != SCENE_VERSION:
-        raise ValidationError(f"{where}: unsupported scene file version {version!r}")
+        raise ValidationError(f"{where}: unsupported scene file version {_shown(version)}")
     meta = doc.get("meta") or {}
     if not isinstance(meta, dict):
         raise ValidationError(f"{where}: meta must be an object")
@@ -481,7 +481,7 @@ def assoc_to_doc(rec: AssocRecord) -> dict:
 def assoc_from_doc(doc: dict, where: str = "assoc") -> AssocRecord:
     version = _field(doc, "version", where)
     if version != ASSOC_VERSION:
-        raise ValidationError(f"{where}: unsupported association file version {version!r}")
+        raise ValidationError(f"{where}: unsupported association file version {_shown(version)}")
     method = _field(doc, "method", where)
     scene_ref = _field(doc, "scene_ref", where)
     if not isinstance(method, str) or not isinstance(scene_ref, str):
@@ -581,11 +581,11 @@ def load_weights(source: Union[str, IO], cfg=None) -> dict:
         if not isinstance(name, str) or not isinstance(shape, list):
             raise IntegrityError(f"weights container: tensor entry {i}: missing name or shape")
         if t.get("dtype") != "<f4":
-            raise IntegrityError(f"tensor {name!r}: unsupported dtype {t.get('dtype')!r}")
+            raise IntegrityError(f"tensor {_shown(name)}: unsupported dtype {_shown(t.get('dtype'))}")
         if name in shapes:
-            raise IntegrityError(f"tensor {name!r}: duplicated in manifest")
+            raise IntegrityError(f"tensor {_shown(name)}: duplicated in manifest")
         if not fits(shape, tuple[int, ...]) or min(shape, default=0) < 0:
-            raise IntegrityError(f"tensor {name!r}: invalid shape {shape!r}")
+            raise IntegrityError(f"tensor {_shown(name)}: invalid shape {_shown(shape)}")
         shapes[name] = tuple(shape)
     if cfg is not None:
         # check declared names and shapes against the model configuration
@@ -602,7 +602,7 @@ def load_weights(source: Union[str, IO], cfg=None) -> dict:
         # tensors must tile the blob exactly; an edited shape breaks the tiling
         if t.get("offset") != expect_offset:
             raise IntegrityError(
-                f"tensor {name!r}: offset {t.get('offset')!r} does not follow the preceding tensor (expected {expect_offset})"
+                f"tensor {_shown(name)}: offset {_shown(t.get('offset'))} does not follow the preceding tensor (expected {expect_offset})"
             )
         if expect_offset + size > total:
             raise IntegrityError(f"tensor {name!r}: extends past total_bytes")

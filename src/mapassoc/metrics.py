@@ -6,36 +6,30 @@ the predicted and ground-truth HD graphs and greedily matched within
 per threshold: TP when a predicted path between its matched endpoints scores
 at or above the threshold, FP when one exists but scores below, FN when an
 endpoint is unmatched or no predicted path connects the matched pair.
-Unmatched predicted paths are not counted.
-
-The two metrics differ only in how a (pred path, gt path) pair is scored:
-association uses the length-aware label overlap ratio against each threshold
-in turn; reachability uses the symmetric Chamfer distance against a single
-meter tolerance (its counts repeat across the threshold axis so both reports
-share one shape).
+Unmatched predicted paths are not counted. A pair (pred path, gt path)
+scores one float: association its length-aware label overlap ratio,
+reachability 1.0 within a meter tolerance of symmetric Chamfer distance and
+0.0 beyond it, so its counts repeat across the threshold axis. A gt path
+keeps the best score of its candidates, scored until it reaches the top
+threshold, and one numpy pass per scene counts every threshold at once.
 
 Reachability judges a predicted lane graph, not labels. `mapassoc eval`
-passes no predicted graph, so it scores on the scene's own: every endpoint
-matches itself and every ground-truth path is its own first candidate, at
-Chamfer distance 0. There reachability is 1.0 for any labels, and neither
+passes no predicted graph, so it scores on the scene's own: there every
+endpoint is its own match, so no matching runs, and every ground-truth path
+is its own first candidate, which scores 1.0 without computing its Chamfer
+distance of exactly 0. Reachability is 1.0 for any labels, and neither
 `point_match_tau` nor `chamfer_tau` changes a count; they act only for a
 library caller that passes `Prediction(hd=...)`.
 
-No result is computed twice and no candidate is scored once its verdict is
-settled. A ground-truth path's verdict is an OR over its candidates, so
-scoring stops as soon as every threshold is TP. When the prediction reuses
-the scene's own HD graph, the ground-truth path itself is scored first:
-against itself its reachability Chamfer distance is exactly 0, so that
-verdict is all TP without computing it. Association keeps, per scene, the
-label sequence of each predicted and each ground-truth path and the overlap
-ratio of each distinct pair of sequences. Label sequences and bucket lengths
-read each centerline's length from its graph's `HdGraph.lengths` table, so a
-length is computed once per graph, not once per path through it. Two equal
-label sequences skip the alignment DP: their only full-length alignment is
-the diagonal, summed in the DP's order, so the ratio has the same bits. On
-the benchmark's hmm labels 99% of the distinct pairs scored on the scene
-ladder are equal, 97% on the fleet of small scenes and 82-84% under heavy
-noise.
+Association keeps, per scene, the label sequence of each predicted and each
+ground-truth path and the overlap ratio of each distinct pair of sequences.
+Label sequences and bucket lengths read each centerline's length from its
+graph's `HdGraph.lengths` table, so a length is computed once per graph, not
+once per path through it. Two equal label sequences skip the alignment DP:
+their only full-length alignment is the diagonal, summed in the DP's order, so
+the ratio has the same bits. On the benchmark's hmm labels 99% of the distinct
+pairs scored on the scene ladder are equal, 97% on the fleet of small scenes
+and 82-84% under heavy noise.
 
 Counts are bucketed by ground-truth path length. Per threshold, precision and
 recall are averaged over buckets that saw at least one ground-truth path, and
@@ -48,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from operator import add
 from typing import Optional, Union
 
@@ -377,50 +372,55 @@ def _as_prediction(pred) -> Prediction:
 
 
 def _scene_counts(pred, scene: Scene, cfg: MetricConfig, scorer) -> np.ndarray:
-    """Shared per-scene walk; `scorer(pred_path, pred_hd, gt_path) -> per-threshold bools`."""
+    """Shared per-scene walk; `scorer(pred_path, pred_hd, gt_path) -> level`, TP at each threshold it reaches."""
     if scene.gt is None:
         raise CoverageError("scene has no ground-truth association")
     pred = _as_prediction(pred)
     pred_hd = pred.hd if pred.hd is not None else scene.hd
+    own = pred_hd is scene.hd
     if not pred.assoc.covers(pred_hd):
-        missing = sorted(
-            c.id for c in pred_hd.centerlines if c.id not in pred.assoc.labels
-        )
+        missing = sorted(c.id for c in pred_hd.centerlines if c.id not in pred.assoc.labels)
         raise CoverageError(f"prediction does not cover centerlines {missing}")
     gt_paths = enumerate_paths(scene.hd).paths
-    pred_paths = enumerate_paths(pred_hd).paths
     gt_ends = _path_ends(scene.hd, gt_paths)
-    pred_ends = gt_ends if pred_hd is scene.hd else _path_ends(pred_hd, pred_paths)
-    gt_points = sorted({p for ends in gt_ends.values() for p in ends})
-    pred_points = sorted({p for ends in pred_ends.values() for p in ends})
-    match = _match_points(gt_points, pred_points, cfg.point_match_tau)
+    if own:
+        # each endpoint matches itself: the greedy match takes the distance-0
+        # self pairs first, and two distinct endpoints are never at distance 0
+        pred_ends, match = gt_ends, None
+    else:
+        pred_ends = _path_ends(pred_hd, enumerate_paths(pred_hd).paths)
+        gt_points = sorted({p for ends in gt_ends.values() for p in ends})
+        pred_points = sorted({p for ends in pred_ends.values() for p in ends})
+        match = _match_points(gt_points, pred_points, cfg.point_match_tau)
     by_ends = {}
     for path, ends in pred_ends.items():
         by_ends.setdefault(ends, []).append(path)
 
-    n_th, n_b = len(cfg.thresholds), len(cfg.length_buckets)
-    counts = np.zeros((n_th, n_b, 3), dtype=np.int64)
-    gt_lengths = scene.hd.lengths
+    # each gt path's bucket and best level; -inf marks a path with no candidate
+    top = cfg.thresholds[-1]
+    length_of = scene.hd.lengths.__getitem__
+    buckets, levels = [], []
     for gt_path in gt_paths:
         s, e = gt_ends[gt_path]
-        b = cfg.bucket_of(_sum(gt_lengths[c] for c in gt_path))
-        candidates = []
-        if s in match and e in match:
-            candidates = by_ends.get((match[s], match[e]), [])
-        if not candidates:
-            counts[:, b, 2] += 1  # FN at every threshold
-            continue
-        if pred_hd is scene.hd:
-            # stable sort: the gt path itself, when a candidate, goes first
-            candidates = sorted(candidates, key=lambda pp: pp != gt_path)
-        verdicts = np.zeros(n_th, dtype=bool)
+        buckets.append(cfg.bucket_of(_sum(map(length_of, gt_path))))
+        if own:
+            # the gt path itself, always a candidate, goes first
+            candidates = chain((gt_path,), (pp for pp in by_ends[s, e] if pp != gt_path))
+        else:
+            candidates = by_ends.get((match.get(s), match.get(e)), ())
+        best = -math.inf
         for pp in candidates:
-            verdicts |= scorer(pp, pred_hd, gt_path)
-            if verdicts.all():
-                break  # the verdict is an OR over candidates: settled
-        counts[verdicts, b, 0] += 1
-        counts[~verdicts, b, 1] += 1
-    return counts
+            best = max(best, scorer(pp, pred_hd, gt_path))
+            if best >= top:
+                break  # TP at every threshold: settled
+        levels.append(best)
+
+    # TP at each threshold the level reaches, FP below it, FN with no candidate
+    n_th, n_b = len(cfg.thresholds), len(cfg.length_buckets)
+    levels = np.array(levels, dtype=np.float64)
+    kind = np.where(levels[:, None] >= np.asarray(cfg.thresholds), 0, np.where(levels < 0.0, 2, 1)[:, None])
+    cells = (np.arange(n_th) * n_b + np.array(buckets, dtype=np.int64)[:, None]) * 3 + kind
+    return np.bincount(cells.ravel(), minlength=n_th * n_b * 3).reshape(n_th, n_b, 3)
 
 
 def _accumulate(preds, scenes, cfg: MetricConfig, scorer_factory) -> MetricReport:
@@ -442,8 +442,6 @@ def association_pr(preds, scenes, cfg: MetricConfig = MetricConfig()) -> MetricR
     endpoints reaches that overlap ratio against the path's collapsed
     ground-truth label sequence.
     """
-    ths = np.asarray(cfg.thresholds)
-
     def factory(pred, scene):
         assoc = _as_prediction(pred).assoc
         # per scene, so no cache outlives its scene or is shared between scenes
@@ -459,7 +457,7 @@ def association_pr(preds, scenes, cfg: MetricConfig = MetricConfig()) -> MetricR
             ratio = ratios.get((p_seq, g_seq))
             if ratio is None:
                 ratio = ratios[p_seq, g_seq] = overlap_ratio(p_seq, g_seq)
-            return ratio >= ths
+            return ratio
 
         return scorer
 
@@ -474,17 +472,12 @@ def reachability_pr(preds, scenes, cfg: MetricConfig = MetricConfig()) -> Metric
     the verdict repeats across the threshold axis so report shapes match
     association_pr.
     """
-    n_th = len(cfg.thresholds)
-
     def factory(pred, scene):
         def scorer(pred_path, pred_hd, gt_path):
             if pred_hd is scene.hd and pred_path == gt_path:
-                # the same points on both sides: Chamfer distance exactly 0
-                return np.ones(n_th, dtype=bool)
-            d = chamfer_distance(
-                _path_points(pred_hd, pred_path), _path_points(scene.hd, gt_path)
-            )
-            return np.full(n_th, d <= cfg.chamfer_tau)
+                return 1.0  # the same points on both sides: Chamfer distance exactly 0
+            d = chamfer_distance(_path_points(pred_hd, pred_path), _path_points(scene.hd, gt_path))
+            return 1.0 if d <= cfg.chamfer_tau else 0.0
 
         return scorer
 

@@ -174,6 +174,20 @@ def test_knn_prefers_strictly_closer_road():
     assert assoc.labels == {0: 1}
 
 
+def test_knn_labels_a_centerline_moved_1e155_m_away_with_its_nearest_road():
+    # centerline 1 sits 1e155 m from road 0 and 4e154 m from road 1: both
+    # squared distances overflow, yet road 1 is the nearer; centerline 0
+    # keeps the bits of the squared measure
+    sd = SdGraph(roads=(road(0, 0.0), road(1, 6e154)), edges=())
+    hd = HdGraph(centerlines=(make_centerline(0, (1.0, 2.0), (5.0, 2.0)), make_centerline(1, (0.0, 1e155), (1.0, 1e155))),
+                 edges=())
+    scene = Scene(sd=sd, hd=hd)
+    with np.errstate(over="ignore"):
+        assert knn_associate(scene).labels == {0: 0, 1: 1}
+    assert scene.road_distances[1].tolist() == [1e155, 1e155 - 6e154]
+    assert scene.road_distances[0, 0] == 2.0
+
+
 def test_knn_tie_takes_lowest_road_id():
     # equidistant between roads 3 and 7; ids deliberately out of order
     sd = SdGraph(roads=(road(7, 6.0), road(3, 0.0)), edges=())

@@ -818,6 +818,22 @@ def test_zero_length_centerline_error_names_line_and_centerline(tmp_path, capsys
     assert f"line 1.hd: centerline {c['id']}: degenerate vector at {Point2(*c['p1'])}" in err
 
 
+def test_oversized_point_error_is_one_short_line(tmp_path, capsys):
+    # the echoed value is cut short: the whole list printed 25,057 characters
+    scenes = gen_scenes(tmp_path, count=1)
+    with open(scenes) as fh:
+        doc = json.loads(fh.read())
+    c = doc["hd"]["centerlines"][0]
+    c["p1"] = [0.5] * 5000
+    with open(scenes, "w") as fh:
+        fh.write(json.dumps(doc) + "\n")
+    rc = main(["associate", "--method", "knn", "--scenes", scenes, "--out", str(tmp_path / "p.ndjson")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and len(err) < 200
+    assert f"line 1.hd: centerline {c['id']} p1: expected [x, y], got [0.5, 0.5" in err
+
+
 def _duplicate_centerline(doc):
     doc["hd"]["centerlines"].append(dict(doc["hd"]["centerlines"][0]))
 

@@ -222,11 +222,11 @@ MEMBERS = (*OTHER_TYPES, BIG, NEG_BIG, NOT_UTF8)
 
 
 def _member(draw, items) -> None:
-    """Replace one member of a list, or one value of an object, in place."""
+    """Replace one member of a list, or one value of an object, in place, by a copy of a shared member."""
     if isinstance(items, list) and items:
-        items[draw(st.integers(0, len(items) - 1))] = draw(st.sampled_from(MEMBERS))
+        items[draw(st.integers(0, len(items) - 1))] = copy.deepcopy(draw(st.sampled_from(MEMBERS)))
     elif isinstance(items, dict) and items:
-        items[draw(st.sampled_from(sorted(items)))] = draw(st.sampled_from(MEMBERS))
+        items[draw(st.sampled_from(sorted(items)))] = copy.deepcopy(draw(st.sampled_from(MEMBERS)))
 
 
 @st.composite

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import copy
 import io
 import json
 import math
@@ -256,7 +257,7 @@ def _mutant(draw, doc: dict, names) -> None:
     if kind == "drop":
         doc.pop(name, None)
     elif kind == "type":
-        doc[name] = draw(st.sampled_from(OTHER_TYPES))
+        doc[name] = copy.deepcopy(draw(st.sampled_from(OTHER_TYPES)))  # never the shared constant itself
     elif kind == "bool":
         doc[name] = draw(st.booleans())
     elif kind == "length":
@@ -349,7 +350,8 @@ def report_docs(draw) -> dict:
         else:  # one threshold, bucket or row of counts
             items = body.get(draw(st.sampled_from(REPORT_BODY_FIELDS)))
             if isinstance(items, list) and items:
-                items[draw(st.integers(0, len(items) - 1))] = draw(st.sampled_from((*OTHER_TYPES, BIG, NEG_BIG)))
+                member = draw(st.sampled_from((*OTHER_TYPES, BIG, NEG_BIG)))
+                items[draw(st.integers(0, len(items) - 1))] = copy.deepcopy(member)
     return doc
 
 

@@ -465,6 +465,42 @@ def test_own_graph_scores_each_path_once_per_side(monkeypatch):
     assert chamfer_calls == []
 
 
+def test_own_graph_runs_no_endpoint_matching(monkeypatch):
+    # on the scene's own graph every endpoint is its own match
+    def refusing(*args):
+        raise AssertionError("endpoint matching ran on the scene's own graph")
+
+    real, calls = metrics._match_points, []
+    monkeypatch.setattr(metrics, "_match_points", refusing)
+    scene = perturb_scene(
+        generate_scene(GenConfig(grid_rows=3, grid_cols=3, hd_extent=FULL_CROP, seed=1)),
+        PerturbConfig(gps_shift=1.0, dropout_rate=0.05, seed=1),
+    )
+    pred = corrupted(scene.gt, [r.id for r in scene.sd.roads], 0.3, np.random.default_rng(1))
+    scorers = (("association", association_pr), ("reachability", reachability_pr))
+    for metric, score in scorers:
+        want = scene_counts_reference(metric, pred, scene, MetricConfig())
+        np.testing.assert_array_equal(score([pred], [scene]).counts, want)
+    # a separately built graph, shifted, still has its endpoints matched
+    monkeypatch.setattr(metrics, "_match_points", lambda *args: calls.append(1) or real(*args))
+    pred_hd = shifted_hd(scene.hd, 0.4)
+    for metric, score in scorers:
+        want = scene_counts_reference(metric, pred, scene, MetricConfig(), pred_hd)
+        np.testing.assert_array_equal(score([Prediction(assoc=pred, hd=pred_hd)], [scene]).counts, want)
+    assert len(calls) == 2
+
+
+def test_ratio_equal_to_a_threshold_is_tp_there(tiny):
+    # chain (0,1,2) labelled (0,0,1) overlaps its gt by 6/9 exactly
+    pred = Association(labels={0: 0, 1: 0, 2: 1, 3: 1, 4: 1, 5: 1})
+    ratio = overlap_ratio(label_sequence((0, 1, 2), pred, tiny.hd), label_sequence((0, 1, 2), tiny.gt, tiny.hd))
+    assert ratio == 6.0 / 9.0
+    cfg = MetricConfig(thresholds=(0.5, ratio, float(np.nextafter(ratio, 1.0))))
+    rep = association_pr([pred], [tiny], cfg)
+    assert rep.counts[:, :, 0].sum(axis=1).tolist() == [2, 2, 1]
+    assert rep.counts[:, :, 1].sum(axis=1).tolist() == [0, 0, 1]
+
+
 def test_association_computes_each_centerline_length_once_per_graph(monkeypatch):
     scene = generate_scene(GenConfig(grid_rows=4, grid_cols=4, hd_extent=FULL_CROP, seed=0))
     own_hd = HdGraph(centerlines=scene.hd.centerlines, edges=scene.hd.edges)
