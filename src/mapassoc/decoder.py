@@ -219,16 +219,19 @@ def decode_association(
     A centerline on several paths takes its label from the highest-scoring
     path; ties go to the earlier path in enumeration order. Paths that needed
     an argmax fallback are listed in the association's meta. All paths are
-    decoded by one `beam_decode` call, as row indices into `amat.probs`.
+    decoded by one `beam_decode` call, as row indices into `amat.probs`,
+    read from the graph's flat path index.
     """
-    paths = enumerate_paths(scene.hd).paths
-    results = beam_decode(
-        amat.probs, amat.road_ids, scene.sd.edges, cfg, paths=[amat.row_indices(p) for p in paths]
-    )
+    pidx = enumerate_paths(scene.hd)
+    # each path token's matrix row, through its centerline's row in the graph
+    flat = np.asarray(amat.row_indices(scene.hd.node_ids), dtype=np.int64)[scene.hd.path_rows.nodes].tolist()
+    ends = pidx.offsets.tolist()
+    rows = list(map(flat.__getitem__, map(slice, ends, ends[1:])))
+    results = beam_decode(amat.probs, amat.road_ids, scene.sd.edges, cfg, paths=rows)
     labels = {}
     best_score = {}
     fallback_paths = []
-    for pi, (path, res) in enumerate(zip(paths, results)):
+    for pi, (path, res) in enumerate(zip(pidx.paths, results)):
         if res.fallback:
             fallback_paths.append(pi)
         for cl, rid in zip(path, res.labels):

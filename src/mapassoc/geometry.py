@@ -14,8 +14,9 @@ All containers are frozen dataclasses and safe to share across workers.
 Derived data (vectors of a polyline, adjacency maps, a scene's
 `road_distances`) is computed once and cached on the instance, so every
 consumer reads the same values. Each road and lane graph owns its DAG facts:
-one Kahn peel gives its longest-path `depths` and finds cycles, and `paths`
-is its PathIndex, counted before it is enumerated and built once per graph.
+one Kahn peel gives its longest-path `depths` and finds cycles, and one DFS
+per graph, run after the paths are counted, builds `path_rows`, its flat
+PathIndex over node rows; `paths` is the same index over node ids.
 This module owns every element and graph rule: the `many` builders check a
 whole list of elements in one pass, and a graph keeps canonical input as given.
 
@@ -343,27 +344,29 @@ class _Dag:
         return depths
 
     @cached_property
-    def paths(self) -> PathIndex:
-        """All root-to-leaf paths, lexicographically ordered (see enumerate_paths).
+    def path_rows(self) -> PathIndex:
+        """`paths` with each node given as its row in `node_ids`: the one DFS.
 
         The paths and path tokens are counted in one pass over the nodes,
         deepest first, before any path is built; more than MAX_PATHS paths
-        raises TopologyError naming both counts.
+        raises TopologyError naming both counts. The DFS emits the flat
+        arrays directly.
         """
-        succ = self.successors
-        depth = dict(zip(self.node_ids, self.depths))
-        count, tokens = {}, {}  # paths from a node to a leaf, and their nodes
-        for v in sorted(depth, key=depth.__getitem__, reverse=True):
+        row = {v: i for i, v in enumerate(self.node_ids)}
+        succ = [[row[w] for w in ws] for ws in self.successors.values()]
+        depths = self.depths
+        count, tokens = [0] * len(succ), [0] * len(succ)  # paths from a node to a leaf, and their nodes
+        for v in sorted(range(len(succ)), key=depths.__getitem__, reverse=True):
             count[v] = sum(count[w] for w in succ[v]) or 1
             tokens[v] = count[v] + sum(tokens[w] for w in succ[v])
-        roots = [v for v, d in depth.items() if d == 0]
+        roots = [v for v, d in enumerate(depths) if d == 0]
         n_paths = sum(count[r] for r in roots)
         if n_paths > MAX_PATHS:
             raise TopologyError(
                 f"{self._LAYER} graph has {n_paths} root-to-leaf paths "
                 f"({sum(tokens[r] for r in roots)} path tokens), more than {MAX_PATHS}"
             )
-        paths: list[tuple[int, ...]] = []
+        nodes, ends = [], []
         # Iterative DFS; visiting successors in ascending id order emits leaves
         # in lexicographic path order.
         for root in roots:
@@ -372,13 +375,20 @@ class _Dag:
                 nxt = next(stack[-1], None)
                 if nxt is None:
                     if not succ[trail[-1]]:
-                        paths.append(tuple(trail))
+                        nodes += trail
+                        ends.append(len(nodes))
                     stack.pop()
                     trail.pop()
                 else:
                     trail.append(nxt)
                     stack.append(iter(succ[nxt]))
-        return PathIndex(paths=tuple(paths))
+        return PathIndex.from_flat(nodes, [0, *ends])
+
+    @cached_property
+    def paths(self) -> PathIndex:
+        """All root-to-leaf paths, lexicographically ordered (see enumerate_paths)."""
+        rows = self.path_rows
+        return PathIndex.from_flat(np.asarray(self.node_ids)[rows.nodes], rows.offsets)
 
 
 @dataclass(frozen=True)
@@ -451,20 +461,69 @@ class Scene:
         return _road_distances(self.hd.centerlines, self.sd.roads)
 
 
-@dataclass(frozen=True)
 class PathIndex:
-    """Root-to-leaf paths of a DAG; `paths` holds node-id sequences in lexicographic order."""
+    """Root-to-leaf paths of a DAG, held as two flat arrays.
 
-    paths: tuple[tuple[int, ...], ...]
+    `nodes` is every path concatenated and path i is
+    `nodes[offsets[i]:offsets[i + 1]]`; `offsets` has one entry more than
+    there are paths. Both are read-only int64 arrays (`nodes` is an object
+    array when a node id does not fit int64). A graph's index holds node ids
+    in lexicographic path order, the transformer's token indices. `paths`,
+    the same paths as a tuple of tuples, is derived from the arrays once, on
+    first read. Two indexes are equal when they hold the same paths.
+    """
+
+    def __init__(self, paths=()):
+        paths = tuple(map(tuple, paths))
+        flat = _flat(list(chain.from_iterable(paths)), [0, *accumulate(map(len, paths))])
+        self.__dict__.update(flat, paths=paths)
+
+    @classmethod
+    def from_flat(cls, nodes, offsets) -> "PathIndex":
+        """The index over `nodes`, every path concatenated, split at `offsets`."""
+        index = object.__new__(cls)
+        index.__dict__.update(_flat(nodes, offsets))
+        return index
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PathIndex is immutable: cannot set {name!r}")
+
+    @cached_property
+    def paths(self) -> tuple[tuple[int, ...], ...]:
+        flat, ends = tuple(self.nodes.tolist()), self.offsets.tolist()
+        return tuple(map(flat.__getitem__, map(slice, ends, ends[1:])))
 
     @cached_property
     def dup_map(self) -> tuple[int, ...]:
         """The originating node id of each path token, all paths concatenated."""
-        return tuple(n for p in self.paths for n in p)
+        return tuple(self.nodes.tolist())
 
     @property
     def total_tokens(self) -> int:
-        return sum(map(len, self.paths))
+        return len(self.nodes)
+
+    def __eq__(self, other):
+        if not isinstance(other, PathIndex):
+            return NotImplemented
+        return np.array_equal(self.offsets, other.offsets) and np.array_equal(self.nodes, other.nodes)
+
+    def __hash__(self):
+        return hash(self.paths)
+
+    def __repr__(self):
+        return f"PathIndex(paths={self.paths!r})"
+
+    def __reduce__(self):
+        return PathIndex.from_flat, (self.nodes, self.offsets)
+
+
+def _flat(nodes, offsets) -> dict:
+    nodes = np.asarray(nodes)
+    if nodes.dtype != object:
+        nodes = nodes.astype(np.int64)
+    offsets = np.array(offsets, dtype=np.int64)
+    nodes.flags.writeable = offsets.flags.writeable = False
+    return {"nodes": nodes, "offsets": offsets}
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ Both ops run one batched kernel instead of a loop over groups:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,17 +250,14 @@ def path_attention(
 ) -> np.ndarray:
     """Per-path self-attention with scatter-mean merge of duplicated tokens.
 
-    pidx.paths hold token indices into `tokens`; every token must appear on at
-    least one path. `positions` gives each token's ordinal position inside its
-    parent element (the instance-level RoPE axis); the path-level axis is the
-    token's index along each path copy.
+    pidx holds token indices into `tokens`, read from its flat arrays; every
+    token must appear on at least one path. `positions` gives each token's
+    ordinal position inside its parent element (the instance-level RoPE
+    axis); the path-level axis is the token's index along each path copy.
     """
     x = np.asarray(tokens)
     n = x.shape[0]
-    lengths = np.fromiter((len(p) for p in pidx.paths), dtype=np.int64, count=len(pidx.paths))
-    flat = np.fromiter(
-        itertools.chain.from_iterable(pidx.paths), dtype=np.int64, count=int(lengths.sum())
-    )
+    flat, lengths = pidx.nodes, np.diff(pidx.offsets)
     if flat.size and (flat.min() < 0 or flat.max() >= n):
         raise TopologyError(f"path token index out of range for {n} tokens")
     counts = np.bincount(flat, minlength=n)
@@ -278,7 +274,7 @@ def path_attention(
     c = weights.channels
     acc = np.zeros((n, c), dtype=np.float64)
     channels = np.arange(c)
-    starts = np.cumsum(lengths) - lengths
+    starts = pidx.offsets[:-1]
     # the path axis rotates every copy by its step; the instance axis was
     # rotated per token in _project, so it turns by 0 here (an identity).
     # One table covers every step; a bucket of length L reads its first L rows.

@@ -26,7 +26,8 @@ import numpy as np
 from ..assocmatrix import AssocMatrix
 from ..curves import CURVE_KINDS, grid_encode_batch
 from ..errors import ConfigError, LabelError
-from ..geometry import PathIndex, Scene, enumerate_paths
+from ..geometry import PathIndex, Scene
+from ..geometry import enumerate_paths  # noqa: F401  kept as a module attribute; bench/tracer.py patches it
 from .attention import AttnWeights, gelu, layer_norm, path_attention, serializations, spatial_attention
 from .config import POOLING_KINDS, ModelConfig
 from .weights import EMBED_IN, prepare_weights
@@ -87,55 +88,61 @@ class ForwardResult:
 
 
 def build_tokens(scene: Scene) -> TokenSet:
-    """Flatten a scene into tokens and the path index covering them."""
+    """Flatten a scene into tokens and the path index covering them.
+
+    The index is built from the graphs' flat path indexes: road r's tokens
+    are one contiguous span, centerline row c is token `n_road_tokens + c`,
+    and each boundary's tokens form one chain.
+    """
     rows = []
     kind = []
     parent = []
     inst_pos = []
-    road_span = {}
-    cl_slot = {}
+    spans = []  # each road's first token, then the first centerline token
+    chains = []  # each boundary's first token, then the token count
     # the graphs hold their elements sorted by id
     for road in scene.sd.roads:
-        start = len(rows)
+        spans.append(len(rows))
         for i, v in enumerate(road.vectors):
             rows.append(v.as_tuple())
             kind.append(KIND_ROAD)
             parent.append(road.id)
             inst_pos.append(i)
-        road_span[road.id] = (start, len(rows))
+    n_road = len(rows)
+    spans.append(n_road)
     for cl in scene.hd.centerlines:
-        cl_slot[cl.id] = len(rows)
         rows.append(cl.vector.as_tuple())
         kind.append(KIND_CENTERLINE)
         parent.append(cl.id)
         inst_pos.append(0)
-    boundary_chains = []
+    n_lane = len(rows)
     for b in scene.hd.boundaries:
-        start = len(rows)
+        chains.append(len(rows))
         for i, v in enumerate(b.vectors):
             rows.append(v.as_tuple())
             kind.append(KIND_BOUNDARY)
             parent.append(b.id)
             inst_pos.append(i)
-        boundary_chains.append(tuple(range(start, len(rows))))
+    chains.append(len(rows))
 
-    paths = []
-    for rp in enumerate_paths(scene.sd).paths:
-        toks = []
-        for rid in rp:
-            lo, hi = road_span[rid]
-            toks.extend(range(lo, hi))
-        paths.append(tuple(toks))
-    for lp in enumerate_paths(scene.hd).paths:
-        paths.append(tuple(cl_slot[cid] for cid in lp))
-    paths.extend(boundary_chains)
-    pidx = PathIndex(paths=tuple(paths))
+    # each road on a road path stands for its span of tokens, in order
+    road_paths, lane_paths = scene.sd.path_rows, scene.hd.path_rows
+    spans = np.array(spans, dtype=np.int64)
+    count = np.diff(spans)[road_paths.nodes]
+    ends = np.cumsum(count)
+    road_tokens = np.arange(count.sum()) + np.repeat(spans[road_paths.nodes] - (ends - count), count)
+    nodes = np.concatenate((road_tokens, n_road + lane_paths.nodes, np.arange(n_lane, len(rows))))
+    offsets = np.concatenate((
+        np.concatenate(([0], ends))[road_paths.offsets],
+        len(road_tokens) + lane_paths.offsets[1:],
+        len(road_tokens) + len(lane_paths.nodes) - n_lane + np.array(chains[1:], dtype=np.int64),
+    ))
     return TokenSet(
         features=np.array(rows, dtype=np.float64).reshape(-1, 5),
         kind=np.asarray(kind, dtype=np.int8),
         parent=np.asarray(parent, dtype=np.int64),
         inst_pos=np.asarray(inst_pos, dtype=np.int64),
-        pidx=pidx,
+        pidx=PathIndex.from_flat(nodes, offsets),
     )
 
 

@@ -16,20 +16,26 @@ threshold, and one numpy pass per scene counts every threshold at once.
 Reachability judges a predicted lane graph, not labels. `mapassoc eval`
 passes no predicted graph, so it scores on the scene's own: there every
 endpoint is its own match, so no matching runs, and every ground-truth path
-is its own first candidate, which scores 1.0 without computing its Chamfer
-distance of exactly 0. Reachability is 1.0 for any labels, and neither
+is its own first candidate at Chamfer distance exactly 0, so it scores 1.0
+and no path is walked. Reachability is 1.0 for any labels, and neither
 `point_match_tau` nor `chamfer_tau` changes a count; they act only for a
 library caller that passes `Prediction(hd=...)`.
 
-Association keeps, per scene, the label sequence of each predicted and each
-ground-truth path and the overlap ratio of each distinct pair of sequences.
-Label sequences and bucket lengths read each centerline's length from its
-graph's `HdGraph.lengths` table, so a length is computed once per graph, not
-once per path through it. Two equal label sequences skip the alignment DP:
-their only full-length alignment is the diagonal, summed in the DP's order, so
-the ratio has the same bits. On the benchmark's hmm labels 99% of the distinct
-pairs scored on the scene ladder are equal, 97% on the fleet of small scenes
-and 82-84% under heavy noise.
+On the scene's own graph association starts with numpy passes over the
+graph's flat path index (`HdGraph.path_rows`). Both sides' labels and the
+centerline lengths are gathered once per centerline; a run starts at each
+path start and label change; run lengths, path lengths and the overlap of
+equal label sequences (their only full-length alignment is the diagonal)
+are summed with `np.add.at`, which applies its indices in order, so every
+sum has the bits of the left-to-right `_sum` the walk uses. A gt path whose
+own path has an equal label sequence and reaches the top threshold is
+settled there. Only the rest are walked: the walk keeps, per scene, the
+label sequence of each predicted and ground-truth path and the overlap
+ratio of each distinct pair of sequences, and two equal sequences skip the
+alignment DP. On the benchmark's hmm labels 17 of the scene ladder's 1,553
+gt paths are walked, 18 of the fleet's 714 and 91 of 533 under heavy noise.
+With `Prediction(hd=...)` every gt path is walked. Lengths come from each
+graph's `HdGraph.lengths` table, computed once per graph.
 
 Counts are bucketed by ground-truth path length. Per threshold, precision and
 recall are averaged over buckets that saw at least one ground-truth path, and
@@ -97,11 +103,20 @@ class MetricConfig:
             if hi != lo2 or lo >= hi:
                 raise ConfigError("length_buckets: must be contiguous and increasing")
 
+    def buckets_of(self, lengths) -> np.ndarray:
+        """The length bucket of each of `lengths`, as an int64 array.
+
+        A length falls in the bucket (lo, hi) with lo <= length < hi; a
+        negative, infinite or NaN length raises ConfigError naming the first.
+        """
+        lengths = np.asarray(lengths, dtype=np.float64)
+        bad = ~((lengths >= 0.0) & (lengths < math.inf))
+        if bad.any():
+            raise ConfigError(f"no bucket for length {float(lengths[bad][0])}")
+        return np.searchsorted([lo for lo, _ in self.length_buckets[1:]], lengths, side="right")
+
     def bucket_of(self, length: float) -> int:
-        for i, (lo, hi) in enumerate(self.length_buckets):
-            if lo <= length < hi:
-                return i
-        raise ConfigError(f"no bucket for length {length}")
+        return int(self.buckets_of([length])[0])
 
 
 @dataclass(frozen=True)
@@ -250,20 +265,19 @@ def label_sequence(path, assoc: Association, hd: HdGraph) -> tuple:
     label_of, length_of = assoc.labels, hd.lengths
     labels = []
     lengths = []
-    for cid in path:
-        try:
+    try:
+        for cid in path:
             rid = label_of[cid]
-        except KeyError:
-            raise CoverageError(f"association does not cover centerline {cid}") from None
-        try:
             length = length_of[cid]
-        except KeyError:
-            raise CoverageError(f"lane graph has no centerline {cid}") from None
-        if labels and labels[-1] == rid:
-            lengths[-1] += length
-        else:
-            labels.append(rid)
-            lengths.append(length)
+            if labels and labels[-1] == rid:
+                lengths[-1] += length
+            else:
+                labels.append(rid)
+                lengths.append(length)
+    except KeyError:
+        if cid not in label_of:
+            raise CoverageError(f"association does not cover centerline {cid}") from None
+        raise CoverageError(f"lane graph has no centerline {cid}") from None
     return tuple(labels), tuple(lengths)
 
 
@@ -371,8 +385,16 @@ def _as_prediction(pred) -> Prediction:
     raise ConfigError(f"expected Association or Prediction, got {type(pred).__name__}")
 
 
-def _scene_counts(pred, scene: Scene, cfg: MetricConfig, scorer) -> np.ndarray:
-    """Shared per-scene walk; `scorer(pred_path, pred_hd, gt_path) -> level`, TP at each threshold it reaches."""
+def _scene_counts(pred, scene: Scene, cfg: MetricConfig, scorer, settle) -> np.ndarray:
+    """One scene's counts.
+
+    On the scene's own graph `settle(assoc, scene, rows, path_of, lengths,
+    top)` gives, from numpy passes over the flat path index, the level of
+    each gt path that its own path settles (NaN for the rest), or None when
+    it cannot tell. Every other gt path is walked: `scorer(pred_path,
+    pred_hd, gt_path) -> level` scores its candidates until one reaches the
+    top threshold. A level is TP at each threshold it reaches.
+    """
     if scene.gt is None:
         raise CoverageError("scene has no ground-truth association")
     pred = _as_prediction(pred)
@@ -381,9 +403,36 @@ def _scene_counts(pred, scene: Scene, cfg: MetricConfig, scorer) -> np.ndarray:
     if not pred.assoc.covers(pred_hd):
         missing = sorted(c.id for c in pred_hd.centerlines if c.id not in pred.assoc.labels)
         raise CoverageError(f"prediction does not cover centerlines {missing}")
-    gt_paths = enumerate_paths(scene.hd).paths
+    pidx, rows = enumerate_paths(scene.hd), scene.hd.path_rows
+    n_paths = len(rows.offsets) - 1
+    # each path token's centerline length, and each path's length summed left
+    # to right: np.add.at applies its indices in order, so it gives _sum's bits
+    lengths = np.fromiter(scene.hd.lengths.values(), dtype=np.float64, count=len(scene.hd.lengths))[rows.nodes]
+    path_of = np.repeat(np.arange(n_paths), np.diff(rows.offsets))
+    path_len = np.zeros(n_paths)
+    np.add.at(path_len, path_of, lengths)
+    buckets = cfg.buckets_of(path_len)
+    levels = settle(pred.assoc, scene, rows, path_of, lengths, cfg.thresholds[-1]) if own else None
+    if levels is None:
+        levels = np.full(n_paths, np.nan)
+    walked = np.flatnonzero(np.isnan(levels)).tolist()
+    if walked:
+        _walk(pred_hd, scene, cfg, scorer, pidx.paths, walked, levels)
+
+    # TP at each threshold the level reaches, FP below it, FN with no candidate (-inf)
+    n_th, n_b = len(cfg.thresholds), len(cfg.length_buckets)
+    kind = np.where(levels[:, None] >= np.asarray(cfg.thresholds), 0, np.where(levels < 0.0, 2, 1)[:, None])
+    cells = (np.arange(n_th) * n_b + buckets[:, None]) * 3 + kind
+    return np.bincount(cells.ravel(), minlength=n_th * n_b * 3).reshape(n_th, n_b, 3)
+
+
+def _walk(pred_hd, scene, cfg, scorer, gt_paths, todo, levels) -> None:
+    """Set `levels[i]` for each gt path numbered in `todo` to the best score
+    of its candidates, scored until one reaches the top threshold; -inf for
+    a path with no candidate. On the scene's own graph the gt path itself
+    goes first."""
     gt_ends = _path_ends(scene.hd, gt_paths)
-    if own:
+    if pred_hd is scene.hd:
         # each endpoint matches itself: the greedy match takes the distance-0
         # self pairs first, and two distinct endpoints are never at distance 0
         pred_ends, match = gt_ends, None
@@ -395,15 +444,11 @@ def _scene_counts(pred, scene: Scene, cfg: MetricConfig, scorer) -> np.ndarray:
     by_ends = {}
     for path, ends in pred_ends.items():
         by_ends.setdefault(ends, []).append(path)
-
-    # each gt path's bucket and best level; -inf marks a path with no candidate
     top = cfg.thresholds[-1]
-    length_of = scene.hd.lengths.__getitem__
-    buckets, levels = [], []
-    for gt_path in gt_paths:
+    for i in todo:
+        gt_path = gt_paths[i]
         s, e = gt_ends[gt_path]
-        buckets.append(cfg.bucket_of(_sum(map(length_of, gt_path))))
-        if own:
+        if match is None:
             # the gt path itself, always a candidate, goes first
             candidates = chain((gt_path,), (pp for pp in by_ends[s, e] if pp != gt_path))
         else:
@@ -413,22 +458,57 @@ def _scene_counts(pred, scene: Scene, cfg: MetricConfig, scorer) -> np.ndarray:
             best = max(best, scorer(pp, pred_hd, gt_path))
             if best >= top:
                 break  # TP at every threshold: settled
-        levels.append(best)
-
-    # TP at each threshold the level reaches, FP below it, FN with no candidate
-    n_th, n_b = len(cfg.thresholds), len(cfg.length_buckets)
-    levels = np.array(levels, dtype=np.float64)
-    kind = np.where(levels[:, None] >= np.asarray(cfg.thresholds), 0, np.where(levels < 0.0, 2, 1)[:, None])
-    cells = (np.arange(n_th) * n_b + np.array(buckets, dtype=np.int64)[:, None]) * 3 + kind
-    return np.bincount(cells.ravel(), minlength=n_th * n_b * 3).reshape(n_th, n_b, 3)
+        levels[i] = best
 
 
-def _accumulate(preds, scenes, cfg: MetricConfig, scorer_factory) -> MetricReport:
+def _own_ratios(assoc, scene, rows, path_of, lengths, top):
+    """Each gt path's overlap ratio against itself, where its predicted and
+    ground-truth label sequences are equal and the ratio reaches `top`; NaN
+    elsewhere. None when the ground truth does not cover the graph.
+
+    The ratio is overlap_ratio's on the diagonal. Run lengths and the sums
+    over runs are taken left to right by np.add.at, which applies its
+    indices in order, so they have the bits of label_sequence and _sum.
+    """
+    ids = scene.hd.node_ids
+    try:
+        labels = list(map(assoc.labels.__getitem__, ids)) + list(map(scene.gt.labels.__getitem__, ids))
+    except KeyError:
+        return None
+    # one integer per distinct label, so labels compare as they do in Python
+    code = {label: i for i, label in enumerate(dict.fromkeys(labels))}
+    lab = np.fromiter(map(code.__getitem__, labels), dtype=np.int64, count=len(labels)).reshape(2, -1)
+    lab = lab[:, rows.nodes]
+    # a run starts at a path's first token and wherever the label changes;
+    # counted over both rows, the predicted runs come first, then the gt runs
+    start = np.ones(lab.shape, dtype=bool)
+    np.not_equal(lab[:, 1:], lab[:, :-1], out=start[:, 1:])
+    start[:, rows.offsets[:-1]] = True
+    n_pred = int(start[0].sum())
+    summed = np.zeros(n_pred + int(start[1].sum()))
+    np.add.at(summed, np.cumsum(start) - 1, np.tile(lengths, 2))
+    run_path, run_lab = np.tile(path_of, 2)[start.ravel()], lab[start]
+    pp, gp = run_path[:n_pred], run_path[n_pred:]
+    n_paths = len(rows.offsets) - 1
+    n_runs = np.bincount(pp, minlength=n_paths), np.bincount(gp, minlength=n_paths)
+    equal = n_runs[0] == n_runs[1]
+    # predicted run k of a path with as many gt runs pairs with the path's gt run k
+    pi = np.flatnonzero(equal[pp])
+    gi = pi + n_pred + (np.cumsum(n_runs[1]) - np.cumsum(n_runs[0]))[pp[pi]]
+    equal[pp[pi[run_lab[pi] != run_lab[gi]]]] = False
+    overlap, total = np.zeros(n_paths), np.zeros(n_paths)
+    np.add.at(overlap, pp[pi], np.minimum(summed[pi], summed[gi]))
+    np.add.at(total, gp, summed[n_pred:])
+    ratio = np.minimum(overlap / total, 1.0)
+    return np.where(equal & (ratio >= top), ratio, np.nan)
+
+
+def _accumulate(preds, scenes, cfg: MetricConfig, scorer_factory, settle) -> MetricReport:
     if len(preds) != len(scenes):
         raise ConfigError(f"{len(preds)} predictions for {len(scenes)} scenes")
     total = np.zeros((len(cfg.thresholds), len(cfg.length_buckets), 3), dtype=np.int64)
     for pred, scene in zip(preds, scenes):
-        total += _scene_counts(pred, scene, cfg, scorer_factory(pred, scene))
+        total += _scene_counts(pred, scene, cfg, scorer_factory(pred, scene), settle)
     return MetricReport(
         thresholds=cfg.thresholds, buckets=cfg.length_buckets, counts=total
     )
@@ -461,7 +541,7 @@ def association_pr(preds, scenes, cfg: MetricConfig = MetricConfig()) -> MetricR
 
         return scorer
 
-    return _accumulate(preds, scenes, cfg, factory)
+    return _accumulate(preds, scenes, cfg, factory, _own_ratios)
 
 
 def reachability_pr(preds, scenes, cfg: MetricConfig = MetricConfig()) -> MetricReport:
@@ -474,14 +554,16 @@ def reachability_pr(preds, scenes, cfg: MetricConfig = MetricConfig()) -> Metric
     """
     def factory(pred, scene):
         def scorer(pred_path, pred_hd, gt_path):
-            if pred_hd is scene.hd and pred_path == gt_path:
-                return 1.0  # the same points on both sides: Chamfer distance exactly 0
             d = chamfer_distance(_path_points(pred_hd, pred_path), _path_points(scene.hd, gt_path))
             return 1.0 if d <= cfg.chamfer_tau else 0.0
 
         return scorer
 
-    return _accumulate(preds, scenes, cfg, factory)
+    def settle(assoc, scene, rows, path_of, lengths, top):
+        # on its own graph every gt path is its own first candidate, at Chamfer distance 0
+        return np.ones(len(rows.offsets) - 1)
+
+    return _accumulate(preds, scenes, cfg, factory, settle)
 
 
 def report_table(reports) -> str:

@@ -59,6 +59,42 @@ from mapassoc.metrics import chamfer_distance, label_sequence, overlap_ratio
 # graphs
 
 
+def paths_reference(graph) -> tuple:
+    """Every root-to-leaf path of a DAG as a tuple of node ids, by recursion
+    from each node with no predecessor, sorted lexicographically."""
+    ids = list(graph.by_id)
+    succ = {i: sorted(b for a, b in graph.edges if a == i) for i in ids}
+    has_pred = {b for _, b in graph.edges}
+
+    def walk(path):
+        nxt = succ[path[-1]]
+        return [path] if not nxt else [p for w in nxt for p in walk(path + (w,))]
+
+    return tuple(sorted(p for i in ids if i not in has_pred for p in walk((i,))))
+
+
+def token_paths_reference(scene: Scene) -> tuple:
+    """The transformer's token paths, token by token: each road path with
+    every road's segment tokens in order, each lane path's centerline
+    tokens, then every boundary's segment tokens, in the token order roads,
+    centerlines, boundaries, each ascending by id."""
+    spans, token = {}, 0
+    for road in scene.sd.roads:
+        spans[road.id] = list(range(token, token + len(road.points) - 1))
+        token += len(road.points) - 1
+    slot = {}
+    for cl in scene.hd.centerlines:
+        slot[cl.id] = token
+        token += 1
+    chains = []
+    for b in scene.hd.boundaries:
+        chains.append(tuple(range(token, token + len(b.points) - 1)))
+        token += len(b.points) - 1
+    roads = [tuple(t for rid in p for t in spans[rid]) for p in paths_reference(scene.sd)]
+    lanes = [tuple(slot[cid] for cid in p) for p in paths_reference(scene.hd)]
+    return tuple(roads + lanes + chains)
+
+
 def longest_path_depths(n: int, tail: np.ndarray, head: np.ndarray) -> np.ndarray:
     """Longest-path depth of nodes 0..n-1 over the edges tail[i] -> head[i].
 

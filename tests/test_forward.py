@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from mapassoc.mat import attention, forward as forward_module, weights as weight
 from mapassoc.mat.weights import PreparedWeights, init_weights, prepare_weights
 from mapassoc.scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
 
-from oracles import path_attention_reference, spatial_attention_reference
+from oracles import path_attention_reference, spatial_attention_reference, token_paths_reference
 
 PHI1 = 0.8413447460685429  # standard normal cdf at 1
 PHI2 = 0.9772498680518208
@@ -96,6 +97,25 @@ def test_token_features_are_the_vectors_in_token_order(layout, seed, perturb_see
     g, R = grid
     cells = [GridCoord(*row) for row in grid_encode_batch(features, g, R).tolist()]
     assert cells == [grid_encode(v, g, R) for v in vectors]
+
+
+@given(
+    st.sampled_from(["grid", "radial", "random-planar"]),
+    st.integers(min_value=0, max_value=10_000),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=10_000)),
+)
+@settings(max_examples=40, deadline=None)
+def test_token_path_index_matches_the_per_token_reference(layout, seed, perturb_seed):
+    scene = generate_scene(GenConfig(layout=layout, seed=seed))
+    if perturb_seed is not None:
+        scene = perturb_scene(scene, PerturbConfig(
+            gps_shift=2.0, dropout_rate=0.2, jitter_sigma=0.3, oversegment_rate=0.2, seed=perturb_seed,
+        ))
+    pidx = build_tokens(scene).pidx
+    want = token_paths_reference(scene)
+    assert pidx.paths == want
+    assert pidx.nodes.dtype == np.int64 and pidx.nodes.tolist() == [t for p in want for t in p]
+    assert pidx.offsets.tolist() == [0, *itertools.accumulate(map(len, want))]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import re
 
@@ -20,6 +21,7 @@ from mapassoc.geometry import (
     Centerline,
     DirVec,
     HdGraph,
+    PathIndex,
     Point2,
     Road,
     Scene,
@@ -35,7 +37,7 @@ from mapassoc.geometry import (
 from mapassoc.scenegen import AugConfig, GenConfig, PerturbConfig, augment_scene, generate_scene, perturb_scene
 
 from conftest import make_centerline, tiny_scene
-from oracles import _polyline_dist_reference, longest_path_depths
+from oracles import _polyline_dist_reference, longest_path_depths, paths_reference
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +429,33 @@ def test_road_graph_guard_names_the_road_graph(monkeypatch):
     g = SdGraph(roads=(Road(id=1, points=(Point2(0, 0), Point2(1, 0))),), edges=())
     with pytest.raises(TopologyError, match=r"^road graph has 1 root-to-leaf paths \(1 path tokens\)"):
         enumerate_paths(g)
+
+
+@given(dags())
+@example(HdGraph(centerlines=(), edges=()))
+@settings(max_examples=200, deadline=None)
+def test_flat_path_index_holds_the_tuple_view(g):
+    pidx, rows = enumerate_paths(g), g.path_rows
+    assert pidx.paths == paths_reference(g)
+    flat = [n for p in pidx.paths for n in p]
+    assert pidx.nodes.dtype == pidx.offsets.dtype == rows.nodes.dtype == np.int64
+    assert pidx.nodes.tolist() == flat and pidx.dup_map == tuple(flat) and pidx.total_tokens == len(flat)
+    assert pidx.offsets.tolist() == [0, *itertools.accumulate(map(len, pidx.paths))]
+    assert rows.offsets.tolist() == pidx.offsets.tolist()
+    assert [g.node_ids[r] for r in rows.nodes.tolist()] == flat
+    assert not (pidx.nodes.flags.writeable or pidx.offsets.flags.writeable)
+    # the index built from tuples holds the same arrays and compares equal
+    built = PathIndex(paths=pidx.paths)
+    assert built == pidx and hash(built) == hash(pidx)
+    assert built.nodes.tolist() == flat and built.offsets.tolist() == pidx.offsets.tolist()
+
+
+def test_path_index_is_immutable():
+    pidx = enumerate_paths(chain_graph(1, 2, 3))
+    with pytest.raises(AttributeError):
+        pidx.nodes = np.zeros(3, dtype=np.int64)
+    with pytest.raises(ValueError):
+        pidx.nodes[0] = 7
 
 
 def test_cached_paths_leave_equality_alone():

@@ -172,6 +172,22 @@ def test_bucket_of():
         cfg.bucket_of(-1.0)
 
 
+def test_buckets_of_agrees_with_bucket_of_at_every_edge():
+    cfg = MetricConfig()
+    edges = [lo for lo, _ in cfg.length_buckets]
+    lengths = [0.0, -0.0, 1e9, 1e300] + [v for e in edges[1:] for v in (np.nextafter(e, 0.0), e, np.nextafter(e, math.inf))]
+    got = cfg.buckets_of(lengths)
+    assert got.dtype == np.int64
+    assert got.tolist() == [cfg.bucket_of(float(v)) for v in lengths]
+    assert got[:4].tolist() == [0, 0, 14, 14]
+    assert got[4:].tolist() == [b for i in range(1, len(edges)) for b in (i - 1, i, i)]
+    for bad in (-1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match=f"^no bucket for length {bad}$"):
+            cfg.bucket_of(bad)
+        with pytest.raises(ConfigError, match=f"^no bucket for length {bad}$"):
+            cfg.buckets_of([3.0, bad, -2.0])
+
+
 def test_metric_config_validation():
     with pytest.raises(ConfigError):
         MetricConfig(thresholds=(0.9, 0.5))
@@ -455,7 +471,8 @@ def test_own_graph_scores_each_path_once_per_side(monkeypatch):
         generate_scene(GenConfig(grid_rows=3, grid_cols=3, hd_extent=FULL_CROP, seed=0)),
         PerturbConfig(gps_shift=1.0, dropout_rate=0.05, seed=0),
     )
-    pred = knn_associate(scene)
+    # corrupted labels leave gt paths that their own path does not settle, so the walk runs
+    pred = corrupted(scene.gt, [r.id for r in scene.sd.roads], 0.3, np.random.default_rng(0))
     want = scene_counts_reference("association", pred, scene, MetricConfig())
     np.testing.assert_array_equal(association_pr([pred], [scene]).counts, want)
     # each (path, association) pair once: at most one sequence per path and side
@@ -463,6 +480,78 @@ def test_own_graph_scores_each_path_once_per_side(monkeypatch):
     assert len(seq_calls) <= 2 * len(enumerate_paths(scene.hd).paths)
     reachability_pr([pred], [scene])
     assert chamfer_calls == []
+
+
+def shifted_runs(scene, rng, shift: float, swap: float) -> Association:
+    """Ground-truth labels with some centerlines taking a lane-graph
+    neighbour's gt label, which moves a run boundary along the paths through
+    it (equal label tuples, other run lengths), and some taking any road's."""
+    hd, gt = scene.hd, scene.gt.labels
+    preds = {c: [] for c in hd.node_ids}
+    for a, b in hd.edges:
+        preds[b].append(a)
+    roads = [r.id for r in scene.sd.roads]
+    labels = {}
+    for c in hd.node_ids:
+        near = preds[c] + list(hd.successors[c])
+        draw = rng.random()
+        if draw < shift and near:
+            labels[c] = gt[near[rng.integers(len(near))]]
+        elif draw < shift + swap:
+            labels[c] = roads[rng.integers(len(roads))]
+        else:
+            labels[c] = gt[c]
+    return Association(labels=labels)
+
+
+def own_path_cases(scene, assoc) -> set:
+    """Which cases the gt paths of a scene meet against their own path."""
+    cases = set()
+    for path in enumerate_paths(scene.hd).paths:
+        p_seq, g_seq = label_sequence(path, assoc, scene.hd), label_sequence(path, scene.gt, scene.hd)
+        if p_seq[0] != g_seq[0]:
+            cases.add("unequal")
+        elif p_seq[1] != g_seq[1]:
+            cases.add("below top" if overlap_ratio(p_seq, g_seq) < DEFAULT_THRESHOLDS[-1] else "other runs")
+    return cases
+
+
+def test_shifted_runs_meet_every_own_path_case():
+    scene = generate_scene(GenConfig(grid_rows=3, grid_cols=3, hd_extent=FULL_CROP, seed=0))
+    assoc = shifted_runs(scene, np.random.default_rng(0), 0.2, 0.05)
+    assert own_path_cases(scene, assoc) == {"unequal", "below top", "other runs"}
+
+
+@given(
+    st.sampled_from(["grid", "radial", "random-planar"]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10_000),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=10_000)),
+    st.sampled_from([(0.2, 0.0), (0.2, 0.05), (0.5, 0.1), (0.05, 0.0)]),
+    st.sampled_from([DEFAULT_THRESHOLDS, (0.3, 0.6, 0.99), (1.0,)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_own_graph_counts_match_reference_on_shifted_runs(layout, full_crop, seed, perturb_seed, rates, ths):
+    extent = {"hd_extent": FULL_CROP, "grid_rows": 3, "grid_cols": 3} if full_crop else {}
+    scene = generate_scene(GenConfig(layout=layout, seed=seed, **extent))
+    if perturb_seed is not None:
+        scene = perturb_scene(scene, PerturbConfig(
+            gps_shift=1.0, dropout_rate=0.1, jitter_sigma=0.3, oversegment_rate=0.2, seed=perturb_seed,
+        ))
+    assoc = shifted_runs(scene, np.random.default_rng(seed), *rates)
+    cfg = MetricConfig(thresholds=ths)
+    for metric, score in (("association", association_pr), ("reachability", reachability_pr)):
+        got = score([assoc], [scene], cfg)
+        np.testing.assert_array_equal(got.counts, scene_counts_reference(metric, assoc, scene, cfg))
+
+
+@given(st.lists(st.lists(st.floats(min_value=1e-6, max_value=1e3), min_size=1, max_size=59), min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_add_at_run_sums_have_the_bits_of_sum(runs):
+    # the own-graph pass sums run lengths with np.add.at, which applies its indices in order
+    got = np.zeros(len(runs))
+    np.add.at(got, np.repeat(np.arange(len(runs)), [len(r) for r in runs]), np.concatenate(runs))
+    assert got.tolist() == [metrics._sum(r) for r in runs]
 
 
 def test_own_graph_runs_no_endpoint_matching(monkeypatch):
