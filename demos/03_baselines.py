@@ -45,6 +45,6 @@ print(f"20 noisy scenes: mean knn accuracy {knn_total / n_scenes:.3f}, "
 scene = perturb_scene(generate_scene(GenConfig(seed=3)), PerturbConfig(gps_shift=2.5, seed=3))
 amat = distance_assoc_matrix(scene)
 cid = amat.centerline_ids[0]
-row = ", ".join(f"road {r}: {p:.3f}" for r, p in zip(amat.road_ids, amat.row(cid)))
+row = ", ".join(f"road {r}: {p:.3f}" for r, p in zip(amat.road_ids, amat.rows_for([cid])[0]))
 print(f"\nassociation matrix is {amat.n_centerlines} x {amat.n_roads}; "
       f"row for centerline {cid}: {row}")

@@ -14,10 +14,8 @@ Run from the repository root:
 
 import numpy as np
 
-from mapassoc.baselines import distance_assoc_matrix
 from mapassoc.mat import ModelConfig, StageSpec, desk_config, init_weights, mat_associate
 from mapassoc.mat.forward import build_tokens
-from mapassoc.mat.loss import compute_loss, path_targets
 from mapassoc.scenegen import GenConfig, generate_scene
 
 scene = generate_scene(GenConfig(lanes_per_road=(1, 2), seed=4))
@@ -45,22 +43,6 @@ print(f"association matrix {amat.probs.shape}, rows sum to "
 # Bit determinism: same inputs, same bytes, every time.
 again, _ = mat_associate(scene, cfg, weights, curve_seed=0)
 print(f"second run bit-identical: {np.array_equal(amat.probs, again.probs)}")
-
-# Training-side losses. Cross entropy scores each centerline row at the true
-# road; CTC scores each lane path's collapsed label sequence, with a blank
-# class mixed in so imperfect rows still admit alignments. Random-init
-# features are large enough that float32 softmax rows collapse to exact
-# one-hots, which makes the untrained loss infinite; the distance-based
-# matrix shows the plumbing with finite numbers.
-lp_seqs, label_seqs = path_targets(scene, amat, scene.gt, blank_prob=0.05)
-loss = compute_loss(amat, scene.gt, lp_seqs, label_seqs, alpha=1.0, beta=0.01)
-print(f"losses on random init: ce {loss['ce']:.3f}, ctc {loss['ctc']:.3f}, total {loss['total']:.3f}")
-
-soft = distance_assoc_matrix(scene)
-lp_seqs, label_seqs = path_targets(scene, soft, scene.gt, blank_prob=0.05)
-loss = compute_loss(soft, scene.gt, lp_seqs, label_seqs, alpha=1.0, beta=0.01)
-print(f"losses on the distance matrix: ce {loss['ce']:.3f}, ctc {loss['ctc']:.3f}, "
-      f"total {loss['total']:.3f}")
 
 # The stack is configurable: a one-stage, 12-channel model with z-order
 # serialization runs the same contract at a fraction of the size.

@@ -13,7 +13,7 @@ newline-delimited files.
 from .assocmatrix import AssocMatrix
 from .baselines import distance_assoc_matrix, hmm_associate, knn_associate, viterbi
 from .curves import CURVE_KINDS, GridCoord, SerializationOrder, curve_index, grid_encode, sort_tokens
-from .decoder import DecodeResult, DecoderConfig, beam_decode, decode_association, init_token
+from .decoder import DecodeResult, DecoderConfig, beam_decode, decode_association
 from .errors import (
     ConfigError,
     CoverageError,
@@ -59,15 +59,11 @@ from .mat import (
     ModelConfig,
     StageSpec,
     association_probs,
-    compute_loss,
-    ctc_log_likelihood,
-    ctc_loss,
     desk_config,
     init_weights,
     mat_associate,
     mat_forward,
     full_config,
-    path_targets,
     prepare_weights,
 )
 from .metrics import (
@@ -134,9 +130,6 @@ __all__ = [
     "augment_scene",
     "beam_decode",
     "chamfer_distance",
-    "compute_loss",
-    "ctc_log_likelihood",
-    "ctc_loss",
     "curve_index",
     "decode_association",
     "desk_config",
@@ -146,7 +139,6 @@ __all__ = [
     "generate_scene",
     "grid_encode",
     "hmm_associate",
-    "init_token",
     "init_weights",
     "knn_associate",
     "label_sequence",
@@ -155,7 +147,6 @@ __all__ = [
     "mat_forward",
     "overlap_ratio",
     "full_config",
-    "path_targets",
     "perturb_scene",
     "prepare_weights",
     "read_assocs",

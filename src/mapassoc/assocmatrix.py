@@ -77,12 +77,6 @@ class AssocMatrix:
         """Centerline id -> row number, built once per matrix."""
         return {c: i for i, c in enumerate(self.centerline_ids)}
 
-    def row(self, cl_id: int) -> np.ndarray:
-        try:
-            return self.probs[self._row_index[cl_id]]
-        except KeyError:
-            raise LabelError(f"no probability row for centerline {cl_id}") from None
-
     def row_indices(self, cl_ids) -> list:
         """Row numbers of the given centerline ids, in their order."""
         index = self._row_index

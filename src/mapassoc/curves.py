@@ -62,6 +62,7 @@ DEFAULT_ORDER = 16
 _MAX_KEY_ORDER = 21
 
 _TWO_PI = 2.0 * math.pi
+_INT64_MAX = 2**63 - 1
 
 
 class GridCoord(NamedTuple):
@@ -99,20 +100,27 @@ def grid_encode_batch(features, g: float = DEFAULT_GRID_G, R: int = DEFAULT_GRID
     """Quantize many vectors at once; returns an (N, 3) int64 array.
 
     `features` holds one row per vector, `DirVec.as_tuple()`: an (N, 5)
-    array or a sequence of such rows.
+    array or a sequence of such rows. A cell index that does not fit int64
+    raises RangeError naming the cell size or the sector count.
     """
     if g <= 0.0:
         raise RangeError(f"cell size must be positive, got {g}")
-    if R < 1:
-        raise RangeError(f"sector count must be >= 1, got {R}")
+    if not 1 <= R <= _INT64_MAX:
+        raise RangeError(f"sector count must be in [1, {_INT64_MAX}], got {R}")
     if len(features) == 0:
         return np.zeros((0, 3), dtype=np.int64)
     a = np.asarray(features, dtype=np.float64)
-    x = np.floor((a[:, 0] + a[:, 2]) / (2.0 * g)).astype(np.int64)
-    y = np.floor((a[:, 1] + a[:, 3]) / (2.0 * g)).astype(np.int64)
-    theta_norm = np.mod(a[:, 4], _TWO_PI)
-    r = np.minimum((theta_norm // (_TWO_PI / R)).astype(np.int64), R - 1)
-    return np.stack([x, y, r], axis=1)
+    x = np.floor((a[:, 0] + a[:, 2]) / (2.0 * g))
+    y = np.floor((a[:, 1] + a[:, 3]) / (2.0 * g))
+    r = np.mod(a[:, 4], _TWO_PI) // (_TWO_PI / R)
+    # a float below 2^63 in magnitude casts to int64 exactly; NaN fails too
+    fits = [-(2.0**63) < c.min() and c.max() < 2.0**63 for c in (x, y, r)]
+    if not all(fits):
+        name, value = ("cell size", g) if not all(fits[:2]) else ("sector count", R)
+        raise RangeError(f"{name} {value} puts a grid cell outside the int64 range")
+    out = np.stack([x, y, r], axis=1).astype(np.int64)
+    np.minimum(out[:, 2], R - 1, out=out[:, 2])
+    return out
 
 
 # ---------------------------------------------------------------------------

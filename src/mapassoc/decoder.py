@@ -37,7 +37,6 @@ from .geometry import Association, Scene, enumerate_paths
 __all__ = [
     "DecoderConfig",
     "DecodeResult",
-    "init_token",
     "beam_decode",
     "decode_association",
 ]
@@ -74,16 +73,6 @@ def _best_cell(vals: list, cols: list) -> tuple:
     """
     t = vals.index(max(vals))
     return t, cols[t]
-
-
-def init_token(probs: AssocMatrix, path) -> tuple:
-    """Most confident (path position, road id) over a lane path's rows."""
-    path = list(path)
-    if not path:
-        raise LabelError("empty lane path")
-    rows = probs.rows_for(path)
-    t, j = _best_cell(rows.max(axis=1).tolist(), rows.argmax(axis=1).tolist())
-    return t, probs.road_ids[j]
 
 
 def _road_tables(road_ids: list, sd_edges) -> tuple:

@@ -1,4 +1,4 @@
-"""Map association transformer: config, weights, attention, forward, losses."""
+"""Map association transformer: config, weights, attention and the forward pass."""
 
 from .attention import (
     AttnWeights,
@@ -22,14 +22,6 @@ from .forward import (
     mat_associate,
     mat_forward,
     resolve_curve_kinds,
-)
-from .loss import (
-    collapse_repeats,
-    compute_loss,
-    ctc_log_likelihood,
-    ctc_loss,
-    path_targets,
-    with_blank,
 )
 from .weights import EMBED_IN, PreparedWeights, init_weights, prepare_weights, validate_weights, weight_spec
 
@@ -58,12 +50,6 @@ __all__ = [
     "mat_forward",
     "association_probs",
     "mat_associate",
-    "collapse_repeats",
-    "with_blank",
-    "ctc_log_likelihood",
-    "ctc_loss",
-    "path_targets",
-    "compute_loss",
     "weight_spec",
     "init_weights",
     "validate_weights",

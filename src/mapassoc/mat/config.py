@@ -56,8 +56,8 @@ class ModelConfig:
 
     `curve` is one of the four serialization curves or "random", in which case
     the forward pass draws one kind per block from a seeded stream. The
-    config holds no loss weights: `compute_loss` takes `alpha` and `beta` as
-    arguments.
+    config holds no loss weights: the toolkit runs inference only, and the
+    training losses are not part of it.
     """
 
     stages: tuple[StageSpec, ...] = (StageSpec(1, 48, 4), StageSpec(1, 96, 4))

@@ -3,7 +3,7 @@
 Everything here favors clarity over speed: explicit loops, dense masks,
 exhaustive enumeration, naive recursion. Production code must match these
 references, never the other way around. Nothing in this module imports
-from the production attention, decoding, loss, or metric internals; the
+from the production attention, decoding or metric internals; the
 package imports are leaf data types, the curve-index primitive (whose own
 tests pin it against hand values), for the per-path and the exhaustive HMM
 references the HMM's emission and transition builders, path enumeration
@@ -558,36 +558,6 @@ def decode_association_reference(
     if fallback_paths:
         meta["fallback_paths"] = fallback_paths
     return Association(labels=labels, meta=meta)
-
-
-# ---------------------------------------------------------------------------
-# CTC
-
-
-def ctc_enumeration(logprobs, labels) -> float:
-    """Log-likelihood by brute force over all T-length alignment sequences.
-
-    The last column is the blank. An alignment collapses by merging adjacent
-    repeats and then deleting blanks; alignments collapsing to `labels` have
-    their path probabilities summed.
-    """
-    lp = np.asarray(logprobs, dtype=np.float64)
-    t_steps, width = lp.shape
-    blank = width - 1
-    target = list(labels)
-    total = 0.0
-    for seq in itertools.product(range(width), repeat=t_steps):
-        collapsed = []
-        prev = None
-        for s in seq:
-            if s != prev:
-                collapsed.append(s)
-            prev = s
-        collapsed = [s for s in collapsed if s != blank]
-        if collapsed != target:
-            continue
-        total += math.exp(sum(lp[t, s] for t, s in enumerate(seq)))
-    return math.log(total) if total > 0.0 else -math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from mapassoc.geometry import Association, Centerline, DirVec, HdGraph, PathInde
 from mapassoc.io import dumps_scene, scene_from_doc
 from mapassoc.mat import desk_config, init_weights, mat_associate
 from mapassoc.mat.attention import path_attention, rope_rotate, spatial_attention
-from mapassoc.mat.loss import ctc_log_likelihood
 from mapassoc.metrics import DEFAULT_THRESHOLDS, Prediction, association_pr
 from mapassoc.scenegen import GenConfig, PerturbConfig, generate_scene, perturb_scene
 
@@ -31,12 +30,13 @@ from conftest import rand_attn
 from oracles import (
     brute_beam,
     brute_viterbi,
-    ctc_enumeration,
     hmm_exhaustive_reference,
     path_attention_reference,
     spatial_attention_reference,
 )
 
+# criteria keep their numbers; number 7, the CTC loss against alignment
+# enumeration, left with the training losses, which are not part of the toolkit
 N_CRITERIA = 13
 
 
@@ -266,33 +266,6 @@ def test_06_saturated_beam_equals_brute_force_100_instances():
         for a, b in zip(res.labels, res.labels[1:]):
             ok = ok and (a == b or (a, b) in allowed)
     verdict(6, "saturated beam = constrained optimum on 100 instances (T<=5, K<=6), connectivity everywhere", ok)
-
-
-# ---------------------------------------------------------------------------
-# 7. CTC forward equals alignment enumeration
-
-
-def test_07_ctc_equals_enumeration():
-    tol = 1e-6
-    worst = 0.0
-    ok = True
-    for seed in range(100):
-        rng = np.random.default_rng(7000 + seed)
-        t = int(rng.integers(1, 7))
-        k = int(rng.integers(1, 5))
-        length = int(rng.integers(0, min(t, 3) + 1))
-        probs = rng.uniform(0.02, 1.0, size=(t, k + 1))
-        probs /= probs.sum(axis=1, keepdims=True)
-        lp = np.log(probs)
-        labels = tuple(int(x) for x in rng.integers(0, k, size=length))
-        got = ctc_log_likelihood(lp, labels)
-        want = ctc_enumeration(lp, labels)
-        if got == -np.inf or want == -np.inf:
-            ok = ok and got == want
-        else:
-            worst = max(worst, abs(got - want))
-    ok = ok and worst <= tol
-    verdict(7, f"CTC forward = enumeration, T<=6 L<=3, 100 instances (max dev {worst:.1e} <= {tol})", ok)
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,14 @@ def test_valid_matrix_and_accessors():
     m = amat([[0.25, 0.75], [1.0, 0.0]], cl_ids=(3, 9), road_ids=(2, 5))
     assert m.n_centerlines == 2
     assert m.n_roads == 2
-    np.testing.assert_array_equal(m.row(9), [1.0, 0.0])
+    np.testing.assert_array_equal(m.rows_for([9])[0], [1.0, 0.0])
     np.testing.assert_array_equal(m.rows_for([9, 3]), [[1.0, 0.0], [0.25, 0.75]])
 
 
 def test_row_lookups_accept_numpy_ids():
     m = amat([[0.25, 0.75], [1.0, 0.0]], cl_ids=(3, 9), road_ids=(2, 5))
     for _ in range(2):  # the id index is built on first use and then reused
-        np.testing.assert_array_equal(m.row(np.int64(3)), [0.25, 0.75])
+        np.testing.assert_array_equal(m.rows_for([np.int64(3)])[0], [0.25, 0.75])
         np.testing.assert_array_equal(m.rows_for(np.array([9, 3])), [[1.0, 0.0], [0.25, 0.75]])
 
 
@@ -58,7 +58,7 @@ def test_row_sum_tolerance_is_loose_enough_for_float32():
 def test_missing_row_raises():
     m = amat([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(LabelError, match="centerline 7"):
-        m.row(7)
+        m.row_indices([7])
     with pytest.raises(LabelError, match="centerline 7"):
         m.rows_for([0, 7])
 

@@ -8,6 +8,7 @@ import os
 import select
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -214,7 +215,8 @@ def test_associate_mat_rejects_unknown_model_config_field(tmp_path, capsys):
 
 @pytest.mark.parametrize("field", ["alpha", "beta"])
 def test_model_config_has_no_loss_weights(tmp_path, capsys, field):
-    # compute_loss takes alpha and beta; a model config that sets them is refused, not ignored
+    # the training losses, with their weights alpha and beta, are not part of the toolkit;
+    # a model config that sets a loss weight is refused, not ignored
     scenes = gen_scenes(tmp_path, count=1)
     mc = write_cfg(tmp_path, {field: 1.0}, name="mc.json")
     rc = main([
@@ -223,6 +225,25 @@ def test_model_config_has_no_loss_weights(tmp_path, capsys, field):
     ])
     assert rc == 2
     assert f"unknown fields: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("grid_R", 10**30, "sector count must be in [1, 9223372036854775807], got 1000000000000000000000000000000"),
+    ("grid_g", 1e-300, "cell size 1e-300 puts a grid cell outside the int64 range"),
+], ids=["grid_R", "grid_g"])
+def test_model_config_grid_beyond_int64_exits_2_naming_the_value(tmp_path, capsys, field, value, message):
+    # each value lies in its field's range, but its grid cells do not fit int64;
+    # quantization refuses them before the cast, which would warn or overflow
+    scenes = gen_scenes(tmp_path, count=1)
+    mc = write_cfg(tmp_path, {field: value}, name="mc.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([
+            "associate", "--method", "mat", "--model-config", mc,
+            "--scenes", scenes, "--out", str(tmp_path / "pred.ndjson"),
+        ])
+    assert rc == 2
+    assert f"error: line 1: {message}\n" == capsys.readouterr().err
 
 
 def test_eval_custom_thresholds(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,22 @@ def test_grid_encode_matches_scalar_reference(vecs, setting):
     want = [grid_encode_reference(v, g, R) for v in vecs]
     assert [grid_encode(v, g=g, R=R) for v in vecs] == want
     assert [GridCoord(*row) for row in grid_encode_batch([v.as_tuple() for v in vecs], g=g, R=R).tolist()] == want
+
+
+@pytest.mark.parametrize("g, R, message", [
+    (1e-300, 16, "cell size 1e-300 puts a grid cell outside the int64 range"),
+    # a heading just below 0 wraps to 2 pi, whose sector index 2^63 R clamps only after the cast
+    (0.1, 2**63 - 1, "sector count 9223372036854775807 puts a grid cell outside the int64 range"),
+    (0.1, 2**63, r"sector count must be in \[1, 9223372036854775807\], got 9223372036854775808"),
+    (0.1, 10**30, r"sector count must be in \[1, 9223372036854775807\], got 10{30}$"),
+    (0.1, 0, r"sector count must be in \[1, 9223372036854775807\], got 0"),
+], ids=["tiny-cell", "sector-index-overflow", "R-2^63", "R-1e30", "R-0"])
+def test_grid_encode_refuses_cells_beyond_int64(g, R, message):
+    v = vec((0.0, 0.0), (1.0, -1e-20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing cast warns
+        with pytest.raises(RangeError, match=message):
+            grid_encode_batch([v.as_tuple()], g=g, R=R)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mapassoc.assocmatrix import AssocMatrix
 from mapassoc.baselines import distance_assoc_matrix
-from mapassoc.decoder import DecodeResult, DecoderConfig, beam_decode, decode_association, init_token
+from mapassoc.decoder import DecodeResult, DecoderConfig, beam_decode, decode_association
 from mapassoc.errors import ConfigError, LabelError
 from mapassoc.geometry import HdGraph, Point2, Road, Scene, SdGraph
 from mapassoc.mat import desk_config, init_weights, mat_associate
@@ -34,31 +34,39 @@ def amat_of(rows, cl_ids, road_ids):
 # seed cell
 
 
-def test_init_token_takes_global_max():
+def beam_seed(amat, path) -> tuple:
+    """The (path position, road id) the beam search starts a lane path from.
+
+    Each of the path's rows is followed by an all-zero row: the beam cannot
+    extend from the seed, the argmax fallback scores -inf, and every later
+    step is a dead end too, so every position but the seed is a fallback.
+    """
+    rows = np.vstack([amat.probs, np.zeros((1, amat.n_roads), dtype=amat.probs.dtype)])
+    zero = len(amat.probs)
+    spaced = [r for i in amat.row_indices(path) for r in (i, zero)]
+    (res,) = beam_decode(rows, amat.road_ids, (), paths=[spaced])
+    (seed,) = set(range(len(spaced))) - set(res.fallback_positions)
+    assert seed % 2 == 0
+    return seed // 2, res.labels[seed]
+
+
+def test_beam_seed_takes_global_max():
     amat = amat_of(
         [[0.1, 0.2, 0.7], [0.05, 0.9, 0.05], [0.3, 0.4, 0.3]], (10, 11, 12), (0, 5, 9)
     )
-    assert init_token(amat, [10, 11, 12]) == (1, 5)
+    assert beam_seed(amat, [10, 11, 12]) == (1, 5)
 
 
-def test_init_token_uniform_breaks_ties_low():
+def test_beam_seed_uniform_breaks_ties_low():
     amat = amat_of(np.full((2, 3), 1.0 / 3.0), (4, 6), (2, 5, 8))
-    assert init_token(amat, [4, 6]) == (0, 2)
+    assert beam_seed(amat, [4, 6]) == (0, 2)
 
 
-def test_init_token_follows_path_order():
+def test_beam_seed_follows_path_order():
     amat = amat_of([[0.9, 0.1], [0.2, 0.8]], (0, 1), (0, 1))
     # reversing the path changes which row is position 0
-    assert init_token(amat, [0, 1]) == (0, 0)
-    assert init_token(amat, [1, 0]) == (1, 0)
-
-
-def test_init_token_validates():
-    amat = amat_of([[1.0]], (0,), (0,))
-    with pytest.raises(LabelError, match="empty"):
-        init_token(amat, [])
-    with pytest.raises(LabelError, match="no probability row"):
-        init_token(amat, [7])
+    assert beam_seed(amat, [0, 1]) == (0, 0)
+    assert beam_seed(amat, [1, 0]) == (1, 0)
 
 
 @st.composite
@@ -82,19 +90,10 @@ def tied_matrices(draw):
 
 @given(tied_matrices())
 @settings(max_examples=200, deadline=None)
-def test_init_token_is_the_seed_beam_decode_starts_from(case):
+def test_beam_seed_is_the_best_cell_of_the_path_rows(case):
     amat, path = case
-    t, rid = init_token(amat, path)
+    t, rid = beam_seed(amat, path)
     assert (t, amat.road_ids.index(rid)) == init_on_rows_reference(amat.rows_for(path))
-    # an all-zero row after each of the path's rows: the beam cannot extend
-    # from the seed, the argmax fallback scores -inf, and every later step
-    # is a dead end too, so every position but the seed is a fallback
-    rows = np.vstack([amat.probs, np.zeros((1, len(amat.road_ids)), dtype=amat.probs.dtype)])
-    zero = len(amat.probs)
-    spaced = [r for i in amat.row_indices(path) for r in (i, zero)]
-    (res,) = beam_decode(rows, amat.road_ids, (), paths=[spaced])
-    (seed,) = set(range(len(spaced))) - set(res.fallback_positions)
-    assert (seed // 2, res.labels[seed]) == (t, rid) and seed % 2 == 0
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ tool patches) is marked `# noqa: F401` followed by the reason.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -22,7 +23,8 @@ import pytest
 import mapassoc
 import mapassoc.mat
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mapassoc"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mapassoc"
 
 # a noqa mark counts only with a reason after it
 KEPT = re.compile(r"#\s*noqa:\s*F401\s+\S")
@@ -97,3 +99,20 @@ def test_importing_the_cli_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_every_attribute_the_bench_tracer_patches_resolves():
+    # bench/tracer.py wraps module attributes by name, and a missing one raises
+    # AttributeError: install every patch, then put the originals back
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        patched = list(t._patched)
+        assert patched
+        assert all(getattr(owner, leaf).__wrapped__ is original for owner, leaf, original in patched)
+    finally:
+        t.restore()
+    assert all(getattr(owner, leaf) is original for owner, leaf, original in patched)
