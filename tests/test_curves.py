@@ -109,18 +109,35 @@ def test_grid_encode_matches_scalar_reference(vecs, setting):
 
 @pytest.mark.parametrize("g, R, message", [
     (1e-300, 16, "cell size 1e-300 puts a grid cell outside the int64 range"),
+    (math.nan, 16, "cell size nan puts a grid cell outside the int64 range"),
     # a heading just below 0 wraps to 2 pi, whose sector index 2^63 R clamps only after the cast
     (0.1, 2**63 - 1, "sector count 9223372036854775807 puts a grid cell outside the int64 range"),
     (0.1, 2**63, r"sector count must be in \[1, 9223372036854775807\], got 9223372036854775808"),
     (0.1, 10**30, r"sector count must be in \[1, 9223372036854775807\], got 10{30}$"),
     (0.1, 0, r"sector count must be in \[1, 9223372036854775807\], got 0"),
-], ids=["tiny-cell", "sector-index-overflow", "R-2^63", "R-1e30", "R-0"])
+], ids=["tiny-cell", "nan-cell", "sector-index-overflow", "R-2^63", "R-1e30", "R-0"])
 def test_grid_encode_refuses_cells_beyond_int64(g, R, message):
     v = vec((0.0, 0.0), (1.0, -1e-20))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an overflowing cast warns
         with pytest.raises(RangeError, match=message):
             grid_encode_batch([v.as_tuple()], g=g, R=R)
+
+
+@pytest.mark.parametrize("p1, p2, g, R", [
+    # the wrapped heading's sector index 2^62 fits, and is clamped to R - 1
+    ((0.0, 0.0), (1.0, -1e-20), 0.1, 2**62),
+    ((0.0, 0.0), (1.0, 0.0), 0.1, 2**63 - 1),
+    ((1000.0, -1000.0), (1001.0, -999.0), 2.0**-50, 16),
+    # x is exactly -2^62
+    ((-(2.0**12), 0.0), (-(2.0**12), -1.0), 2.0**-50, 16),
+], ids=["R-2^62", "R-int64-max", "cell-2^-50", "x-minus-2^62"])
+def test_grid_encode_keeps_cells_that_fit_int64(p1, p2, g, R):
+    v = vec(p1, p2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = grid_encode_batch([v.as_tuple()], g=g, R=R).tolist()
+    assert [GridCoord(*row) for row in got] == [grid_encode_reference(v, g, R)]
 
 
 # ---------------------------------------------------------------------------

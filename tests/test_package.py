@@ -4,12 +4,15 @@
 package namespace that is not a submodule, and nothing else. No module under
 `src/mapassoc` imports a name it never uses: a name in the module's `__all__`
 is a re-export, and an import kept only as a module attribute (one that a
-tool patches) is marked `# noqa: F401` followed by the reason.
+tool patches) is marked `# noqa: F401` followed by the reason. The names
+README lists as gone (the training losses, `init_token`, `AssocMatrix.row`)
+stay gone.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import importlib.util
 import os
 import re
@@ -21,6 +24,8 @@ from types import ModuleType
 import pytest
 
 import mapassoc
+import mapassoc.assocmatrix
+import mapassoc.decoder
 import mapassoc.mat
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -116,3 +121,28 @@ def test_every_attribute_the_bench_tracer_patches_resolves():
     finally:
         t.restore()
     assert all(getattr(owner, leaf) is original for owner, leaf, original in patched)
+
+
+# The training losses are not part of the toolkit; README lists these names as gone.
+LOSS_NAMES = ("collapse_repeats", "with_blank", "ctc_log_likelihood", "ctc_loss", "path_targets", "compute_loss")
+
+
+@pytest.mark.parametrize("name", LOSS_NAMES)
+def test_the_training_losses_are_not_exported(name):
+    for package in (mapassoc, mapassoc.mat):
+        assert not hasattr(package, name)
+        assert name not in package.__all__
+
+
+def test_the_loss_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("mapassoc.mat.loss")
+
+
+@pytest.mark.parametrize("owner, name", [
+    (mapassoc.decoder, "init_token"),
+    (mapassoc.assocmatrix.AssocMatrix, "row"),
+], ids=["decoder.init_token", "AssocMatrix.row"])
+def test_the_unused_row_readers_are_gone(owner, name):
+    assert not hasattr(owner, name)
+    assert name not in mapassoc.__all__
