@@ -276,9 +276,10 @@ def _config_from(cls, doc, where: str):
 
 
 def _from_flags(cls, **flagged):
-    """`cls` built from `field=(flag, value)` pairs; a ConfigError about a field names its flag instead."""
+    """`cls` built from `field=(flag, value)` pairs, a flag not given (None) keeping its field's
+    default; a ConfigError about a field names its flag instead."""
     try:
-        return cls(**{name: value for name, (_, value) in flagged.items()})
+        return cls(**{name: value for name, (_, value) in flagged.items() if value is not None})
     except ConfigError as exc:
         name, sep, rest = str(exc).partition(": ")
         if sep and name in flagged:
@@ -332,23 +333,32 @@ def _scene_items(path: str) -> tuple:
 
 def _cmd_associate(args) -> int:
     method = args.method
+    # a flag the run would not read is refused, not ignored
+    for flag, value in (("--weights", args.weights), ("--model-config", args.model_config),
+                        ("--init-seed", args.init_seed), ("--curve-seed", args.curve_seed)):
+        if value is not None and method != "mat":
+            raise ConfigError(f"{flag}: only --method mat reads it")
+    if args.init_seed is not None and args.weights is not None:
+        raise ConfigError("--init-seed: seeds the random init, which --weights replaces")
+    if args.beam_k is not None and not args.post:
+        raise ConfigError("--beam-k: only --post reads it")
+    if method == "hmm" and (args.post or args.store_probs):  # both need the matrix the HMM does not make
+        flag = "--post" if args.post else "--store-probs"
+        raise ConfigError(f"{flag}: --method hmm has no probability matrix; knn and mat have one")
     mcfg = None
     weights = None
     if method == "mat":
         import scipy.special  # noqa: F401  GELU's erf, loaded once here rather than in each forked worker
-        if args.model_config:
+        if args.model_config is not None:
             mcfg = _config_from(ModelConfig, _read_json(args.model_config, "model config"), "model config")
         else:
             mcfg = desk_config()
         # checked and cast once here, before the workers fork and share them;
         # load_weights already checks a weights file against the config
-        if args.weights:
+        if args.weights is not None:
             weights = PreparedWeights(load_weights(args.weights, mcfg), mcfg)
         else:
-            weights = prepare_weights(init_weights(mcfg, seed=args.init_seed), mcfg)
-    if method == "hmm" and (args.post or args.store_probs):  # both need the matrix the HMM does not make
-        flag = "--post" if args.post else "--store-probs"
-        raise ConfigError(f"{flag}: --method hmm has no probability matrix; knn and mat have one")
+            weights = prepare_weights(init_weights(mcfg, seed=args.init_seed or 0), mcfg)
     dcfg = _from_flags(DecoderConfig, k=("--beam-k", args.beam_k))
     items, costs = _scene_items(args.scenes)
 
@@ -357,7 +367,7 @@ def _cmd_associate(args) -> int:
         scene = loads_scene(line, where)
         with located(where):
             if method == "mat":
-                amat, _ = mat_associate(scene, mcfg, weights, curve_seed=args.curve_seed)
+                amat, _ = mat_associate(scene, mcfg, weights, curve_seed=args.curve_seed or 0)
             else:
                 # knn's soft matrix only feeds the decoder and the stored rows
                 amat = distance_assoc_matrix(scene) if args.post or args.store_probs else None
@@ -480,9 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     assoc.add_argument("--weights", help="weights container for --method mat")
     assoc.add_argument("--model-config", help="JSON model configuration for --method mat")
-    assoc.add_argument("--init-seed", type=_non_negative, default=0, help="random init seed when no weights given")
-    assoc.add_argument("--curve-seed", type=_non_negative, default=0, help="seed for random curve scheduling")
-    assoc.add_argument("--beam-k", type=int, default=5, help="beam width for --post")
+    assoc.add_argument("--init-seed", type=_non_negative, help="mat's random init seed, without --weights (default 0)")
+    assoc.add_argument("--curve-seed", type=_non_negative, help="mat's seed for random curve scheduling (default 0)")
+    assoc.add_argument("--beam-k", type=int, help="beam width for --post (default 5)")
     assoc.add_argument("--store-probs", action="store_true", help="keep full probability rows in the output; not hmm")
     assoc.add_argument("--scenes", required=True, help="input scene container")
     assoc.add_argument("--out", required=True, help="output association container")

@@ -32,7 +32,8 @@ import numpy as np
 from .assocmatrix import AssocMatrix
 from .errors import ConfigError, LabelError
 from .fields import at_least, check_fields
-from .geometry import Association, Scene, enumerate_paths
+from .geometry import Association, Scene
+from .geometry import enumerate_paths  # noqa: F401  kept as a module attribute; bench/tracer.py patches it
 
 __all__ = [
     "DecoderConfig",
@@ -205,29 +206,29 @@ def decode_association(
 ) -> Association:
     """Beam-decode every lane path of a scene into one total Association.
 
-    A centerline on several paths takes its label from the highest-scoring
-    path; ties go to the earlier path in enumeration order. Paths that needed
-    an argmax fallback are listed in the association's meta. All paths are
-    decoded by one `beam_decode` call, as row indices into `amat.probs`,
-    read from the graph's flat path index.
+    One `beam_decode` call decodes every path of the graph's flat path index
+    (`scene.hd.path_rows`), as row indices into `amat.probs`. A centerline
+    takes its label from the highest-scoring path through it; ties go to the
+    earlier path in enumeration order. Paths that needed an argmax fallback
+    are listed in the association's meta.
     """
-    pidx = enumerate_paths(scene.hd)
+    rows = scene.hd.path_rows
     # each path token's matrix row, through its centerline's row in the graph
-    flat = np.asarray(amat.row_indices(scene.hd.node_ids), dtype=np.int64)[scene.hd.path_rows.nodes].tolist()
-    ends = pidx.offsets.tolist()
-    rows = list(map(flat.__getitem__, map(slice, ends, ends[1:])))
-    results = beam_decode(amat.probs, amat.road_ids, scene.sd.edges, cfg, paths=rows)
-    labels = {}
-    best_score = {}
-    fallback_paths = []
-    for pi, (path, res) in enumerate(zip(pidx.paths, results)):
-        if res.fallback:
-            fallback_paths.append(pi)
-        for cl, rid in zip(path, res.labels):
-            if cl not in labels or res.score > best_score[cl]:
-                labels[cl] = int(rid)
-                best_score[cl] = res.score
+    flat = np.asarray(amat.row_indices(scene.hd.node_ids), dtype=np.int64)[rows.nodes].tolist()
+    ends = rows.offsets.tolist()
+    paths = list(map(flat.__getitem__, map(slice, ends, ends[1:])))
+    results = beam_decode(amat.probs, amat.road_ids, scene.sd.edges, cfg, paths=paths)
+    # a centerline's label comes from its token on the highest-scoring path:
+    # lexsort orders the tokens by centerline row, then by falling path score,
+    # and it is stable, so of tied paths the earliest comes first
+    score = np.repeat([res.score for res in results], np.diff(ends))
+    order = np.lexsort((-score, rows.nodes))
+    # each centerline row's first token in that order: every centerline lies on a path
+    won = order[np.searchsorted(rows.nodes[order], np.arange(len(scene.hd.node_ids)))].tolist()
+    tokens = [rid for res in results for rid in res.labels]
+    labels = dict(zip(scene.hd.node_ids, map(int, map(tokens.__getitem__, won))))
     meta = {"method": "beam", "k": cfg.k}
+    fallback_paths = [pi for pi, res in enumerate(results) if res.fallback]
     if fallback_paths:
         meta["fallback_paths"] = fallback_paths
     return Association(labels=labels, meta=meta)

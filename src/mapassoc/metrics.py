@@ -21,21 +21,20 @@ and no path is walked. Reachability is 1.0 for any labels, and neither
 `point_match_tau` nor `chamfer_tau` changes a count; they act only for a
 library caller that passes `Prediction(hd=...)`.
 
-On the scene's own graph association starts with numpy passes over the
-graph's flat path index (`HdGraph.path_rows`). Both sides' labels and the
-centerline lengths are gathered once per centerline; a run starts at each
-path start and label change; run lengths, path lengths and the overlap of
-equal label sequences (their only full-length alignment is the diagonal)
-are summed with `np.add.at`, which applies its indices in order, so every
-sum has the bits of the left-to-right `_sum` the walk uses. A gt path whose
-own path has an equal label sequence and reaches the top threshold is
-settled there. Only the rest are walked: the walk keeps, per scene, the
-label sequence of each predicted and ground-truth path and the overlap
-ratio of each distinct pair of sequences, and two equal sequences skip the
+Paths are read only through each graph's flat path index
+(`HdGraph.path_rows`) and numbered by their row there. Association collapses
+each side's labels into runs in one numpy pass per side (`_runs`): a run
+starts at each path start and label change, and `np.add.at` sums run
+lengths in index order, so each has the bits of `label_sequence`'s
+left-to-right sum. On the scene's own graph a gt path whose own path has
+equal runs settles at their diagonal ratio, the only full-length alignment
+of equal sequences, when that reaches the top threshold. The rest are
+walked: per scene, each path's sequence is sliced from the runs once, each
+distinct pair of sequences is scored once, and equal sequences skip the
 alignment DP. On the benchmark's hmm labels 17 of the scene ladder's 1,553
-gt paths are walked, 18 of the fleet's 714 and 91 of 533 under heavy noise.
-With `Prediction(hd=...)` every gt path is walked. Lengths come from each
-graph's `HdGraph.lengths` table, computed once per graph.
+gt paths are walked, 18 of the fleet's 714 and 91 of 533 under heavy noise;
+with `Prediction(hd=...)` every gt path is. Lengths come from each graph's
+`HdGraph.lengths` table, computed once per graph.
 
 Counts are bucketed by ground-truth path length. Per threshold, precision and
 recall are averaged over buckets that saw at least one ground-truth path, and
@@ -56,7 +55,8 @@ import numpy as np
 
 from .errors import ConfigError, CoverageError, InvalidGeometryError, ValidationError
 from .fields import MAY_BE_INFINITE, above, check_fields, fits, within
-from .geometry import Association, HdGraph, Scene, enumerate_paths
+from .geometry import Association, HdGraph, Scene
+from .geometry import enumerate_paths  # noqa: F401  kept as a module attribute; bench/tracer.py patches it
 
 __all__ = [
     "MetricConfig",
@@ -281,6 +281,35 @@ def label_sequence(path, assoc: Association, hd: HdGraph) -> tuple:
     return tuple(labels), tuple(lengths)
 
 
+def _runs(hd: HdGraph, labels: dict, code: dict) -> tuple:
+    """`label_sequence` of every lane path of `hd` in one pass over its flat
+    path index: (offsets, codes, lengths), path i's runs being
+    `offsets[i]:offsets[i + 1]`. `code` gains an integer for each label it
+    lacks, one per set of equal labels, so two sides read through one `code`
+    compare as their labels do. A centerline without a label raises
+    CoverageError naming the first in path order.
+    """
+    ids, rows = hd.node_ids, hd.path_rows
+    try:
+        vals = list(map(labels.__getitem__, ids))
+    except KeyError:
+        covered = np.fromiter(map(labels.__contains__, ids), dtype=bool, count=len(ids))[rows.nodes]
+        raise CoverageError(f"association does not cover centerline {ids[rows.nodes[covered.argmin()]]}") from None
+    for label in dict.fromkeys(vals):
+        code.setdefault(label, len(code))
+    lab = np.fromiter(map(code.__getitem__, vals), dtype=np.int64, count=len(vals))[rows.nodes]
+    # a run starts at a path's first token and wherever the label changes; np.add.at
+    # sums its lengths in index order, with the bits of label_sequence's sum
+    start = np.ones(len(lab), dtype=bool)
+    np.not_equal(lab[1:], lab[:-1], out=start[1:])
+    start[rows.offsets[:-1]] = True
+    before = np.zeros(len(lab) + 1, dtype=np.int64)  # the runs started before each token
+    np.cumsum(start, out=before[1:])
+    lengths = np.zeros(before[-1])
+    np.add.at(lengths, before[1:] - 1, np.fromiter(hd.lengths.values(), dtype=np.float64, count=len(ids))[rows.nodes])
+    return before[rows.offsets], lab[start], lengths
+
+
 def _sum(values) -> float:
     """The float sum of `values` left to right from 0.0: the same bits on every
     Python (builtin `sum()` compensates since 3.12)."""
@@ -317,15 +346,6 @@ def overlap_ratio(pred, gt) -> float:
     return min(dp[np_][ng][1] / total, 1.0)
 
 
-def _path_points(hd: HdGraph, path) -> list:
-    pts = []
-    for cid in path:
-        v = hd.by_id[cid].vector
-        pts.append((v.p1.x, v.p1.y))
-        pts.append((v.p2.x, v.p2.y))
-    return pts
-
-
 def chamfer_distance(points_a, points_b) -> float:
     """Symmetric Chamfer distance: mean of the two directed mean distances."""
     a = np.asarray(points_a, dtype=np.float64)
@@ -338,12 +358,6 @@ def chamfer_distance(points_a, points_b) -> float:
 
 # ---------------------------------------------------------------------------
 # endpoint matching
-
-
-def _path_ends(hd: HdGraph, paths) -> dict:
-    """Each path's (start, end) points, by path."""
-    by_id = hd.by_id
-    return {path: (tuple(by_id[path[0]].vector.p1), tuple(by_id[path[-1]].vector.p2)) for path in paths}
 
 
 def _match_points(gt_points, pred_points, tau: float) -> dict:
@@ -385,15 +399,15 @@ def _as_prediction(pred) -> Prediction:
     raise ConfigError(f"expected Association or Prediction, got {type(pred).__name__}")
 
 
-def _scene_counts(pred, scene: Scene, cfg: MetricConfig, scorer, settle) -> np.ndarray:
+def _scene_counts(pred, scene: Scene, cfg: MetricConfig, prepare) -> np.ndarray:
     """One scene's counts.
 
-    On the scene's own graph `settle(assoc, scene, rows, path_of, lengths,
-    top)` gives, from numpy passes over the flat path index, the level of
-    each gt path that its own path settles (NaN for the rest), or None when
-    it cannot tell. Every other gt path is walked: `scorer(pred_path,
-    pred_hd, gt_path) -> level` scores its candidates until one reaches the
-    top threshold. A level is TP at each threshold it reaches.
+    `prepare(assoc, pred_hd, scene)` gives the level of each gt path that
+    the metric settles without a walk (NaN for the rest; None for none) and
+    its `scorer(pred_path, gt_path) -> level`, each path numbered by its row
+    in its graph's `path_rows`. Every other gt path is walked: its
+    candidates are scored until one reaches the top threshold, and a path
+    with none gets -inf. A level is TP at each threshold it reaches.
     """
     if scene.gt is None:
         raise CoverageError("scene has no ground-truth association")
@@ -403,21 +417,50 @@ def _scene_counts(pred, scene: Scene, cfg: MetricConfig, scorer, settle) -> np.n
     if not pred.assoc.covers(pred_hd):
         missing = sorted(c.id for c in pred_hd.centerlines if c.id not in pred.assoc.labels)
         raise CoverageError(f"prediction does not cover centerlines {missing}")
-    pidx, rows = enumerate_paths(scene.hd), scene.hd.path_rows
+    rows = scene.hd.path_rows
     n_paths = len(rows.offsets) - 1
     # each path token's centerline length, and each path's length summed left
     # to right: np.add.at applies its indices in order, so it gives _sum's bits
     lengths = np.fromiter(scene.hd.lengths.values(), dtype=np.float64, count=len(scene.hd.lengths))[rows.nodes]
-    path_of = np.repeat(np.arange(n_paths), np.diff(rows.offsets))
     path_len = np.zeros(n_paths)
-    np.add.at(path_len, path_of, lengths)
+    np.add.at(path_len, np.repeat(np.arange(n_paths), np.diff(rows.offsets)), lengths)
     buckets = cfg.buckets_of(path_len)
-    levels = settle(pred.assoc, scene, rows, path_of, lengths, cfg.thresholds[-1]) if own else None
+    top = cfg.thresholds[-1]
+    levels, scorer = prepare(pred.assoc, pred_hd, scene)
     if levels is None:
         levels = np.full(n_paths, np.nan)
     walked = np.flatnonzero(np.isnan(levels)).tolist()
     if walked:
-        _walk(pred_hd, scene, cfg, scorer, pidx.paths, walked, levels)
+        # each path's ends: the p1 of its first centerline and the p2 of its last
+        ends = []
+        for hd in (scene.hd,) if own else (scene.hd, pred_hd):
+            cls, r = hd.centerlines, hd.path_rows
+            firsts, lasts = r.nodes[r.offsets[:-1]].tolist(), r.nodes[r.offsets[1:] - 1].tolist()
+            ends.append([(tuple(cls[a].vector.p1), tuple(cls[b].vector.p2)) for a, b in zip(firsts, lasts)])
+        gt_ends, pred_ends = ends[0], ends[-1]
+        match = None
+        if not own:
+            # on the scene's own graph each endpoint matches itself: the greedy match takes
+            # the distance-0 self pairs first, and two distinct endpoints are never at distance 0
+            gt_points = sorted({p for pair in gt_ends for p in pair})
+            pred_points = sorted({p for pair in pred_ends for p in pair})
+            match = _match_points(gt_points, pred_points, cfg.point_match_tau)
+        by_ends = {}
+        for p, pair in enumerate(pred_ends):
+            by_ends.setdefault(pair, []).append(p)
+        for g in walked:
+            s, e = gt_ends[g]
+            if match is None:
+                # the gt path itself, always a candidate, goes first
+                candidates = chain((g,), (p for p in by_ends[s, e] if p != g))
+            else:
+                candidates = by_ends.get((match.get(s), match.get(e)), ())
+            best = -math.inf
+            for p in candidates:
+                best = max(best, scorer(p, g))
+                if best >= top:
+                    break  # TP at every threshold: settled
+            levels[g] = best
 
     # TP at each threshold the level reaches, FP below it, FN with no candidate (-inf)
     n_th, n_b = len(cfg.thresholds), len(cfg.length_buckets)
@@ -426,92 +469,13 @@ def _scene_counts(pred, scene: Scene, cfg: MetricConfig, scorer, settle) -> np.n
     return np.bincount(cells.ravel(), minlength=n_th * n_b * 3).reshape(n_th, n_b, 3)
 
 
-def _walk(pred_hd, scene, cfg, scorer, gt_paths, todo, levels) -> None:
-    """Set `levels[i]` for each gt path numbered in `todo` to the best score
-    of its candidates, scored until one reaches the top threshold; -inf for
-    a path with no candidate. On the scene's own graph the gt path itself
-    goes first."""
-    gt_ends = _path_ends(scene.hd, gt_paths)
-    if pred_hd is scene.hd:
-        # each endpoint matches itself: the greedy match takes the distance-0
-        # self pairs first, and two distinct endpoints are never at distance 0
-        pred_ends, match = gt_ends, None
-    else:
-        pred_ends = _path_ends(pred_hd, enumerate_paths(pred_hd).paths)
-        gt_points = sorted({p for ends in gt_ends.values() for p in ends})
-        pred_points = sorted({p for ends in pred_ends.values() for p in ends})
-        match = _match_points(gt_points, pred_points, cfg.point_match_tau)
-    by_ends = {}
-    for path, ends in pred_ends.items():
-        by_ends.setdefault(ends, []).append(path)
-    top = cfg.thresholds[-1]
-    for i in todo:
-        gt_path = gt_paths[i]
-        s, e = gt_ends[gt_path]
-        if match is None:
-            # the gt path itself, always a candidate, goes first
-            candidates = chain((gt_path,), (pp for pp in by_ends[s, e] if pp != gt_path))
-        else:
-            candidates = by_ends.get((match.get(s), match.get(e)), ())
-        best = -math.inf
-        for pp in candidates:
-            best = max(best, scorer(pp, pred_hd, gt_path))
-            if best >= top:
-                break  # TP at every threshold: settled
-        levels[i] = best
-
-
-def _own_ratios(assoc, scene, rows, path_of, lengths, top):
-    """Each gt path's overlap ratio against itself, where its predicted and
-    ground-truth label sequences are equal and the ratio reaches `top`; NaN
-    elsewhere. None when the ground truth does not cover the graph.
-
-    The ratio is overlap_ratio's on the diagonal. Run lengths and the sums
-    over runs are taken left to right by np.add.at, which applies its
-    indices in order, so they have the bits of label_sequence and _sum.
-    """
-    ids = scene.hd.node_ids
-    try:
-        labels = list(map(assoc.labels.__getitem__, ids)) + list(map(scene.gt.labels.__getitem__, ids))
-    except KeyError:
-        return None
-    # one integer per distinct label, so labels compare as they do in Python
-    code = {label: i for i, label in enumerate(dict.fromkeys(labels))}
-    lab = np.fromiter(map(code.__getitem__, labels), dtype=np.int64, count=len(labels)).reshape(2, -1)
-    lab = lab[:, rows.nodes]
-    # a run starts at a path's first token and wherever the label changes;
-    # counted over both rows, the predicted runs come first, then the gt runs
-    start = np.ones(lab.shape, dtype=bool)
-    np.not_equal(lab[:, 1:], lab[:, :-1], out=start[:, 1:])
-    start[:, rows.offsets[:-1]] = True
-    n_pred = int(start[0].sum())
-    summed = np.zeros(n_pred + int(start[1].sum()))
-    np.add.at(summed, np.cumsum(start) - 1, np.tile(lengths, 2))
-    run_path, run_lab = np.tile(path_of, 2)[start.ravel()], lab[start]
-    pp, gp = run_path[:n_pred], run_path[n_pred:]
-    n_paths = len(rows.offsets) - 1
-    n_runs = np.bincount(pp, minlength=n_paths), np.bincount(gp, minlength=n_paths)
-    equal = n_runs[0] == n_runs[1]
-    # predicted run k of a path with as many gt runs pairs with the path's gt run k
-    pi = np.flatnonzero(equal[pp])
-    gi = pi + n_pred + (np.cumsum(n_runs[1]) - np.cumsum(n_runs[0]))[pp[pi]]
-    equal[pp[pi[run_lab[pi] != run_lab[gi]]]] = False
-    overlap, total = np.zeros(n_paths), np.zeros(n_paths)
-    np.add.at(overlap, pp[pi], np.minimum(summed[pi], summed[gi]))
-    np.add.at(total, gp, summed[n_pred:])
-    ratio = np.minimum(overlap / total, 1.0)
-    return np.where(equal & (ratio >= top), ratio, np.nan)
-
-
-def _accumulate(preds, scenes, cfg: MetricConfig, scorer_factory, settle) -> MetricReport:
+def _accumulate(preds, scenes, cfg: MetricConfig, prepare) -> MetricReport:
     if len(preds) != len(scenes):
         raise ConfigError(f"{len(preds)} predictions for {len(scenes)} scenes")
     total = np.zeros((len(cfg.thresholds), len(cfg.length_buckets), 3), dtype=np.int64)
     for pred, scene in zip(preds, scenes):
-        total += _scene_counts(pred, scene, cfg, scorer_factory(pred, scene), settle)
-    return MetricReport(
-        thresholds=cfg.thresholds, buckets=cfg.length_buckets, counts=total
-    )
+        total += _scene_counts(pred, scene, cfg, prepare)
+    return MetricReport(thresholds=cfg.thresholds, buckets=cfg.length_buckets, counts=total)
 
 
 def association_pr(preds, scenes, cfg: MetricConfig = MetricConfig()) -> MetricReport:
@@ -522,26 +486,51 @@ def association_pr(preds, scenes, cfg: MetricConfig = MetricConfig()) -> MetricR
     endpoints reaches that overlap ratio against the path's collapsed
     ground-truth label sequence.
     """
-    def factory(pred, scene):
-        assoc = _as_prediction(pred).assoc
-        # per scene, so no cache outlives its scene or is shared between scenes
-        pred_seqs, gt_seqs, ratios = {}, {}, {}
+    def prepare(assoc, pred_hd, scene):
+        code = {}
+        # the predicted side first: a fault in the predicted graph comes before the gt-coverage error
+        pred_runs = p_off, p_lab, p_len = _runs(pred_hd, assoc.labels, code)
+        gt_runs = g_off, g_lab, g_len = _runs(scene.hd, scene.gt.labels, code)
+        levels = None
+        if pred_hd is scene.hd:
+            # a gt path whose own path has equal label runs settles at overlap_ratio's
+            # diagonal when that reaches the top threshold; np.add.at sums in order, with _sum's bits
+            n_paths = len(g_off) - 1
+            n_pred, n_gt = np.diff(p_off), np.diff(g_off)
+            equal = n_pred == n_gt
+            path_of = np.repeat(np.arange(n_paths), n_pred)
+            # predicted run k of a path with as many gt runs pairs with the path's gt run k
+            pi = np.flatnonzero(equal[path_of])
+            gi = pi + (g_off - p_off)[path_of[pi]]
+            equal[path_of[pi[p_lab[pi] != g_lab[gi]]]] = False
+            overlap, total = np.zeros(n_paths), np.zeros(n_paths)
+            np.add.at(overlap, path_of[pi], np.minimum(p_len[pi], g_len[gi]))
+            np.add.at(total, np.repeat(np.arange(n_paths), n_gt), g_len)
+            ratio = np.minimum(overlap / total, 1.0)
+            levels = np.where(equal & (ratio >= cfg.thresholds[-1]), ratio, np.nan)
+        # per scene, so no cache outlives its scene or is shared between scenes:
+        # each side's sequences by path, and the ratio of each distinct pair
+        sides = [({}, *(a.tolist() for a in runs)) for runs in (pred_runs, gt_runs)]
+        reps, ratios = list(code), {}  # reps[k]: the first label given code k
 
-        def scorer(pred_path, pred_hd, gt_path):
-            p_seq = pred_seqs.get(pred_path)
-            if p_seq is None:
-                p_seq = pred_seqs[pred_path] = label_sequence(pred_path, assoc, pred_hd)
-            g_seq = gt_seqs.get(gt_path)
-            if g_seq is None:
-                g_seq = gt_seqs[gt_path] = label_sequence(gt_path, scene.gt, scene.hd)
-            ratio = ratios.get((p_seq, g_seq))
+        def sequence(side, i):
+            seqs, off, lab, length = sides[side]
+            seq = seqs.get(i)
+            if seq is None:
+                a, b = off[i], off[i + 1]
+                seq = seqs[i] = (tuple(map(reps.__getitem__, lab[a:b])), tuple(length[a:b]))
+            return seq
+
+        def scorer(pred_path, gt_path):
+            pair = sequence(0, pred_path), sequence(1, gt_path)
+            ratio = ratios.get(pair)
             if ratio is None:
-                ratio = ratios[p_seq, g_seq] = overlap_ratio(p_seq, g_seq)
+                ratio = ratios[pair] = overlap_ratio(*pair)
             return ratio
 
-        return scorer
+        return levels, scorer
 
-    return _accumulate(preds, scenes, cfg, factory, _own_ratios)
+    return _accumulate(preds, scenes, cfg, prepare)
 
 
 def reachability_pr(preds, scenes, cfg: MetricConfig = MetricConfig()) -> MetricReport:
@@ -552,18 +541,22 @@ def reachability_pr(preds, scenes, cfg: MetricConfig = MetricConfig()) -> Metric
     the verdict repeats across the threshold axis so report shapes match
     association_pr.
     """
-    def factory(pred, scene):
-        def scorer(pred_path, pred_hd, gt_path):
-            d = chamfer_distance(_path_points(pred_hd, pred_path), _path_points(scene.hd, gt_path))
+    def prepare(assoc, pred_hd, scene):
+        if pred_hd is scene.hd:
+            # on its own graph every gt path is its own first candidate, at Chamfer distance 0
+            return np.ones(len(scene.hd.path_rows.offsets) - 1), None
+
+        def points(hd, i):  # p1 and p2 of each centerline on path i of `hd`
+            r, cls = hd.path_rows, hd.centerlines
+            return [p for c in r.nodes[r.offsets[i]:r.offsets[i + 1]].tolist() for p in (cls[c].vector.p1, cls[c].vector.p2)]
+
+        def scorer(pred_path, gt_path):
+            d = chamfer_distance(points(pred_hd, pred_path), points(scene.hd, gt_path))
             return 1.0 if d <= cfg.chamfer_tau else 0.0
 
-        return scorer
+        return None, scorer
 
-    def settle(assoc, scene, rows, path_of, lengths, top):
-        # on its own graph every gt path is its own first candidate, at Chamfer distance 0
-        return np.ones(len(rows.offsets) - 1)
-
-    return _accumulate(preds, scenes, cfg, factory, settle)
+    return _accumulate(preds, scenes, cfg, prepare)
 
 
 def report_table(reports) -> str:

@@ -560,6 +560,20 @@ def decode_association_reference(
     return Association(labels=labels, meta=meta)
 
 
+def decode_merge_reference(paths, results) -> dict:
+    """Each centerline's label from its decoded lane paths, merged in a loop
+    over the tuple view: the label from the highest-scoring path through the
+    centerline; on a tie the earlier path keeps it."""
+    labels = {}
+    best_score = {}
+    for path, res in zip(paths, results):
+        for cl, rid in zip(path, res.labels):
+            if cl not in labels or res.score > best_score[cl]:
+                labels[cl] = int(rid)
+                best_score[cl] = res.score
+    return labels
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

@@ -149,6 +149,55 @@ def test_associate_refuses_only_hmm_with_a_matrix_flag(tmp_path, monkeypatch, ca
         assert not out.exists()
 
 
+UNREAD_FLAGS = {
+    "weights": (["--method", "knn", "--weights", "w.mapw"], "--weights: only --method mat reads it"),
+    "model-config": (["--method", "hmm", "--model-config", "m.json"], "--model-config: only --method mat reads it"),
+    "init-seed": (["--method", "knn", "--post", "--init-seed", "0"], "--init-seed: only --method mat reads it"),
+    "curve-seed": (["--method", "knn", "--curve-seed", "4"], "--curve-seed: only --method mat reads it"),
+    "beam-k": (["--method", "mat", "--beam-k", "3"], "--beam-k: only --post reads it"),
+    "init-seed-with-weights": (["--method", "mat", "--post", "--weights", "w.mapw", "--init-seed", "1"],
+                               "--init-seed: seeds the random init, which --weights replaces"),
+}
+
+
+@pytest.mark.parametrize("argv, message", UNREAD_FLAGS.values(), ids=UNREAD_FLAGS)
+def test_associate_refuses_a_flag_its_run_never_reads(tmp_path, capsys, argv, message):
+    # refused before any file is opened, not ignored
+    out = tmp_path / "p.ndjson"
+    assert main(["associate", *argv, "--scenes", str(tmp_path / "missing.ndjson"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_associate_flags_left_out_take_the_values_they_default_to(tmp_path):
+    scenes = gen_scenes(tmp_path)
+    runs = {
+        "default": [],
+        "given": ["--init-seed", "0", "--curve-seed", "0", "--beam-k", "5"],
+    }
+    for name, flags in runs.items():
+        assert main(["associate", "--method", "mat", "--post", *flags, "--scenes", scenes,
+                     "--out", str(tmp_path / f"{name}.ndjson")]) == 0
+    assert (tmp_path / "default.ndjson").read_bytes() == (tmp_path / "given.ndjson").read_bytes()
+
+
+def test_no_pipeline_stage_reads_the_tuple_view_of_the_lane_paths(tmp_path, monkeypatch):
+    # --post and both evals read lane paths only through each graph's flat `path_rows`
+    def refusing(self):
+        raise AssertionError("a pipeline stage read the tuple view of the lane paths")
+
+    monkeypatch.setattr(geometry.PathIndex, "paths", property(refusing))
+    monkeypatch.setattr(geometry.HdGraph, "paths", property(refusing))
+    monkeypatch.setenv("MAPASSOC_THREADS", "1")
+    scenes = gen_scenes(tmp_path, cfg=NOISY_CFG)
+    for method in ("knn", "mat"):
+        pred = str(tmp_path / f"{method}.ndjson")
+        assert main(["associate", "--method", method, "--post", "--scenes", scenes, "--out", pred]) == 0
+        for metric in ("association", "reachability"):
+            report = str(tmp_path / f"{method}.{metric}.json")
+            assert main(["eval", "--metric", metric, "--pred", pred, "--scenes", scenes, "--report", report]) == 0
+
+
 @pytest.mark.parametrize(
     "method, per_scene, flags",
     [("hmm", 1, ())] + [(m, n, f) for m, n in (("knn", 1), ("mat", 0)) for f in FLAG_SETS.values()],

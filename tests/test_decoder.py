@@ -16,12 +16,18 @@ from mapassoc.assocmatrix import AssocMatrix
 from mapassoc.baselines import distance_assoc_matrix
 from mapassoc.decoder import DecodeResult, DecoderConfig, beam_decode, decode_association
 from mapassoc.errors import ConfigError, LabelError
-from mapassoc.geometry import HdGraph, Point2, Road, Scene, SdGraph
+from mapassoc.geometry import HdGraph, Point2, Road, Scene, SdGraph, enumerate_paths
 from mapassoc.mat import desk_config, init_weights, mat_associate
 from mapassoc.scenegen import GenConfig, PerturbConfig, generate_scene, perturb_scene
 
 from conftest import make_centerline
-from oracles import beam_decode_reference, brute_beam, decode_association_reference, init_on_rows_reference
+from oracles import (
+    beam_decode_reference,
+    brute_beam,
+    decode_association_reference,
+    decode_merge_reference,
+    init_on_rows_reference,
+)
 
 
 def amat_of(rows, cl_ids, road_ids):
@@ -389,6 +395,39 @@ def test_decode_association_score_tie_keeps_earlier_path():
     )
     assoc = decode_association(scene, amat)
     assert assoc.labels[0] == 0 and assoc.labels[3] == 0
+
+
+@st.composite
+def tied_lane_dags(draw):
+    """A scene on a random lane DAG and a matrix whose rows are uniform over
+    a subset of the roads, so lane paths often tie in score while giving a
+    shared centerline different labels."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    edges = tuple(e for e in ((a, b) for a in range(n) for b in range(a + 1, n)) if draw(st.booleans()))
+    hd = HdGraph(centerlines=tuple(make_centerline(i, (float(i), 0.0), (float(i) + 1.0, 0.0)) for i in range(n)),
+                 edges=edges)
+    n_roads = draw(st.integers(min_value=1, max_value=3))
+    roads = tuple(Road(id=r, points=(Point2(0.0, 5.0 * r), Point2(10.0, 5.0 * r))) for r in range(n_roads))
+    road_edges = tuple(e for e in ((a, b) for a in range(n_roads) for b in range(n_roads) if a != b) if draw(st.booleans()))
+    rows = []
+    for _ in range(n):
+        cols = draw(st.lists(st.integers(0, n_roads - 1), min_size=1, max_size=n_roads, unique=True))
+        rows.append([1.0 / len(cols) if j in cols else 0.0 for j in range(n_roads)])
+    scene = Scene(sd=SdGraph(roads=roads, edges=road_edges), hd=hd)
+    return scene, amat_of(rows, tuple(range(n)), tuple(range(n_roads))), draw(st.sampled_from([1, 2, 5]))
+
+
+@given(tied_lane_dags())
+@settings(max_examples=300, deadline=None)
+def test_decode_association_merges_paths_as_the_loop_over_the_tuple_view(case):
+    scene, amat, k = case
+    cfg = DecoderConfig(k=k)
+    paths = enumerate_paths(scene.hd).paths
+    results = beam_decode(amat.probs, amat.road_ids, scene.sd.edges, cfg,
+                          paths=[amat.row_indices(path) for path in paths])
+    got = decode_association(scene, amat, cfg)
+    assert got.labels == decode_merge_reference(paths, results)
+    assert got.meta.get("fallback_paths", []) == [i for i, res in enumerate(results) if res.fallback]
 
 
 def test_decode_association_reports_fallback_paths():

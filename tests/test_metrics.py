@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -226,16 +227,16 @@ def test_association_self_evaluation_is_exactly_one(tiny, grid42):
 
 
 def test_scene_graph_is_enumerated_once_when_prediction_reuses_it(tiny, monkeypatch):
-    # the path DFS is the graph's cached `paths`; count its runs per graph
-    dfs, runs = HdGraph.paths.func, []
+    # the path DFS is the graph's cached `path_rows`; count its runs per graph
+    dfs, runs = HdGraph.path_rows.func, []
 
     def counting(graph):
         runs.append(graph)
         return dfs(graph)
 
     cached = cached_property(counting)
-    cached.__set_name__(HdGraph, "paths")
-    monkeypatch.setattr(HdGraph, "paths", cached)
+    cached.__set_name__(HdGraph, "path_rows")
+    monkeypatch.setattr(HdGraph, "path_rows", cached)
     assert association_pr([tiny.gt], [tiny]).af1 == 1.0
     assert len(runs) == 1 and runs[0] is tiny.hd
     own_hd = HdGraph(centerlines=tiny.hd.centerlines, edges=tiny.hd.edges)
@@ -303,6 +304,19 @@ def test_association_validates_inputs(tiny):
         association_pr([tiny.gt], [bare])
     with pytest.raises(ConfigError, match="expected Association"):
         association_pr([{"0": 0}], [tiny])
+
+
+def test_coverage_faults_come_in_order_and_reachability_reads_no_gt_labels(tiny):
+    twin = HdGraph(centerlines=tiny.hd.centerlines, edges=tiny.hd.edges)
+    partial = Scene(sd=tiny.sd, hd=tiny.hd, gt=Association(labels={c: r for c, r in tiny.gt.labels.items() if c != 4}))
+    short_pred = Association(labels={c: r for c, r in tiny.gt.labels.items() if c != 1})
+    for hd in (None, twin):
+        # the prediction's coverage first, then the ground truth's, named in path order
+        with pytest.raises(CoverageError, match=r"^prediction does not cover centerlines \[1\]$"):
+            association_pr([Prediction(assoc=short_pred, hd=hd)], [partial])
+        with pytest.raises(CoverageError, match="^association does not cover centerline 4$"):
+            association_pr([Prediction(assoc=tiny.gt, hd=hd)], [partial])
+        assert reachability_pr([Prediction(assoc=tiny.gt, hd=hd)], [partial]).af1 == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -455,17 +469,17 @@ def test_counts_match_per_pair_reference(layout, full_crop, seed, perturb_seed, 
 
 
 def test_own_graph_scores_each_path_once_per_side(monkeypatch):
-    seq_calls, chamfer_calls = [], []
+    ratio_calls, chamfer_calls = [], []
 
-    def counting_label_sequence(path, assoc, hd):
-        seq_calls.append((tuple(path), id(assoc)))
-        return label_sequence(path, assoc, hd)
+    def counting_overlap_ratio(pred_seq, gt_seq):
+        ratio_calls.append((pred_seq, gt_seq))
+        return overlap_ratio(pred_seq, gt_seq)
 
     def counting_chamfer(a, b):
         chamfer_calls.append(1)
         return chamfer_distance(a, b)
 
-    monkeypatch.setattr(metrics, "label_sequence", counting_label_sequence)
+    monkeypatch.setattr(metrics, "overlap_ratio", counting_overlap_ratio)
     monkeypatch.setattr(metrics, "chamfer_distance", counting_chamfer)
     scene = perturb_scene(
         generate_scene(GenConfig(grid_rows=3, grid_cols=3, hd_extent=FULL_CROP, seed=0)),
@@ -475,11 +489,70 @@ def test_own_graph_scores_each_path_once_per_side(monkeypatch):
     pred = corrupted(scene.gt, [r.id for r in scene.sd.roads], 0.3, np.random.default_rng(0))
     want = scene_counts_reference("association", pred, scene, MetricConfig())
     np.testing.assert_array_equal(association_pr([pred], [scene]).counts, want)
-    # each (path, association) pair once: at most one sequence per path and side
-    assert seq_calls and len(seq_calls) == len(set(seq_calls))
-    assert len(seq_calls) <= 2 * len(enumerate_paths(scene.hd).paths)
+    # each distinct pair of label sequences is scored once
+    assert ratio_calls and len(ratio_calls) == len(set(ratio_calls))
     reachability_pr([pred], [scene])
     assert chamfer_calls == []
+
+
+def mixed_types(assoc: Association, rng) -> Association:
+    """The same labels, some shown as a float or, for 0 and 1, as a bool: each
+    compares equal to its int, and label_sequence merges runs by equality."""
+    def shown(r):
+        kind = rng.integers(3)
+        return float(r) if kind == 1 else bool(r) if kind == 2 and r in (0, 1) else r
+
+    return Association(labels={c: shown(r) for c, r in assoc.labels.items()})
+
+
+@given(
+    st.sampled_from(["grid", "radial", "random-planar"]),
+    st.integers(min_value=0, max_value=10_000),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=10_000)),
+    st.sampled_from(["gt", "knn", "corrupted"]),
+    st.sampled_from([1, 3, 0]),  # keep every lane edge, every third, or none: single-token paths
+)
+@settings(max_examples=40, deadline=None)
+def test_association_runs_equal_label_sequence_on_both_sides(layout, seed, perturb_seed, labels, keep):
+    scene = generate_scene(GenConfig(layout=layout, seed=seed))
+    if perturb_seed is not None:
+        scene = perturb_scene(scene, PerturbConfig(
+            gps_shift=1.0, dropout_rate=0.1, jitter_sigma=0.3, oversegment_rate=0.2, seed=perturb_seed,
+        ))
+    rng = np.random.default_rng(seed)
+    pred = {
+        "gt": lambda: scene.gt,
+        "knn": lambda: knn_associate(scene),
+        "corrupted": lambda: corrupted(scene.gt, [r.id for r in scene.sd.roads], 0.3, rng),
+    }[labels]()
+    hd = HdGraph(centerlines=scene.hd.centerlines, edges=scene.hd.edges[::keep] if keep else (),
+                 boundaries=scene.hd.boundaries)
+    scene, pred = Scene(sd=scene.sd, hd=hd, gt=mixed_types(scene.gt, rng)), mixed_types(pred, rng)
+    paths = enumerate_paths(hd).paths
+    # one pass per side, the label codes shared between the sides
+    code = {}
+    runs = [metrics._runs(hd, assoc.labels, code) for assoc in (pred, scene.gt)]
+    reps = list(code)
+    for assoc, (offsets, codes, lengths) in zip((pred, scene.gt), runs):
+        assert len(offsets) == len(paths) + 1
+        for path, a, b in zip(paths, offsets.tolist(), offsets[1:].tolist()):
+            want_labels, want_lengths = label_sequence(path, assoc, hd)
+            assert [reps[c] for c in codes[a:b].tolist()] == list(want_labels)
+            assert lengths[a:b].view(np.int64).tolist() == np.array(want_lengths).view(np.int64).tolist()
+    # association_pr scores sequences sliced from these runs: against a separately
+    # built copy of the graph every gt path is walked and meets its copy
+    pairs = []
+
+    def recording(pred_seq, gt_seq):
+        pairs.append((pred_seq, gt_seq))
+        return overlap_ratio(pred_seq, gt_seq)
+
+    twin = HdGraph(centerlines=hd.centerlines, edges=hd.edges, boundaries=hd.boundaries)
+    with mock.patch.object(metrics, "overlap_ratio", recording):
+        association_pr([Prediction(assoc=pred, hd=twin)], [scene])
+    assert {g for _, g in pairs} == {label_sequence(path, scene.gt, hd) for path in paths}
+    assert {p for p, _ in pairs} <= {label_sequence(path, pred, hd) for path in paths}
+    assert all(type(v) is float for p, g in pairs for v in p[1] + g[1])
 
 
 def shifted_runs(scene, rng, shift: float, swap: float) -> Association:
