@@ -17,11 +17,11 @@ and the run is serial where the platform has no fork.  Outputs are
 order-preserving and bit-identical across worker counts.
 
 `associate` and `eval` split the scene container into lines in the calling
-process; each scene is parsed by the worker that runs it.  Workers claim the
-scene with the longest line left, the calling process the shortest, until
-the two ends meet.  `gen` hands out scene indices in order the same way; its
-worker generates, perturbs and augments a scene and returns the scene's
-canonical line, so the calling process only joins the lines in index order.
+process; each scene is parsed by the worker that runs it.  Every worker, the
+calling process included, claims the scene with the longest line left.
+`gen` hands out scene indices in order the same way; its worker generates,
+perturbs and augments a scene and returns the scene's canonical line, so the
+calling process only joins the lines in index order.
 Faults are found as a serial run meets them: first the command's own inputs
 (flags, config files, weights, the scene container's text, the association
 file and its record count), then each scene in file order (its parse, its
@@ -135,9 +135,9 @@ def _one_blas_thread():
         set_(old)
 
 
-# The claim state forked workers share: the next rank from the top, the end of
-# the unclaimed ranks, and the lowest failing item index (len(items) until one fails).
-_CLAIMS = struct.Struct("qqq")
+# The claim state forked workers share: the next rank to claim and the lowest
+# failing item index (len(items) until one fails).
+_CLAIMS = struct.Struct("qq")
 
 
 def _map(fn, items, costs=None) -> list:
@@ -145,9 +145,8 @@ def _map(fn, items, costs=None) -> list:
 
     Items are ranked by `costs`, largest first (in index order without
     costs), and claimed one at a time. With n workers, the n - 1 forked
-    children start on the n - 1 top-ranked items and then each claims the
-    top-ranked item left; the calling process claims from the bottom, so it
-    runs the smallest items, until the two ends meet. Children inherit `fn`
+    children start on the n - 1 top-ranked items; after that every process,
+    the caller included, claims the top-ranked item left. Children inherit `fn`
     and `items` through the fork, so only results are pickled, one list per
     child through a pipe. If any item raises, the exception of the lowest
     failing index is re-raised: the error a serial run gives, whatever the
@@ -163,7 +162,7 @@ def _map(fn, items, costs=None) -> list:
     if costs is not None:
         rank.sort(key=costs.__getitem__, reverse=True)  # stable: equal costs keep index order
     state = mmap.mmap(-1, _CLAIMS.size)
-    _CLAIMS.pack_into(state, 0, n - 1, len(items), len(items))
+    _CLAIMS.pack_into(state, 0, n - 1, len(items))
     token_r, token_w = os.pipe()  # holds one byte while no process holds the claim state
     os.write(token_w, b"\0")
 
@@ -175,27 +174,25 @@ def _map(fn, items, costs=None) -> list:
         finally:
             os.write(token_w, b"\0")
 
-    def run(top: bool, position=None) -> list:
-        """(index, ok, value) of each item this process claims, from the top or the bottom."""
+    def run(position=None) -> list:
+        """(index, ok, value) of each item this process runs: the one at rank `position`, if
+        given, then each top-ranked item left."""
         done = []
         while True:
-            with claim_state() as (front, back, low):
+            with claim_state() as (front, low):
                 if position is None:
-                    if front >= back:
+                    if front >= len(items):
                         return done
-                    if top:
-                        position, front = front, front + 1
-                    else:
-                        position = back = back - 1
-                    _CLAIMS.pack_into(state, 0, front, back, low)
+                    position = front
+                    _CLAIMS.pack_into(state, 0, front + 1, low)
             i, position = rank[position], None
             if i > low:
                 continue
             try:
                 done.append((i, True, fn(items[i])))
             except Exception as exc:
-                with claim_state() as (front, back, low):
-                    _CLAIMS.pack_into(state, 0, front, back, min(low, i))
+                with claim_state() as (front, low):
+                    _CLAIMS.pack_into(state, 0, front, min(low, i))
                 done.append((i, False, exc))
 
     children = []  # (worker, pid, read end of its result pipe)
@@ -216,13 +213,13 @@ def _map(fn, items, costs=None) -> list:
                         for _, _, fd in children:
                             os.close(fd)
                         with os.fdopen(wr, "wb") as fh:
-                            pickle.dump(run(True, w - 1), fh, protocol=pickle.HIGHEST_PROTOCOL)
+                            pickle.dump(run(w - 1), fh, protocol=pickle.HIGHEST_PROTOCOL)
                         code = 0
                     finally:
                         os._exit(code)
                 os.close(wr)
                 children.append((w, pid, r))
-            done = run(False)
+            done = run()
             lost = []
             while children:
                 w, pid, r = children.pop(0)
@@ -353,6 +350,8 @@ def _cmd_associate(args) -> int:
             mcfg = _config_from(ModelConfig, _read_json(args.model_config, "model config"), "model config")
         else:
             mcfg = desk_config()
+        if args.curve_seed is not None and mcfg.curve != "random":
+            raise ConfigError('--curve-seed: only a model config with curve "random" reads it')
         # checked and cast once here, before the workers fork and share them;
         # load_weights already checks a weights file against the config
         if args.weights is not None:
@@ -491,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     assoc.add_argument("--weights", help="weights container for --method mat")
     assoc.add_argument("--model-config", help="JSON model configuration for --method mat")
     assoc.add_argument("--init-seed", type=_non_negative, help="mat's random init seed, without --weights (default 0)")
-    assoc.add_argument("--curve-seed", type=_non_negative, help="mat's seed for random curve scheduling (default 0)")
+    assoc.add_argument("--curve-seed", type=_non_negative, help='mat\'s seed for a model config\'s curve "random" (default 0)')
     assoc.add_argument("--beam-k", type=int, help="beam width for --post (default 5)")
     assoc.add_argument("--store-probs", action="store_true", help="keep full probability rows in the output; not hmm")
     assoc.add_argument("--scenes", required=True, help="input scene container")

@@ -16,7 +16,7 @@ threshold, and one numpy pass per scene counts every threshold at once.
 Reachability judges a predicted lane graph, not labels. `mapassoc eval`
 passes no predicted graph, so it scores on the scene's own: there every
 endpoint is its own match, so no matching runs, and every ground-truth path
-is its own first candidate at Chamfer distance exactly 0, so it scores 1.0
+is its own candidate at Chamfer distance exactly 0, so it scores 1.0
 and no path is walked. Reachability is 1.0 for any labels, and neither
 `point_match_tau` nor `chamfer_tau` changes a count; they act only for a
 library caller that passes `Prediction(hd=...)`.
@@ -47,7 +47,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain
 from operator import add
 from typing import Optional, Union
 
@@ -450,13 +449,8 @@ def _scene_counts(pred, scene: Scene, cfg: MetricConfig, prepare) -> np.ndarray:
             by_ends.setdefault(pair, []).append(p)
         for g in walked:
             s, e = gt_ends[g]
-            if match is None:
-                # the gt path itself, always a candidate, goes first
-                candidates = chain((g,), (p for p in by_ends[s, e] if p != g))
-            else:
-                candidates = by_ends.get((match.get(s), match.get(e)), ())
             best = -math.inf
-            for p in candidates:
+            for p in by_ends.get((s, e) if match is None else (match.get(s), match.get(e)), ()):
                 best = max(best, scorer(p, g))
                 if best >= top:
                     break  # TP at every threshold: settled
@@ -543,7 +537,7 @@ def reachability_pr(preds, scenes, cfg: MetricConfig = MetricConfig()) -> Metric
     """
     def prepare(assoc, pred_hd, scene):
         if pred_hd is scene.hd:
-            # on its own graph every gt path is its own first candidate, at Chamfer distance 0
+            # on its own graph every gt path is its own candidate, at Chamfer distance 0
             return np.ones(len(scene.hd.path_rows.offsets) - 1), None
 
         def points(hd, i):  # p1 and p2 of each centerline on path i of `hd`

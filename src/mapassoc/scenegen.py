@@ -505,16 +505,14 @@ def perturb_scene(scene: Scene, cfg: PerturbConfig) -> Scene:
     else:
         shift = (float(cfg.gps_shift[0]), float(cfg.gps_shift[1]))
 
-    cls = list(scene.hd.centerlines)
-    ids = [c.id for c in cls]
-    ends = _ends(cls)
+    ids = [c.id for c in scene.hd.centerlines]
+    ends = _ends(scene.hd.centerlines)
     edges = list(scene.hd.edges)
     bounds = scene.hd.boundaries
     bxy = _xy([b.points for b in bounds])
     labels = dict(scene.gt.labels) if scene.gt is not None else None
 
-    moved = shift != (0.0, 0.0)  # every centerline needs a new vector
-    if moved:
+    if shift != (0.0, 0.0):  # adding a zero shift would turn -0.0 into 0.0
         ends = ends + (*shift, *shift)
         bxy = bxy + shift
         bounds = _polylines(Boundary, bounds, bxy)
@@ -522,23 +520,18 @@ def perturb_scene(scene: Scene, cfg: PerturbConfig) -> Scene:
     if cfg.dropout_rate > 0:
         keep = ~(drop_rng.random(len(ids)) < cfg.dropout_rate)
         dropped = set(compress(ids, ~keep))
-        cls, ids, ends = list(compress(cls, keep)), list(compress(ids, keep)), ends[keep]
+        ids, ends = list(compress(ids, keep)), ends[keep]
         edges = [(a, b) for a, b in edges if a not in dropped and b not in dropped]
         if labels is not None:
             labels = {i: r for i, r in labels.items() if i not in dropped}
 
     if cfg.jitter_sigma > 0:
         ends = ends + jit_rng.normal(0.0, cfg.jitter_sigma, size=ends.shape)
-        moved = True
 
     split = np.zeros(len(ids), dtype=bool)
     if cfg.oversegment_rate > 0 and ids:
         split = over_rng.random(len(ids)) < cfg.oversegment_rate
-    whole = ~split
-    if moved:
-        cls = _centerlines(list(compress(ids, whole)), ends[whole])
-    else:
-        cls = list(compress(cls, whole))
+    cls = _centerlines(list(compress(ids, ~split)), ends[~split])
     if split.any():
         # each split centerline keeps its id for its first half; the second
         # half takes the next new id, in centerline order, and its out-edges
@@ -601,25 +594,20 @@ def augment_scene(scene: Scene, cfg: AugConfig) -> Scene:
     if identity and cfg.jitter_sigma == 0.0 and cfg.grid_sample is None:
         return scene
 
-    roads, cls, bounds = scene.sd.roads, scene.hd.centerlines, scene.hd.boundaries
-    ids = [c.id for c in cls]
+    roads, bounds = scene.sd.roads, scene.hd.boundaries
+    ids = [c.id for c in scene.hd.centerlines]
     sd_xy = _xy([r.points for r in roads])
-    ends = _ends(cls)
-    bxy = _xy([b.points for b in bounds])
-    moved = not identity or cfg.jitter_sigma > 0
-    if moved:
-        xy = np.concatenate((sd_xy, ends.reshape(-1, 2), bxy))
-        if not identity:
-            x, y = xy[:, 0], xy[:, 1]
-            xy = np.stack(((x * ca - y * sa) * scale * fx, (x * sa + y * ca) * scale), axis=1)
-        if cfg.jitter_sigma > 0:
-            xy = xy + np.clip(jit_rng.normal(0.0, cfg.jitter_sigma, size=xy.shape),
-                              -cfg.jitter_clip, cfg.jitter_clip)
-        n_sd, n_hd = len(sd_xy), len(sd_xy) + 2 * len(cls)
-        sd_xy, ends, bxy = xy[:n_sd], xy[n_sd:n_hd].reshape(-1, 4), xy[n_hd:]
-        roads = _polylines(Road, roads, sd_xy)
-        bounds = _polylines(Boundary, bounds, bxy)
-        cls = _centerlines(ids, ends)
+    xy = np.concatenate((sd_xy, _ends(scene.hd.centerlines).reshape(-1, 2), _xy([b.points for b in bounds])))
+    if not identity:  # an identity transform would turn -0.0 into 0.0
+        x, y = xy[:, 0], xy[:, 1]
+        xy = np.stack(((x * ca - y * sa) * scale * fx, (x * sa + y * ca) * scale), axis=1)
+    if cfg.jitter_sigma > 0:
+        xy = xy + np.clip(jit_rng.normal(0.0, cfg.jitter_sigma, size=xy.shape), -cfg.jitter_clip, cfg.jitter_clip)
+    n_sd, n_hd = len(sd_xy), len(sd_xy) + 2 * len(ids)
+    sd_xy, ends, bxy = xy[:n_sd], xy[n_sd:n_hd].reshape(-1, 4), xy[n_hd:]
+    roads = _polylines(Road, roads, sd_xy)
+    bounds = _polylines(Boundary, bounds, bxy)
+    cls = _centerlines(ids, ends)
     edges = list(scene.hd.edges)
     labels = dict(scene.gt.labels) if scene.gt is not None else None
 

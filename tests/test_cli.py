@@ -154,6 +154,8 @@ UNREAD_FLAGS = {
     "model-config": (["--method", "hmm", "--model-config", "m.json"], "--model-config: only --method mat reads it"),
     "init-seed": (["--method", "knn", "--post", "--init-seed", "0"], "--init-seed: only --method mat reads it"),
     "curve-seed": (["--method", "knn", "--curve-seed", "4"], "--curve-seed: only --method mat reads it"),
+    "curve-seed-without-random-curve": (["--method", "mat", "--curve-seed", "7"],
+                                        '--curve-seed: only a model config with curve "random" reads it'),
     "beam-k": (["--method", "mat", "--beam-k", "3"], "--beam-k: only --post reads it"),
     "init-seed-with-weights": (["--method", "mat", "--post", "--weights", "w.mapw", "--init-seed", "1"],
                                "--init-seed: seeds the random init, which --weights replaces"),
@@ -171,12 +173,14 @@ def test_associate_refuses_a_flag_its_run_never_reads(tmp_path, capsys, argv, me
 
 def test_associate_flags_left_out_take_the_values_they_default_to(tmp_path):
     scenes = gen_scenes(tmp_path)
+    # a random curve schedule, so that the run reads --curve-seed
+    model = write_cfg(tmp_path, {"curve": "random"}, "model.json")
     runs = {
         "default": [],
         "given": ["--init-seed", "0", "--curve-seed", "0", "--beam-k", "5"],
     }
     for name, flags in runs.items():
-        assert main(["associate", "--method", "mat", "--post", *flags, "--scenes", scenes,
+        assert main(["associate", "--method", "mat", "--post", "--model-config", model, *flags, "--scenes", scenes,
                      "--out", str(tmp_path / f"{name}.ndjson")]) == 0
     assert (tmp_path / "default.ndjson").read_bytes() == (tmp_path / "given.ndjson").read_bytes()
 
@@ -532,8 +536,8 @@ class Handoff:
 
 
 @needs_fork
-@pytest.mark.parametrize("costs, first_child, first_caller", [([1, 4, 2, 3], 1, 0), (None, 0, 3)])
-def test_map_hands_the_largest_item_to_a_child_and_the_smallest_to_the_caller(
+@pytest.mark.parametrize("costs, first_child, first_caller", [([1, 4, 2, 3], 1, 3), (None, 0, 1)])
+def test_map_starts_the_child_on_the_top_item_and_the_caller_on_the_next(
     monkeypatch, tmp_path, costs, first_child, first_caller
 ):
     monkeypatch.setenv("MAPASSOC_THREADS", "2")
@@ -544,8 +548,8 @@ def test_map_hands_the_largest_item_to_a_child_and_the_smallest_to_the_caller(
 
     def fn(x):
         log(x)
-        # the child's first item waits for the caller's first, so neither end
-        # can run ahead and claim the other end's item
+        # the child's first item waits for the caller's first, so the child
+        # cannot run ahead and claim the item ranked second
         if x == first_child:
             started.take()
         elif x == first_caller:
@@ -641,9 +645,10 @@ def test_map_skips_items_above_a_recorded_failure(monkeypatch, tmp_path):
         return x
 
     try:
-        # ranked 1, 4, 3, 0, 2: the child takes 1 and then claims 4, 3 and 0
+        # ranked 1, 2, 4, 0, 3: the child takes 1, the caller 2; then the child
+        # claims 4 (skipped), 0 and maybe 3 (skipped)
         with pytest.raises(ValidationError, match="^item 1 is bad$"):
-            cli._map(fn, range(5), [1, 4, 0, 2, 3])
+            cli._map(fn, range(5), [1, 4, 3, 0, 2])
     finally:
         caller_started.close()
         child_done.close()
